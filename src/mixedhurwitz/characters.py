@@ -2,14 +2,16 @@
 to triply mixed Hurwitz numbers.
 
 All arithmetic is exact rational; no floating point anywhere.  The in-memory
-character cache only receives idempotent inserts and the lambda-sums are plain
-reductions over independent terms, so concurrent use is safe.
+character cache and the per-degree lambda columns only receive idempotent
+inserts and the lambda-sums are plain reductions over independent terms, so
+concurrent use is safe.
 """
 
 import json
 import os
 from fractions import Fraction
-from math import comb, factorial
+from functools import cache
+from math import comb, factorial, prod
 
 from .errors import DomainError
 from .partitions import (
@@ -24,7 +26,6 @@ from .partitions import (
 )
 from .symgroup import HurwitzSpec
 from .series import QSeries
-from .util import rat_str
 
 # ---------------------------------------------------------------------------
 # Murnaghan-Nakayama characters
@@ -109,7 +110,11 @@ def save_character_table(d: int, cache_dir=None) -> str:
 
 
 def load_character_table(d: int, cache_dir=None) -> bool:
-    """Populate the in-memory cache from disk; returns True when found."""
+    """Populate the in-memory cache from disk; returns True when found.
+
+    A file that does not parse as a whole raises DomainError and leaves the
+    in-memory cache as it was.
+    """
     path = cache_file(d, cache_dir)
     if not os.path.exists(path):
         return False
@@ -119,12 +124,18 @@ def load_character_table(d: int, cache_dir=None) -> bool:
         except ValueError:  # not JSON: truncated, or not text at all
             doc = None
     if not isinstance(doc, dict) or doc.get("version") != 1 \
-            or doc.get("degree") != d:
+            or doc.get("degree") != d or not isinstance(doc.get("entries"), list):
         raise DomainError(f"unrecognized cache file {path}")
+    table = {}
     for e in doc["entries"]:
-        lam, nu = tuple(e["lambda"]), tuple(e["nu"])
-        nu_sorted = tuple(sorted(nu, reverse=True))
-        _char_cache[(lam, nu_sorted)] = int(e["chi"])
+        try:
+            key = (check_partition(e["lambda"]),
+                   check_partition(sorted(e["nu"], reverse=True)))
+            table[key] = int(str(e["chi"]))  # str first: 2.5 is refused, not cut
+        except (KeyError, TypeError, ValueError, DomainError):
+            raise DomainError(f"unrecognized cache file {path}: "
+                              f"bad entry {e!r}") from None
+    _char_cache.update(table)
     return True
 
 
@@ -161,6 +172,33 @@ def central_character_extended(nu, lam) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# per-degree lambda data
+#
+# A column holds one value per partition of d, in enumerate_partitions order,
+# and is built once per process; sector_value only reads columns.  Profile
+# characters are not copied into columns: _mn memoises them in _char_cache.
+
+_lambda_columns = {}
+
+
+def _lambda_column(d: int, key):
+    """dim lam for key "dim", f_(2)(lam) = the sum of the contents of lam for
+    "f2", and sym_eval(kind, n, contents of lam) for key (kind, n)."""
+    col = _lambda_columns.get((d, key))
+    if col is None:
+        lams = enumerate_partitions(d)
+        if key == "dim":
+            col = [hook_dim(lam) for lam in lams]
+        elif key == "f2":  # row i holds the contents -i, ..., r - 1 - i
+            col = [sum(r * (r - 1) // 2 - i * r for i, r in enumerate(lam))
+                   for lam in lams]
+        else:
+            col = [sym_eval(*key, contents(lam)) for lam in lams]
+        _lambda_columns[(d, key)] = col
+    return col
+
+
+# ---------------------------------------------------------------------------
 # disconnected triply mixed numbers by the lambda-sum
 
 
@@ -187,32 +225,39 @@ def sector_value(g: int, k: int, l: int, m: int, profiles, d: int) -> Fraction:
     profiles must be 1-free.  The d = 0 convention: 1 for the empty sector,
     0 otherwise.
     """
+    profiles = tuple(check_partition(p) for p in profiles)
+    if any(1 in p for p in profiles):
+        raise DomainError(f"profiles must not contain 1-parts: {profiles}")
     if d == 0:
-        return Fraction(1) if (k == l == m == 0 and all(not p for p in profiles)) else Fraction(0)
+        return Fraction(1) if (k == l == m == 0 and not any(profiles)) else Fraction(0)
     if any(sum(p) > d for p in profiles) or (k and d < 2):
         return Fraction(0)  # binomial prefactor vanishes when |nu| > d
-    fact = factorial(d)
-    total = Fraction(0)
-    for lam in enumerate_partitions(d):
-        term = Fraction(hook_dim(lam), fact) ** (2 - 2 * g)
-        for p in profiles:
-            if p:
-                term *= central_character_f(p, lam)
-            if term == 0:
+    # term(lam) = (dim/d!)^(2-2g) prod_nu (|C_nu| chi^lam(nu) / dim) f2^k h_l e_m:
+    # sum the integer part times dim^(2-2g-#nu), then scale once
+    columns = []
+    if k:
+        columns.append([f ** k for f in _lambda_column(d, "f2")])
+    if l:
+        columns.append(_lambda_column(d, ("complete_homogeneous", l)))
+    if m:
+        columns.append(_lambda_column(d, ("elementary", m)))
+    classes = [pad_to(p, d) for p in profiles if p]
+    dim_power = 2 - 2 * g - len(classes)
+    total = 0
+    dims = _lambda_column(d, "dim")
+    for i, lam in enumerate(enumerate_partitions(d)):
+        x = 1
+        for col in columns:
+            x *= col[i]
+        for nu in classes:
+            if not x:
                 break
-        if term == 0:
-            continue
-        if k:
-            f2 = central_character_f((2,), lam)
-            term *= f2**k
-        if l or m:
-            cont = contents(lam)
-            if l:
-                term *= sym_eval("complete_homogeneous", l, cont)
-            if m:
-                term *= sym_eval("elementary", m, cont)
-        total += term
-    return total
+            x *= _mn(lam, nu)
+        if x:
+            total += (x * dims[i] ** dim_power if dim_power >= 0
+                      else Fraction(x, dims[i] ** -dim_power))
+    scale = Fraction(prod(class_size(p, d) for p in profiles if p))
+    return total * scale / Fraction(factorial(d)) ** (2 - 2 * g)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +311,12 @@ def _profile_diff(whole, part):
     return tuple(out)
 
 
+@cache
+def _profile_splits(profiles):
+    """(part, profiles - part) for every sub-profile part of profiles."""
+    return tuple((p, _profile_diff(profiles, p)) for p in _sub_profiles(profiles))
+
+
 def subsectors(sector):
     """All (k',l',m',profiles',d') componentwise inside the given sector."""
     k, l, m, profiles, d = sector
@@ -275,14 +326,24 @@ def subsectors(sector):
                 yield (k1, l1, m1, prof, d1)
 
 
-def _sector_product(s1, s2):
-    k1, l1, m1, p1, d1 = s1
-    k2, l2, m2, p2, d2 = s2
-    prof = tuple(
-        tuple(sorted(a + b, reverse=True)) for a, b in zip(p1, p2)
-    )
-    coeff = comb(k1 + k2, k1)
-    return coeff, (k1 + k2, l1 + l2, m1 + m2, prof, d1 + d2)
+def _euler_sum(s, conn, disc):
+    """Sum of C(k, k1) d1 conn[s1] disc[s2] over s1 + s2 = s with 1 <= d1 < d.
+
+    With D the degree operator, D log(1 + P) = DP / (1 + P) gives, sector by
+    sector, d P_s = d L_s + _euler_sum(s, L, P).  Taken in increasing degree,
+    the one identity yields the log L from P and the exp P from L.
+    """
+    k, l, m, profiles, d = s
+    total = Fraction(0)
+    for k1, l1, m1 in _sub_triples(k, l, m):
+        c = comb(k, k1)
+        for prof1, prof2 in _profile_splits(profiles):
+            rest = (k - k1, l - l1, m - m1, prof2)
+            for d1 in range(1, d):
+                v1 = conn[(k1, l1, m1, prof1, d1)]
+                if v1 and (v2 := disc[rest + (d - d1,)]):
+                    total += c * d1 * v1 * v2
+    return total
 
 
 def potential_log(disconnected, targets):
@@ -291,9 +352,12 @@ def potential_log(disconnected, targets):
     disconnected maps sector -> value for every subsector of every target
     (degree-0 sectors are implied); returns {target: connected value}.
     """
-    needed = set()
+    top = {}  # the subsectors of (key, d) include those of (key, d') for d' < d
     for t in targets:
-        needed.update(subsectors(t))
+        top[t[:4]] = max(t[4], top.get(t[:4], 0))
+    needed = set()
+    for key, d in top.items():
+        needed.update(subsectors(key + (d,)))
     vals = {}
     for s in needed:
         if s[4] == 0:
@@ -301,35 +365,10 @@ def potential_log(disconnected, targets):
         if s not in disconnected:
             raise DomainError(f"missing disconnected value for sector {s}")
         vals[s] = Fraction(disconnected[s])
-
-    # log(1+P) = sum (-1)^{r+1} P^r / r; P has degree >= 1 so r <= max degree
-    max_d = max((t[4] for t in targets), default=0)
-    result = {s: Fraction(v) for s, v in vals.items()}
-    power = dict(vals)  # P^r restricted to needed sectors
-    sign = -1
-    for r in range(2, max_d + 1):
-        nxt = {}
-        for s1, v1 in power.items():
-            if v1 == 0:
-                continue
-            for s2, v2 in vals.items():
-                if v2 == 0:
-                    continue
-                if s1[4] + s2[4] > max_d:
-                    continue
-                c, s = _sector_product(s1, s2)
-                if s in needed:
-                    nxt[s] = nxt.get(s, Fraction(0)) + c * v1 * v2
-        power = nxt
-        if not power:
-            break
-        for s, v in power.items():
-            result[s] = result.get(s, Fraction(0)) + Fraction(sign ** (r + 1)) * v / r
-        sign = -1
-    out = {}
-    for t in targets:
-        out[t] = result.get(t, Fraction(0))
-    return out
+    conn = {}
+    for s in sorted(vals, key=lambda s: s[4]):
+        conn[s] = vals[s] - _euler_sum(s, conn, vals) / s[4]
+    return {t: conn.get(t, Fraction(0)) for t in targets}
 
 
 def connected_series(family):
@@ -347,23 +386,9 @@ def connected_series(family):
     if not family:
         return {}
     qmax = min(s.high for s in family.values())
-    disconnected = {}
-    targets = []
-    for (k, l, m, profiles), series in family.items():
-        for d in range(qmax + 1):
-            targets.append((k, l, m, profiles, d))
-    needed = set()
-    for t in targets:
-        needed.update(subsectors(t))
-    for s in needed:
-        k, l, m, profiles, d = s
-        if d == 0:
-            continue
-        key = (k, l, m, profiles)
-        if key in family:
-            disconnected[s] = family[key].coefficient(d)
-        else:
-            raise DomainError(f"missing disconnected series for sub-spec {key}")
+    targets = [key + (d,) for key in family for d in range(qmax + 1)]
+    disconnected = {key + (d,): series.coefficient(d)
+                    for key, series in family.items() for d in range(1, qmax + 1)}
     conn = potential_log(disconnected, targets)
     out = {}
     for (k, l, m, profiles), series in family.items():
@@ -417,7 +442,3 @@ def commutator_count_by_characters(g: int, nu, d: int) -> int:
     if total.denominator != 1:
         raise AssertionError("commutator count must be an integer")
     return int(total)
-
-
-def serialize_value(x) -> str:
-    return rat_str(x)

@@ -46,15 +46,22 @@ from .util import rat_str
 ORACLE_LIMIT_ENV = "MIXEDHURWITZ_ORACLE_DMAX"
 
 
-def parse_partition(text: str):
+def parse_composition(text: str):
+    """Comma-separated positive parts, in the order given."""
     text = text.strip()
     if not text:
         return ()
     try:
-        parts = tuple(sorted((int(x) for x in text.split(",")), reverse=True))
+        parts = tuple(int(x) for x in text.split(","))
     except ValueError as e:
-        raise DomainError(f"bad partition {text!r}") from e
-    return check_partition(parts)
+        raise DomainError(f"bad parts {text!r}") from e
+    if min(parts) < 1:
+        raise DomainError(f"parts must be positive integers: {text!r}")
+    return parts
+
+
+def parse_partition(text: str):
+    return check_partition(sorted(parse_composition(text), reverse=True))
 
 
 def parse_profiles(text: str):
@@ -203,6 +210,8 @@ def cmd_compute(args):
 
 
 def _qseries_for(args):
+    if args.qmax < 0:
+        raise DomainError("--qmax must be >= 0")
     profiles = parse_profiles(args.profiles)
     stripped = tuple(tuple(x for x in p if x != 1) for p in profiles)
     if args.bracket:
@@ -236,7 +245,7 @@ def cmd_fit(args):
 
 
 def cmd_toprec(args):
-    mu = tuple(int(x) for x in args.mu.split(","))
+    mu = parse_composition(args.mu)
     if len(mu) != args.n:
         raise DomainError("--mu must have exactly n parts")
     om = ceo_omega(args.g, args.n)

@@ -14,7 +14,7 @@ from math import factorial
 from .errors import DomainError
 from .partitions import aut_count, check_partition, class_size
 from .symgroup import _oracle_N_content, DEFAULT_ORACLE_LIMIT
-from .characters import commutator_count_by_characters, potential_log
+from .characters import _euler_sum, commutator_count_by_characters, subsectors
 
 # Theta(0) = 1 by convention.
 
@@ -176,7 +176,7 @@ def double_hurwitz(variant: str, g: int, mu, nu) -> Fraction:
     return Fraction(class_size(nu, d) * agg, factorial(d) * aut_count(mu))
 
 
-def disconnected_double(variant: str, mu, nu, b: int, qmax_unused=None) -> Fraction:
+def disconnected_double(variant: str, mu, nu, b: int) -> Fraction:
     """Disconnected double Hurwitz number with b transpositions, by the
     exponential formula over connected pieces."""
     mu, nu = check_partition(mu), check_partition(nu)
@@ -186,18 +186,13 @@ def disconnected_double(variant: str, mu, nu, b: int, qmax_unused=None) -> Fract
     mu1, nu1 = _strip(mu), _strip(nu)
     kl = (0, b, 0) if variant == "monotone" else (0, 0, b)
     target = (kl[0], kl[1], kl[2], (mu1, nu1), d)
-    disconnected = {}
-    from .characters import subsectors
-
+    connected = {}
     for s in subsectors(target):
         k1, l1, m1, (pmu, pnu), d1 = s
         if d1 == 0:
             continue
-        b1 = l1 + m1
-        disconnected[s] = _connected_sector(variant, pmu, pnu, b1, d1)
-    # potential_log wants disconnected inputs; build them from connected by exp
-    # instead, assemble the disconnected target directly
-    return _exp_at(disconnected, target)
+        connected[s] = _connected_sector(variant, pmu, pnu, l1 + m1, d1)
+    return _exp_at(connected, target)
 
 
 def _strip(p):
@@ -217,45 +212,14 @@ def _connected_sector(variant, pmu, pnu, b, d) -> Fraction:
 
 
 def _exp_at(connected, target) -> Fraction:
-    """Disconnected value at `target` from connected sector values (exp)."""
-    from .characters import _sector_product
+    """Disconnected value at `target` from connected sector values (exp).
 
-    max_d = target[4]
-    total = Fraction(0)
-    power = {k: Fraction(v) for k, v in connected.items() if v}
-    r = 1
-    fact = 1
-    while power and r <= max_d:
-        total += power.get(target, Fraction(0)) / fact
-        nxt = {}
-        for s1, v1 in power.items():
-            if s1[4] >= max_d:
-                continue
-            for s2, v2 in connected.items():
-                if v2 == 0 or s1[4] + s2[4] > max_d:
-                    continue
-                c, s = _sector_product(s1, s2)
-                if _fits(s, target):
-                    nxt[s] = nxt.get(s, Fraction(0)) + c * v1 * v2
-        power = nxt
-        r += 1
-        fact *= r
-    return total
-
-
-def _fits(s, t):
-    if s[4] > t[4] or s[0] > t[0] or s[1] > t[1] or s[2] > t[2]:
-        return False
-    for a, b in zip(s[3], t[3]):
-        ca = {}
-        for x in a:
-            ca[x] = ca.get(x, 0) + 1
-        cb = {}
-        for x in b:
-            cb[x] = cb.get(x, 0) + 1
-        if any(ca[x] > cb.get(x, 0) for x in ca):
-            return False
-    return True
+    connected holds every subsector of target of degree >= 1.
+    """
+    disc = {}
+    for s in sorted(connected, key=lambda s: s[4]):
+        disc[s] = connected[s] + _euler_sum(s, connected, disc) / s[4]
+    return disc.get(target, Fraction(0))
 
 
 def base_g_assembly(variant: str, base_genus: int, source_genus: int, mu, d: int) -> Fraction:

@@ -125,10 +125,11 @@ def hook_dim(lam) -> int:
 
 
 def conjugate(lam) -> Partition:
-    lam = tuple(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for x in lam if x > i) for i in range(lam[0]))
+    """Transpose of the partition lam: column j has as many cells as rows > j."""
+    out = []
+    for i in range(len(lam), 0, -1):  # columns len(out)..lam[i-1]-1 have i cells
+        out.extend([i] * (lam[i - 1] - len(out)))
+    return tuple(out)
 
 
 def contents(lam):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -5,6 +6,7 @@ import pytest
 
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.characters import (
+    _char_cache,
     central_character_extended,
     central_character_f,
     character,
@@ -168,8 +170,6 @@ def test_commutator_counts_match_oracle(d, g):
 
 def test_character_cache_round_trip(tmp_path):
     path = save_character_table(4, str(tmp_path))
-    import json
-
     with open(path) as fh:
         doc = json.load(fh)
     assert doc["version"] == 1 and doc["degree"] == 4
@@ -178,11 +178,24 @@ def test_character_cache_round_trip(tmp_path):
     assert not load_character_table(9, str(tmp_path))
 
 
-@pytest.mark.parametrize("text", ['{"version": 1, "degr', "[]", "\udcff"])
+def _entries(*entries):
+    return json.dumps({"version": 1, "degree": 3, "entries": list(entries)})
+
+
+@pytest.mark.parametrize("text", [
+    '{"version": 1, "degr', "[]", "\udcff",
+    '{"version": 1, "degree": 3}',
+    _entries({"lambda": [3], "nu": [3]}),
+    _entries({"lambda": [3], "nu": [3], "chi": "1/2"}),
+    _entries({"lambda": [3], "nu": [3], "chi": 2.5}),
+    _entries({"lambda": [3], "nu": [3], "chi": "7"}, {"lambda": [2, 1], "nu": [3]}),
+])
 def test_unreadable_cache_file_is_a_domain_error(tmp_path, text):
     (tmp_path / "chartable-3.json").write_text(text, errors="surrogateescape")
+    before = dict(_char_cache)
     with pytest.raises(DomainError, match="unrecognized cache file"):
         load_character_table(3, str(tmp_path))
+    assert _char_cache == before  # nothing of a rejected file is kept
 
 
 def test_sector_value_degree_zero_convention():

@@ -161,6 +161,7 @@ def test_no_global_flag_matches_explicit_defaults():
 def test_cache_clear_removes_corrupt_file(tmp_path):
     d = str(tmp_path)
     run("--cache-dir", d, "cache", "build", "--dmax", "2")
+    (tmp_path / "chartable-1.json").write_text('{"version": 1, "degree": 1}')
     (tmp_path / "chartable-2.json").write_text('{"version": 1, "deg')
     p = run("--cache-dir", d, "compute", "--base-genus", "1",
             "--source-genus", "2", "--degree", "3", "--l", "2", "--connected")
@@ -169,3 +170,16 @@ def test_cache_clear_removes_corrupt_file(tmp_path):
     assert json.loads(p.stdout)["removed"] == [
         "chartable-1.json", "chartable-2.json"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,reason", [
+    (["toprec", "--g", "0", "--n", "1", "--mu", "a"], "bad parts"),
+    (["qseries", "--base-genus", "1", "--source-genus", "2", "--k", "2",
+      "--qmax", "-1"], "--qmax"),
+    (["fit", "--source-genus", "2", "--k", "2", "--qmax", "-1",
+      "--weight", "6"], "--qmax"),
+])
+def test_malformed_input_is_a_domain_error(args, reason):
+    p = run(*args, check=False)
+    assert p.returncode == 2, p.stderr
+    assert p.stderr.startswith("domain error:") and reason in p.stderr, p.stderr

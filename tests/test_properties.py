@@ -1,0 +1,65 @@
+"""Derandomised property tests on top of the fixed grids.
+
+Each runs the same examples on every run (derandomize=True), so a failure
+reproduces without a stored example database.
+"""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from mixedhurwitz.characters import (
+    connected_hurwitz_qseries,
+    potential_log,
+    subsectors,
+)
+from mixedhurwitz.double_recursion import _exp_at
+from mixedhurwitz.errors import DomainError
+from mixedhurwitz.symgroup import HurwitzSpec, count_triply_mixed, source_genus_for
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=60)
+
+profiles = st.lists(st.sampled_from([(), (2,), (3,), (2, 2)]), max_size=2).map(tuple)
+
+
+@st.composite
+def sector_families(draw):
+    """A target sector and a random value on each of its subsectors of
+    degree >= 1."""
+    target = (draw(st.integers(0, 2)), draw(st.integers(0, 1)),
+              draw(st.integers(0, 1)), draw(profiles), draw(st.integers(1, 4)))
+    sectors = sorted(s for s in subsectors(target) if s[4])
+    values = draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        min_size=len(sectors), max_size=len(sectors)))
+    return target, dict(zip(sectors, values))
+
+
+@PROPERTY
+@given(sector_families())
+def test_exp_inverts_potential_log(family):
+    target, disconnected = family
+    connected = potential_log(disconnected, list(disconnected))
+    assert _exp_at(connected, target) == disconnected[target]
+
+
+@st.composite
+def connected_specs(draw):
+    """A connected spec with d <= 4 and k + l + m <= 3."""
+    g, d = draw(st.integers(0, 1)), draw(st.integers(1, 4))
+    profs = tuple(p for p in draw(profiles) if sum(p) <= d)
+    b = draw(st.integers(0, 3))
+    k = draw(st.integers(0, b))
+    l = draw(st.integers(0, b - k))
+    try:
+        gp = source_genus_for(g, d, profs, b)
+    except DomainError:  # b of the wrong parity, or too few for the profiles
+        assume(False)
+    return HurwitzSpec(g, gp, d, profs, k, l, b - k - l, connected=True)
+
+
+@PROPERTY
+@given(connected_specs())
+def test_connected_characters_match_oracle(spec):
+    got = connected_hurwitz_qseries(spec.base_genus, spec.k, spec.l, spec.m,
+                                    spec.profiles, spec.degree)
+    assert got.coefficient(spec.degree) == count_triply_mixed(spec, oracle_limit=4)
