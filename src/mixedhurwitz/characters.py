@@ -49,6 +49,8 @@ def _mn(lam, nu) -> int:
         return hook_dim(lam)
     key = (lam, nu)
     hit = _char_cache.get(key)
+    if hit is None and _table_dir is not None and _load_table_once(sum(lam)):
+        hit = _char_cache.get(key)
     if hit is not None:
         return hit
     t = nu[0]
@@ -137,6 +139,29 @@ def load_character_table(d: int, cache_dir=None) -> bool:
                               f"bad entry {e!r}") from None
     _char_cache.update(table)
     return True
+
+
+_table_dir = None  # where _mn looks for cached tables; set by use_cache_dir
+_tables_tried = set()
+
+
+def use_cache_dir(cache_dir):
+    """Read cached character tables from cache_dir (None: none), each degree
+    the first time a character of that degree is needed."""
+    global _table_dir
+    _table_dir = cache_dir
+    _tables_tried.clear()
+
+
+def _load_table_once(d) -> bool:
+    """Load degree d's table from _table_dir unless tried before; True if it loaded."""
+    if d in _tables_tried:
+        return False
+    _tables_tried.add(d)
+    try:
+        return load_character_table(d, _table_dir)
+    except DomainError:  # a corrupt file is passed over; `cache clear` removes it
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from .characters import (
     connected_hurwitz_qseries,
     default_cache_dir,
     hurwitz_by_characters,
-    load_character_table,
     sector_value,
     save_character_table,
+    use_cache_dir,
 )
 from .partitions import check_partition, enumerate_partitions, partition_count
 from .quantum_curve import residual_max_abs
@@ -538,7 +538,7 @@ def resolve_global_flags(args):
     """Set each global flag left out of argv: the environment, then the default.
 
     An empty environment value counts as unset.  An empty ``--cache-dir=``
-    is a given flag, so it beats the environment and preloads no tables.
+    is a given flag, so it beats the environment and reads no cached tables.
     """
     if not hasattr(args, "format"):
         args.format = "json"
@@ -561,11 +561,7 @@ def main(argv=None):
         resolve_global_flags(args)
         if args.cache_dir:
             os.environ[CACHE_ENV] = args.cache_dir
-            for d in range(1, 13):
-                try:
-                    load_character_table(d, args.cache_dir)
-                except DomainError:
-                    pass
+        use_cache_dir(args.cache_dir or None)
         if args.command == "compute":
             emit(cmd_compute(args), args.format)
         elif args.command == "qseries":

@@ -1,5 +1,5 @@
 """Exact univariate rational functions, sparse multivariate polynomials, and
-the local Laurent expansion machinery used by the spectral recursion.
+Laurent coefficients at zero, for the spectral recursion and its checks.
 
 Multidifferentials are stored as sums of products of univariate rational
 functions (one factor per variable), which keeps every operation -- residues,
@@ -7,6 +7,7 @@ involution pullbacks, coefficient extraction at infinity -- univariate.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, WindowError
 
@@ -154,7 +155,7 @@ class Poly1:
 class RF1:
     """num/den, gcd-reduced, den monic.  Hashable; equality is exact."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=None, reduce=True):
         if den is None:
@@ -173,14 +174,11 @@ class RF1:
             num = num * (Fraction(1) / lead)
             den = den * (Fraction(1) / lead)
         self.num, self.den = num, den
+        self._hash = None
 
     @classmethod
     def const(cls, v):
         return cls(Poly1([v]), Poly1([1]), reduce=False)
-
-    @classmethod
-    def from_coeffs(cls, num, den):
-        return cls(Poly1(num), Poly1(den))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -189,7 +187,9 @@ class RF1:
         return (tuple(self.num.c), tuple(self.den.c))
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __eq__(self, other):
         return self.key() == other.key()
@@ -217,11 +217,6 @@ class RF1:
             raise ZeroDivisionError
         return RF1(self.num * other.den, self.den * other.num)
 
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError
-        return RF1(self.den, self.num)
-
     def derivative(self):
         return RF1(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
@@ -247,12 +242,6 @@ class RF1:
         one-form coefficient.  The single place the chain factor lives."""
         g = self.subs_reciprocal()
         return RF1(-g.num, g.den.shift_pow(2))
-
-    def taylor_coeff(self, k: int) -> Fraction:
-        """Coefficient of x^k in the Laurent expansion at x = 0."""
-        if self.num.is_zero():
-            return Fraction(0)
-        return laurent_at_zero(self.num, self.den, k)
 
     def __repr__(self):
         return f"RF1({self.num.c}/{self.den.c})"
@@ -427,13 +416,6 @@ class TensorSum:
             out.add_term(v * c, k)
         return out
 
-    def permute(self, perm):
-        """Relabel slots: new slot i carries the factor of old slot perm[i]."""
-        out = TensorSum(self.n)
-        for k, v in self.terms.items():
-            out.add_term(v, tuple(k[perm[i]] for i in range(self.n)))
-        return out
-
     def apply_slot(self, slot, fn):
         """Replace factor u -> fn(u) in one slot."""
         out = TensorSum(self.n)
@@ -483,21 +465,36 @@ class TensorSum:
     def combine(self):
         """Collapse into a single fraction (MultiPoly numerator, per-variable
         denominators).  Returns (num, [den_1..den_n]) with den_i univariate."""
-        dens = []
+        dens, cofactors = [], []
         for i in range(self.n):
+            slot_dens = list(dict.fromkeys(k[i].den for k in self.terms))
             d = Poly1([1])
-            for k in self.terms:
-                g = d.gcd(k[i].den)
-                d = d.divmod(g)[0] * k[i].den  # lcm
+            for den in slot_dens:
+                d = d.divmod(d.gcd(den))[0] * den  # lcm
             dens.append(d)
-        num = MultiPoly(self.n)
+            cofactors.append({den: d.divmod(den)[0] for den in slot_dens})
+        # each factor's numerator over its slot's denominator, as integers
+        # times a scale, so that the outer products below are integer work
+        rows = []
         for k, v in self.terms.items():
-            piece = MultiPoly.const(self.n, v)
-            for i in range(self.n):
-                mult = dens[i].divmod(k[i].den)[0]
-                piece = piece * MultiPoly.from_univariate(self.n, i, k[i].num * mult)
-            num = num + piece
-        return num, dens
+            scale, lists = Fraction(v), []
+            for i, f in enumerate(k):
+                coeffs = (f.num * cofactors[i][f.den]).c
+                m = lcm(*(x.denominator for x in coeffs))
+                scale /= m
+                lists.append([int(x * m) for x in coeffs])
+            rows.append((scale, lists))
+        common = lcm(*(scale.denominator for scale, _ in rows))
+        num = {}
+        for scale, lists in rows:
+            # outer product of the per-slot coefficient lists
+            piece = {(): scale.numerator * (common // scale.denominator)}
+            for coeffs in lists:
+                piece = {e + (j,): c * x for e, c in piece.items()
+                         for j, x in enumerate(coeffs) if x}
+            for e, c in piece.items():
+                num[e] = num.get(e, 0) + c
+        return MultiPoly(self.n, {e: Fraction(c, common) for e, c in num.items()}), dens
 
     def equals(self, other) -> bool:
         diff = self + other.scale(-1)

@@ -1,11 +1,13 @@
 """CEO topological recursion on the curve x = (z-1)^2/z, y = z/(z-1)^3.
 
 Multidifferentials are stored with the dz's stripped as TensorSum values; the
-deck involution is sigma(z) = 1/z, and every sigma-pullback goes through the
-single helper RF1.sigma_pullback(), which carries the d(1/z)/dz = -1/z^2
-chain factor.  Residues are taken at z = -1 only (the z = 1 residue does not
-contribute for this curve); they are computed by exact local expansion
-z = -1 + t with coefficients in a ring of per-variable rational functions.
+deck involution is sigma(z) = 1/z, and a sigma-pullback of a coefficient goes
+through RF1.sigma_pullback(), which carries the d(1/z)/dz = -1/z^2 chain
+factor.  Each stable omega_{g,n} is a combination of pure tensors of the basis
+xi_k(z) = z^k/(1+z)^(2k+2), whose sigma-pullback is -xi_k, so the recursion
+works on {index tuple: Fraction} maps.  Residues are taken at z = -1 only (the
+z = 1 residue does not contribute for this curve); they are tables per basis
+index, computed once from Laurent expansions in t = z + 1.
 
 Conventions: x = (z-1)^2/z (the normalization fixed by x(1/z) = x(z));
 extraction at infinity uses u = 1/z, where x = (1-u)^2/u.
@@ -13,11 +15,12 @@ extraction at infinity uses u = 1/z, where x = (1-u)^2/u.
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb
 
 from .errors import DomainError
 from .partitions import check_partition
-from .ratfun import RF1, Poly1, MultiPoly, TensorSum, laurent_at_zero
+from .ratfun import RF1, Poly1, TensorSum, laurent_at_zero
 from .symgroup import count_monotone_of_fixed_target
 
 # ---------------------------------------------------------------------------
@@ -62,152 +65,78 @@ OMEGA02 = "bergman"
 
 
 # ---------------------------------------------------------------------------
-# local expansion at z = -1 with per-variable rational coefficients
+# the xi basis
 #
-# Series coefficients are dicts {key: Fraction} where a key is a sorted tuple
-# of (slot, RF1) pairs, at most one per slot (a pure tensor).  Slot numbers
-# refer to the final variable positions of the omega being built.
-
-_EMPTY = ()
-
-
-def _key_mul(k1, k2):
-    if not k1:
-        return k2
-    if not k2:
-        return k1
-    d = dict(k1)
-    for slot, f in k2:
-        if slot in d:
-            d[slot] = d[slot] * f
-        else:
-            d[slot] = f
-    return tuple(sorted(d.items()))
+# Every stable omega_{g,n} lies in the span of the pure tensors
+# xi_{k_1}(z_1) ... xi_{k_n}(z_n), xi_k(z) = z^k/(1+z)^(2k+2): in each
+# variable its coefficient has poles at z = -1 only, and its numerator over
+# (1+z)^(2K+2) is palindromic of degree 2K, which is exactly the span of
+# xi_0..xi_K.  The sigma-pullback of xi_k is -xi_k.  One-variable results
+# are first kept as principal parts {j: c}, meaning sum c (1+w)^-j, and then
+# written in the basis by _xi_split, which refuses anything outside it.
 
 
-def _coef_mul(c1, c2):
+@cache
+def xi(k: int) -> RF1:
+    """The basis coefficient z^k/(1+z)^(2k+2)."""
+    den = Poly1([comb(2 * k + 2, i) for i in range(2 * k + 3)])
+    return RF1(Poly1([0] * k + [1]), den, reduce=False)
+
+
+def _xi_split(pp) -> dict:
+    """A principal part {j: c} at w = -1 in the basis, as {k: c}.
+
+    Peels off the top pole order 2k+2 with
+    xi_k = sum_i C(k,i) (-1)^(k-i) (1+w)^(i-2k-2); raises DomainError when
+    the top order is odd or not a pole, i.e. the input is outside the span.
+    """
+    pp = {j: c for j, c in pp.items() if c}
     out = {}
-    for k1, v1 in c1.items():
-        for k2, v2 in c2.items():
-            k = _key_mul(k1, k2)
-            nv = out.get(k, Fraction(0)) + v1 * v2
-            if nv:
-                out[k] = nv
+    while pp:
+        top = max(pp)
+        if top < 2 or top % 2:
+            raise DomainError(f"(1+z)^({-top}) term: not in the xi basis")
+        k = top // 2 - 1
+        c = out[k] = pp[top] * (-1) ** k
+        for i in range(k + 1):
+            j = top - i
+            v = pp.get(j, 0) - c * comb(k, i) * (-1) ** (k - i)
+            if v:
+                pp[j] = v
             else:
-                out.pop(k, None)
+                pp.pop(j, None)
     return out
 
 
-class LocalSeries:
-    """Finite Laurent slice sum_{i>=val} coeffs[i-val] t^i with dict coefficients."""
-
-    __slots__ = ("val", "coeffs")
-
-    def __init__(self, val, coeffs):
-        self.val = val
-        self.coeffs = coeffs  # list of {key: Fraction}
-
-    def mul(self, other, keep):
-        """Product keeping `keep` terms from the combined valuation."""
-        val = self.val + other.val
-        out = [dict() for _ in range(keep)]
-        for i, c1 in enumerate(self.coeffs):
-            if i >= keep:
-                break
-            for j, c2 in enumerate(other.coeffs):
-                if i + j >= keep:
-                    break
-                prod = _coef_mul(c1, c2)
-                dest = out[i + j]
-                for k, v in prod.items():
-                    nv = dest.get(k, Fraction(0)) + v
-                    if nv:
-                        dest[k] = nv
-                    else:
-                        dest.pop(k, None)
-        return LocalSeries(val, out)
-
-    def coefficient(self, power):
-        idx = power - self.val
-        if idx < 0 or idx >= len(self.coeffs):
-            return {}
-        return self.coeffs[idx]
+def _xi_tensor(pp, r) -> dict:
+    """{(j_1..j_r): c} of principal-part orders -> {(k_1..k_r): c}, slot by slot."""
+    for s in range(r):
+        cols = {}
+        for key, c in pp.items():
+            cols.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
+        pp = {}
+        for rest, col in cols.items():
+            for k, c in _xi_split(col).items():
+                pp[rest[:s] + (k,) + rest[s:]] = c
+    return pp
 
 
-def expand_rf_at(rf: RF1, center, nterms) -> LocalSeries:
-    """Expansion of a scalar rational function about z = center."""
-    num = rf.num.taylor_shift(center)
-    den = rf.den.taylor_shift(center)
-    vn = num.valuation()
-    if vn is None:
-        return LocalSeries(0, [dict() for _ in range(nterms)])
-    vd = den.valuation()
-    val = vn - vd
-    unit = Poly1(den.c[vd:])
-    inv = [Fraction(0)] * nterms
-    inv[0] = Fraction(1) / unit.c[0]
-    for i in range(1, nterms):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            if j < len(unit.c):
-                acc += unit.c[j] * inv[i - j]
-        inv[i] = -acc / unit.c[0]
-    a = num.c[vn:]
-    coeffs = []
-    for i in range(nterms):
-        tot = Fraction(0)
-        for j in range(min(i + 1, len(a))):
-            tot += a[j] * inv[i - j]
-        coeffs.append({_EMPTY: tot} if tot else {})
-    return LocalSeries(val, coeffs)
+def xi_coefficients(f: RF1) -> dict:
+    """A one-variable coefficient in the xi basis, {k: c}.
 
-
-def expand_linear_power(slot, a: RF1, b: RF1, p: int, scalar, nterms) -> LocalSeries:
-    """Expansion of scalar / (a + b t)^p where a, b are RF1 in the slot variable.
-
-    (a + bt)^-p = sum_k (-1)^k C(p+k-1, k) b^k a^{-p-k} t^k.
+    Raises DomainError when f has a pole off z = -1 or is not in the span.
     """
-    coeffs = []
-    a_inv = a.inverse()
-    a_pow = a_inv
-    for _ in range(p - 1):
-        a_pow = a_pow * a_inv
-    b_pow = RF1.const(1)
-    for k in range(nterms):
-        c = Fraction(scalar) * (-1) ** k * comb(p + k - 1, k)
-        f = b_pow * a_pow
-        coeffs.append({((slot, f),): c} if not f.is_zero() and c else {})
-        b_pow = b_pow * b
-        a_pow = a_pow * a_inv
-    return LocalSeries(0, coeffs)
+    num, den = f.num.taylor_shift(-1), f.den.taylor_shift(-1)  # in w = 1 + z
+    top = den.degree()
+    if den.valuation() != top:
+        raise DomainError(f"{f} has a pole off z = -1")
+    return _xi_split({top - i: c for i, c in enumerate(num.c)})
 
 
-# the four bifactor shapes that occur, all expanded at z = -1 + t
-
-
-def factor_kernel_z1(slot, nterms):
-    """1/((z1 - z)(z1 z - 1)) at z = -1+t, slot = the z1 position."""
-    w = RF1(Poly1([0, 1]), Poly1([1]))  # z1
-    one = RF1.const(1)
-    # 1/(z1 - z): a = z1+1, b = -1
-    f1 = expand_linear_power(slot, w + one, RF1.const(-1), 1, 1, nterms)
-    # 1/(z1 z - 1): a = -(z1+1), b = z1
-    f2 = expand_linear_power(slot, (w + one) * Fraction(-1), w, 1, 1, nterms)
-    return f1.mul(f2, nterms)
-
-
-def factor_b_direct(slot, nterms):
-    """omega_{0,2}(z, z_j) stripped: 1/(z - z_j)^2 at z = -1+t."""
-    w = RF1(Poly1([0, 1]), Poly1([1]))
-    a = (w + RF1.const(1)) * Fraction(-1)  # -(1+z_j)
-    return expand_linear_power(slot, a, RF1.const(1), 2, 1, nterms)
-
-
-def factor_b_sigma(slot, nterms):
-    """omega_{0,2}(sigma(z), z_j) stripped incl. the chain factor: -1/(1 - z z_j)^2."""
-    w = RF1(Poly1([0, 1]), Poly1([1]))
-    a = w + RF1.const(1)  # (1+z_j)
-    return expand_linear_power(slot, a, -w, 2, -1, nterms)
+def xi_index_form(om: TensorSum) -> dict:
+    """ceo_omega's output as {(k_1..k_n): c}; the factor xi_k has numerator z^k."""
+    return {tuple(f.num.degree() for f in factors): c
+            for factors, c in om.terms.items()}
 
 
 def b_self_sigma() -> RF1:
@@ -217,13 +146,115 @@ def b_self_sigma() -> RF1:
 
 
 # ---------------------------------------------------------------------------
+# residues at z = -1 in t = z + 1
+#
+# A t-series factor maps q to the principal part of its t^q coefficient in
+# the one variable it carries.
+
+
+def _shifted_power(q, scale, top) -> dict:
+    """scale * w^q / (1+w)^top as a principal part at w = -1."""
+    return {top - i: scale * comb(q, i) * (-1) ** (q - i) for i in range(q + 1)}
+
+
+@cache
+def _kernel_at(p) -> dict:
+    """[t^p] of 1/((z1 - z)(z1 z - 1)) = -sum_{i+j=p} z1^j t^p/(1+z1)^(p+2)."""
+    out = {}
+    for j in range(p + 1):
+        for order, c in _shifted_power(j, -1, p + 2).items():
+            out[order] = out.get(order, 0) + c
+    return out
+
+
+@cache
+def _bergman_at(q) -> dict:
+    """[t^q] of B(z, w) = 1/(z - w)^2 = 1/(t - (1+w))^2."""
+    return {q + 2: Fraction(q + 1)}
+
+
+@cache
+def _bergman_sigma_at(q) -> dict:
+    """[t^q] of B(sigma z, w) with its chain factor: -1/((1+w) - w t)^2."""
+    return _shifted_power(q, Fraction(-(q + 1)), q + 2)
+
+
+@cache
+def _bergman_diff_at(q) -> dict:
+    """[t^q] of B(sigma z, w) - B(z, w)."""
+    out = dict(_bergman_sigma_at(q))
+    out[q + 2] = out.get(q + 2, 0) - (q + 1)
+    return out
+
+
+def _z_power(m) -> Poly1:
+    """z^m = (t - 1)^m."""
+    return Poly1([comb(m, i) * (-1) ** (m - i) for i in range(m + 1)])
+
+
+def _kernel_z_num() -> Poly1:
+    """t * kernel_z_part() = z (z-1)^3 / 2 in t."""
+    return _z_power(1) * Poly1([-8, 12, -6, 1]) * Fraction(1, 2)
+
+
+def _residue(num: Poly1, order, factors) -> dict:
+    """Res_{z=-1} num(t) t^-order K(z1, z) prod factors, in the xi basis.
+
+    K's z1 bifactor is expanded by _kernel_at; the result has z1 first,
+    then the variable of each factor.
+    """
+    factors = (_kernel_at,) + tuple(factors)
+    pp = {}
+    for qs in product(range(order), repeat=len(factors)):
+        i = order - 1 - sum(qs)
+        if i < 0 or i >= len(num.c) or not num.c[i]:
+            continue
+        terms = {(): num.c[i]}
+        for f, q in zip(factors, qs):
+            terms = {key + (j,): v * c for key, v in terms.items()
+                     for j, c in f(q).items()}
+        for key, v in terms.items():
+            pp[key] = pp.get(key, 0) + v
+    return _xi_tensor(pp, len(factors))
+
+
+@cache
+def _pair_table(m) -> dict:
+    """R_m(z1) = Res K(z1, z) (-xi_a xi_b)(z) for a + b = m, as {k: c}."""
+    tab = _residue(_kernel_z_num() * _z_power(m) * -1, 2 * m + 5, ())
+    return {k: c for (k,), c in tab.items()}
+
+
+@cache
+def _bergman_table(a) -> dict:
+    """S_a(z1, w) = Res K(z1, z) xi_a(z) [B(sigma z, w) - B(z, w)], {(k1, kw): c}."""
+    return _residue(_kernel_z_num() * _z_power(a), 2 * a + 3, (_bergman_diff_at,))
+
+
+def _base_case(g, n) -> dict:
+    """(1,1) from omega_{0,2}(z, sigma z); (0,3) from two Bergman kernels."""
+    if (g, n) == (1, 1):
+        # kernel_z_part() * b_self_sigma() = -z (z-1) / (2 t^3)
+        return _residue(_z_power(1) * Poly1([-2, 1]) * Fraction(-1, 2), 3, ())
+    kz = _kernel_z_num()
+    out = _residue(kz, 1, (_bergman_at, _bergman_sigma_at))
+    for key, c in _residue(kz, 1, (_bergman_sigma_at, _bergman_at)).items():
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the recursion
 
 _omega_cache = {}
 
 
 def ceo_omega(g: int, n: int) -> TensorSum:
-    """The multidifferential omega_{g,n} (dz's stripped) for 2g-2+n > 0."""
+    """The multidifferential omega_{g,n} (dz's stripped) for 2g-2+n > 0.
+
+    The result is canonical: a sum of pure tensors of the xi(k), one term
+    per index tuple.
+    """
     if n < 1 or g < 0:
         raise DomainError("need n >= 1, g >= 0")
     if 2 * g - 2 + n <= 0:
@@ -231,88 +262,60 @@ def ceo_omega(g: int, n: int) -> TensorSum:
     key = (g, n)
     if key in _omega_cache:
         return _omega_cache[key]
-    out = TensorSum(n)
-    _accumulate_bracket(out, g, n)
-    out.compact()
+    if key in ((1, 1), (0, 3)):
+        coeffs = _base_case(g, n)
+    else:
+        coeffs = _recursion(g, n)
+    out = TensorSum(n, {tuple(xi(k) for k in ks): c for ks, c in coeffs.items()})
     _omega_cache[key] = out
     return out
 
 
-def _omega_or_special(g, n):
-    """Stored tensor for stable (g,n); OMEGA02 sentinel for (0,2); None for (0,1)."""
-    if (g, n) == (0, 1):
-        return None
-    if (g, n) == (0, 2):
-        return OMEGA02
-    return ceo_omega(g, n)
+def _recursion(g, n) -> dict:
+    """Res K(z1, z) [omega_{g-1,n+1}(z, sigma z, S) + primed sum of
+    omega_{g1}(z, I) omega_{g2}(sigma z, J)] over I + J = S = slots 1..n-1.
 
-
-def _tensor_terms_z_sigma(om: TensorSum, z_slots, ext_map):
-    """Split a tensor omega into (z-factor RF1, external key) pieces.
-
-    z_slots: list of (slot index in om, apply_sigma) to fold into the z factor;
-    ext_map: {slot in om: final slot} for the rest.
+    Stable terms meet in -xi_a xi_b(z), which depends on a + b only; the
+    terms with omega_{0,2} pair up into B(sigma z, w) - B(z, w).
     """
-    out = []
-    for factors, coef in om.terms.items():
-        zf = RF1.const(1)
-        for idx, sig in z_slots:
-            f = factors[idx]
-            zf = zf * (f.sigma_pullback() if sig else f)
-        key = []
-        for idx, dest in ext_map.items():
-            key.append((dest, factors[idx]))
-        out.append((coef, zf, tuple(sorted(key))))
-    return out
+    forms = {}
 
+    def form(gx, nx):
+        if (gx, nx) not in forms:
+            forms[gx, nx] = xi_index_form(ceo_omega(gx, nx))
+        return forms[gx, nx]
 
-def _accumulate_bracket(out: TensorSum, g: int, n: int):
-    """Res_{z->-1} K(z1, z) [ omega_{g-1,n+1}(z, sigma z, rest) + primed sum ]."""
-    kz = kernel_z_part()
-    ext = list(range(1, n))  # final slots for z_2..z_n (0-based final slots 1..n-1)
-
-    # each bracket contribution is a list of "pieces"; a piece is either
-    # ("rf", RF1 in z) or ("pre", LocalSeriesFactory) plus an external key
-    contributions = []
-
-    # genus-reduction term
+    rest = tuple(range(1, n))
+    pairs = {}  # (a + b, indices of slots 1..n-1) -> coefficient
     if g >= 1:
-        sub = _omega_or_special(g - 1, n + 1)
-        if sub == OMEGA02:
-            # only for (g,n) = (1,1): B(z, sigma z) with chain factor
-            contributions.append(([("rf", b_self_sigma())], (), Fraction(1)))
-        elif sub is not None:
-            # om slots: 0 -> z, 1 -> sigma(z), 2..n -> final slots 1..n-1
-            pieces = _tensor_terms_z_sigma(
-                sub, [(0, False), (1, True)],
-                {i: i - 1 for i in range(2, n + 1)},
-            )
-            for coef, zf, key in pieces:
-                contributions.append(([("rf", zf)], key, coef))
-
-    # primed splitting sum
-    for g1 in range(0, g + 1):
+        for (a, b, *ks), c in form(g - 1, n + 1).items():
+            key = (a + b, tuple(ks))
+            pairs[key] = pairs.get(key, 0) + c
+    for g1 in range(g + 1):
         g2 = g - g1
-        for subset in _subsets(ext):
-            I = subset
-            J = tuple(s for s in ext if s not in subset)
-            n1, n2 = len(I) + 1, len(J) + 1
-            if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
-                continue
-            om1 = _omega_or_special(g1, n1)
-            om2 = _omega_or_special(g2, n2)
-            piece_sets_1 = _half_pieces(om1, I, sigma=False)
-            piece_sets_2 = _half_pieces(om2, J, sigma=True)
-            for c1, p1, k1 in piece_sets_1:
-                for c2, p2, k2 in piece_sets_2:
-                    contributions.append((p1 + p2, _key_mul(k1, k2), c1 * c2))
-
-    # now take residues
-    for pieces, ext_key, coef in contributions:
-        res = _residue_with_kernel(pieces)
-        for key, val in res.items():
-            total_key = _key_mul(key, ext_key)
-            _emit(out, n, total_key, coef * val)
+        for I in _subsets(rest):
+            J = tuple(s for s in rest if s not in I)
+            if 2 * g1 - 1 + len(I) <= 0 or 2 * g2 - 1 + len(J) <= 0:
+                continue  # (0,1), or (0,2) which the Bergman table carries
+            perm = [(I + J).index(s) for s in rest]
+            for (a, *k1), c1 in form(g1, len(I) + 1).items():
+                for (b, *k2), c2 in form(g2, len(J) + 1).items():
+                    kk = k1 + k2
+                    key = (a + b, tuple(kk[p] for p in perm))
+                    pairs[key] = pairs.get(key, 0) + c1 * c2
+    out = {}
+    for (m, ks), c in pairs.items():
+        for k1, r in _pair_table(m).items():
+            key = (k1,) + ks
+            out[key] = out.get(key, 0) + c * r
+    if rest and 2 * g - 3 + n > 0:
+        # omega_{g,n-1}(z or sigma z, S - j) times omega_{0,2}(sigma z or z, z_j)
+        for (a, *ks), c in form(g, n - 1).items():
+            for j in rest:
+                for (k1, kj), s in _bergman_table(a).items():
+                    key = (k1,) + tuple(ks[:j - 1]) + (kj,) + tuple(ks[j - 1:])
+                    out[key] = out.get(key, 0) + c * s
+    return {k: c for k, c in out.items() if c}
 
 
 def _subsets(items):
@@ -321,64 +324,11 @@ def _subsets(items):
         yield tuple(items[i] for i in range(len(items)) if (mask >> i) & 1)
 
 
-def _half_pieces(om, ext_slots, sigma: bool):
-    """Pieces for omega_{gx,|ext|+1}(z or sigma z, z_ext)."""
-    if om == OMEGA02:
-        slot = ext_slots[0]
-        factory = ("b_sigma", slot) if sigma else ("b_direct", slot)
-        return [(Fraction(1), [factory], ())]
-    pieces = []
-    ext_map = {i + 1: ext_slots[i] for i in range(len(ext_slots))}
-    for coef, zf, key in _tensor_terms_z_sigma(om, [(0, sigma)], ext_map):
-        pieces.append((coef, [("rf", zf)], key))
-    return pieces
-
-
-def _residue_with_kernel(pieces):
-    """[t^{-1}] of kernel_z * (-1 for nothing) * prod(pieces) with the z1 kernel
-    bifactor; the sigma chain factors already live in the pieces."""
-    # assemble factor list: kernel scalar part, kernel z1 bifactor, pieces
-    rf_product = kernel_z_part()
-    specials = []
-    for p in pieces:
-        if p[0] == "rf":
-            rf_product = rf_product * p[1]
-        else:
-            specials.append(p)
-    # valuation accounting to choose expansion length
-    numv = _order_at_minus1(rf_product.num)
-    denv = _order_at_minus1(rf_product.den)
-    val = numv - denv
-    keep = max(0, -val) + 1  # specials have valuation 0
-    series = expand_rf_at(rf_product, Fraction(-1), keep)
-    series = LocalSeries(series.val, series.coeffs)
-    for sp in specials:
-        kind, slot = sp
-        fac = factor_b_sigma(slot, keep) if kind == "b_sigma" else factor_b_direct(slot, keep)
-        series = series.mul(fac, keep)
-    kz1 = factor_kernel_z1(0, keep)
-    series = series.mul(kz1, keep)
-    return series.coefficient(-1)
-
-
-def _order_at_minus1(poly: Poly1) -> int:
-    shifted = poly.taylor_shift(Fraction(-1))
-    v = shifted.valuation()
-    return 0 if v is None else v
-
-
-def _emit(out: TensorSum, n, key, coef):
-    """Key (slot, RF1) pairs -> full factor tuple with constant 1 elsewhere."""
-    factors = [RF1.const(1)] * n
-    for slot, f in key:
-        factors[slot] = factors[slot] * f
-    out.add_term(coef, factors)
-
-
 # ---------------------------------------------------------------------------
 # extraction of the correlators
 
 
+@cache
 def _extract_one(f: RF1, mu_i: int) -> Fraction:
     """Res_{z->inf} x(z)^mu f(z) dz via u = 1/z: coefficient of u^(mu+1) in
     (1-u)^(2 mu) u^(-mu) f(1/u) -- i.e. [u^(1+2mu... ] handled exactly."""

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from mixedhurwitz import characters
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.characters import (
     _char_cache,
@@ -196,6 +197,34 @@ def test_unreadable_cache_file_is_a_domain_error(tmp_path, text):
     with pytest.raises(DomainError, match="unrecognized cache file"):
         load_character_table(3, str(tmp_path))
     assert _char_cache == before  # nothing of a rejected file is kept
+
+
+def test_cached_tables_load_lazily_once(tmp_path, monkeypatch):
+    save_character_table(3, str(tmp_path))
+    save_character_table(5, str(tmp_path))
+    (tmp_path / "chartable-4.json").write_text('{"version": 1, "degr')
+    loads, load = [], characters.load_character_table
+
+    def counting_load(d, cache_dir=None):
+        loads.append(d)
+        return load(d, cache_dir)
+
+    monkeypatch.setattr(characters, "load_character_table", counting_load)
+    monkeypatch.setattr(characters, "_char_cache", {})
+    monkeypatch.setattr(characters, "_tables_tried", set())
+    monkeypatch.setattr(characters, "_table_dir", None)
+    characters.use_cache_dir(str(tmp_path))
+    assert loads == []                        # nothing is read up front
+    assert character((2, 1), (3,)) == -1
+    assert character((2, 1), (2, 1)) == 0
+    assert loads == [3]                       # once per degree
+    assert character((3, 1), (4,)) == -1      # the corrupt file is passed over
+    assert character((2, 2), (2, 2)) == 2
+    assert loads == [3, 4, 2]                 # 2: a smaller degree, no file
+    n_before = len(characters._char_cache)
+    assert character((3, 2), (5,)) == 0
+    assert loads == [3, 4, 2, 5]
+    assert len(characters._char_cache) - n_before == 7 * 7  # the whole table
 
 
 def test_sector_value_degree_zero_convention():

@@ -13,6 +13,7 @@ from mixedhurwitz.characters import (
 )
 from mixedhurwitz.double_recursion import _exp_at
 from mixedhurwitz.errors import DomainError
+from mixedhurwitz.spectral import ceo_omega, cut_and_join_C, extract_C
 from mixedhurwitz.symgroup import HurwitzSpec, count_triply_mixed, source_genus_for
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -63,3 +64,21 @@ def test_connected_characters_match_oracle(spec):
     got = connected_hurwitz_qseries(spec.base_genus, spec.k, spec.l, spec.m,
                                     spec.profiles, spec.degree)
     assert got.coefficient(spec.degree) == count_triply_mixed(spec, oracle_limit=4)
+
+
+@st.composite
+def tr_correlators(draw):
+    """(g, n, mu) with 0 < 2g-2+n <= 5 and |mu| <= n + 3."""
+    g = draw(st.integers(0, 3))
+    n = draw(st.integers(max(1, 3 - 2 * g), 7 - 2 * g))
+    mu = [1] * n
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        mu[i] += 1
+    return g, n, tuple(mu)
+
+
+@PROPERTY
+@given(tr_correlators())
+def test_recursion_matches_cut_and_join(case):
+    g, n, mu = case
+    assert extract_C(ceo_omega(g, n), mu) == cut_and_join_C(g, n, mu)

@@ -19,6 +19,9 @@ from mixedhurwitz.spectral import (
     pole_structure,
     sigma_antisymmetry_defect,
     spectral_data,
+    xi,
+    xi_coefficients,
+    xi_index_form,
 )
 
 
@@ -87,6 +90,33 @@ def test_omega03_closed_form():
     assert o3.equals(target)
     for mu in compositions(4, 3):
         assert extract_C(o3, mu) == closed_form_C((0, 3), mu)
+
+
+def test_omega_index_form():
+    assert xi_index_form(ceo_omega(0, 3)) == {(0, 0, 0): 8}
+    assert xi_index_form(ceo_omega(1, 1)) == {(1,): -1}    # -z/(1+z)^4
+    assert all(f is xi(f.num.degree())
+               for factors in ceo_omega(1, 2).terms for f in factors)
+
+
+def test_xi_decomposition_refuses_functions_outside_the_basis():
+    assert xi_coefficients(xi(3) * 2 - xi(0)) == {3: 2, 0: -1}
+    one = Poly1([1])
+    with pytest.raises(DomainError, match="not in the xi basis"):
+        xi_coefficients(RF1(one, Poly1([1, 3, 3, 1])))      # 1/(1+z)^3
+    with pytest.raises(DomainError, match="pole off z = -1"):
+        xi_coefficients(RF1(one, Poly1([1, -2, 1])))        # 1/(z-1)^2
+    with pytest.raises(DomainError, match="not in the xi basis"):
+        # numerator 2 + 2z + z^2 over (1+z)^4 is not palindromic
+        xi_coefficients(RF1(Poly1([2, 2, 1]), Poly1([1, 4, 6, 4, 1])))
+
+
+@pytest.mark.parametrize("g,n", [(3, 2), (0, 8), (2, 4)])
+def test_recursion_reaches_euler_characteristic_six(g, n):
+    om = ceo_omega(g, n)
+    for tot in range(n, n + 3):
+        for mu in compositions(tot, n):
+            assert extract_C(om, mu) == cut_and_join_C(g, n, mu), (g, n, mu)
 
 
 def test_initial_data_errors():
