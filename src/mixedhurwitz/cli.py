@@ -171,9 +171,7 @@ def build_parser():
     qv.add_argument("--bmax", type=int, default=8)
 
     v = sub.add_parser("verify", help="cross-validation suites")
-    v.add_argument("--suite", required=True,
-                   choices=("oracle-vs-characters", "n-recursion", "quantum-curve",
-                            "toprec", "tropical", "golden-series", "all"))
+    v.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     v.add_argument("--dmax", type=int, default=4)
     v.add_argument("--deep", action="store_true",
                    help="extend the suite ranges beyond the desk-scale defaults")
@@ -465,28 +463,37 @@ def _suite_golden_series():
     return checked, first_fail
 
 
+# name -> suite, called with verify's --dmax (widened by --deep), --deep and
+# --oracle-dmax
+SUITES = {
+    "oracle-vs-characters": lambda dmax, deep, oracle_dmax:
+        _suite_oracle_vs_characters(min(dmax, oracle_dmax), oracle_dmax),
+    "n-recursion": lambda dmax, deep, oracle_dmax:
+        _suite_n_recursion(min(dmax + 1, oracle_dmax), oracle_dmax),
+    "quantum-curve": lambda dmax, deep, oracle_dmax: _suite_quantum_curve(),
+    "toprec": lambda dmax, deep, oracle_dmax: _suite_toprec(),
+    "tropical": lambda dmax, deep, oracle_dmax:
+        _suite_tropical(dmax=min(5 + (2 if deep else 0), 7)),
+    "golden-series": lambda dmax, deep, oracle_dmax: _suite_golden_series(),
+}
+
+
+def _run_suite_by_name(packed):
+    """Run one suite of SUITES; the serial path and the --jobs pool call it."""
+    name, dmax, deep, oracle_dmax = packed
+    return SUITES[name](dmax + (2 if deep else 0), deep, oracle_dmax)
+
+
 def cmd_verify(args):
-    dmax = args.dmax + (2 if args.deep else 0)
-    suites = {
-        "oracle-vs-characters": lambda: _suite_oracle_vs_characters(
-            min(dmax, args.oracle_dmax), args.oracle_dmax),
-        "n-recursion": lambda: _suite_n_recursion(
-            min(dmax + 1, args.oracle_dmax), args.oracle_dmax),
-        "quantum-curve": lambda: _suite_quantum_curve(),
-        "toprec": lambda: _suite_toprec(),
-        "tropical": lambda: _suite_tropical(dmax=min(5 + (2 if args.deep else 0), 7)),
-        "golden-series": lambda: _suite_golden_series(),
-    }
-    selected = list(suites) if args.suite == "all" else [args.suite]
+    selected = list(SUITES) if args.suite == "all" else [args.suite]
+    packed = [(name, args.dmax, args.deep, args.oracle_dmax) for name in selected]
     if args.jobs > 1 and len(selected) > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_run_suite_by_name,
-                                  [(name, args.dmax, args.deep, args.oracle_dmax)
-                                   for name in selected]))
+            results = list(ex.map(_run_suite_by_name, packed))
     else:
-        results = [suites[name]() for name in selected]
+        results = [_run_suite_by_name(p) for p in packed]
     checked = sum(r[0] for r in results)
     failures = [r[1] for r in results if r[1] is not None]
     sys.stdout.write(f"checked: {checked}, failures: {len(failures)}\n")
@@ -494,22 +501,6 @@ def cmd_verify(args):
         sys.stdout.write(json.dumps({"first_counterexample": failures[0]}) + "\n")
         return 1
     return 0
-
-
-def _run_suite_by_name(packed):
-    name, dmax, deep, oracle_dmax = packed
-    dmax_ = dmax + (2 if deep else 0)
-    table = {
-        "oracle-vs-characters": lambda: _suite_oracle_vs_characters(
-            min(dmax_, oracle_dmax), oracle_dmax),
-        "n-recursion": lambda: _suite_n_recursion(
-            min(dmax_ + 1, oracle_dmax), oracle_dmax),
-        "quantum-curve": lambda: _suite_quantum_curve(),
-        "toprec": lambda: _suite_toprec(),
-        "tropical": lambda: _suite_tropical(dmax=min(5 + (2 if deep else 0), 7)),
-        "golden-series": lambda: _suite_golden_series(),
-    }
-    return table[name]()
 
 
 def cmd_cache(args):

@@ -28,14 +28,6 @@ class Poly1:
     def __init__(self, coeffs=()):
         self.c = _trim([Fraction(x) for x in coeffs])
 
-    @classmethod
-    def const(cls, v):
-        return cls([v])
-
-    @classmethod
-    def x(cls):
-        return cls([0, 1])
-
     def degree(self):
         return len(self.c) - 1  # -1 for the zero polynomial
 
@@ -129,12 +121,6 @@ class Poly1:
             res = res * Poly1([a, 1]) + Poly1([coef])
         return res
 
-    def eval(self, v):
-        acc = Fraction(0)
-        for coef in reversed(self.c):
-            acc = acc * v + coef
-        return acc
-
     def derivative(self):
         return Poly1([i * c for i, c in enumerate(self.c)][1:])
 
@@ -222,12 +208,6 @@ class RF1:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
-
-    def eval(self, v):
-        dv = self.den.eval(v)
-        if dv == 0:
-            raise ZeroDivisionError(f"pole at {v}")
-        return self.num.eval(v) / dv
 
     def subs_reciprocal(self):
         """f(1/x) as a rational function of x."""
@@ -376,9 +356,11 @@ class MultiPoly:
 class TensorSum:
     """sum_k c_k * prod_i u_{k,i}(x_i): the carrier for multidifferentials.
 
-    Keys are tuples of RF1 (one per slot); merging happens on identical factor
-    tuples, so the representation is canonical enough for hashing but equality
-    of values is decided through combine().
+    Keys are tuples of RF1 (one per slot), each with a positive leading
+    numerator coefficient: add_term moves a factor's sign into the term's
+    coefficient, so f and -f share a key and cancel term by term.  Merging
+    happens on identical factor tuples; equality of values is decided through
+    combine().
     """
 
     __slots__ = ("n", "terms")
@@ -393,9 +375,14 @@ class TensorSum:
         coef = Fraction(coef)
         if coef == 0:
             return
-        factors = tuple(factors)
-        if any(f.is_zero() for f in factors):
-            return
+        signed = []
+        for f in factors:
+            if f.is_zero():
+                return
+            if f.num.c[-1] < 0:
+                f, coef = -f, -coef
+            signed.append(f)
+        factors = tuple(signed)
         cur = self.terms.get(factors, Fraction(0)) + coef
         if cur:
             self.terms[factors] = cur

@@ -148,15 +148,6 @@ class QSeries:
         s.low += k
         return s
 
-    def truncate(self, high: int):
-        if high >= self.high:
-            return self.copy()
-        s = self.copy()
-        s.coeffs = s.coeffs[: max(0, high - s.low + 1)]
-        if not s.coeffs:
-            return QSeries.zero(high, self.var)
-        return s
-
     def derivative(self):
         vals = [(self.low + i) * c for i, c in enumerate(self.coeffs)]
         return QSeries(vals, self.low - 1, self.var)

@@ -7,6 +7,11 @@ left-folding compose().
 
 Transpositions are pairs (s, t) with s < t; monotonicity is always on t.
 Exponential in d; intended for d <= ~6 and guarded by an explicit limit.
+
+Every oracle runs on one engine, _walk: aggregated states (permutation,
+last t, orbit labels) advanced through blocks of free, weakly monotone and
+strictly monotone transpositions, one right multiplication per step.  Orbits
+are label tuples (each point labelled by the least point of its orbit).
 """
 
 from dataclasses import dataclass
@@ -19,6 +24,7 @@ from .errors import DomainError, ResourceLimitError
 from .partitions import (
     aut_count,
     check_partition,
+    class_size,
     pad_to,
     sort_composition,
     strip_ones,
@@ -61,23 +67,6 @@ def cycle_type(p):
             n += 1
         lens.append(n)
     return tuple(sorted(lens, reverse=True))
-
-
-def cycles_of(p):
-    """Cycles as tuples, each starting at its minimal point, ordered by that point."""
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = p[j]
-        out.append(tuple(cyc))
-    return out
 
 
 def transposition(d: int, s: int, t: int):
@@ -127,54 +116,29 @@ def canonical_of_type(nu, d: int):
 # orbit bookkeeping
 
 
-def orbit_partition(d: int, gens):
-    """Orbits of the group generated by gens, as a frozenset of frozensets."""
-    parent = list(range(d))
+def _merge(lab, x, y):
+    """Join the orbits of x and y in a label tuple."""
+    a, b = lab[x], lab[y]
+    if a == b:
+        return lab
+    if a > b:
+        a, b = b, a
+    return tuple(a if v == b else v for v in lab)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+def orbit_labels(d: int, gens=()):
+    """Orbits of the group generated by gens, in canonical form.
 
+    Each point is labelled by the least point of its orbit, so the group is
+    transitive iff every label is 0.  A generator is any map x -> g[x] whose
+    orbits are joined: a permutation, or a label tuple itself, which makes
+    orbit_labels(d, (a, b)) the join of two orbit partitions.
+    """
+    lab = tuple(range(d))
     for g in gens:
         for x in range(d):
-            union(x, g[x])
-    groups = {}
-    for x in range(d):
-        groups.setdefault(find(x), []).append(x)
-    return frozenset(frozenset(v) for v in groups.values())
-
-
-def join_is_transitive(d: int, part_a, part_b) -> bool:
-    """Whether the join of two orbit partitions is the full set {0..d-1}."""
-    if len(part_a) == 1 or len(part_b) == 1:
-        return True
-    parent = {}
-    blocks = list(part_a) + list(part_b)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in range(d):
-        parent[x] = x
-    for blk in blocks:
-        it = iter(blk)
-        first = next(it)
-        for other in it:
-            ra, rb = find(first), find(other)
-            if ra != rb:
-                parent[ra] = rb
-    root = find(0)
-    return all(find(x) == root for x in range(d))
+            lab = _merge(lab, x, g[x])
+    return lab
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +148,9 @@ _pair_tables = {}
 
 
 def commutator_pair_table(d: int):
-    """Aggregate (alpha, beta) in S_d^2 by (commutator, orbit partition of <alpha,beta>).
+    """Aggregate (alpha, beta) in S_d^2 by (commutator, orbit labels of <alpha,beta>).
 
-    Returns {kappa: {orbit_partition: count}} with kappa = [alpha,beta].
+    Returns {kappa: {orbit_labels: count}} with kappa = [alpha,beta].
     """
     if d in _pair_tables:
         return _pair_tables[d]
@@ -197,7 +161,7 @@ def commutator_pair_table(d: int):
         for b in perms:
             # [a,b] = a b a^-1 b^-1
             kappa = compose(compose(a, b), compose(a_inv, inverse(b)))
-            orb = orbit_partition(d, (a, b))
+            orb = orbit_labels(d, (a, b))
             table.setdefault(kappa, {})
             table[kappa][orb] = table[kappa].get(orb, 0) + 1
     _pair_tables[d] = table
@@ -219,31 +183,9 @@ def commutator_tuple_table(d: int, g: int):
             dest = out.setdefault(kappa, {})
             for p1, c1 in orbs1.items():
                 for p2, c2 in orbs2.items():
-                    joined = _join_partitions(d, p1, p2)
+                    joined = orbit_labels(d, (p1, p2))
                     dest[joined] = dest.get(joined, 0) + c1 * c2
     return out
-
-
-def _join_partitions(d: int, part_a, part_b):
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for blk in list(part_a) + list(part_b):
-        it = iter(blk)
-        first = next(it)
-        for other in it:
-            ra, rb = find(first), find(other)
-            if ra != rb:
-                parent[ra] = rb
-    groups = {}
-    for x in range(d):
-        groups.setdefault(find(x), []).append(x)
-    return frozenset(frozenset(v) for v in groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +295,7 @@ class FactorizationTuple:
             gens = self.sigmas + tuple(
                 transposition(d, s, t) for (s, t) in self.taus
             ) + self.alphas + self.betas
-            if len(orbit_partition(d, gens)) != 1:
+            if any(orbit_labels(d, gens)):
                 raise DomainError("tuple is not transitive")
         return True
 
@@ -370,43 +312,45 @@ def source_genus_for(base_genus: int, degree: int, profiles, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tau-block enumeration
+# the transposition-walk engine
+
+FREE, WEAK, STRICT = "free", "weak", "strict"
 
 
-def _tau_tuples(d: int, k: int, l: int, m: int):
-    """Yield (perm_product, orbit_gens) over all admissible transposition blocks.
+def _tally(items):
+    """Sum the counts of (key, count) pairs that share a key."""
+    out = {}
+    for key, c in items:
+        out[key] = out.get(key, 0) + c
+    return out
 
-    Product order is tau_1 ... tau_b left-to-right; monotone blocks compare
-    the larger moved point t only.
+
+def _walk(d: int, states, blocks):
+    """Advance aggregated walk states through blocks of transpositions.
+
+    states maps (perm, last t, orbit labels) to a count, with labels None
+    when orbits are not tracked; blocks is a sequence of (length, mode), mode
+    FREE, WEAK or STRICT.  A step right-multiplies by a transposition (s, t):
+    it swaps the entries at s and t and joins the orbits of s and t.  A weak
+    step needs t >= last t and a strict one t > last t; the condition
+    restarts at each block, and a free block keeps last t at 0.
     """
-    trans = all_transpositions(d)
-
-    def block_free(count):
-        if count == 0:
-            yield ()
-            return
-        for rest in block_free(count - 1):
-            for item in trans:
-                yield rest + (item,)
-
-    def block_monotone(count, strict):
-        def rec(prev_t, left):
-            if left == 0:
-                yield ()
-                return
-            for item in trans:
-                t = item[1]
-                if prev_t is not None and (t < prev_t or (strict and t == prev_t)):
-                    continue
-                for rest in rec(t, left - 1):
-                    yield (item,) + rest
-
-        yield from rec(None, count)
-
-    for blk_k in block_free(k):
-        for blk_l in block_monotone(l, strict=False):
-            for blk_m in block_monotone(m, strict=True):
-                yield blk_k + blk_l + blk_m
+    pairs = [(s, t) for t in range(1, d) for s in range(t)]  # ordered by t
+    for length, mode in blocks:
+        states = _tally(((p, 0, lab), c) for (p, _, lab), c in states.items())
+        for _ in range(length):
+            nxt = {}
+            for (p, last, lab), c in states.items():
+                lo = last + (mode == STRICT)
+                # the pairs with t >= lo are a suffix of pairs
+                for s, t in pairs[lo * (lo - 1) // 2:]:
+                    q = list(p)
+                    q[s], q[t] = p[t], p[s]
+                    key = (tuple(q), 0 if mode == FREE else t,
+                           None if lab is None else _merge(lab, s, t))
+                    nxt[key] = nxt.get(key, 0) + c
+            states = nxt
+    return states
 
 
 def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
@@ -414,7 +358,9 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
 
     Transitivity is enforced iff spec.connected; the labeled variant multiplies
     by Aut of the profiles as given.  Never consults any cache: every call
-    re-enumerates.
+    re-enumerates.  The profiles run over their full conjugacy classes: no
+    symmetry is used, so this stays an independent check of the specialized
+    enumerators below.
     """
     if spec.degree > oracle_limit:
         raise ResourceLimitError(
@@ -422,52 +368,30 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
         )
     d = spec.degree
     g = spec.base_genus
-    padded = spec.padded_profiles()
-
-    comm_table = commutator_tuple_table(d, g) if g >= 1 else None
-
-    def sigma_tuples(idx, prefix, gens):
-        if idx == len(padded):
-            yield prefix, gens
-            return
-        for s in perms_of_type(d, padded[idx]):
-            yield from sigma_tuples(idx + 1, compose(prefix, s), gens + (s,))
-
     ident = identity(d)
-    # aggregate the enumeration leaves by (product, orbit partition) so the
-    # expensive commutator joins run once per distinct pair
-    leaves = {}
-    for sigma_prod, sigma_gens in sigma_tuples(0, ident, ()):
-        for taus in _tau_tuples(d, spec.k, spec.l, spec.m):
-            prod = sigma_prod
-            for (_, _, tp) in taus:
-                prod = compose(prod, tp)
-            if g == 0 and prod != ident:
-                continue
-            if g >= 1 and prod not in comm_table:
-                continue
-            if spec.connected:
-                gens = sigma_gens + tuple(tp for (_, _, tp) in taus)
-                q = orbit_partition(d, gens)
-            else:
-                q = None
-            key = (prod, q)
-            leaves[key] = leaves.get(key, 0) + 1
+    states = {(ident, 0, orbit_labels(d) if spec.connected else None): 1}
+    for prof in spec.padded_profiles():
+        states = _tally(
+            ((compose(p, s), 0, None if lab is None else orbit_labels(d, (lab, s))), c)
+            for (p, _, lab), c in states.items()
+            for s in perms_of_type(d, prof)
+        )
+    states = _walk(d, states, ((spec.k, FREE), (spec.l, WEAK), (spec.m, STRICT)))
+    # aggregate by (product, orbits) so the commutator joins run once per pair
+    leaves = _tally(((p, lab), c) for (p, _, lab), c in states.items())
 
     total = 0
-    for (prod, q), mult in leaves.items():
-        if g == 0:
-            if spec.connected and len(q) != 1:
-                continue
-            total += mult
-        else:
-            by_orbit = comm_table[prod]
-            if spec.connected:
-                total += mult * sum(
-                    c for p, c in by_orbit.items() if join_is_transitive(d, q, p)
-                )
-            else:
-                total += mult * sum(by_orbit.values())
+    if g == 0:
+        total = sum(c for (p, lab), c in leaves.items()
+                    if p == ident and not (spec.connected and any(lab)))
+    else:
+        comm_table = commutator_tuple_table(d, g)
+        for (prod, q), mult in leaves.items():
+            by_orbit = comm_table.get(prod, {})
+            total += mult * sum(
+                c for p, c in by_orbit.items()
+                if not (spec.connected and any(orbit_labels(d, (q, p))))
+            )
 
     if spec.labeled:
         for p in spec.profiles:
@@ -476,7 +400,7 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
 
 
 # ---------------------------------------------------------------------------
-# specialized enumerators (independent implementations used as cross-checks)
+# specialized counts (cross-checks of count_triply_mixed and the other routes)
 
 
 def classical_hurwitz_count(
@@ -497,7 +421,11 @@ def monotone_double_count(source_genus, mu, nu, strict, connected=True,
 
     Counts (1/d!) * tuples (sigma_1, sigma_2, tau_1..tau_b) with
     sigma_1 sigma_2 tau_1...tau_b = id, class conditions up to 1-padding and
-    the (strictly) monotone condition on the tau block.
+    the (strictly) monotone condition on the tau block.  sigma_1 is fixed to
+    the canonical permutation of type mu and the count multiplied by |C_mu|:
+    the sums of (strictly) monotone products are the central h_b and e_b of
+    the Jucys-Murphy elements, so the count is the same for every sigma_1 in
+    the class (conjugation invariance, no characters).
     """
     mu, nu = sort_composition(mu), sort_composition(nu)
     if sum(mu) != sum(nu):
@@ -509,22 +437,15 @@ def monotone_double_count(source_genus, mu, nu, strict, connected=True,
     if b < 0:
         return Fraction(0)
     ident = identity(d)
-    total = 0
-    for s1 in perms_of_type(d, pad_to(mu, d)):
-        for s2 in perms_of_type(d, pad_to(nu, d)):
-            prefix = compose(s1, s2)
-            for taus in _tau_tuples(d, 0, 0 if strict else b, b if strict else 0):
-                prod = prefix
-                for (_, _, tp) in taus:
-                    prod = compose(prod, tp)
-                if prod != ident:
-                    continue
-                if connected:
-                    gens = (s1, s2) + tuple(tp for (_, _, tp) in taus)
-                    if len(orbit_partition(d, gens)) != 1:
-                        continue
-                total += 1
-    return Fraction(total, factorial(d))
+    s1 = canonical_of_type(mu, d)
+    states = _tally(
+        ((compose(s1, s2), 0, orbit_labels(d, (s1, s2)) if connected else None), 1)
+        for s2 in perms_of_type(d, pad_to(nu, d))
+    )
+    ends = _walk(d, states, ((b, STRICT if strict else WEAK),))
+    total = sum(c for (p, _, lab), c in ends.items()
+                if p == ident and not (connected and any(lab)))
+    return Fraction(total * class_size(mu, d), factorial(d))
 
 
 # ---------------------------------------------------------------------------
@@ -551,25 +472,11 @@ def count_monotone_of_fixed_target(mu, b: int, strict: bool = False,
     if b < 0 or g2 < 0 or g2 % 2 != 0:
         raise DomainError(f"b={b} infeasible for mu={mu}")
     target = canonical_of_type(mu, d)
-    trans = all_transpositions(d)
-    total = 0
-
-    def rec(prev_t, left, prod, gens):
-        nonlocal total
-        if left == 0:
-            if prod != target:
-                return
-            if len(orbit_partition(d, gens + (target,))) != 1:
-                return
-            total += 1
-            return
-        for (s, t, tp) in trans:
-            if prev_t is not None and (t < prev_t or (strict and t == prev_t)):
-                continue
-            rec(t, left - 1, compose(prod, tp), gens + (tp,))
-
-    rec(None, b, identity(d), ())
-    return total
+    # the walk starts at the identity with the target's orbits already joined
+    states = {(identity(d), 0, orbit_labels(d, (target,))): 1}
+    ends = _walk(d, states, ((b, STRICT if strict else WEAK),))
+    return sum(c for (p, _, lab), c in ends.items()
+               if p == target and not any(lab))
 
 
 # ---------------------------------------------------------------------------
@@ -613,47 +520,18 @@ def _oracle_N_content(variant, dist, rest, nu, l, b, d, limit):
         return 1 if ok else 0
     if b >= 2 and d > limit:
         raise ResourceLimitError(f"degree {d} above oracle limit {limit}")
-    strict = variant == "strict"
     sigma1 = canonical_of_type(nu, d)
-    offset = d - nu[-1]
-    t_last = offset + (l - 1)  # 0-based point
-    total = 0
-    trans = all_transpositions(d)
-
-    def finish(taus):
-        nonlocal total
-        prod = sigma1
-        for tp in taus:
-            prod = compose(tp, prod)  # tau_b ... tau_1 sigma_1, built left-mult
-        if cycle_type(prod) != mu_sorted:
-            return
-        if len(orbit_partition(d, (sigma1,) + taus)) != 1:
-            return
-        # labeling factor: cycle containing t_b gets the distinguished label
-        cyc_len = _cycle_len_through(prod, t_last)
-        if cyc_len != dist:
-            return
-        remaining = list(mu_sorted)
-        remaining.remove(cyc_len)
-        if tuple(sorted(remaining, reverse=True)) != rest:
-            return
-        total += aut_count(rest)
-
-    def rec(pos, prev_t, taus):
-        # positions 1..b-1 free below t_last bound; position b pinned to t_last
-        if pos == b:
-            for s in range(t_last):
-                finish(taus + (transposition(d, s, t_last),))
-            return
-        for (s, t, tp) in trans:
-            if t > t_last or (strict and t >= t_last):
-                continue
-            if prev_t is not None and (t < prev_t or (strict and t == prev_t)):
-                continue
-            rec(pos + 1, t, taus + (tp,))
-
-    rec(1, None, ())
-    return total
+    t_last = d - nu[-1] + (l - 1)  # 0-based point
+    # tau_b...tau_1 sigma_1 = sigma_2 iff sigma_1^-1 tau_1...tau_b = sigma_2^-1,
+    # so walk from sigma_1^-1; sigma_2^-1 has the cycles of sigma_2
+    states = {(inverse(sigma1), 0, orbit_labels(d, (sigma1,))): 1}
+    ends = _walk(d, states, ((b, STRICT if variant == "strict" else WEAK),))
+    total = sum(c for (p, last, lab), c in ends.items()
+                if last == t_last and not any(lab)
+                and cycle_type(p) == mu_sorted
+                # the cycle containing t_b carries the distinguished label
+                and _cycle_len_through(p, t_last) == dist)
+    return total * aut_count(rest)
 
 
 def _cycle_len_through(p, x):

@@ -1,7 +1,6 @@
-"""Small shared helpers: exact rational <-> string, binomials."""
+"""Small shared helpers: exact rational <-> string."""
 
 from fractions import Fraction
-from math import comb, factorial  # noqa: F401  (re-exported for convenience)
 
 
 def rat_str(x) -> str:
@@ -17,9 +16,3 @@ def rat_str(x) -> str:
 
 def rat_from_str(s: str) -> Fraction:
     return Fraction(s)
-
-
-def binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)

@@ -165,6 +165,15 @@ def test_antisymmetry_and_poles(g, n):
         assert facs["z-1"] <= 1
 
 
+def test_sigma_defect_cancels_term_by_term():
+    # the pullback of xi_k is -xi_k; with the sign moved into the term's
+    # coefficient the defect is empty before any combine()
+    assert sigma_antisymmetry_defect(ceo_omega(1, 4)).terms == {}
+    t = TensorSum(1)
+    t.add_term(3, (RF1(Poly1([1, -2])),))
+    assert t.terms == {(RF1(Poly1([-1, 2])),): -3}
+
+
 def test_fa_structure():
     # f_0 = 2z^2/((z-1)(z+1)^3); f_a = (-d/dx x)^a f_0 is sigma-antiinvariant
     f0 = RF1(Poly1([0, 0, 2]),

@@ -6,6 +6,7 @@ import pytest
 from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.partitions import aut_count, enumerate_partitions
 from mixedhurwitz.symgroup import (
+    DEFAULT_ORACLE_LIMIT,
     HurwitzSpec,
     canonical_of_type,
     classical_hurwitz_count,
@@ -38,6 +39,20 @@ def test_count_examples():
 def test_oracle_limit():
     with pytest.raises(ResourceLimitError):
         count_triply_mixed(HurwitzSpec(0, 3, 7, ((7,),), 0, 12, 0), oracle_limit=6)
+
+
+def test_every_oracle_refuses_degree_above_limit():
+    d = DEFAULT_ORACLE_LIMIT + 1
+    with pytest.raises(ResourceLimitError):
+        monotone_double_count(0, (d,), (d,), strict=False)
+    with pytest.raises(ResourceLimitError):
+        count_monotone_of_fixed_target((d,), d - 1)
+    with pytest.raises(ResourceLimitError):
+        oracle_N("monotone", 1, (d,), (d,), d, 1)  # b = 2
+    # b <= 1 is a direct count in polynomial time and runs at any degree: of
+    # the transpositions (s, d-1), one splits the d-cycle into d-1 and a
+    # fixed point s
+    assert oracle_N("monotone", 0, (d - 1, 1), (d,), d, 1) == 1
 
 
 def test_labeled_is_aut_times_unlabeled():
