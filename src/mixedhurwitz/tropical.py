@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import le
 
 from .errors import DomainError, ResourceLimitError
-from .partitions import aut_count, check_partition
+from .partitions import check_partition
 from .series import QSeries, sinh_normalized
 from .quasimodular import c_coefficient
 
@@ -52,15 +53,21 @@ def gw_vertex_multiplicity(x_plus, x_minus, vertex_genus: int, lam_i: int) -> Fr
     The symmetry factors of the two edge multisets cancel between the vertex
     normalization and the one-point invariants, so they do not appear.
     """
-    x_plus, x_minus = tuple(x_plus), tuple(x_minus)
-    if lam_i != 2 * vertex_genus - 2 + len(x_plus) + len(x_minus):
+    xs = tuple(x_plus) + tuple(x_minus)
+    if lam_i != 2 * vertex_genus - 2 + len(xs):
         raise DomainError("lam_i inconsistent with valence and genus")
     if lam_i < 1:
         raise DomainError("local invariant must be >= 1")
+    return _vertex_weight(tuple(sorted(xs)), vertex_genus, lam_i)
+
+
+@cache
+def _vertex_weight(xs, vertex_genus, lam_i):
+    """gw_vertex_multiplicity on the sorted weights of all edges at the vertex."""
     total = Fraction(0)
     for g1 in range(vertex_genus + 1):
         g2 = vertex_genus - g1
-        total += c_coefficient(2 * g2) * _s_product_coeff(x_plus + x_minus, 2 * g1)
+        total += c_coefficient(2 * g2) * _s_product_coeff(xs, 2 * g1)
     return factorial(lam_i - 1) * total
 
 
@@ -84,9 +91,6 @@ class TropicalCover:
     edges: tuple
     aut: int
     degree: int
-
-    def valence(self, i):
-        return sum(1 for e in self.edges for end in (e[0], e[1]) if end == i)
 
     def x_sides(self, i):
         """(incoming weights, outgoing weights) at vertex i: x^-, x^+."""
@@ -129,7 +133,7 @@ def _lambda_compositions(total, n):
             yield (first,) + rest
 
 
-def enumerate_line_covers(g: int, mu, nu, max_vertices=None):
+def enumerate_line_covers(g: int, mu, nu):
     """All (possibly disconnected) covers of the line: left profile mu, right
     profile nu, b = 2g-2+l(mu)+l(nu) marked points, Sum lam_i = b."""
     mu, nu = check_partition(mu), check_partition(nu)
@@ -143,8 +147,7 @@ def enumerate_line_covers(g: int, mu, nu, max_vertices=None):
         if mu == nu:
             out.append(_strands_only_cover(mu))
         return out
-    hi = min(b, max_vertices or b)
-    for n in range(1, hi + 1):
+    for n in range(1, b + 1):
         for lam in _lambda_compositions(b, n):
             out.extend(_line_covers_for(lam, mu, nu))
     return out
@@ -175,7 +178,7 @@ def _line_covers_for(lam, mu, nu):
     for w in mu:
         start[(w, -1)] = start.get((w, -1), 0) + 1
 
-    def vertex_options(open_strands, i):
+    def vertex_options(open_strands):
         """Choices at vertex i: absorb a sub-multiset, emit a new multiset."""
         items = sorted(open_strands.items())
         subs = []
@@ -198,7 +201,7 @@ def _line_covers_for(lam, mu, nu):
                 continue  # every vertex needs incoming weight on a line sweep?
             yield x_in, win
 
-    def emissions(win, parts_left_bound):
+    def emissions(win):
         """Multisets of outgoing weights with total win."""
         def rec(remaining, maxw):
             if remaining == 0:
@@ -225,8 +228,7 @@ def _line_covers_for(lam, mu, nu):
                     final_edges.append((src, n, w, 0, kind))
             results.append(_finish_line(vertices, final_edges, n, d))
             return
-        gi_max = (lam[i] + 2) // 2
-        for x_in, win in vertex_options(open_strands, i):
+        for x_in, win in vertex_options(open_strands):
             # remove absorbed strands
             nopen = dict(open_strands)
             in_counts = {}
@@ -236,7 +238,7 @@ def _line_covers_for(lam, mu, nu):
                 nopen[key] -= c
                 if nopen[key] == 0:
                     del nopen[key]
-            for x_out in emissions(win, None):
+            for x_out in emissions(win):
                 val = len(x_in) + len(x_out)
                 two_gv = lam[i] + 2 - val
                 if two_gv < 0 or two_gv % 2:
@@ -286,99 +288,165 @@ def tropical_double_sum(variant: str, g: int, mu, nu) -> Fraction:
 # ---------------------------------------------------------------------------
 # elliptic covers
 
+# search nodes one enumeration may visit
+DEFAULT_MAX_NODES = 500_000
 
-def enumerate_elliptic_covers(g: int, d: int, max_degree: int = 24):
+
+def enumerate_elliptic_covers(g: int, d: int, max_degree: int = 24,
+                              max_nodes: int = DEFAULT_MAX_NODES):
     """All connected monotone elliptic tropical covers of type (g, d).
 
     Vertices sit over the first n marked points (n <= 2g-2), no vertices over
     the base point; edges are rightward paths with crossing counts; every
-    vertex has lam_i >= 1 and Sum lam_i = 2g-2.
+    vertex has lam_i >= 1 and Sum lam_i = 2g-2.  The graph and weight searches
+    together visit at most max_nodes nodes, else ResourceLimitError.
     """
     if g < 2:
         raise DomainError("elliptic enumeration needs g >= 2")
-    if d < 1 or d > max_degree:
+    if d < 1:
+        raise DomainError(f"degree must be >= 1, got {d}")
+    if d > max_degree:
         raise ResourceLimitError(f"degree {d} outside configured bound")
+    budget = [max_nodes]
     out = []
     for n in range(1, 2 * g - 1):
         for lam in _lambda_compositions(2 * g - 2, n):
-            out.extend(_elliptic_covers_for(lam, d))
+            covers = []
+            for shapes in _elliptic_graphs(lam, d, budget):
+                for counts in _balanced_weights(shapes, n, d, budget):
+                    _try_build(lam, d, counts, covers)
+            # the fixed order in which --list prints the covers
+            covers.sort(key=lambda c: tuple((-a, -t, -w, -k)
+                                            for (a, t, w, k, _) in c.edges))
+            out.extend(covers)
     return out
 
 
-def _elliptic_covers_for(lam, d):
-    """Enumerate edge multisets for one lambda composition on the circle."""
+def _spend(budget):
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise ResourceLimitError("tropical search exceeded its node budget")
+
+
+@cache
+def _arc_crossings(a, t, k, n):
+    """How often the rightward path a -> t with k p_0-crossings passes each arc.
+
+    Arc m < n-1 lies between vertices m and m+1; arc n-1 is the p_0 arc.
+    """
+    if k == 0:
+        return tuple(int(a <= m < t) for m in range(n))
+    return tuple(k - 1 + (m >= a) + (m < t) for m in range(n))
+
+
+def _elliptic_graphs(lam, d, budget):
+    """Edge-shape multisets (a, t, k) over one lambda composition.
+
+    A vertex has valence <= lam_i + 2 of lam_i's parity, and with every weight
+    at least 1 no arc may be passed more than d times.  Yields the shapes as a
+    sorted list, equal shapes adjacent; the graph may be disconnected.
+    """
     n = len(lam)
-    # edge types: (src, tgt, weight, crossings); arcs: A_m between p_m,p_(m+1)
-    # for m=1..n-1 plus the p_0 arc; coverage of each must equal d.
-    types = []
-    for a in range(n):
-        for t in range(n):
-            min_k = 1 if t <= a else 0
-            for w in range(1, d + 1):
-                for k in range(min_k, d // w + 1):
-                    if k == 0 and a == t:
-                        continue
-                    # coverage on p_0 arc is k*w <= d
-                    if k * w > d:
-                        continue
-                    types.append((a, t, w, k))
-    results = []
+    shapes = [(a, t, k) for a in range(n) for t in range(n)
+              for k in range(d + 1) if k or a < t]
+    # what a shape uses up: valence at each vertex, then passes of each arc
+    demand = [tuple((a == v) + (t == v) for v in range(n))
+              + _arc_crossings(a, t, k, n) for (a, t, k) in shapes]
+    room = [l + 2 for l in lam] + [d] * n
+    chosen = []
 
-    def coverage_vec(edge):
-        a, t, w, k = edge
-        cov = [0] * n  # arc m = between p_(m+1) and p_(m+2); index n-1 = p_0 arc
-        # path: from p_(a+1) rightward, crossing p_0 k times, to p_(t+1)
-        # crossings of inner arcs A_m (between vertex m and m+1, 0-indexed
-        # m=0..n-2) and the outer arc (index n-1)
-        # one rightward pass from a to t directly (if k=0, a<t): arcs a..t-1
-        # with k>=1: arcs a..n-2 + outer, then (k-1) full loops, then 0..t-1
-        if k == 0:
-            for m in range(a, t):
-                cov[m] += w
-        else:
-            for m in range(a, n - 1):
-                cov[m] += w
-            cov[n - 1] += w
-            for _ in range(k - 1):
-                for m in range(n):
-                    cov[m] += w
-            for m in range(0, t):
-                cov[m] += w
-        return cov
+    def rec(cands):
+        for j, s in enumerate(cands):
+            _spend(budget)
+            for i, x in enumerate(demand[s]):
+                room[i] -= x
+            chosen.append(shapes[s])
+            if all(r % 2 == 0 for r in room[:n]):
+                yield list(chosen)
+            yield from rec([c for c in cands[j:]
+                            if all(map(le, demand[c], room))])
+            chosen.pop()
+            for i, x in enumerate(demand[s]):
+                room[i] += x
 
-    type_cov = [coverage_vec(e) for e in types]
+    yield from rec([s for s in range(len(shapes))
+                    if all(map(le, demand[s], room))])
 
-    def rec(idx, counts, cov, germs):
-        if idx == len(types):
-            if any(c != d for c in cov):
-                return
-            _try_build(lam, d, types, counts, results)
+
+def _balanced_weights(shapes, n, d, budget):
+    """Weights w_e >= 1 balancing every vertex with Sum k_e w_e = d.
+
+    Balancing makes every arc carry the same weight, so the d-sheet condition
+    is the one equation on the p_0 arc.  The edges off a spanning tree take
+    free weights, non-increasing within equal shapes; peeling the tree's
+    leaves then forces its weights.  Yields each solution as a tuple of
+    ((a, t, w, k), count) pairs, and none for a disconnected graph.
+    """
+    # spanning tree by search from vertex 0: order[i] = (vertex, its tree edge)
+    tree, order, seen = set(), [], {0}
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for e, (a, t, k) in enumerate(shapes):
+            u = t if a == v else a if t == v else None
+            if u is not None and u not in seen:
+                seen.add(u)
+                tree.add(e)
+                order.append((u, e))
+                frontier.append(u)
+    if len(seen) < n:
+        return
+    free = [e for e in range(len(shapes)) if e not in tree]
+    crossings = [_arc_crossings(a, t, k, n) for (a, t, k) in shapes]
+    slack = [d - sum(c[m] for c in crossings) for m in range(n)]
+    w = [0] * len(shapes)
+
+    def forced():
+        net = [0] * n
+        for e in free:
+            a, t, _ = shapes[e]
+            net[a] += w[e]
+            net[t] -= w[e]
+        for (v, e) in reversed(order):
+            a, t, _ = shapes[e]
+            w[e] = -net[v] if a == v else net[v]
+            if w[e] < 1:
+                return False
+            net[a] += w[e]
+            net[t] -= w[e]
+        # the tree holds the first copy of a shape, so it heads the
+        # non-increasing run of that shape's weights
+        for e in tree:
+            if e + 1 < len(shapes) and shapes[e + 1] == shapes[e] \
+                    and w[e + 1] > w[e]:
+                return False
+        return sum(shape[2] * x for shape, x in zip(shapes, w)) == d
+
+    def rec(i):
+        if i == len(free):
+            if forced():
+                counts = {}
+                for (a, t, k), x in zip(shapes, w):
+                    counts[(a, t, x, k)] = counts.get((a, t, x, k), 0) + 1
+                yield tuple(counts.items())
             return
-        # prune: remaining types can only add coverage; if any arc exceeds d, stop
-        if any(c > d for c in cov):
-            return
-        e = types[idx]
-        cv = type_cov[idx]
-        maxmult = d
-        for m in range(n):
-            if cv[m]:
-                maxmult = min(maxmult, (d - cov[m]) // cv[m])
-        for c in range(0, maxmult + 1):
-            ncov = [cov[m] + c * cv[m] for m in range(n)] if c else cov
-            ngerms = list(germs)
-            if c:
-                ngerms[e[0]] += c
-                ngerms[e[1]] += c
-            # valence at vertex i is at most lam_i + 2 (genus >= 0)
-            if any(ngerms[i] > lam[i] + 2 for i in range(n)):
-                continue
-            rec(idx + 1, counts + ((e, c),) if c else counts, ncov, ngerms)
+        e = free[i]
+        hi = 1 + min(slack[m] // c for m, c in enumerate(crossings[e]) if c)
+        if i and shapes[free[i - 1]] == shapes[e]:
+            hi = min(hi, w[free[i - 1]])
+        for x in range(1, hi + 1):
+            _spend(budget)
+            w[e] = x
+            for m, c in enumerate(crossings[e]):
+                slack[m] -= c * (x - 1)
+            yield from rec(i + 1)
+            for m, c in enumerate(crossings[e]):
+                slack[m] += c * (x - 1)
 
-    rec(0, (), [0] * n, [0] * n)
-    return results
+    yield from rec(0)
 
 
-def _try_build(lam, d, types, counts, results):
+def _try_build(lam, d, counts, results):
     n = len(lam)
     edges = []
     for (e, c) in counts:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -90,6 +91,24 @@ def test_tropical_list():
         assert set(c) == {"vertices", "edges", "aut", "multiplicity"}
 
 
+@pytest.mark.parametrize("genus,degree,variant,sha256", [
+    pytest.param(
+        "3", "3", "monotone",
+        "31f664e5faf6e96bbf674f6fc77fb3d59e59c991a3f4b6159190d2c951998c4e",
+        id="g3-d3-monotone"),
+    pytest.param(
+        "2", "5", "strict",
+        "f0cd08926098850a22c2d50c15197a03a7f1620e538c5a1f81ac9f0ca7a5ae4b",
+        id="g2-d5-strict"),
+])
+def test_tropical_list_is_pinned(genus, degree, variant, sha256):
+    # digests of the listing printed by the edge-multiplicity search that
+    # the graph-first enumeration replaced: same covers, same order
+    p = run("tropical", "--genus", genus, "--degree", degree,
+            "--variant", variant, "--list")
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == sha256
+
+
 def test_qc_verify_prints_zero():
     p = run("qc", "verify", "--variant", "strict", "--genus", "1",
             "--dmax", "6", "--bmax", "6")
@@ -178,6 +197,8 @@ def test_cache_clear_removes_corrupt_file(tmp_path):
       "--qmax", "-1"], "--qmax"),
     (["fit", "--source-genus", "2", "--k", "2", "--qmax", "-1",
       "--weight", "6"], "--qmax"),
+    (["tropical", "--genus", "2", "--degree", "0", "--variant", "monotone"],
+     "degree"),
 ])
 def test_malformed_input_is_a_domain_error(args, reason):
     p = run(*args, check=False)

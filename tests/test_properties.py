@@ -22,6 +22,11 @@ from mixedhurwitz.symgroup import (
     oracle_N,
     source_genus_for,
 )
+from mixedhurwitz.tropical import (
+    enumerate_elliptic_covers,
+    tropical_elliptic_sum,
+)
+from test_tropical import _check_cover_invariants
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=60)
@@ -113,3 +118,25 @@ def test_n_recursion_matches_oracle(case):
                 == oracle_N(variant, g, mu, nu, l, i)
     assert double_hurwitz(variant, g, mu, nu) == monotone_double_count(
         g, mu, nu, strict=(variant == "strict"))
+
+
+@st.composite
+def elliptic_cases(draw):
+    """(variant, g, d) with d <= 7 at g = 2 and d <= 4 at g = 3."""
+    g = draw(st.sampled_from([2, 3]))
+    return (draw(st.sampled_from(["monotone", "strict"])), g,
+            draw(st.integers(1, 7 if g == 2 else 4)))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(elliptic_cases())
+def test_tropical_matches_characters(case):
+    variant, g, d = case
+    covers = enumerate_elliptic_covers(g, d)
+    assert len(set(covers)) == len(covers)
+    for c in covers:
+        _check_cover_invariants(c, elliptic_genus=g)
+        assert c.degree == d
+    kl = (0, 2 * g - 2, 0) if variant == "monotone" else (0, 0, 2 * g - 2)
+    want = connected_hurwitz_qseries(1, *kl, (), d).coefficient(d)
+    assert tropical_elliptic_sum(variant, g, d) == want

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mixedhurwitz.characters import connected_hurwitz_qseries
 from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.partitions import enumerate_partitions
 from mixedhurwitz.symgroup import monotone_double_count
@@ -117,3 +118,38 @@ def test_per_type_series_single_vertex_genus0():
     vals = ser.coefficients(1, 4)
     assert all(v >= 0 for v in vals)
     assert vals[1] == Fraction(1, 2)
+
+
+def test_vertex_multiplicity_reads_the_edge_multiset():
+    assert gw_vertex_multiplicity((1, 2), (3,), 0, 1) == \
+        gw_vertex_multiplicity((3,), (2, 1), 0, 1) == 1
+    # a memoised weight never skips the consistency checks
+    with pytest.raises(DomainError):
+        gw_vertex_multiplicity((1, 2), (3,), 0, 3)
+
+
+def test_elliptic_degree_below_one_is_a_domain_error():
+    for d in (0, -1):
+        with pytest.raises(DomainError):
+            enumerate_elliptic_covers(2, d)
+
+
+def test_elliptic_node_budget_at_limit_plus_one():
+    # the g = 2, d = 3 search visits 108 graph and weight nodes
+    assert len(enumerate_elliptic_covers(2, 3, max_nodes=108)) == 8
+    with pytest.raises(ResourceLimitError):
+        enumerate_elliptic_covers(2, 3, max_nodes=107)
+
+
+@pytest.mark.parametrize("variant,kl", [("monotone", (0, 2, 0)),
+                                        ("strict", (0, 0, 2))],
+                         ids=["monotone", "strict"])
+def test_per_type_series_sum_to_character_series(variant, kl):
+    # the paper's refinement: the genus-2 series is the sum over
+    # combinatorial types of their tropical series
+    total = [Fraction(0)] * 7
+    for ctype in all_types(2, 6):
+        ser = per_type_series(ctype, variant, 2, 6)
+        total = [x + y for x, y in zip(total, ser.coefficients(0, 6))]
+    want = connected_hurwitz_qseries(1, *kl, (), 6)
+    assert total == [want.coefficient(d) for d in range(7)]
