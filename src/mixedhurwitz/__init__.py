@@ -3,77 +3,46 @@
 Four independent routes to the same enumerations -- brute-force symmetric
 group counting, character sums, topological recursion, and tropical covers --
 with quasimodular fitting and quantum-curve verification on top.
+
+Submodules load on first use: ``import mixedhurwitz`` imports none of them,
+and ``mixedhurwitz.ceo_omega`` imports only what ``spectral`` needs.
 """
 
-from .errors import DomainError, ResourceLimitError, WindowError
-from .partitions import (
-    aut_count,
-    class_size,
-    contents,
-    enumerate_partitions,
-    hook_dim,
-    stirling,
-    sym_eval,
-)
-from .symgroup import (
-    HurwitzSpec,
-    count_commutator_type,
-    count_monotone_of_fixed_target,
-    count_triply_mixed,
-    oracle_N,
-)
-from .characters import (
-    central_character_f,
-    character,
-    commutator_count_by_characters,
-    connected_hurwitz_qseries,
-    connected_series,
-    hurwitz_by_characters,
-)
-from .series import BiSeries, QSeries, coefficient_extract, series_log_exp
-from .quasimodular import (
-    Q_k_eval,
-    QuasimodularPoly,
-    completion_coefficients,
-    eisenstein,
-    fit_quasimodular,
-    q_bracket,
-)
-from .quantum_curve import apply_operator, partition_function, residual_max_abs
-from .spectral import (
-    ceo_omega,
-    closed_form_C,
-    cut_and_join_C,
-    extract_C,
-    spectral_data,
-)
-from .double_recursion import N_value, base_g_assembly, double_hurwitz
-from .tropical import (
-    enumerate_elliptic_covers,
-    gw_vertex_multiplicity,
-    per_type_series,
-    tropical_double_sum,
-    tropical_elliptic_sum,
-)
+from importlib import import_module
 
-__all__ = [
-    "DomainError", "ResourceLimitError", "WindowError",
-    "enumerate_partitions", "class_size", "aut_count", "hook_dim", "contents",
-    "sym_eval", "stirling",
-    "HurwitzSpec", "count_triply_mixed", "count_monotone_of_fixed_target",
-    "oracle_N", "count_commutator_type",
-    "character", "central_character_f", "hurwitz_by_characters",
-    "connected_series", "connected_hurwitz_qseries",
-    "commutator_count_by_characters",
-    "QSeries", "BiSeries", "series_log_exp", "coefficient_extract",
-    "eisenstein", "q_bracket", "Q_k_eval", "completion_coefficients",
-    "fit_quasimodular", "QuasimodularPoly",
-    "partition_function", "apply_operator", "residual_max_abs",
-    "spectral_data", "ceo_omega", "extract_C", "cut_and_join_C",
-    "closed_form_C",
-    "N_value", "double_hurwitz", "base_g_assembly",
-    "gw_vertex_multiplicity", "enumerate_elliptic_covers",
-    "tropical_elliptic_sum", "per_type_series", "tropical_double_sum",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "errors": "DomainError ResourceLimitError WindowError",
+    "partitions": "enumerate_partitions class_size aut_count hook_dim "
+                  "contents sym_eval stirling",
+    "symgroup": "HurwitzSpec count_triply_mixed count_monotone_of_fixed_target "
+                "oracle_N count_commutator_type",
+    "characters": "character central_character_f hurwitz_by_characters "
+                  "connected_series connected_hurwitz_qseries "
+                  "commutator_count_by_characters",
+    "series": "QSeries BiSeries series_log_exp coefficient_extract",
+    "quasimodular": "eisenstein q_bracket Q_k_eval completion_coefficients "
+                    "fit_quasimodular QuasimodularPoly",
+    "quantum_curve": "partition_function apply_operator residual_max_abs",
+    "spectral": "spectral_data ceo_omega extract_C cut_and_join_C closed_form_C",
+    "double_recursion": "N_value double_hurwitz base_g_assembly",
+    "tropical": "gw_vertex_multiplicity enumerate_elliptic_covers "
+                "tropical_elliptic_sum per_type_series tropical_double_sum",
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names.split()}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """A public name, read from its home module; the first read imports it."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -24,8 +24,8 @@ from .partitions import (
     strip_ones,
     sym_eval,
 )
-from .symgroup import HurwitzSpec
 from .series import QSeries
+from .util import CACHE_ENV
 
 # ---------------------------------------------------------------------------
 # Murnaghan-Nakayama characters
@@ -82,8 +82,6 @@ def character_table(d: int):
 
 # ---------------------------------------------------------------------------
 # character-table disk cache (versioned JSON)
-
-CACHE_ENV = "MIXEDHURWITZ_CACHE_DIR"
 
 
 def default_cache_dir():
@@ -227,8 +225,9 @@ def _lambda_column(d: int, key):
 # disconnected triply mixed numbers by the lambda-sum
 
 
-def hurwitz_by_characters(spec: HurwitzSpec) -> Fraction:
-    """Disconnected triply mixed Hurwitz number as a sum over partitions of d."""
+def hurwitz_by_characters(spec) -> Fraction:
+    """Disconnected triply mixed Hurwitz number, for a symgroup.HurwitzSpec,
+    as a sum over partitions of d."""
     if spec.connected:
         raise DomainError("character formula computes the disconnected number; "
                           "use connected_series for connected ones")

@@ -1,5 +1,7 @@
 """Command-line front end.
 
+Each subcommand imports only the modules of the route it runs.
+
 Exit codes: 0 success, 1 verification failure (with a machine-readable first
 counterexample), 2 domain errors, 3 resource-limit errors.  Identical
 invocations produce byte-identical documents: keys are emitted in fixed
@@ -13,35 +15,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from . import characters
-from .characters import (
-    CACHE_ENV,
-    connected_hurwitz_qseries,
-    default_cache_dir,
-    hurwitz_by_characters,
-    sector_value,
-    save_character_table,
-    use_cache_dir,
-)
-from .partitions import check_partition, enumerate_partitions, partition_count
-from .quantum_curve import residual_max_abs
-from .quasimodular import FitFailure, fit_quasimodular
-from .series import QSeries
-from .spectral import ceo_omega, cut_and_join_C, extract_C, oracle_C
-from .symgroup import (
-    DEFAULT_ORACLE_LIMIT,
-    HurwitzSpec,
-    count_triply_mixed,
-    monotone_double_count,
-    oracle_N,
-)
-from .double_recursion import N_value, double_hurwitz
-from .tropical import (
-    enumerate_elliptic_covers,
-    tropical_double_sum,
-    tropical_elliptic_sum,
-)
-from .util import rat_str
+from .util import CACHE_ENV, DEFAULT_ORACLE_LIMIT, rat_str
 
 ORACLE_LIMIT_ENV = "MIXEDHURWITZ_ORACLE_DMAX"
 
@@ -61,6 +35,8 @@ def parse_composition(text: str):
 
 
 def parse_partition(text: str):
+    from .partitions import check_partition
+
     return check_partition(sorted(parse_composition(text), reverse=True))
 
 
@@ -186,10 +162,14 @@ def build_parser():
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each imports its route, emits its document and
+# returns the exit code
 
 
 def cmd_compute(args):
+    from .characters import connected_hurwitz_qseries, hurwitz_by_characters
+    from .symgroup import HurwitzSpec, count_triply_mixed
+
     spec = HurwitzSpec(args.base_genus, args.source_genus, args.degree,
                        parse_profiles(args.profiles), args.k, args.l, args.m,
                        connected=args.connected, labeled=args.labeled)
@@ -204,10 +184,15 @@ def cmd_compute(args):
         value = series.coefficient(spec.degree)
     else:
         value = hurwitz_by_characters(spec)
-    return {"value": rat_str(value)}
+    emit({"value": rat_str(value)}, args.format)
+    return 0
 
 
 def _qseries_for(args):
+    from .characters import connected_hurwitz_qseries, sector_value
+    from .partitions import partition_count
+    from .series import QSeries
+
     if args.qmax < 0:
         raise DomainError("--qmax must be >= 0")
     profiles = parse_profiles(args.profiles)
@@ -231,18 +216,25 @@ def cmd_qseries(args):
     coeffs = [rat_str(series.coefficient(d)) for d in range(args.qmax + 1)]
     doc = {"var": "q", "coefficients": coeffs}
     rows = [["degree", "coefficient"]] + [[d, c] for d, c in enumerate(coeffs)]
-    return doc, rows
+    emit(doc, args.format, csv_rows=rows)
+    return 0
 
 
 def cmd_fit(args):
-    series = _qseries_for(args)
-    fit = fit_quasimodular(series, args.weight)
+    from .quasimodular import FitFailure, fit_quasimodular
+
+    fit = fit_quasimodular(_qseries_for(args), args.weight)
     if isinstance(fit, FitFailure):
-        return {"fit_failed": True, "residual_index": fit.residual_index}
-    return fit.to_json()
+        doc = {"fit_failed": True, "residual_index": fit.residual_index}
+    else:
+        doc = fit.to_json()
+    emit(doc, args.format)
+    return 0
 
 
 def cmd_toprec(args):
+    from .spectral import ceo_omega, cut_and_join_C, extract_C, oracle_C
+
     mu = parse_composition(args.mu)
     if len(mu) != args.n:
         raise DomainError("--mu must have exactly n parts")
@@ -253,16 +245,22 @@ def cmd_toprec(args):
     if not args.skip_oracle and sum(mu) <= args.oracle_dmax:
         doc["checks"]["oracle"] = rat_str(oracle_C(args.g, args.n, mu,
                                                    limit=args.oracle_dmax))
-    return doc
+    emit(doc, args.format)
+    return 0
 
 
 def cmd_double(args):
+    from .double_recursion import double_hurwitz
+
     mu, nu = parse_partition(args.mu), parse_partition(args.nu)
     value = double_hurwitz(args.variant, args.genus, mu, nu)
-    return {"value": rat_str(value)}
+    emit({"value": rat_str(value)}, args.format)
+    return 0
 
 
 def cmd_tropical(args):
+    from .tropical import enumerate_elliptic_covers
+
     covers = enumerate_elliptic_covers(args.genus, args.degree)
     total = sum((c.multiplicity(args.variant) for c in covers), Fraction(0))
     doc = {"total": rat_str(total)}
@@ -278,13 +276,16 @@ def cmd_tropical(args):
             }
             for c in covers
         ]
-    return doc
+    emit(doc, args.format)
+    return 0
 
 
 def cmd_qc(args):
+    from .quantum_curve import residual_max_abs
+
     worst = residual_max_abs(args.variant, args.genus, args.dmax, args.bmax)
     sys.stdout.write(rat_str(worst) + "\n")
-    return None if worst == 0 else ("residual nonzero", {"max_abs": rat_str(worst)})
+    return 0 if worst == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +293,8 @@ def cmd_qc(args):
 
 
 def _suite_oracle_vs_characters(dmax, oracle_limit):
-    from .symgroup import source_genus_for
+    from .characters import connected_hurwitz_qseries, hurwitz_by_characters
+    from .symgroup import HurwitzSpec, count_triply_mixed, source_genus_for
 
     checked, first_fail = 0, None
     profile_menu = [(), ((2,),), ((3,),), ((2,), (2,))]
@@ -344,6 +346,10 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
 
 
 def _suite_n_recursion(dmax, oracle_limit):
+    from .double_recursion import N_value, double_hurwitz
+    from .partitions import enumerate_partitions
+    from .symgroup import monotone_double_count, oracle_N
+
     checked, first_fail = 0, None
     for d in range(1, dmax + 1):
         parts = enumerate_partitions(d)
@@ -383,6 +389,8 @@ def _suite_n_recursion(dmax, oracle_limit):
 
 
 def _suite_quantum_curve(dmax=8, bmax=8):
+    from .quantum_curve import residual_max_abs
+
     checked, first_fail = 0, None
     for variant in ("monotone", "strict"):
         for g in (0, 1, 2):
@@ -395,6 +403,8 @@ def _suite_quantum_curve(dmax=8, bmax=8):
 
 
 def _suite_toprec(mu_max=4):
+    from .spectral import ceo_omega, cut_and_join_C, extract_C, oracle_C
+
     checked, first_fail = 0, None
     targets = [(g, n) for g in range(3) for n in range(1, 5)
                if 0 < 2 * g - 2 + n <= 4]
@@ -424,6 +434,9 @@ def _suite_toprec(mu_max=4):
 
 
 def _suite_tropical(dmax=5):
+    from .characters import connected_hurwitz_qseries
+    from .tropical import tropical_elliptic_sum
+
     checked, first_fail = 0, None
     for variant in ("monotone", "strict"):
         kl = (0, 2, 0) if variant == "monotone" else (0, 0, 2)
@@ -439,6 +452,10 @@ def _suite_tropical(dmax=5):
 
 
 def _suite_golden_series():
+    from .characters import connected_hurwitz_qseries, sector_value
+    from .partitions import partition_count
+    from .series import QSeries
+
     golden = [
         ((2, 0, 0, ()), 2, [2, 16, 60, 160, 360, 672, 1240]),
         ((0, 2, 0, ()), 2, [2, 13, 44, 109, 235, 422, 760]),
@@ -505,25 +522,54 @@ def cmd_verify(args):
 
 
 def cmd_cache(args):
+    from .characters import default_cache_dir, save_character_table
+
     cache_dir = args.cache_dir or default_cache_dir()
     if args.cache_command == "build":
         paths = [save_character_table(d, cache_dir) for d in range(1, args.dmax + 1)]
-        return {"built": paths}
-    if args.cache_command == "info":
-        if not os.path.isdir(cache_dir):
-            return {"cache_dir": cache_dir, "files": []}
-        return {"cache_dir": cache_dir,
-                "files": sorted(f for f in os.listdir(cache_dir)
-                                if f.startswith("chartable-"))}
-    if args.cache_command == "clear":
+        doc = {"built": paths}
+    elif args.cache_command == "info":
+        files = []
+        if os.path.isdir(cache_dir):
+            files = sorted(f for f in os.listdir(cache_dir)
+                           if f.startswith("chartable-"))
+        doc = {"cache_dir": cache_dir, "files": files}
+    else:  # clear; argparse admits no other cache command
         removed = []
         if os.path.isdir(cache_dir):
             for f in sorted(os.listdir(cache_dir)):
                 if f.startswith("chartable-") and f.endswith(".json"):
                     os.remove(os.path.join(cache_dir, f))
                     removed.append(f)
-        return {"removed": removed}
-    raise DomainError("unknown cache command")
+        doc = {"removed": removed}
+    emit(doc, args.format)
+    return 0
+
+
+COMMANDS = {
+    "compute": cmd_compute,
+    "qseries": cmd_qseries,
+    "fit": cmd_fit,
+    "toprec": cmd_toprec,
+    "double": cmd_double,
+    "tropical": cmd_tropical,
+    "qc": cmd_qc,
+    "verify": cmd_verify,
+    "cache": cmd_cache,
+}
+
+
+def apply_cache_dir(cache_dir):
+    """Point the character route at cache_dir, or at no cache for None.
+
+    A fresh characters module reads no cache, so with no directory it is
+    only reset when an earlier call in this process has loaded it.
+    """
+    if cache_dir:
+        from .characters import use_cache_dir
+        use_cache_dir(cache_dir)
+    elif (characters := sys.modules.get(f"{__package__}.characters")):
+        characters.use_cache_dir(None)
 
 
 def resolve_global_flags(args):
@@ -551,31 +597,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         resolve_global_flags(args)
-        if args.cache_dir:
-            os.environ[CACHE_ENV] = args.cache_dir
-        use_cache_dir(args.cache_dir or None)
-        if args.command == "compute":
-            emit(cmd_compute(args), args.format)
-        elif args.command == "qseries":
-            doc, rows = cmd_qseries(args)
-            emit(doc, args.format, csv_rows=rows)
-        elif args.command == "fit":
-            emit(cmd_fit(args), args.format)
-        elif args.command == "toprec":
-            emit(cmd_toprec(args), args.format)
-        elif args.command == "double":
-            emit(cmd_double(args), args.format)
-        elif args.command == "tropical":
-            emit(cmd_tropical(args), args.format)
-        elif args.command == "qc":
-            bad = cmd_qc(args)
-            if bad is not None:
-                return 1
-        elif args.command == "verify":
-            return cmd_verify(args)
-        elif args.command == "cache":
-            emit(cmd_cache(args), args.format)
-        return 0
+        apply_cache_dir(args.cache_dir)
+        return COMMANDS[args.command](args)
     except DomainError as e:
         sys.stderr.write(f"domain error: {e}\n")
         return 2

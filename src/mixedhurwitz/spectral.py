@@ -21,7 +21,6 @@ from math import comb
 from .errors import DomainError
 from .partitions import check_partition
 from .ratfun import RF1, Poly1, TensorSum, laurent_at_zero
-from .symgroup import count_monotone_of_fixed_target
 
 # ---------------------------------------------------------------------------
 # spectral data
@@ -275,8 +274,10 @@ def _recursion(g, n) -> dict:
     """Res K(z1, z) [omega_{g-1,n+1}(z, sigma z, S) + primed sum of
     omega_{g1}(z, I) omega_{g2}(sigma z, J)] over I + J = S = slots 1..n-1.
 
-    Stable terms meet in -xi_a xi_b(z), which depends on a + b only; the
-    terms with omega_{0,2} pair up into B(sigma z, w) - B(z, w).
+    Stable terms meet in -xi_a xi_b(z), which depends on a + b only, so a
+    split and its mirror give the same terms: each unordered split is summed
+    once, doubled when its two sides differ.  The terms with omega_{0,2} pair
+    up into B(sigma z, w) - B(z, w).
     """
     forms = {}
 
@@ -295,10 +296,14 @@ def _recursion(g, n) -> dict:
         g2 = g - g1
         for I in _subsets(rest):
             J = tuple(s for s in rest if s not in I)
+            if (g1, I) > (g2, J):
+                continue  # the mirror split (g2, J) lands on the same keys
             if 2 * g1 - 1 + len(I) <= 0 or 2 * g2 - 1 + len(J) <= 0:
                 continue  # (0,1), or (0,2) which the Bergman table carries
+            twice = 1 if (g1, I) == (g2, J) else 2
             perm = [(I + J).index(s) for s in rest]
             for (a, *k1), c1 in form(g1, len(I) + 1).items():
+                c1 *= twice
                 for (b, *k2), c2 in form(g2, len(J) + 1).items():
                     kk = k1 + k2
                     key = (a + b, tuple(kk[p] for p in perm))
@@ -453,6 +458,8 @@ def closed_form_C(level, mu) -> Fraction:
 
 def oracle_C(g: int, n: int, mu, limit=6) -> Fraction:
     """(-1)^(n+|mu|) times the brute-force monotone factorization count."""
+    from .symgroup import count_monotone_of_fixed_target
+
     mu = tuple(sorted(mu, reverse=True))
     b = 2 * g - 2 + n + sum(mu)
     m = count_monotone_of_fixed_target(check_partition(mu), b, strict=False, limit=limit)

@@ -29,8 +29,7 @@ from .partitions import (
     sort_composition,
     strip_ones,
 )
-
-DEFAULT_ORACLE_LIMIT = 6
+from .util import DEFAULT_ORACLE_LIMIT
 
 
 # ---------------------------------------------------------------------------

@@ -517,19 +517,24 @@ def combinatorial_type(cover: TropicalCover):
     return (pairs, genera)
 
 
-def per_type_series(ctype, variant: str, g: int, d_max: int) -> QSeries:
-    """Generating series of covers of one combinatorial type."""
-    coeffs = [Fraction(0)] * (d_max + 1)
+def type_series(variant: str, g: int, d_max: int) -> dict:
+    """{combinatorial type: generating series of its covers} up to q^d_max,
+    sorted by type, from one cover enumeration per degree."""
+    coeffs = {}
     for d in range(1, d_max + 1):
         for cover in enumerate_elliptic_covers(g, d):
-            if combinatorial_type(cover) == ctype:
-                coeffs[d] += cover.multiplicity(variant)
-    return QSeries(coeffs, 0, "q")
+            row = coeffs.setdefault(combinatorial_type(cover),
+                                    [Fraction(0)] * (d_max + 1))
+            row[d] += cover.multiplicity(variant)
+    return {t: QSeries(c, 0, "q") for t, c in sorted(coeffs.items())}
+
+
+def per_type_series(ctype, variant: str, g: int, d_max: int) -> QSeries:
+    """Generating series of covers of one combinatorial type."""
+    return type_series(variant, g, d_max).get(
+        ctype, QSeries([Fraction(0)] * (d_max + 1), 0, "q"))
 
 
 def all_types(g: int, d_max: int):
-    seen = set()
-    for d in range(1, d_max + 1):
-        for cover in enumerate_elliptic_covers(g, d):
-            seen.add(combinatorial_type(cover))
-    return sorted(seen)
+    """The combinatorial types of the covers of degree 1..d_max, sorted."""
+    return list(type_series("monotone", g, d_max))

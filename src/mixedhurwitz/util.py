@@ -1,6 +1,10 @@
-"""Small shared helpers: exact rational <-> string."""
+"""Small shared helpers: exact rational <-> string, and the settings the CLI
+resolves before it loads a route."""
 
 from fractions import Fraction
+
+CACHE_ENV = "MIXEDHURWITZ_CACHE_DIR"  # character-table cache directory
+DEFAULT_ORACLE_LIMIT = 6  # largest degree a brute-force oracle attempts
 
 
 def rat_str(x) -> str:

@@ -11,18 +11,24 @@ BASE = [sys.executable, "-m", "mixedhurwitz.cli"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def child_env(extra=None):
+    """The caller's environment without MIXEDHURWITZ_*, importing this
+    checkout, plus the variables in ``extra``."""
+    child = {k: v for k, v in os.environ.items()
+             if not k.startswith("MIXEDHURWITZ_")}
+    child["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child.update(extra or {})
+    return child
+
+
 def run(*args, check=True, env=None):
     """Run the CLI of this checkout, blind to the caller's MIXEDHURWITZ_*.
 
     ``env`` adds variables to the child's otherwise scrubbed environment.
     """
-    child = {k: v for k, v in os.environ.items()
-             if not k.startswith("MIXEDHURWITZ_")}
-    child["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    child.update(env or {})
     proc = subprocess.run(BASE + list(args), capture_output=True, text=True,
-                          env=child)
+                          env=child_env(env))
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -204,3 +210,63 @@ def test_malformed_input_is_a_domain_error(args, reason):
     p = run(*args, check=False)
     assert p.returncode == 2, p.stderr
     assert p.stderr.startswith("domain error:") and reason in p.stderr, p.stderr
+
+
+def test_later_main_call_reads_no_earlier_cache_dir(
+        tmp_path, monkeypatch, capsys):
+    from mixedhurwitz import characters, cli
+    from mixedhurwitz.partitions import enumerate_partitions
+
+    # a well-formed degree-3 table whose values are all wrong
+    entries = [{"lambda": list(lam), "nu": list(nu), "chi": "7"}
+               for lam in enumerate_partitions(3)
+               for nu in enumerate_partitions(3)]
+    (tmp_path / "chartable-3.json").write_text(
+        json.dumps({"version": 1, "degree": 3, "entries": entries}))
+    monkeypatch.setattr(characters, "_char_cache", {})
+    monkeypatch.delenv("MIXEDHURWITZ_CACHE_DIR", raising=False)
+    compute = ["compute", "--base-genus", "0", "--source-genus", "0",
+               "--degree", "3", "--profiles", "3;3"]
+    try:
+        assert cli.main(["--cache-dir", str(tmp_path), "cache", "info"]) == 0
+        capsys.readouterr()
+        # neither an empty flag nor no flag reads the directory given before
+        for flag in (["--cache-dir="], []):
+            characters._char_cache.clear()
+            assert cli.main([*flag, *compute]) == 0
+            assert json.loads(capsys.readouterr().out) == {"value": "1/3"}
+        # the table is read when its directory is given
+        characters._char_cache.clear()
+        assert cli.main(["--cache-dir", str(tmp_path), *compute]) == 0
+        assert json.loads(capsys.readouterr().out) != {"value": "1/3"}
+    finally:
+        characters.use_cache_dir(None)
+
+
+def loaded_modules(*argv):
+    """The mixedhurwitz submodules a fresh process holds after cli.main(argv)."""
+    code = ("import sys; from mixedhurwitz import cli; "
+            "rc = cli.main(sys.argv[1:]); "
+            "print(' '.join(m for m in sys.modules "
+            "if m.startswith('mixedhurwitz.')), file=sys.stderr); "
+            "sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("mixedhurwitz.")
+            for m in proc.stderr.splitlines()[-1].split()}
+
+
+def test_toprec_without_oracle_loads_only_its_route():
+    loaded = loaded_modules("toprec", "--g", "1", "--n", "2", "--mu", "2,3",
+                            "--skip-oracle")
+    assert "spectral" in loaded
+    assert not loaded & {"characters", "symgroup", "series", "quasimodular",
+                         "quantum_curve", "double_recursion", "tropical"}
+
+
+def test_qseries_loads_no_other_route():
+    loaded = loaded_modules("qseries", "--base-genus", "1",
+                            "--source-genus", "2", "--k", "2", "--qmax", "5")
+    assert "characters" in loaded
+    assert not loaded & {"spectral", "ratfun", "symgroup", "tropical"}
