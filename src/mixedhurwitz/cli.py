@@ -534,7 +534,7 @@ def cmd_cache(args):
             files = sorted(f for f in os.listdir(cache_dir)
                            if f.startswith("chartable-"))
         doc = {"cache_dir": cache_dir, "files": files}
-    else:  # clear; argparse admits no other cache command
+    elif args.cache_command == "clear":
         removed = []
         if os.path.isdir(cache_dir):
             for f in sorted(os.listdir(cache_dir)):
@@ -542,6 +542,8 @@ def cmd_cache(args):
                     os.remove(os.path.join(cache_dir, f))
                     removed.append(f)
         doc = {"removed": removed}
+    else:
+        raise DomainError("unknown cache command")
     emit(doc, args.format)
     return 0
 

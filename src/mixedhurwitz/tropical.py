@@ -536,5 +536,8 @@ def per_type_series(ctype, variant: str, g: int, d_max: int) -> QSeries:
 
 
 def all_types(g: int, d_max: int):
-    """The combinatorial types of the covers of degree 1..d_max, sorted."""
-    return list(type_series("monotone", g, d_max))
+    seen = set()
+    for d in range(1, d_max + 1):
+        for cover in enumerate_elliptic_covers(g, d):
+            seen.add(combinatorial_type(cover))
+    return sorted(seen)

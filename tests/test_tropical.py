@@ -146,12 +146,24 @@ def test_elliptic_node_budget_at_limit_plus_one():
                                         ("strict", (0, 0, 2))],
                          ids=["monotone", "strict"])
 def test_per_type_series_sum_to_character_series(variant, kl):
-    # the paper's refinement: the genus-g series is the sum over
-    # combinatorial types of their tropical series; kl is the genus-2 slot
-    for g, d_max in ((2, 6), (3, 4)):
-        total = [Fraction(0)] * (d_max + 1)
-        for ser in type_series(variant, g, d_max).values():
-            total = [x + y for x, y in zip(total, ser.coefficients(0, d_max))]
-        want = connected_hurwitz_qseries(1, *(x * (g - 1) for x in kl), (),
-                                         d_max)
-        assert total == [want.coefficient(d) for d in range(d_max + 1)]
+    # the paper's refinement: the genus-2 series is the sum over
+    # combinatorial types of their tropical series
+    total = [Fraction(0)] * 7
+    for ctype in all_types(2, 6):
+        ser = per_type_series(ctype, variant, 2, 6)
+        total = [x + y for x, y in zip(total, ser.coefficients(0, 6))]
+    want = connected_hurwitz_qseries(1, *kl, (), 6)
+    assert total == [want.coefficient(d) for d in range(7)]
+    # the same at genus 3 up to q^4, every type's series from one pass
+    total = [Fraction(0)] * 5
+    for ser in type_series(variant, 3, 4).values():
+        total = [x + y for x, y in zip(total, ser.coefficients(0, 4))]
+    want = connected_hurwitz_qseries(1, *(2 * x for x in kl), (), 4)
+    assert total == [want.coefficient(d) for d in range(5)]
+
+
+def test_type_series_keys_are_all_types():
+    assert list(type_series("monotone", 2, 5)) == all_types(2, 5)
+    # a type with no cover is the zero series
+    assert per_type_series(((), (9,)), "monotone", 2, 5).coefficients(0, 5) \
+        == [Fraction(0)] * 6
