@@ -11,9 +11,10 @@ import json
 import os
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
+from operator import mul
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .partitions import (
     check_partition,
     class_size,
@@ -21,11 +22,17 @@ from .partitions import (
     enumerate_partitions,
     hook_dim,
     pad_to,
+    partition_count,
     strip_ones,
     sym_eval,
 )
 from .series import QSeries
 from .util import CACHE_ENV
+
+# The largest number of partitions of one degree a lambda-sum runs over
+# (p(45) = 89134 runs, p(46) = 105558 is refused); above it the character
+# route raises ResourceLimitError instead of running unbounded.
+PARTITION_LIMIT = 100_000
 
 # ---------------------------------------------------------------------------
 # Murnaghan-Nakayama characters
@@ -197,9 +204,11 @@ def central_character_extended(nu, lam) -> Fraction:
 # ---------------------------------------------------------------------------
 # per-degree lambda data
 #
-# A column holds one value per partition of d, in enumerate_partitions order,
-# and is built once per process; sector_value only reads columns.  Profile
-# characters are not copied into columns: _mn memoises them in _char_cache.
+# A column holds one value per partition of d, in enumerate_partitions order.
+# Each is built on first read and kept for the process; "dim" is built only
+# when a sector reads it (dim lam enters with power 2 - 2g - #profiles, so a
+# base genus 1 sector without profiles never does).  Profile characters are
+# not copied into columns: _mn memoises them in _char_cache.
 
 _lambda_columns = {}
 
@@ -256,32 +265,50 @@ def sector_value(g: int, k: int, l: int, m: int, profiles, d: int) -> Fraction:
         return Fraction(1) if (k == l == m == 0 and not any(profiles)) else Fraction(0)
     if any(sum(p) > d for p in profiles) or (k and d < 2):
         return Fraction(0)  # binomial prefactor vanishes when |nu| > d
+    check_partition_budget(d)
     # term(lam) = (dim/d!)^(2-2g) prod_nu (|C_nu| chi^lam(nu) / dim) f2^k h_l e_m:
     # sum the integer part times dim^(2-2g-#nu), then scale once
-    columns = []
+    lams = enumerate_partitions(d)
+    xs = [1] * len(lams)
     if k:
-        columns.append([f ** k for f in _lambda_column(d, "f2")])
+        xs = [f ** k for f in _lambda_column(d, "f2")]
     if l:
-        columns.append(_lambda_column(d, ("complete_homogeneous", l)))
+        xs = list(map(mul, xs, _lambda_column(d, ("complete_homogeneous", l))))
     if m:
-        columns.append(_lambda_column(d, ("elementary", m)))
+        xs = list(map(mul, xs, _lambda_column(d, ("elementary", m))))
     classes = [pad_to(p, d) for p in profiles if p]
+    for nu in classes:
+        xs = [x * _mn(lam, nu) if x else 0 for x, lam in zip(xs, lams)]
     dim_power = 2 - 2 * g - len(classes)
-    total = 0
-    dims = _lambda_column(d, "dim")
-    for i, lam in enumerate(enumerate_partitions(d)):
-        x = 1
-        for col in columns:
-            x *= col[i]
-        for nu in classes:
-            if not x:
-                break
-            x *= _mn(lam, nu)
-        if x:
-            total += (x * dims[i] ** dim_power if dim_power >= 0
-                      else Fraction(x, dims[i] ** -dim_power))
+    if dim_power:
+        dims = _lambda_column(d, "dim")
+    if dim_power > 0:
+        total = sum(x * dim ** dim_power for x, dim in zip(xs, dims))
+    elif dim_power < 0:  # dim divides d!: x / dim^n = x (d!/dim)^n / d!^n
+        fd = factorial(d)
+        total = Fraction(sum(x * (fd // dim) ** -dim_power
+                             for x, dim in zip(xs, dims) if x), fd ** -dim_power)
+    else:
+        total = sum(xs)
     scale = Fraction(prod(class_size(p, d) for p in profiles if p))
     return total * scale / Fraction(factorial(d)) ** (2 - 2 * g)
+
+
+def check_partition_budget(d: int):
+    """Refuse a lambda-sum over more than PARTITION_LIMIT partitions of d."""
+    if d >= _first_degree_over(PARTITION_LIMIT):
+        raise ResourceLimitError(f"degree {d} has more than {PARTITION_LIMIT} "
+                                 "partitions, the character route's limit")
+
+
+@cache
+def _first_degree_over(limit):
+    """The least n with p(n) > limit; p increases, so it bounds every degree.
+    Counting up keeps partition_count's recursion shallow."""
+    n = 0
+    while partition_count(n) <= limit:
+        n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -341,58 +368,103 @@ def _profile_splits(profiles):
     return tuple((p, _profile_diff(profiles, p)) for p in _sub_profiles(profiles))
 
 
-def subsectors(sector):
-    """All (k',l',m',profiles',d') componentwise inside the given sector."""
-    k, l, m, profiles, d = sector
+def _subkeys(key):
+    """All (k', l', m', profiles') componentwise inside (k, l, m, profiles)."""
+    k, l, m, profiles = key
     for k1, l1, m1 in _sub_triples(k, l, m):
         for prof in _sub_profiles(profiles):
-            for d1 in range(d + 1):
-                yield (k1, l1, m1, prof, d1)
+            yield (k1, l1, m1, prof)
+
+
+def subsectors(sector):
+    """All (k',l',m',profiles',d') componentwise inside the given sector."""
+    for key in _subkeys(sector[:4]):
+        for d1 in range(sector[4] + 1):
+            yield key + (d1,)
+
+
+@cache
+def _binomial_row(n):
+    return tuple(comb(n, j) for j in range(n + 1))
 
 
 def _euler_sum(s, conn, disc):
-    """Sum of C(k, k1) d1 conn[s1] disc[s2] over s1 + s2 = s with 1 <= d1 < d.
+    """Sum of C(k, k1) C(d-1, d1-1) conn[s1] disc[s2] over s1 + s2 = s with
+    1 <= d1 < d, for conn and disc mapping (k, l, m, profiles) to per-degree
+    lists of integers.
 
     With D the degree operator, D log(1 + P) = DP / (1 + P) gives, sector by
-    sector, d P_s = d L_s + _euler_sum(s, L, P).  Taken in increasing degree,
-    the one identity yields the log L from P and the exp P from L.
+    sector, d P_s = d L_s + sum C(k, k1) d1 L_s1 P_s2.  Scale each degree-d
+    value by w_d = d! c^d: then w_d = C(d, d1) w_d1 w_d2, and the identity
+    times w_d / d is the division-free P~_s = L~_s + _euler_sum(s, L~, P~).
+    Taken in increasing degree, it yields the log L from P and the exp P
+    from L (_euler_solve).
     """
     k, l, m, profiles, d = s
-    total = Fraction(0)
+    row = _binomial_row(d - 1)  # row[d1 - 1] = C(d - 1, d1 - 1)
+    total = 0
     for k1, l1, m1 in _sub_triples(k, l, m):
-        c = comb(k, k1)
+        part = 0
         for prof1, prof2 in _profile_splits(profiles):
-            rest = (k - k1, l - l1, m - m1, prof2)
-            for d1 in range(1, d):
-                v1 = conn[(k1, l1, m1, prof1, d1)]
-                if v1 and (v2 := disc[rest + (d - d1,)]):
-                    total += c * d1 * v1 * v2
+            a = conn[(k1, l1, m1, prof1)]
+            b = disc[(k - k1, l - l1, m - m1, prof2)]
+            part += sum(map(mul, map(mul, row, a[1:d]), b[d - 1:0:-1]))
+        total += comb(k, k1) * part
     return total
+
+
+def _euler_solve(columns, tops, log):
+    """The log (log=True) or the exp of a family of sector values.
+
+    columns maps (k, l, m, profiles) to a list of exact values by degree,
+    index 0 unused; tops maps each key to the highest degree to solve, and
+    every subkey of a key is in both with at least its degree.  Returns the
+    solved columns as integers scaled by w_d = d! c^d, c the lcm of all
+    input denominators, together with the list w.
+    """
+    dmax = max(tops.values(), default=0)
+    c = lcm(*(v.denominator for col in columns.values() for v in col))
+    w = [1]
+    for d in range(1, dmax + 1):
+        w.append(w[-1] * d * c)
+    given = {key: [v.numerator * (wd // v.denominator) for v, wd in zip(col, w)]
+             for key, col in columns.items()}
+    out = {key: [0] * (dmax + 1) for key in columns}
+    conn, disc = (out, given) if log else (given, out)
+    sign = -1 if log else 1
+    for d in range(1, dmax + 1):
+        for key, top in tops.items():
+            if d <= top:
+                out[key][d] = given[key][d] + sign * _euler_sum(key + (d,), conn, disc)
+    return out, w
 
 
 def potential_log(disconnected, targets):
     """Connected sector values from disconnected ones: log(1 + P).
 
     disconnected maps sector -> value for every subsector of every target
-    (degree-0 sectors are implied); returns {target: connected value}.
+    (degree-0 sectors are implied); returns {target: connected value}.  The
+    log runs on integers, each degree-d value scaled by w_d = d! c^d with c
+    the lcm of the input denominators, and each target is divided back once.
     """
     top = {}  # the subsectors of (key, d) include those of (key, d') for d' < d
     for t in targets:
         top[t[:4]] = max(t[4], top.get(t[:4], 0))
-    needed = set()
+    tops = {}  # every subkey, with the highest degree a target needs of it
     for key, d in top.items():
-        needed.update(subsectors(key + (d,)))
-    vals = {}
-    for s in needed:
-        if s[4] == 0:
-            continue  # the constant term of 1+P is the 1
-        if s not in disconnected:
-            raise DomainError(f"missing disconnected value for sector {s}")
-        vals[s] = Fraction(disconnected[s])
-    conn = {}
-    for s in sorted(vals, key=lambda s: s[4]):
-        conn[s] = vals[s] - _euler_sum(s, conn, vals) / s[4]
-    return {t: conn.get(t, Fraction(0)) for t in targets}
+        for sub in _subkeys(key):
+            tops[sub] = max(d, tops.get(sub, 0))
+    dmax = max(tops.values(), default=0)
+    columns = {}
+    for key, top in tops.items():
+        col = columns[key] = [0] * (dmax + 1)  # the constant term of 1+P is the 1
+        for d in range(1, top + 1):
+            s = key + (d,)
+            if s not in disconnected:
+                raise DomainError(f"missing disconnected value for sector {s}")
+            col[d] = Fraction(disconnected[s])
+    conn, w = _euler_solve(columns, tops, log=True)
+    return {t: Fraction(conn[t[:4]][t[4]], w[t[4]]) for t in targets}
 
 
 def connected_series(family):
@@ -429,12 +501,9 @@ def connected_hurwitz_qseries(g: int, k: int, l: int, m: int, profiles, qmax: in
     takes the potential log when connected=True.
     """
     profiles = tuple(tuple(strip_ones(check_partition(p))) for p in profiles)
-    keys = set()
-    for k1, l1, m1 in _sub_triples(k, l, m):
-        for prof in _sub_profiles(profiles):
-            keys.add((k1, l1, m1, prof))
+    check_partition_budget(qmax)
     family = {}
-    for key in keys:
+    for key in set(_subkeys((k, l, m, profiles))):
         k1, l1, m1, prof = key
         coeffs = [sector_value(g, k1, l1, m1, prof, d) for d in range(qmax + 1)]
         family[key] = QSeries(coeffs, 0, "q")

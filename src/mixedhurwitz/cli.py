@@ -167,15 +167,18 @@ def build_parser():
 
 
 def cmd_compute(args):
-    from .characters import connected_hurwitz_qseries, hurwitz_by_characters
-    from .symgroup import HurwitzSpec, count_triply_mixed
+    from .partitions import HurwitzSpec
 
     spec = HurwitzSpec(args.base_genus, args.source_genus, args.degree,
                        parse_profiles(args.profiles), args.k, args.l, args.m,
                        connected=args.connected, labeled=args.labeled)
     if args.method == "oracle":
+        from .symgroup import count_triply_mixed
+
         value = count_triply_mixed(spec, oracle_limit=args.oracle_dmax)
     elif spec.connected:
+        from .characters import connected_hurwitz_qseries
+
         if spec.labeled:
             raise DomainError("labeled connected numbers are not exposed; "
                               "drop --labeled or use --method oracle")
@@ -183,13 +186,16 @@ def cmd_compute(args):
             spec.base_genus, spec.k, spec.l, spec.m, spec.profiles, spec.degree)
         value = series.coefficient(spec.degree)
     else:
+        from .characters import hurwitz_by_characters
+
         value = hurwitz_by_characters(spec)
     emit({"value": rat_str(value)}, args.format)
     return 0
 
 
 def _qseries_for(args):
-    from .characters import connected_hurwitz_qseries, sector_value
+    from .characters import (check_partition_budget, connected_hurwitz_qseries,
+                             sector_value)
     from .partitions import partition_count
     from .series import QSeries
 
@@ -198,6 +204,7 @@ def _qseries_for(args):
     profiles = parse_profiles(args.profiles)
     stripped = tuple(tuple(x for x in p if x != 1) for p in profiles)
     if args.bracket:
+        check_partition_budget(args.qmax)
         num = QSeries([
             sector_value(args.base_genus, args.k, args.l, args.m, stripped, d)
             for d in range(args.qmax + 1)

@@ -14,7 +14,7 @@ from math import factorial
 from .errors import DomainError
 from .partitions import aut_count, check_partition, class_size
 from .symgroup import _oracle_N_content, DEFAULT_ORACLE_LIMIT
-from .characters import _euler_sum, commutator_count_by_characters, subsectors
+from .characters import _euler_solve, commutator_count_by_characters, subsectors
 
 # Theta(0) = 1 by convention.
 
@@ -216,10 +216,12 @@ def _exp_at(connected, target) -> Fraction:
 
     connected holds every subsector of target of degree >= 1.
     """
-    disc = {}
-    for s in sorted(connected, key=lambda s: s[4]):
-        disc[s] = connected[s] + _euler_sum(s, connected, disc) / s[4]
-    return disc.get(target, Fraction(0))
+    d = target[4]
+    columns = {}
+    for s, v in connected.items():
+        columns.setdefault(s[:4], [0] * (d + 1))[s[4]] = v
+    disc, w = _euler_solve(columns, dict.fromkeys(columns, d), log=False)
+    return Fraction(disc[target[:4]][d], w[d]) if target[:4] in disc else Fraction(0)
 
 
 def base_g_assembly(variant: str, base_genus: int, source_genus: int, mu, d: int) -> Fraction:

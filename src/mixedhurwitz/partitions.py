@@ -34,7 +34,14 @@ def sort_composition(c) -> Partition:
     return check_partition(t)
 
 
-@cache
+# _partitions[n] is enumerate_partitions(n); _block_start[n][m] is the index
+# of its first partition with largest part <= m (1 <= m <= n).  In reverse-lex
+# order those partitions are a suffix, so each degree is built from the
+# smaller ones with one tuple concatenation per partition.
+_partitions = {0: ((),)}
+_block_start = {0: (0,)}
+
+
 def enumerate_partitions(d: int):
     """All partitions of d, in reverse lexicographic order.
 
@@ -43,16 +50,18 @@ def enumerate_partitions(d: int):
     """
     if d < 0:
         raise DomainError("d must be >= 0")
-
-    def gen(n, maxpart):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, maxpart), 0, -1):
-            for rest in gen(n - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(d, d if d else 1))
+    for n in range(1, d + 1):
+        if n in _partitions:
+            continue
+        out, starts = [], [0] * (n + 1)
+        for first in range(n, 0, -1):
+            starts[first] = len(out)
+            r = n - first
+            tails = _partitions[r][_block_start[r][min(first, r)]:]
+            out.extend([(first,) + tail for tail in tails])
+        _block_start[n] = tuple(starts)
+        _partitions[n] = tuple(out)
+    return _partitions[d]
 
 
 def partitions_upto(d: int):
@@ -217,3 +226,83 @@ def falling_factorial(x, k: int):
     for i in range(k):
         out *= x - i
     return out
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz spec
+
+
+class HurwitzSpec:
+    """One triply mixed enumeration.
+
+    Profiles are kept exactly as given (1-parts included if the caller wrote
+    them); the class condition is up to 1-padding, so only their 1-free parts
+    matter for the count.  k unconstrained transpositions, l weakly monotone,
+    m strictly monotone; k+l+m must equal
+    b = 2g'-2 - d(2g-2) + sum_i (l(mu^i) - |mu^i|).
+
+    Frozen: equal fields give equal, equally hashed specs, and a field cannot
+    be assigned after construction.
+    """
+
+    __slots__ = ("base_genus", "source_genus", "degree", "profiles", "k", "l",
+                 "m", "connected", "labeled")
+
+    def __init__(self, base_genus: int, source_genus: int, degree: int,
+                 profiles: tuple = (), k: int = 0, l: int = 0, m: int = 0,
+                 connected: bool = True, labeled: bool = False):
+        for name, value in zip(self.__slots__, (base_genus, source_genus, degree,
+                                                profiles, k, l, m, connected,
+                                                labeled)):
+            object.__setattr__(self, name, value)
+        if min(self.base_genus, self.source_genus, self.k, self.l, self.m) < 0:
+            raise DomainError("genera and k, l, m must be nonnegative")
+        if self.degree < 1:
+            raise DomainError("degree must be positive")
+        object.__setattr__(
+            self, "profiles", tuple(check_partition(p) for p in self.profiles)
+        )
+        for p in self.profiles:
+            if sum(p) > self.degree:
+                raise DomainError(f"profile {p} exceeds degree {self.degree}")
+        if self.k + self.l + self.m != self.b:
+            raise DomainError(
+                f"k+l+m = {self.k + self.l + self.m} but b = {self.b} for this spec"
+            )
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}"
+                         for name, value in zip(self.__slots__, self._fields()))
+        return f"HurwitzSpec({body})"
+
+    def __reduce__(self):
+        return HurwitzSpec, self._fields()
+
+    @property
+    def b(self) -> int:
+        g, gp, d = self.base_genus, self.source_genus, self.degree
+        corr = sum(len(p) - sum(p) for p in self.profiles)
+        b = 2 * gp - 2 - d * (2 * g - 2) + corr
+        if b < 0:
+            raise DomainError(f"negative transposition count b = {b}")
+        return b
+
+    def padded_profiles(self):
+        return tuple(pad_to(p, self.degree) for p in self.profiles)

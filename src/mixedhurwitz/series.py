@@ -2,11 +2,13 @@
 
 Every series carries its valid window; extracting a coefficient outside the
 window raises WindowError rather than returning a silent zero.  Truncation is
-propagated pessimistically through arithmetic.
+propagated pessimistically through arithmetic.  A product of two QSeries is
+one integer convolution over the product of their common denominators.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .errors import DomainError, WindowError
 from .util import rat_str, rat_from_str
@@ -110,14 +112,14 @@ class QSeries:
         lo = self.low + other.low
         hi = min(self.high + other.low, other.high + self.low)
         n = hi - lo + 1
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            jmax = min(len(other.coeffs), n - i)
-            for j in range(jmax):
-                out[i + j] += a * other.coeffs[j]
-        return QSeries(out, lo, self.var)
+        # one integer convolution over the product of the common denominators;
+        # both windows hold at least n coefficients
+        a, da = _over_common_denominator(self.coeffs[:n])
+        b, db = _over_common_denominator(other.coeffs[:n])
+        rb = b[::-1]  # out[e] = sum a[i] b[e - i] = sum a[i] rb[n - 1 - e + i]
+        den = da * db
+        return QSeries([Fraction(sum(map(mul, a[:e + 1], rb[n - 1 - e:])), den)
+                        for e in range(n)], lo, self.var)
 
     __rmul__ = __mul__
 
@@ -208,6 +210,12 @@ class QSeries:
                 terms.append(f"{rat_str(c)}*{self.var}^{self.low + i}")
         body = " + ".join(terms) if terms else "0"
         return f"QSeries({body} + O({self.var}^{self.high + 1}))"
+
+
+def _over_common_denominator(values):
+    """Integers n_i and one denominator D with values[i] = n_i / D."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def series_log_exp(s, kind: str):

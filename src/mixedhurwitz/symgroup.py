@@ -22,6 +22,7 @@ from math import factorial
 
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
+    HurwitzSpec,
     aut_count,
     check_partition,
     class_size,
@@ -185,60 +186,6 @@ def commutator_tuple_table(d: int, g: int):
                     joined = orbit_labels(d, (p1, p2))
                     dest[joined] = dest.get(joined, 0) + c1 * c2
     return out
-
-
-# ---------------------------------------------------------------------------
-# Hurwitz spec
-
-
-@dataclass(frozen=True)
-class HurwitzSpec:
-    """One triply mixed enumeration.
-
-    Profiles are kept exactly as given (1-parts included if the caller wrote
-    them); the class condition is up to 1-padding, so only their 1-free parts
-    matter for the count.  k unconstrained transpositions, l weakly monotone,
-    m strictly monotone; k+l+m must equal
-    b = 2g'-2 - d(2g-2) + sum_i (l(mu^i) - |mu^i|).
-    """
-
-    base_genus: int
-    source_genus: int
-    degree: int
-    profiles: tuple = ()
-    k: int = 0
-    l: int = 0
-    m: int = 0
-    connected: bool = True
-    labeled: bool = False
-
-    def __post_init__(self):
-        if min(self.base_genus, self.source_genus, self.k, self.l, self.m) < 0:
-            raise DomainError("genera and k, l, m must be nonnegative")
-        if self.degree < 1:
-            raise DomainError("degree must be positive")
-        object.__setattr__(
-            self, "profiles", tuple(check_partition(p) for p in self.profiles)
-        )
-        for p in self.profiles:
-            if sum(p) > self.degree:
-                raise DomainError(f"profile {p} exceeds degree {self.degree}")
-        if self.k + self.l + self.m != self.b:
-            raise DomainError(
-                f"k+l+m = {self.k + self.l + self.m} but b = {self.b} for this spec"
-            )
-
-    @property
-    def b(self) -> int:
-        g, gp, d = self.base_genus, self.source_genus, self.degree
-        corr = sum(len(p) - sum(p) for p in self.profiles)
-        b = 2 * gp - 2 - d * (2 * g - 2) + corr
-        if b < 0:
-            raise DomainError(f"negative transposition count b = {b}")
-        return b
-
-    def padded_profiles(self):
-        return tuple(pad_to(p, self.degree) for p in self.profiles)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from mixedhurwitz import characters
-from mixedhurwitz.errors import DomainError
+from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.characters import (
     _char_cache,
     central_character_extended,
@@ -23,6 +23,7 @@ from mixedhurwitz.partitions import (
     contents,
     enumerate_partitions,
     hook_dim,
+    partition_count,
     sym_eval,
 )
 from mixedhurwitz.series import QSeries
@@ -231,3 +232,23 @@ def test_sector_value_degree_zero_convention():
     assert sector_value(1, 0, 0, 0, (), 0) == 1
     assert sector_value(1, 1, 0, 0, (), 0) == 0
     assert sector_value(1, 0, 0, 0, ((2,),), 0) == 0
+
+
+def test_genus_one_sector_without_profiles_builds_no_dim_column(monkeypatch):
+    monkeypatch.setattr(characters, "_lambda_columns", {})
+    # at base genus 1 every lambda weighs dim^0 = 1: the sum of f_(2)^k
+    assert sector_value(1, 2, 0, 0, (), 9) == sum(
+        sum(contents(lam)) ** 2 for lam in enumerate_partitions(9))
+    assert all(key != "dim" for _, key in characters._lambda_columns)
+    sector_value(0, 2, 0, 0, (), 9)  # base genus 0 weighs dim^2
+    assert (9, "dim") in characters._lambda_columns
+
+
+def test_partition_budget_refuses_the_first_degree_past_it(monkeypatch):
+    monkeypatch.setattr(characters, "PARTITION_LIMIT", partition_count(10))
+    assert sector_value(1, 2, 0, 0, (), 10) > 0
+    assert connected_hurwitz_qseries(1, 2, 0, 0, (), 10).high == 10
+    with pytest.raises(ResourceLimitError):
+        sector_value(1, 2, 0, 0, (), 11)
+    with pytest.raises(ResourceLimitError):
+        connected_hurwitz_qseries(1, 2, 0, 0, (), 11)

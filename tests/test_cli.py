@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -243,18 +244,22 @@ def test_later_main_call_reads_no_earlier_cache_dir(
         characters.use_cache_dir(None)
 
 
-def loaded_modules(*argv):
-    """The mixedhurwitz submodules a fresh process holds after cli.main(argv)."""
+def all_loaded_modules(*argv):
+    """Every module a fresh process holds after cli.main(argv)."""
     code = ("import sys; from mixedhurwitz import cli; "
             "rc = cli.main(sys.argv[1:]); "
-            "print(' '.join(m for m in sys.modules "
-            "if m.startswith('mixedhurwitz.')), file=sys.stderr); "
+            "print(' '.join(sys.modules), file=sys.stderr); "
             "sys.exit(rc)")
     proc = subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    return {m.removeprefix("mixedhurwitz.")
-            for m in proc.stderr.splitlines()[-1].split()}
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def loaded_modules(*argv):
+    """The mixedhurwitz submodules a fresh process holds after cli.main(argv)."""
+    return {m.removeprefix("mixedhurwitz.") for m in all_loaded_modules(*argv)
+            if m.startswith("mixedhurwitz.")}
 
 
 def test_toprec_without_oracle_loads_only_its_route():
@@ -270,3 +275,22 @@ def test_qseries_loads_no_other_route():
                             "--source-genus", "2", "--k", "2", "--qmax", "5")
     assert "characters" in loaded
     assert not loaded & {"spectral", "ratfun", "symgroup", "tropical"}
+
+
+def test_compute_by_characters_loads_no_oracle_code():
+    loaded = all_loaded_modules("compute", "--base-genus", "1",
+                                "--source-genus", "3", "--degree", "4",
+                                "--k", "4", "--connected")
+    assert "mixedhurwitz.characters" in loaded
+    assert not loaded & {"mixedhurwitz.symgroup", "dataclasses"}
+
+
+def test_character_route_refuses_a_degree_past_its_partition_budget():
+    args = ["compute", "--base-genus", "1", "--source-genus", "31",
+            "--degree", "60", "--k", "60", "--connected"]
+    start = time.monotonic()
+    p = subprocess.run(BASE + args, capture_output=True, text=True,
+                       env=child_env(), timeout=60)
+    assert p.returncode == 3, p.stderr
+    assert "partitions" in p.stderr and "Traceback" not in p.stderr
+    assert time.monotonic() - start < 10

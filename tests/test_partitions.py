@@ -1,10 +1,15 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 
+import mixedhurwitz
+from mixedhurwitz import symgroup
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import (
+    HurwitzSpec,
     aut_count,
+    check_partition,
     class_size,
     contents,
     enumerate_partitions,
@@ -25,6 +30,39 @@ def test_enumerate_partitions_order():
     assert len(p6) == 11 == partition_count(6)
     assert p6[0] == (6,) and p6[-1] == (1,) * 6
     assert all(p6[i] > p6[i + 1] for i in range(len(p6) - 1))
+
+
+def test_enumerate_partitions_through_degree_30():
+    for d in range(31):
+        parts = enumerate_partitions(d)
+        assert list(parts) == sorted(parts, reverse=True)
+        assert len(set(parts)) == len(parts) == partition_count(d)
+        assert all(check_partition(p) == p and sum(p) == d for p in parts)
+        assert parts[0] == ((d,) if d else ()) and parts[-1] == (1,) * d
+
+
+def test_hurwitz_spec_is_a_frozen_value():
+    s = HurwitzSpec(0, 0, 3, [[2, 1], (3,)], 1, labeled=True)
+    assert s.profiles == ((2, 1), (3,)) and s.b == 1
+    assert (s.k, s.l, s.m, s.connected) == (1, 0, 0, True)
+    same = HurwitzSpec(base_genus=0, source_genus=0, degree=3,
+                       profiles=((2, 1), (3,)), k=1, l=0, m=0,
+                       connected=True, labeled=True)
+    assert s == same and hash(s) == hash(same) and {s: 1}[same] == 1
+    assert s != HurwitzSpec(0, 0, 3, ((2, 1), (3,)), 1)
+    assert s != (0, 0, 3)
+    assert repr(s) == ("HurwitzSpec(base_genus=0, source_genus=0, degree=3, "
+                       "profiles=((2, 1), (3,)), k=1, l=0, m=0, "
+                       "connected=True, labeled=True)")
+    assert pickle.loads(pickle.dumps(s)) == s
+    assert s.padded_profiles() == ((2, 1), (3,))
+    with pytest.raises(AttributeError):
+        s.k = 2
+    with pytest.raises(DomainError):
+        HurwitzSpec(0, 0, 0)  # degree must be positive
+    with pytest.raises(DomainError):
+        HurwitzSpec(0, -1, 2)  # negative genus
+    assert symgroup.HurwitzSpec is mixedhurwitz.HurwitzSpec is HurwitzSpec
 
 
 def test_class_size_examples():

@@ -4,6 +4,10 @@ Each runs the same examples on every run (derandomize=True), so a failure
 reproduces without a stored example database.
 """
 
+from collections import Counter
+from fractions import Fraction
+from math import comb
+
 from hypothesis import assume, given, settings, strategies as st
 
 from mixedhurwitz.characters import (
@@ -53,6 +57,60 @@ def test_exp_inverts_potential_log(family):
     target, disconnected = family
     connected = potential_log(disconnected, list(disconnected))
     assert _exp_at(connected, target) == disconnected[target]
+
+
+def _reference_euler_sum(s, conn, disc):
+    """Sum of C(k, k1) d1 conn[s1] disc[s - s1] over subsectors s1 of s with
+    1 <= d1 < d, term by term in Fractions."""
+    k, l, m, profiles, d = s
+    total = Fraction(0)
+    for s1 in subsectors(s):
+        k1, l1, m1, prof1, d1 = s1
+        if not 1 <= d1 < d:
+            continue
+        prof2 = tuple(tuple(sorted((Counter(p) - Counter(p1)).elements(),
+                                   reverse=True))
+                      for p, p1 in zip(profiles, prof1))
+        total += (comb(k, k1) * d1 * conn[s1]
+                  * disc[(k - k1, l - l1, m - m1, prof2, d - d1)])
+    return total
+
+
+def _reference_log_exp(values, log):
+    """d P_s = d L_s + sum C(k, k1) d1 L_s1 P_s2, solved degree by degree
+    for L (log) or for P (exp)."""
+    out = {}
+    for s in sorted(values, key=lambda s: s[4]):
+        conn, disc = (out, values) if log else (values, out)
+        sign = -1 if log else 1
+        out[s] = values[s] + sign * _reference_euler_sum(s, conn, disc) / s[4]
+    return out
+
+
+@st.composite
+def rational_families(draw):
+    """A target of degree <= 5 and a value with denominator <= 12 on each of
+    its subsectors of degree >= 1, zeros and negative values included."""
+    target = (draw(st.integers(0, 2)), draw(st.integers(0, 1)),
+              draw(st.integers(0, 1)), draw(profiles), draw(st.integers(1, 5)))
+    sectors = sorted(s for s in subsectors(target) if s[4])
+    value = st.one_of(st.just(Fraction(0)), st.fractions(
+        min_value=-7, max_value=7, max_denominator=12))
+    values = draw(st.lists(value, min_size=len(sectors), max_size=len(sectors)))
+    return target, dict(zip(sectors, values))
+
+
+@PROPERTY
+@given(rational_families())
+def test_log_and_exp_match_a_fraction_reference(family):
+    target, values = family
+    logs = _reference_log_exp(values, log=True)
+    got = potential_log(values, list(values))
+    assert got == logs
+    assert all(type(v) is Fraction for v in got.values())
+    exp = _exp_at(values, target)
+    assert type(exp) is Fraction
+    assert exp == _reference_log_exp(values, log=False)[target]
 
 
 @st.composite

@@ -97,6 +97,39 @@ def test_division_round_trip():
                    for e in range(min(a.low, back.low), hi + 1))
 
 
+def _naive_product(a, b):
+    """The window and coefficients of a * b, by a term-by-term Fraction
+    convolution."""
+    hi = min(a.high + b.low, b.high + a.low)
+    out = {}
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            e = a.low + i + b.low + j
+            if e <= hi:
+                out[e] = out.get(e, Fraction(0)) + x * y
+    nonzero = [e for e, c in out.items() if c]
+    low = min(nonzero, default=hi + 1)
+    return low, hi, [out.get(e, Fraction(0)) for e in range(low, hi + 1)]
+
+
+def test_product_matches_naive_convolution():
+    rng = random.Random(23)
+
+    def rand_series():
+        if rng.random() < 0.1:
+            return QSeries.zero(rng.randint(-3, 6))
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 60))
+                  if rng.random() < 0.7 else Fraction(0)
+                  for _ in range(rng.randint(1, 9))]
+        return QSeries(coeffs, rng.randint(-3, 3))
+
+    for _ in range(300):
+        a, b = rand_series(), rand_series()
+        p = a * b
+        assert (p.low, p.high, p.coeffs) == _naive_product(a, b)
+        assert all(type(c) is Fraction for c in p.coeffs)
+
+
 def test_laurent_low_bookkeeping():
     a = QSeries([1, 1], -2)
     b = QSeries([2, 0, 1], 1)
