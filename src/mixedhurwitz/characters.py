@@ -303,8 +303,7 @@ def check_partition_budget(d: int):
 
 @cache
 def _first_degree_over(limit):
-    """The least n with p(n) > limit; p increases, so it bounds every degree.
-    Counting up keeps partition_count's recursion shallow."""
+    """The least n with p(n) > limit; p increases, so it bounds every degree."""
     n = 0
     while partition_count(n) <= limit:
         n += 1
@@ -519,19 +518,15 @@ def connected_hurwitz_qseries(g: int, k: int, l: int, m: int, profiles, qmax: in
 def commutator_count_by_characters(g: int, nu, d: int) -> int:
     """A_g(nu): 2g-tuples whose commutator product has padded cycle type nu.
 
-    Frobenius evaluation: |C_nu^(d)| * sum_lam (d!/dim lam)^(2g-1) chi^lam(nu).
+    Frobenius evaluation: |C_nu^(d)| * sum_lam (d!/dim lam)^(2g-1) chi^lam(nu),
+    which is d! times the lambda-sum of the base-genus-g sector with profile nu.
     """
     if g < 1:
         raise DomainError("g must be >= 1")
     nu = check_partition(nu)
     if sum(nu) > d:
         raise DomainError("|nu| > d")
-    padded = pad_to(strip_ones(nu), d)
-    fact = factorial(d)
-    total = Fraction(0)
-    for lam in enumerate_partitions(d):
-        total += Fraction(fact, hook_dim(lam)) ** (2 * g - 1) * character(lam, padded)
-    total *= class_size(strip_ones(nu), d)
+    total = factorial(d) * sector_value(g, 0, 0, 0, (strip_ones(nu),), d)
     if total.denominator != 1:
         raise AssertionError("commutator count must be an integer")
     return int(total)

@@ -296,14 +296,16 @@ def cmd_qc(args):
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: each yields one (inputs, values) pair per case, where
+# values maps each route's name to its result in the order a counterexample
+# prints them.  A case fails when its values differ, or when its one value is
+# not 0.
 
 
 def _suite_oracle_vs_characters(dmax, oracle_limit):
     from .characters import connected_hurwitz_qseries, hurwitz_by_characters
     from .symgroup import HurwitzSpec, count_triply_mixed, source_genus_for
 
-    checked, first_fail = 0, None
     profile_menu = [(), ((2,),), ((3,),), ((2,), (2,))]
     for g in (0, 1):
         for profiles in profile_menu:
@@ -320,36 +322,20 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
                     for k in range(b + 1):
                         for l in range(b - k + 1):
                             m = b - k - l
-                            spec = HurwitzSpec(g, gp, d, profiles, k, l, m,
-                                               connected=False)
-                            lhs = count_triply_mixed(spec, oracle_limit)
-                            rhs = hurwitz_by_characters(spec)
-                            checked += 1
-                            if lhs != rhs and first_fail is None:
-                                first_fail = {
-                                    "inputs": {"g": g, "gp": gp, "d": d,
-                                               "profiles": [list(p) for p in profiles],
-                                               "k": k, "l": l, "m": m,
-                                               "connected": False},
-                                    "oracle": rat_str(lhs),
-                                    "characters": rat_str(rhs),
-                                }
-                            spec_c = HurwitzSpec(g, gp, d, profiles, k, l, m,
-                                                 connected=True)
-                            lhs_c = count_triply_mixed(spec_c, oracle_limit)
-                            ser = connected_hurwitz_qseries(g, k, l, m, profiles, d)
-                            rhs_c = ser.coefficient(d)
-                            checked += 1
-                            if lhs_c != rhs_c and first_fail is None:
-                                first_fail = {
-                                    "inputs": {"g": g, "gp": gp, "d": d,
-                                               "profiles": [list(p) for p in profiles],
-                                               "k": k, "l": l, "m": m,
-                                               "connected": True},
-                                    "oracle": rat_str(lhs_c),
-                                    "characters": rat_str(rhs_c),
-                                }
-    return checked, first_fail
+                            for connected in (False, True):
+                                spec = HurwitzSpec(g, gp, d, profiles, k, l, m,
+                                                   connected=connected)
+                                oracle = count_triply_mixed(spec, oracle_limit)
+                                if connected:
+                                    chars = connected_hurwitz_qseries(
+                                        g, k, l, m, profiles, d).coefficient(d)
+                                else:
+                                    chars = hurwitz_by_characters(spec)
+                                yield ({"g": g, "gp": gp, "d": d,
+                                        "profiles": [list(p) for p in profiles],
+                                        "k": k, "l": l, "m": m,
+                                        "connected": connected},
+                                       {"oracle": oracle, "characters": chars})
 
 
 def _suite_n_recursion(dmax, oracle_limit):
@@ -357,7 +343,6 @@ def _suite_n_recursion(dmax, oracle_limit):
     from .partitions import enumerate_partitions
     from .symgroup import monotone_double_count, oracle_N
 
-    checked, first_fail = 0, None
     for d in range(1, dmax + 1):
         parts = enumerate_partitions(d)
         for mu in parts:
@@ -367,95 +352,59 @@ def _suite_n_recursion(dmax, oracle_limit):
                     if b < 0 or b > 3:
                         continue
                     for variant in ("monotone", "strict"):
+                        inputs = {"variant": variant, "g": g,
+                                  "mu": list(mu), "nu": list(nu)}
                         for i in range(1, len(mu) + 1):
                             for l in range(1, nu[-1] + 1):
                                 want = oracle_N(variant, g, mu, nu, l, i,
                                                 limit=oracle_limit)
                                 got = N_value(variant, g, mu[i - 1],
                                               mu[:i - 1] + mu[i:], nu, l)
-                                checked += 1
-                                if got != want and first_fail is None:
-                                    first_fail = {
-                                        "inputs": {"variant": variant, "g": g,
-                                                   "mu": list(mu), "nu": list(nu),
-                                                   "l": l, "i": i},
-                                        "oracle": want, "recursion": got,
-                                    }
-                        got = double_hurwitz(variant, g, mu, nu)
+                                yield ({**inputs, "l": l, "i": i},
+                                       {"oracle": want, "recursion": got})
                         want = monotone_double_count(
                             g, mu, nu, strict=(variant == "strict"),
                             limit=oracle_limit)
-                        checked += 1
-                        if got != want and first_fail is None:
-                            first_fail = {
-                                "inputs": {"variant": variant, "g": g,
-                                           "mu": list(mu), "nu": list(nu)},
-                                "oracle": rat_str(want), "recursion": rat_str(got),
-                            }
-    return checked, first_fail
+                        got = double_hurwitz(variant, g, mu, nu)
+                        yield inputs, {"oracle": want, "recursion": got}
 
 
 def _suite_quantum_curve(dmax=8, bmax=8):
     from .quantum_curve import residual_max_abs
 
-    checked, first_fail = 0, None
     for variant in ("monotone", "strict"):
         for g in (0, 1, 2):
-            worst = residual_max_abs(variant, g, dmax, bmax)
-            checked += 1
-            if worst != 0 and first_fail is None:
-                first_fail = {"inputs": {"variant": variant, "g": g},
-                              "max_abs_residual": rat_str(worst)}
-    return checked, first_fail
+            yield ({"variant": variant, "g": g},
+                   {"max_abs_residual": residual_max_abs(variant, g, dmax, bmax)})
 
 
 def _suite_toprec(mu_max=4):
+    from .partitions import compositions
     from .spectral import ceo_omega, cut_and_join_C, extract_C, oracle_C
 
-    checked, first_fail = 0, None
     targets = [(g, n) for g in range(3) for n in range(1, 5)
                if 0 < 2 * g - 2 + n <= 4]
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     for (g, n) in targets:
         om = ceo_omega(g, n)
         for tot in range(n, mu_max + 1):
             for mu in compositions(tot, n):
-                a = extract_C(om, mu)
-                b = cut_and_join_C(g, n, mu)
-                c = oracle_C(g, n, mu)
-                checked += 1
-                if not (a == b == c) and first_fail is None:
-                    first_fail = {"inputs": {"g": g, "n": n, "mu": list(mu)},
-                                  "extract": rat_str(a),
-                                  "cut_and_join": rat_str(b),
-                                  "oracle": rat_str(c)}
-    return checked, first_fail
+                yield ({"g": g, "n": n, "mu": list(mu)},
+                       {"extract": extract_C(om, mu),
+                        "cut_and_join": cut_and_join_C(g, n, mu),
+                        "oracle": oracle_C(g, n, mu)})
 
 
 def _suite_tropical(dmax=5):
     from .characters import connected_hurwitz_qseries
     from .tropical import tropical_elliptic_sum
 
-    checked, first_fail = 0, None
     for variant in ("monotone", "strict"):
         kl = (0, 2, 0) if variant == "monotone" else (0, 0, 2)
         series = connected_hurwitz_qseries(1, kl[0], kl[1], kl[2], (), dmax)
         for d in range(1, dmax + 1):
-            got = tropical_elliptic_sum(variant, 2, d)
-            want = series.coefficient(d)
-            checked += 1
-            if got != want and first_fail is None:
-                first_fail = {"inputs": {"variant": variant, "g": 2, "d": d},
-                              "tropical": rat_str(got), "characters": rat_str(want)}
-    return checked, first_fail
+            yield ({"variant": variant, "g": 2, "d": d},
+                   {"tropical": tropical_elliptic_sum(variant, 2, d),
+                    "characters": series.coefficient(d)})
 
 
 def _suite_golden_series():
@@ -468,24 +417,16 @@ def _suite_golden_series():
         ((0, 2, 0, ()), 2, [2, 13, 44, 109, 235, 422, 760]),
         ((0, 0, 2, ()), 2, [0, 3, 16, 51, 125, 250, 480]),
     ]
-    checked, first_fail = 0, None
     for (k, l, m, profs), lo, expect in golden:
         ser = connected_hurwitz_qseries(1, k, l, m, profs, lo + len(expect) - 1)
         got = [ser.coefficient(d) for d in range(lo, lo + len(expect))]
-        checked += 1
-        if got != [Fraction(e) for e in expect] and first_fail is None:
-            first_fail = {"inputs": {"k": k, "l": l, "m": m},
-                          "got": [rat_str(x) for x in got], "expected": expect}
+        yield {"k": k, "l": l, "m": m}, {"got": got, "expected": expect}
     # the mu=(3) series is the q-bracket of the sector functional
     num = QSeries([sector_value(1, 2, 0, 0, ((3,),), d) for d in range(7)])
     den = QSeries([partition_count(d) for d in range(7)])
     got = [(num / den).coefficient(d) for d in range(3, 7)]
-    checked += 1
-    if got != [36, 540, 3606, 15726] and first_fail is None:
-        first_fail = {"inputs": {"profiles": [[3]], "k": 2},
-                      "got": [rat_str(x) for x in got],
-                      "expected": [36, 540, 3606, 15726]}
-    return checked, first_fail
+    yield ({"profiles": [[3]], "k": 2},
+           {"got": got, "expected": [36, 540, 3606, 15726]})
 
 
 # name -> suite, called with verify's --dmax (widened by --deep), --deep and
@@ -503,22 +444,43 @@ SUITES = {
 }
 
 
-def _run_suite_by_name(packed):
-    """Run one suite of SUITES; the serial path and the --jobs pool call it."""
-    name, dmax, deep, oracle_dmax = packed
-    return SUITES[name](dmax + (2 if deep else 0), deep, oracle_dmax)
+def _json_value(v):
+    """A value as a counterexample prints it: ints as JSON ints, other
+    rationals as rat_str strings, lists element by element."""
+    if isinstance(v, list):
+        return [_json_value(x) for x in v]
+    return v if isinstance(v, int) else rat_str(v)
+
+
+def run_suite(name, dmax, deep, oracle_dmax):
+    """Run one suite of SUITES at verify's --dmax, --deep and --oracle-dmax.
+
+    Returns (cases checked, first counterexample or None); the serial path
+    and the --jobs pool of cmd_verify both call it.
+    """
+    checked, first_fail = 0, None
+    for inputs, values in SUITES[name](dmax + (2 if deep else 0), deep, oracle_dmax):
+        checked += 1
+        first, *rest = values.values()
+        failed = any(v != first for v in rest) if rest else first != 0
+        if failed and first_fail is None:
+            first_fail = {"inputs": inputs,
+                          **{route: _json_value(v) for route, v in values.items()}}
+    return checked, first_fail
 
 
 def cmd_verify(args):
     selected = list(SUITES) if args.suite == "all" else [args.suite]
-    packed = [(name, args.dmax, args.deep, args.oracle_dmax) for name in selected]
-    if args.jobs > 1 and len(selected) > 1:
+    n = len(selected)
+    if args.jobs > 1 and n > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_run_suite_by_name, packed))
+            results = list(ex.map(run_suite, selected, [args.dmax] * n,
+                                  [args.deep] * n, [args.oracle_dmax] * n))
     else:
-        results = [_run_suite_by_name(p) for p in packed]
+        results = [run_suite(name, args.dmax, args.deep, args.oracle_dmax)
+                   for name in selected]
     checked = sum(r[0] for r in results)
     failures = [r[1] for r in results if r[1] is not None]
     sys.stdout.write(f"checked: {checked}, failures: {len(failures)}\n")

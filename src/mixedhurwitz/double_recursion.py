@@ -13,7 +13,7 @@ from math import factorial
 
 from .errors import DomainError
 from .partitions import aut_count, check_partition, class_size
-from .symgroup import _oracle_N_content, DEFAULT_ORACLE_LIMIT
+from .symgroup import _oracle_N_content
 from .characters import _euler_solve, commutator_count_by_characters, subsectors
 
 # Theta(0) = 1 by convention.
@@ -25,15 +25,8 @@ def _theta(t: int) -> int:
 
 _n_cache = {}
 
-# Resolution of the strict inner-bound reading: "label" bounds the inner
-# counter by the part at the largest label in J (the last part of nu_J);
-# "part" uses the largest part of nu_J.  Both agree because N vanishes for
-# counters beyond the last part; "label" is the frozen default.
-STRICT_INNER_BOUND = "label"
 
-
-def N_value(variant: str, g: int, dist: int, rest, nu, l: int,
-            inner_bound: str = None) -> int:
+def N_value(variant: str, g: int, dist: int, rest, nu, l: int) -> int:
     """Refined count N^{variant; l, i}_g(dist | rest, nu), content-keyed."""
     if variant not in ("monotone", "strict"):
         raise DomainError(f"unknown variant {variant}")
@@ -43,12 +36,10 @@ def N_value(variant: str, g: int, dist: int, rest, nu, l: int,
         raise DomainError("distinguished part must be >= 1")
     if dist + sum(rest) != sum(nu):
         raise DomainError("|mu| must equal |nu|")
-    if inner_bound is None:
-        inner_bound = STRICT_INNER_BOUND
-    return _N(variant, g, dist, rest, nu, l, inner_bound)
+    return _N(variant, g, dist, rest, nu, l)
 
 
-def _N(variant, g, dist, rest, nu, l, inner_bound) -> int:
+def _N(variant, g, dist, rest, nu, l) -> int:
     if g < 0 or not nu:
         return 0
     if l < 1 or l > nu[-1]:
@@ -59,7 +50,7 @@ def _N(variant, g, dist, rest, nu, l, inner_bound) -> int:
     b = 2 * g - 2 + n_mu + len(nu)
     if b < 0:
         return 0
-    key = (variant, g, dist, rest, nu, l, inner_bound)
+    key = (variant, g, dist, rest, nu, l)
     hit = _n_cache.get(key)
     if hit is not None:
         return hit
@@ -79,14 +70,14 @@ def _N(variant, g, dist, rest, nu, l, inner_bound) -> int:
         for j, mj in enumerate(rest):
             sub_rest = rest[:j] + rest[j + 1:]
             for p in range(1, p_hi + 1):
-                total += _N(variant, g, dist + mj, sub_rest, nu, p, inner_bound)
+                total += _N(variant, g, dist + mj, sub_rest, nu, p)
 
     # redundant join: the last transposition cut the distinguished cycle
     for alpha in range(1, dist):
         beta = dist - alpha
         new_rest = tuple(sorted(rest + (beta,), reverse=True))
         for p in range(1, p_hi + 1):
-            total += beta * _N(variant, g - 1, alpha, new_rest, nu, p, inner_bound)
+            total += beta * _N(variant, g - 1, alpha, new_rest, nu, p)
 
     # essential join: the factorization splits into two transitive pieces
     n = len(nu)
@@ -108,12 +99,12 @@ def _N(variant, g, dist, rest, nu, l, inner_bound) -> int:
                         continue
                     if not nu_J:
                         continue
-                    second = _second_factor(variant, g2, beta, I2, nu_J, inner_bound)
+                    second = _second_factor(variant, g2, beta, I2, nu_J)
                     if second == 0:
                         continue
                     I1s = tuple(sorted(I1, reverse=True))
                     first_sum = sum(
-                        _N(variant, g1, alpha, I1s, nu_Jc, p, inner_bound)
+                        _N(variant, g1, alpha, I1s, nu_Jc, p)
                         for p in range(1, p_hi + 1)
                     )
                     # a transposition-free first piece imposes no monotonicity
@@ -122,32 +113,28 @@ def _N(variant, g, dist, rest, nu, l, inner_bound) -> int:
                     b1 = 2 * g1 - 2 + 1 + len(I1s) + len(nu_Jc)
                     if b1 == 0 and nu_Jc[-1] > p_hi:
                         first_sum += _N(variant, g1, alpha, I1s, nu_Jc,
-                                        nu_Jc[-1], inner_bound)
+                                        nu_Jc[-1])
                     total += beta * first_sum * second
 
     _n_cache[key] = total
     return total
 
 
-def _second_factor(variant, g2, beta, I2, nu_J, inner_bound) -> int:
+def _second_factor(variant, g2, beta, I2, nu_J) -> int:
     """Full (l, i)-aggregate over the second piece.
 
     The second piece carries no tail condition: its final transposition may
     sit in any of its cycles, so every labeling position is summed, not just
-    the beta slot.  The counter bound is the last part of nu_J under the
-    "label" reading of nu_max(J), the largest part under the "part" reading;
-    both agree because the refined counts vanish beyond the last part.
+    the beta slot.  The counter runs up to the last part of nu_J: the refined
+    counts vanish beyond it.
     """
-    if variant == "monotone" or inner_bound == "label":
-        hi = nu_J[-1]
-    else:  # strict with the "largest part" reading
-        hi = max(nu_J)
+    hi = nu_J[-1]
     parts = tuple(sorted(I2 + (beta,), reverse=True))
     total = 0
     for i in range(len(parts)):
         rest2 = parts[:i] + parts[i + 1:]
         for p in range(1, hi + 1):
-            total += _N(variant, g2, parts[i], rest2, nu_J, p, inner_bound)
+            total += _N(variant, g2, parts[i], rest2, nu_J, p)
     return total
 
 

@@ -72,6 +72,18 @@ def partitions_upto(d: int):
     return out
 
 
+def compositions(total: int, parts: int):
+    """All compositions of total into the given number of positive parts, in
+    lexicographic order."""
+    if parts <= 0:
+        if parts == total == 0:
+            yield ()
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def strip_ones(p) -> Partition:
     """Drop all parts equal to 1."""
     return tuple(x for x in p if x != 1)
@@ -197,28 +209,21 @@ def stirling(kind: str, n: int, k: int) -> int:
     raise DomainError(f"unknown Stirling kind: {kind}")
 
 
+# _pcounts[n] = p(n) for n = 0, 1, ..., as far as a caller has asked
+_pcounts = {0: 1}
+
+
 def partition_count(n: int) -> int:
-    """p(n) via the Euler pentagonal recurrence (used as an independent oracle)."""
-    return _pcount(n)
-
-
-@cache
-def _pcount(n: int) -> int:
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = -1 if k % 2 == 0 else 1
-        total += sign * (_pcount(n - g1) + _pcount(n - g2))
-        k += 1
-    return total
+    """p(n) via the Euler pentagonal recurrence (used as an independent oracle);
+    p(n) = 0 for n < 0."""
+    for m in range(len(_pcounts), n + 1):
+        total, k = 0, 1
+        while (g1 := k * (3 * k - 1) // 2) <= m:
+            term = _pcounts[m - g1] + _pcounts.get(m - g1 - k, 0)
+            total += term if k % 2 else -term
+            k += 1
+        _pcounts[m] = total
+    return _pcounts.get(n, 0)
 
 
 def falling_factorial(x, k: int):

@@ -222,8 +222,6 @@ def series_log_exp(s, kind: str):
     """log or exp of a QSeries or BiSeries (mutually inverse to truncation)."""
     if kind not in ("log", "exp"):
         raise DomainError(f"unknown kind {kind}")
-    if isinstance(s, BiSeries):
-        return s.log() if kind == "log" else s.exp()
     return s.log() if kind == "log" else s.exp()
 
 
@@ -341,10 +339,6 @@ class BiSeries:
 
     def is_zero(self):
         return all(v == 0 for v in self.data.values())
-
-    def max_abs(self):
-        vals = [abs(v) for (d, e), v in self.data.items() if self.in_window(d, e)]
-        return max(vals, default=Fraction(0))
 
     def _mul_truncated(self, other):
         out = BiSeries(min(self.dhi, other.dhi), self.blo + other.blo,

@@ -23,7 +23,7 @@ from math import factorial
 from operator import le
 
 from .errors import DomainError, ResourceLimitError
-from .partitions import check_partition
+from .partitions import check_partition, compositions
 from .series import QSeries, sinh_normalized
 from .quasimodular import c_coefficient
 
@@ -123,16 +123,6 @@ class TropicalCover:
 # line covers
 
 
-def _lambda_compositions(total, n):
-    if n == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - n + 2):
-        for rest in _lambda_compositions(total - first, n - 1):
-            yield (first,) + rest
-
-
 def enumerate_line_covers(g: int, mu, nu):
     """All (possibly disconnected) covers of the line: left profile mu, right
     profile nu, b = 2g-2+l(mu)+l(nu) marked points, Sum lam_i = b."""
@@ -148,7 +138,7 @@ def enumerate_line_covers(g: int, mu, nu):
             out.append(_strands_only_cover(mu))
         return out
     for n in range(1, b + 1):
-        for lam in _lambda_compositions(b, n):
+        for lam in compositions(b, n):
             out.extend(_line_covers_for(lam, mu, nu))
     return out
 
@@ -310,7 +300,7 @@ def enumerate_elliptic_covers(g: int, d: int, max_degree: int = 24,
     budget = [max_nodes]
     out = []
     for n in range(1, 2 * g - 1):
-        for lam in _lambda_compositions(2 * g - 2, n):
+        for lam in compositions(2 * g - 2, n):
             covers = []
             for shapes in _elliptic_graphs(lam, d, budget):
                 for counts in _balanced_weights(shapes, n, d, budget):

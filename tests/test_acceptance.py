@@ -8,23 +8,15 @@ lines; the whole suite is part of the default `pytest` run.
 import time
 from fractions import Fraction
 
-import pytest
-
-from mixedhurwitz.characters import (
-    connected_hurwitz_qseries,
-    hurwitz_by_characters,
-    sector_value,
-)
-from mixedhurwitz.double_recursion import N_value, base_g_assembly, double_hurwitz
-from mixedhurwitz.errors import DomainError
+from mixedhurwitz.characters import connected_hurwitz_qseries, sector_value
+from mixedhurwitz.cli import run_suite
+from mixedhurwitz.double_recursion import base_g_assembly
 from mixedhurwitz.partitions import (
     enumerate_partitions,
     falling_factorial,
     hook_dim,
-    partition_count,
     stirling,
 )
-from mixedhurwitz.quantum_curve import residual_max_abs
 from mixedhurwitz.quasimodular import (
     FitFailure,
     fit_quasimodular,
@@ -33,84 +25,42 @@ from mixedhurwitz.quasimodular import (
 from mixedhurwitz.series import QSeries
 from mixedhurwitz.spectral import (
     ceo_omega,
-    cut_and_join_C,
-    extract_C,
-    oracle_C,
     pole_structure,
     sigma_antisymmetry_defect,
 )
-from mixedhurwitz.symgroup import (
-    HurwitzSpec,
-    count_triply_mixed,
-    monotone_double_count,
-    oracle_N,
-    source_genus_for,
-)
-from mixedhurwitz.tropical import tropical_elliptic_sum
 from mixedhurwitz.ratfun import RF1, Poly1, TensorSum
+from mixedhurwitz.util import DEFAULT_ORACLE_LIMIT
 
 
 def _report(num, name, t0):
     print(f"PASS criterion {num}: {name} [{time.time() - t0:.1f}s]")
 
 
-PROFILE_MENU = [(), ((2,),), ((3,),), ((2,), (2,))]
+def _verify(suite, dmax=4):
+    """(cases checked, first counterexample) of one `verify` suite, run as
+    `verify --suite <suite> --dmax <dmax>` runs it."""
+    return run_suite(suite, dmax, False, DEFAULT_ORACLE_LIMIT)
 
 
 def test_criterion_1_oracle_character_equivalence():
     t0 = time.time()
-    checked = 0
-    for g in (0, 1):
-        for profiles in PROFILE_MENU:
-            for d in range(1, 6):
-                if any(sum(p) > d for p in profiles):
-                    continue
-                for b in range(0, 4):
-                    try:
-                        gp = source_genus_for(g, d, profiles, b)
-                    except DomainError:
-                        continue
-                    if gp > 3:
-                        continue
-                    for k in range(b + 1):
-                        for l in range(b - k + 1):
-                            m = b - k - l
-                            spec = HurwitzSpec(g, gp, d, profiles, k, l, m,
-                                               connected=False)
-                            assert count_triply_mixed(spec) == \
-                                hurwitz_by_characters(spec), spec
-                            spec_c = HurwitzSpec(g, gp, d, profiles, k, l, m,
-                                                 connected=True)
-                            ser = connected_hurwitz_qseries(g, k, l, m,
-                                                            profiles, d)
-                            assert count_triply_mixed(spec_c) == \
-                                ser.coefficient(d), spec_c
-                            checked += 2
-    assert checked > 100
-    _report(1, f"oracle == characters on {checked} spec evaluations "
+    assert _verify("oracle-vs-characters", dmax=5) == (382, None)
+    _report(1, "oracle == characters on 382 spec evaluations "
                "(disconnected and connected), d <= 5", t0)
-
-
-GOLDEN = {
-    (2, 0, 0): [2, 16, 60, 160, 360, 672, 1240],
-    (0, 2, 0): [2, 13, 44, 109, 235, 422, 760],
-    (0, 0, 2): [0, 3, 16, 51, 125, 250, 480],
-}
 
 
 def test_criterion_2_appendix_golden_series():
     t0 = time.time()
-    for (k, l, m), expect in GOLDEN.items():
-        ser = connected_hurwitz_qseries(1, k, l, m, (), 8)
-        assert ser.coefficients(2, 8) == [Fraction(e) for e in expect], (k, l, m)
     # the mu = (3) table lists the q-bracket of the sector functional (it
     # differs from the connected series by products of lower connected
     # pieces; the connected series itself is pinned against the oracle in
     # criterion 1)
-    num = QSeries([sector_value(1, 2, 0, 0, ((3,),), d) for d in range(7)])
-    bracket = num / partition_gf(6)
-    assert bracket.coefficients(3, 6) == [36, 540, 3606, 15726]
+    assert _verify("golden-series") == (4, None)
     _report(2, "golden q-series through q^8 (mu=()) and q^6 (mu=(3))", t0)
+
+
+# the (k, l, m) sectors of the golden series
+GOLDEN = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
 
 
 def _bracket_series(k, l, m, order):
@@ -167,60 +117,22 @@ def test_criterion_4_top_weight_equality():
 
 def test_criterion_5_quantum_curves():
     t0 = time.time()
-    for variant in ("monotone", "strict"):
-        for g in (0, 1, 2):
-            assert residual_max_abs(variant, g, 8, 8) == 0, (variant, g)
+    assert _verify("quantum-curve") == (6, None)
     _report(5, "operators annihilate Z exactly on d <= 8, b <= 8, g <= 2", t0)
 
 
 def test_criterion_6_n_recursion():
     t0 = time.time()
-    checked = 0
-    for d in range(1, 6):
-        parts = enumerate_partitions(d)
-        for mu in parts:
-            for nu in parts:
-                for g in range(0, 3):
-                    b = 2 * g - 2 + len(mu) + len(nu)
-                    if b < 0 or b > 3:
-                        continue
-                    for variant in ("monotone", "strict"):
-                        for i in range(1, len(mu) + 1):
-                            rest = mu[:i - 1] + mu[i:]
-                            for l in range(1, nu[-1] + 1):
-                                assert N_value(variant, g, mu[i - 1], rest,
-                                               nu, l) == \
-                                    oracle_N(variant, g, mu, nu, l, i)
-                                checked += 1
-                        assert double_hurwitz(variant, g, mu, nu) == \
-                            monotone_double_count(
-                                g, mu, nu, strict=(variant == "strict"))
-                        checked += 1
-    _report(6, f"N-recursion == oracle on {checked} slots, d <= 5, b <= 3", t0)
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    assert _verify("n-recursion") == (746, None)
+    _report(6, "N-recursion == oracle on 746 slots, d <= 5, b <= 3", t0)
 
 
 def test_criterion_7_topological_recursion():
     t0 = time.time()
-    targets = [(g, n) for g in range(3) for n in range(1, 5)
-               if 0 < 2 * g - 2 + n <= 4]
-    checked = 0
-    for (g, n) in targets:
+    assert _verify("toprec") == (30, None)
+    for (g, n) in [(g, n) for g in range(3) for n in range(1, 5)
+                   if 0 < 2 * g - 2 + n <= 4]:
         om = ceo_omega(g, n)
-        for tot in range(n, 5):
-            for mu in _compositions(tot, n):
-                a = extract_C(om, mu)
-                assert a == cut_and_join_C(g, n, mu) == oracle_C(g, n, mu), \
-                    (g, n, mu)
-                checked += 1
         assert sigma_antisymmetry_defect(om).is_zero(), (g, n)
         for facs in pole_structure(om):
             assert facs["z"] == 0 and facs["z-1"] <= 1, (g, n)
@@ -229,20 +141,18 @@ def test_criterion_7_topological_recursion():
     target = TensorSum(3)
     target.add_term(8, (unit, unit, unit))
     assert ceo_omega(0, 3).equals(target)
-    _report(7, f"extraction == cut-and-join == oracle on {checked} correlators; "
+    _report(7, "extraction == cut-and-join == oracle on 30 correlators; "
                "omega_03 closed form, antisymmetry, pole structure", t0)
 
 
 def test_criterion_8_tropical_correspondence():
     t0 = time.time()
-    for variant, kl, expect in (
-        ("monotone", (0, 2, 0), [0, 2, 13, 44, 109]),
-        ("strict", (0, 0, 2), [0, 0, 3, 16, 51]),
-    ):
-        for d in range(1, 6):
-            got = tropical_elliptic_sum(variant, 2, d)
-            want = connected_hurwitz_qseries(1, *kl, (), d).coefficient(d)
-            assert got == want == expect[d - 1], (variant, d, got, want)
+    assert _verify("tropical") == (10, None)
+    # the character values the tropical sums equal, d = 1..5
+    for kl, expect in (((0, 2, 0), [0, 2, 13, 44, 109]),
+                       ((0, 0, 2), [0, 0, 3, 16, 51])):
+        assert connected_hurwitz_qseries(1, *kl, (), 5).coefficients(1, 5) == \
+            expect, kl
     _report(8, "elliptic tropical sums == character values, g=2, d <= 5 "
                "(pins the sinh-coefficient sign convention)", t0)
 

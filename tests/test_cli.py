@@ -127,6 +127,64 @@ def test_verify_suite():
     assert "failures: 0" in p.stdout
 
 
+def _plus_one(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) + 1
+
+
+def _series_plus_one(fn):
+    from mixedhurwitz.series import QSeries
+
+    def shifted(*args, **kwargs):
+        s = fn(*args, **kwargs)
+        return QSeries([s.coefficient(d) + 1 for d in range(s.high + 1)])
+    return shifted
+
+
+# suite, extra verify arguments, the route made wrong and how, and the first
+# counterexample verify then prints: int values (N slots), rat_str values,
+# one value that must be 0, three routes, and lists
+WRONG_ROUTE = [
+    ("n-recursion", ["--dmax", "2"], "double_recursion", "N_value", _plus_one,
+     "checked: 150", {"inputs": {"variant": "monotone", "g": 0, "mu": [1],
+                                 "nu": [1], "l": 1, "i": 1},
+                      "oracle": 1, "recursion": 2}),
+    ("oracle-vs-characters", ["--dmax", "2"], "characters",
+     "hurwitz_by_characters", _plus_one, "checked: 134",
+     {"inputs": {"g": 0, "gp": 0, "d": 1, "profiles": [], "k": 0, "l": 0,
+                 "m": 0, "connected": False},
+      "oracle": "1", "characters": "2"}),
+    ("quantum-curve", [], "quantum_curve", "residual_max_abs", _plus_one,
+     "checked: 6", {"inputs": {"variant": "monotone", "g": 0},
+                    "max_abs_residual": "1"}),
+    ("toprec", [], "spectral", "oracle_C", _plus_one, "checked: 30",
+     {"inputs": {"g": 0, "n": 3, "mu": [1, 1, 1]},
+      "extract": "8", "cut_and_join": "8", "oracle": "9"}),
+    ("golden-series", [], "characters", "connected_hurwitz_qseries",
+     _series_plus_one, "checked: 4",
+     {"inputs": {"k": 2, "l": 0, "m": 0},
+      "got": ["3", "17", "61", "161", "361", "673", "1241"],
+      "expected": [2, 16, 60, 160, 360, 672, 1240]}),
+]
+
+
+@pytest.mark.parametrize("suite,extra,module,name,wrong,count,counterexample",
+                         WRONG_ROUTE, ids=[case[0] for case in WRONG_ROUTE])
+def test_verify_prints_the_first_counterexample(
+        suite, extra, module, name, wrong, count, counterexample,
+        monkeypatch, capsys):
+    import importlib
+
+    from mixedhurwitz import cli
+
+    monkeypatch.delenv("MIXEDHURWITZ_ORACLE_DMAX", raising=False)
+    mod = importlib.import_module(f"mixedhurwitz.{module}")
+    monkeypatch.setattr(mod, name, wrong(getattr(mod, name)))
+    assert cli.main(["verify", "--suite", suite, *extra]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{count}, failures: 1",
+        json.dumps({"first_counterexample": counterexample})]
+
+
 def test_exit_codes():
     bad = run("compute", "--base-genus", "1", "--source-genus", "2",
               "--degree", "2", "--k", "1", check=False)

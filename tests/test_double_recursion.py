@@ -12,7 +12,7 @@ from mixedhurwitz.double_recursion import (
     double_hurwitz,
 )
 from mixedhurwitz.partitions import enumerate_partitions
-from mixedhurwitz.symgroup import monotone_double_count, oracle_N
+from mixedhurwitz.symgroup import monotone_double_count
 
 
 def test_N_examples():
@@ -29,26 +29,6 @@ def test_N_value_validation():
         N_value("monotone", 0, 2, (), (2, 1), 1)  # size mismatch
     with pytest.raises(DomainError):
         N_value("nope", 0, 2, (), (2,), 1)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_N_matches_oracle(d):
-    parts = enumerate_partitions(d)
-    for mu in parts:
-        for nu in parts:
-            for g in range(0, 3):
-                b = 2 * g - 2 + len(mu) + len(nu)
-                if b < 0 or b > 3:
-                    continue
-                for variant in ("monotone", "strict"):
-                    for i in range(1, len(mu) + 1):
-                        for l in range(1, nu[-1] + 1):
-                            want = oracle_N(variant, g, mu, nu, l, i)
-                            rest = mu[:i - 1] + mu[i:]
-                            got = N_value(variant, g, mu[i - 1], rest, nu, l)
-                            alt = N_value(variant, g, mu[i - 1], rest, nu, l,
-                                          inner_bound="part")
-                            assert got == want == alt, (variant, g, mu, nu, l, i)
 
 
 def test_double_hurwitz_examples():

@@ -1,4 +1,7 @@
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -39,6 +42,19 @@ def test_enumerate_partitions_through_degree_30():
         assert len(set(parts)) == len(parts) == partition_count(d)
         assert all(check_partition(p) == p and sum(p) == d for p in parts)
         assert parts[0] == ((d,) if d else ()) and parts[-1] == (1,) * d
+
+
+def test_partition_count_of_a_large_degree_on_a_cold_table():
+    # a fresh process, so no smaller p(n) is known yet
+    code = ("from mixedhurwitz.partitions import partition_count as p; "
+            "p(1500); print(p(1000))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(mixedhurwitz.__file__)),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "24061467864032622473692149727991"
 
 
 def test_hurwitz_spec_is_a_frozen_value():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mixedhurwitz.errors import DomainError
+from mixedhurwitz.partitions import compositions
 from mixedhurwitz.ratfun import RF1, MultiPoly, Poly1, TensorSum
 from mixedhurwitz.spectral import (
     OMEGA02,
@@ -15,7 +16,6 @@ from mixedhurwitz.spectral import (
     cut_and_join_C,
     extract_C,
     omega01,
-    oracle_C,
     pole_structure,
     sigma_antisymmetry_defect,
     spectral_data,
@@ -23,15 +23,6 @@ from mixedhurwitz.spectral import (
     xi_coefficients,
     xi_index_form,
 )
-
-
-def compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def test_spectral_data():
@@ -143,17 +134,6 @@ def test_closed_form_examples():
     assert closed_form_C((0, 1), (3,)) == 2
     assert closed_form_C((0, 2), (1, 2)) == -4
     assert closed_form_C((0, 3), (1, 1, 2)) == -48
-
-
-@pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2)])
-def test_recursion_vs_cutjoin_vs_oracle_light(g, n):
-    om = ceo_omega(g, n)
-    for tot in range(n, 5):
-        for mu in compositions(tot, n):
-            a = extract_C(om, mu)
-            b = cut_and_join_C(g, n, mu)
-            c = oracle_C(g, n, mu)
-            assert a == b == c, (g, n, mu)
 
 
 @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)])
