@@ -307,6 +307,7 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
     from .symgroup import HurwitzSpec, count_triply_mixed, source_genus_for
 
     profile_menu = [(), ((2,),), ((3,),), ((2,), (2,))]
+    series = {}  # one connected character series per (g, k, l, m, profiles)
     for g in (0, 1):
         for profiles in profile_menu:
             for d in range(1, dmax + 1):
@@ -327,8 +328,11 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
                                                    connected=connected)
                                 oracle = count_triply_mixed(spec, oracle_limit)
                                 if connected:
-                                    chars = connected_hurwitz_qseries(
-                                        g, k, l, m, profiles, d).coefficient(d)
+                                    key = (g, k, l, m, profiles)
+                                    if key not in series:
+                                        series[key] = connected_hurwitz_qseries(
+                                            g, k, l, m, profiles, dmax)
+                                    chars = series[key].coefficient(d)
                                 else:
                                     chars = hurwitz_by_characters(spec)
                                 yield ({"g": g, "gp": gp, "d": d,

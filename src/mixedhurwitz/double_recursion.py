@@ -4,8 +4,9 @@ arbitrary-base-genus numbers through commutator counts.
 
 N-values are keyed by content: (variant, g, distinguished part, remaining
 parts sorted, nu, counter l).  The recursion strictly decreases the
-transposition count b = 2g-2+l(mu)+l(nu); b in {0,1} is anchored on the
-direct enumeration in symgroup.oracle_N, the recursion runs for b >= 2.
+transposition count b = 2g-2+l(mu)+l(nu); b in {0,1} is anchored on a
+closed form (genus 0, at most one transposition), the recursion runs for
+b >= 2.
 """
 
 from fractions import Fraction
@@ -13,7 +14,6 @@ from math import factorial
 
 from .errors import DomainError
 from .partitions import aut_count, check_partition, class_size
-from .symgroup import _oracle_N_content
 from .characters import _euler_solve, commutator_count_by_characters, subsectors
 
 # Theta(0) = 1 by convention.
@@ -50,16 +50,12 @@ def _N(variant, g, dist, rest, nu, l) -> int:
     b = 2 * g - 2 + n_mu + len(nu)
     if b < 0:
         return 0
+    if b <= 1:
+        return _anchor(b, rest, nu, l)
     key = (variant, g, dist, rest, nu, l)
     hit = _n_cache.get(key)
     if hit is not None:
         return hit
-    d = sum(nu)
-    if b <= 1:
-        val = _oracle_N_content(variant, dist, rest, nu, l, b, d,
-                                limit=10**9)  # b<=1 direct count is polynomial
-        _n_cache[key] = val
-        return val
 
     strict = variant == "strict"
     p_hi = l - 1 if strict else l
@@ -118,6 +114,22 @@ def _N(variant, g, dist, rest, nu, l) -> int:
 
     _n_cache[key] = total
     return total
+
+
+def _anchor(b, rest, nu, l) -> int:
+    """N at b <= 1, where g = 0 and both variants agree.
+
+    b = 0: mu = nu = (d), one tuple at the slot l = d.  b = 1 with nu = (a, c)
+    and mu = (d): the transposition (s, t_b) joins the two cycles for each of
+    the a points s of the first one.  b = 1 with nu = (d) and mu = (dist, r):
+    (s, t_b) cuts the d-cycle, leaving the cycle through t_b = l - 1 of
+    length dist for exactly one s < t_b, which exists iff r <= l - 1.
+    """
+    if b == 0:
+        return int(l == nu[0])
+    if len(nu) == 2:
+        return nu[0]
+    return int(rest[0] <= l - 1)
 
 
 def _second_factor(variant, g2, beta, I2, nu_J) -> int:

@@ -14,7 +14,6 @@ strictly monotone transpositions, one right multiplication per step.  Orbits
 are label tuples (each point labelled by the least point of its orbit).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations as iter_permutations
@@ -141,6 +140,34 @@ def orbit_labels(d: int, gens=()):
     return lab
 
 
+@cache
+def _labels_of(p):
+    """The cycles of the permutation p as a label tuple: orbit_labels(len(p), (p,))."""
+    lab = [-1] * len(p)
+    for x in range(len(p)):
+        j = x
+        while lab[j] < 0:
+            lab[j] = x
+            j = p[j]
+    return tuple(lab)
+
+
+_joined = {}  # one tuple per result: the B(d) set partitions (203 at d = 6)
+
+
+@cache
+def _join(a, b):
+    """The join of two label tuples, orbit_labels(len(a), (a, b)).
+
+    There are at most B(d)^2 pairs of set partitions (52^2 at d = 5), and the
+    cached results share one tuple per set partition.
+    """
+    lab = a
+    for x, y in enumerate(b):
+        lab = _merge(lab, x, y)
+    return _joined.setdefault(lab, lab)
+
+
 # ---------------------------------------------------------------------------
 # commutator tables
 
@@ -156,14 +183,22 @@ def commutator_pair_table(d: int):
         return _pair_tables[d]
     table = {}
     perms = all_perms(d)
+    inv = {a: inverse(a) for a in perms}
     for a in perms:
-        a_inv = inverse(a)
+        a_inv, a_lab = inv[a], _labels_of(a)
+        # <a,b> by the cycles of b; local to a, as the (d!)^2 pairs would
+        # fill the module-wide _join cache with B(d)^2 entries
+        joins = {}
         for b in perms:
-            # [a,b] = a b a^-1 b^-1
-            kappa = compose(compose(a, b), compose(a_inv, inverse(b)))
-            orb = orbit_labels(d, (a, b))
-            table.setdefault(kappa, {})
-            table[kappa][orb] = table[kappa].get(orb, 0) + 1
+            # [a,b] = a b a^-1 b^-1, read right to left as index lookups
+            ab = tuple(map(a.__getitem__, b))
+            kappa = tuple(map(ab.__getitem__, map(a_inv.__getitem__, inv[b])))
+            b_lab = _labels_of(b)
+            orb = joins.get(b_lab)
+            if orb is None:
+                orb = joins[b_lab] = orbit_labels(d, (a_lab, b_lab))
+            by_orbit = table.setdefault(kappa, {})
+            by_orbit[orb] = by_orbit.get(orb, 0) + 1
     _pair_tables[d] = table
     return table
 
@@ -183,12 +218,11 @@ def commutator_tuple_table(d: int, g: int):
             dest = out.setdefault(kappa, {})
             for p1, c1 in orbs1.items():
                 for p2, c2 in orbs2.items():
-                    joined = orbit_labels(d, (p1, p2))
+                    joined = _join(p1, p2)
                     dest[joined] = dest.get(joined, 0) + c1 * c2
     return out
 
 
-@dataclass(frozen=True)
 class FactorizationTuple:
     """One explicit witness tuple for a HurwitzSpec.
 
@@ -197,11 +231,12 @@ class FactorizationTuple:
     checks the product relation and the monotone blocks.
     """
 
-    spec: HurwitzSpec
-    sigmas: tuple
-    taus: tuple
-    alphas: tuple = ()
-    betas: tuple = ()
+    __slots__ = ("spec", "sigmas", "taus", "alphas", "betas")
+
+    def __init__(self, spec: HurwitzSpec, sigmas: tuple, taus: tuple,
+                 alphas: tuple = (), betas: tuple = ()):
+        self.spec, self.sigmas, self.taus = spec, sigmas, taus
+        self.alphas, self.betas = alphas, betas
 
     def validate(self) -> bool:
         d = self.spec.degree
@@ -303,10 +338,12 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
     """Exact (1/d!) * number of triply mixed factorizations of the given type.
 
     Transitivity is enforced iff spec.connected; the labeled variant multiplies
-    by Aut of the profiles as given.  Never consults any cache: every call
-    re-enumerates.  The profiles run over their full conjugacy classes: no
-    symmetry is used, so this stays an independent check of the specialized
-    enumerators below.
+    by Aut of the profiles as given.  Every call re-enumerates its walk: no
+    Hurwitz count and no character value is cached.  The memos hold only
+    permutation and set-partition combinatorics: inverses, cycle labels,
+    label joins and the commutator table of each degree.  The profiles run
+    over their full conjugacy classes: no symmetry is used, so this stays an
+    independent check of the specialized enumerators below.
     """
     if spec.degree > oracle_limit:
         raise ResourceLimitError(
@@ -318,7 +355,7 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
     states = {(ident, 0, orbit_labels(d) if spec.connected else None): 1}
     for prof in spec.padded_profiles():
         states = _tally(
-            ((compose(p, s), 0, None if lab is None else orbit_labels(d, (lab, s))), c)
+            ((compose(p, s), 0, None if lab is None else _join(lab, _labels_of(s))), c)
             for (p, _, lab), c in states.items()
             for s in perms_of_type(d, prof)
         )
@@ -336,7 +373,7 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
             by_orbit = comm_table.get(prod, {})
             total += mult * sum(
                 c for p, c in by_orbit.items()
-                if not (spec.connected and any(orbit_labels(d, (q, p))))
+                if not (spec.connected and any(_join(q, p)))
             )
 
     if spec.labeled:
@@ -453,17 +490,9 @@ def oracle_N(variant: str, g: int, mu, nu, l: int, i: int,
     b = 2 * g - 2 + len(mu) + len(nu)
     if g < 0 or b < 0:
         raise DomainError("infeasible genus")
-    return _oracle_N_content(variant, mu[i - 1],
-                             mu[: i - 1] + mu[i:], nu, l, b, d, limit)
-
-
-def _oracle_N_content(variant, dist, rest, nu, l, b, d, limit):
-    rest = tuple(sorted(rest, reverse=True))
-    mu_sorted = tuple(sorted((dist,) + rest, reverse=True))
+    dist, rest = mu[i - 1], mu[: i - 1] + mu[i:]
     if b == 0:
-        ok = (mu_sorted == nu and len(nu) == 1 and dist == nu[0]
-              and l == nu[-1])
-        return 1 if ok else 0
+        return int(mu == nu and len(nu) == 1 and l == nu[-1])
     if b >= 2 and d > limit:
         raise ResourceLimitError(f"degree {d} above oracle limit {limit}")
     sigma1 = canonical_of_type(nu, d)
@@ -474,7 +503,7 @@ def _oracle_N_content(variant, dist, rest, nu, l, b, d, limit):
     ends = _walk(d, states, ((b, STRICT if variant == "strict" else WEAK),))
     total = sum(c for (p, last, lab), c in ends.items()
                 if last == t_last and not any(lab)
-                and cycle_type(p) == mu_sorted
+                and cycle_type(p) == mu
                 # the cycle containing t_b carries the distinguished label
                 and _cycle_len_through(p, t_last) == dist)
     return total * aut_count(rest)

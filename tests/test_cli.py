@@ -343,6 +343,20 @@ def test_compute_by_characters_loads_no_oracle_code():
     assert not loaded & {"mixedhurwitz.symgroup", "dataclasses"}
 
 
+def test_oracle_suite_loads_no_dataclasses():
+    loaded = all_loaded_modules("verify", "--suite", "oracle-vs-characters",
+                                "--dmax", "2")
+    assert "mixedhurwitz.symgroup" in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_double_loads_no_oracle_code():
+    loaded = all_loaded_modules("double", "--variant", "monotone", "--genus",
+                                "1", "--mu", "2,1", "--nu", "3")
+    assert "mixedhurwitz.double_recursion" in loaded
+    assert not loaded & {"mixedhurwitz.symgroup", "dataclasses"}
+
+
 def test_character_route_refuses_a_degree_past_its_partition_budget():
     args = ["compute", "--base-genus", "1", "--source-genus", "31",
             "--degree", "60", "--k", "60", "--connected"]

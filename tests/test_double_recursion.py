@@ -12,7 +12,7 @@ from mixedhurwitz.double_recursion import (
     double_hurwitz,
 )
 from mixedhurwitz.partitions import enumerate_partitions
-from mixedhurwitz.symgroup import monotone_double_count
+from mixedhurwitz.symgroup import monotone_double_count, oracle_N
 
 
 def test_N_examples():
@@ -88,3 +88,25 @@ def test_base_case_convention():
     assert N_value("monotone", 0, 3, (), (3,), 3) == 1
     assert N_value("monotone", 0, 3, (), (3,), 2) == 0
     assert N_value("strict", 0, 3, (), (3,), 3) == 1
+
+
+def test_anchors_match_the_direct_count():
+    # the b <= 1 anchors are a closed form; every such slot at d <= 8 must
+    # agree with the oracle's direct count
+    slots = 0
+    for variant in ("monotone", "strict"):
+        for d in range(1, 9):
+            parts = enumerate_partitions(d)
+            for mu in parts:
+                for nu in parts:
+                    b = len(mu) + len(nu) - 2
+                    if b > 1:
+                        continue
+                    for i in range(len(mu)):
+                        dist, rest = mu[i], mu[:i] + mu[i + 1:]
+                        for l in range(1, nu[-1] + 1):
+                            slots += 1
+                            assert N_value(variant, 0, dist, rest, nu, l) == \
+                                oracle_N(variant, 0, mu, nu, l, i + 1, 8), \
+                                (variant, mu, nu, i, l)
+    assert slots == 508

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -8,15 +9,24 @@ from mixedhurwitz.partitions import aut_count, enumerate_partitions
 from mixedhurwitz.symgroup import (
     DEFAULT_ORACLE_LIMIT,
     HurwitzSpec,
+    _join,
+    _labels_of,
+    all_perms,
     canonical_of_type,
     classical_hurwitz_count,
+    commutator_pair_table,
+    commutator_tuple_table,
+    compose,
     count_commutator_type,
     count_monotone_of_fixed_target,
     count_triply_mixed,
     cycle_type,
+    identity,
+    inverse,
     monotone_double_count,
     oracle_N,
     oracle_N_aggregate,
+    orbit_labels,
     source_genus_for,
 )
 
@@ -139,6 +149,41 @@ def test_commutator_counts():
             total = sum(count_commutator_type(g, nu, d)
                         for nu in enumerate_partitions(d))
             assert total == factorial(d) ** (2 * g)
+
+
+def _naive_commutator_table(d, g):
+    """{kappa: {orbit labels: count}} over every 2g-tuple, by plain products."""
+    table = {}
+    for handles in product(all_perms(d), repeat=2 * g):
+        kappa = identity(d)
+        for a, b in zip(handles[::2], handles[1::2]):
+            kappa = compose(kappa, compose(compose(a, b),
+                                           compose(inverse(a), inverse(b))))
+        orb = orbit_labels(d, handles)
+        by_orbit = table.setdefault(kappa, {})
+        by_orbit[orb] = by_orbit.get(orb, 0) + 1
+    return table
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_commutator_pair_table_matches_plain_products(d):
+    assert commutator_pair_table(d) == _naive_commutator_table(d, 1)
+
+
+def test_commutator_tuple_table_matches_plain_products():
+    assert commutator_tuple_table(3, 2) == _naive_commutator_table(3, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_label_joins_match_orbit_labels(d):
+    for p in all_perms(d):
+        assert _labels_of(p) == orbit_labels(d, (p,))
+    # every set partition is the cycle partition of some permutation
+    labels = {orbit_labels(d, (p,)) for p in all_perms(d)}
+    assert len(labels) == [1, 1, 2, 5, 15, 52][d]
+    for a in labels:
+        for b in labels:
+            assert _join(a, b) == orbit_labels(d, (a, b))
 
 
 def test_disconnected_assembles_from_connected():
