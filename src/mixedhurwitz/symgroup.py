@@ -142,30 +142,14 @@ def orbit_labels(d: int, gens=()):
 
 @cache
 def _labels_of(p):
-    """The cycles of the permutation p as a label tuple: orbit_labels(len(p), (p,))."""
-    lab = [-1] * len(p)
-    for x in range(len(p)):
-        j = x
-        while lab[j] < 0:
-            lab[j] = x
-            j = p[j]
-    return tuple(lab)
-
-
-_joined = {}  # one tuple per result: the B(d) set partitions (203 at d = 6)
+    """The cycles of the permutation p as a label tuple."""
+    return orbit_labels(len(p), (p,))
 
 
 @cache
 def _join(a, b):
-    """The join of two label tuples, orbit_labels(len(a), (a, b)).
-
-    There are at most B(d)^2 pairs of set partitions (52^2 at d = 5), and the
-    cached results share one tuple per set partition.
-    """
-    lab = a
-    for x, y in enumerate(b):
-        lab = _merge(lab, x, y)
-    return _joined.setdefault(lab, lab)
+    """The join of two label tuples; at most B(d)^2 pairs (52^2 at d = 5)."""
+    return orbit_labels(len(a), (a, b))
 
 
 # ---------------------------------------------------------------------------
