@@ -218,7 +218,8 @@ def _qseries_for(args):
 
 
 def cmd_qseries(args):
-    # the source genus pins b = k+l+m; validate it for the leading term
+    # --source-genus is not read: each coefficient's source genus follows
+    # from its degree and b = k+l+m
     series = _qseries_for(args)
     coeffs = [rat_str(series.coefficient(d)) for d in range(args.qmax + 1)]
     doc = {"var": "q", "coefficients": coeffs}
@@ -228,14 +229,10 @@ def cmd_qseries(args):
 
 
 def cmd_fit(args):
-    from .quasimodular import FitFailure, fit_quasimodular
+    from .quasimodular import fit_quasimodular
 
-    fit = fit_quasimodular(_qseries_for(args), args.weight)
-    if isinstance(fit, FitFailure):
-        doc = {"fit_failed": True, "residual_index": fit.residual_index}
-    else:
-        doc = fit.to_json()
-    emit(doc, args.format)
+    # a FitFailure and a QuasimodularPoly both print their own document
+    emit(fit_quasimodular(_qseries_for(args), args.weight).to_json(), args.format)
     return 0
 
 
@@ -382,7 +379,7 @@ def _suite_quantum_curve(dmax=8, bmax=8):
                    {"max_abs_residual": residual_max_abs(variant, g, dmax, bmax)})
 
 
-def _suite_toprec(mu_max=4):
+def _suite_toprec(mu_max, oracle_limit):
     from .partitions import compositions
     from .spectral import ceo_omega, cut_and_join_C, extract_C, oracle_C
 
@@ -395,7 +392,7 @@ def _suite_toprec(mu_max=4):
                 yield ({"g": g, "n": n, "mu": list(mu)},
                        {"extract": extract_C(om, mu),
                         "cut_and_join": cut_and_join_C(g, n, mu),
-                        "oracle": oracle_C(g, n, mu)})
+                        "oracle": oracle_C(g, n, mu, limit=oracle_limit)})
 
 
 def _suite_tropical(dmax=5):
@@ -441,7 +438,8 @@ SUITES = {
     "n-recursion": lambda dmax, deep, oracle_dmax:
         _suite_n_recursion(min(dmax + 1, oracle_dmax), oracle_dmax),
     "quantum-curve": lambda dmax, deep, oracle_dmax: _suite_quantum_curve(),
-    "toprec": lambda dmax, deep, oracle_dmax: _suite_toprec(),
+    "toprec": lambda dmax, deep, oracle_dmax:
+        _suite_toprec(min(4, oracle_dmax), oracle_dmax),
     "tropical": lambda dmax, deep, oracle_dmax:
         _suite_tropical(dmax=min(5 + (2 if deep else 0), 7)),
     "golden-series": lambda dmax, deep, oracle_dmax: _suite_golden_series(),
@@ -485,6 +483,9 @@ def cmd_verify(args):
     else:
         results = [run_suite(name, args.dmax, args.deep, args.oracle_dmax)
                    for name in selected]
+    for name, (count, _) in zip(selected, results):
+        if count == 0:
+            raise DomainError(f"suite {name} checked no case")
     checked = sum(r[0] for r in results)
     failures = [r[1] for r in results if r[1] is not None]
     sys.stdout.write(f"checked: {checked}, failures: {len(failures)}\n")

@@ -9,7 +9,6 @@ so c_1 = 0, c_2 = -1/24, c_3 = 0, c_4 = 7/5760.  That normalization makes
 tests.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -111,12 +110,16 @@ def completion_coefficients(nu, k_max: int):
 # quasimodular fitting
 
 
-@dataclass(frozen=True)
 class QuasimodularPoly:
-    """Polynomial in P, Q, R with exact coefficients and a mixed-weight bound."""
+    """Polynomial in P, Q, R with exact coefficients and a mixed-weight bound.
 
-    weight_bound: int
-    terms: tuple  # ((a, b, c), Fraction) sorted by (weight, (a,b,c))
+    terms: ((a, b, c), Fraction) pairs sorted by (weight, (a, b, c)).
+    """
+
+    __slots__ = ("weight_bound", "terms")
+
+    def __init__(self, weight_bound: int, terms: tuple):
+        self.weight_bound, self.terms = weight_bound, terms
 
     def coefficient(self, a, b, c) -> Fraction:
         for (mono, coef) in self.terms:
@@ -160,11 +163,13 @@ class QuasimodularPoly:
         }
 
 
-@dataclass(frozen=True)
 class FitFailure:
     """Inconsistent linear system: the q-exponent where the residual first appears."""
 
-    residual_index: int
+    __slots__ = ("residual_index",)
+
+    def __init__(self, residual_index: int):
+        self.residual_index = residual_index
 
     def to_json(self):
         return {"fit_failed": True, "residual_index": self.residual_index}
@@ -261,6 +266,4 @@ def fit_quasimodular(s: QSeries, weight_bound: int, margin: int = FIT_SAFETY_MAR
         if any(x != 0 for x in row[: dim + 1]):
             return FitFailure(residual_index=ri)
     terms = tuple((mono, sol[i]) for i, mono in enumerate(basis) if sol[i] != 0)
-    if not terms:
-        terms = ()
     return QuasimodularPoly(weight_bound=weight_bound, terms=terms)

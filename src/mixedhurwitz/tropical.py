@@ -16,14 +16,15 @@ and of internal edge weights, with (-1)^(1+val(v)) factors in the strict
 case.  A vertex-free strand of weight w contributes a deck factor w to |Aut|.
 """
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import factorial
 from operator import le
 
 from .errors import DomainError, ResourceLimitError
-from .partitions import check_partition, compositions
+from .partitions import check_partition, compositions, enumerate_partitions
 from .series import QSeries, sinh_normalized
 from .quasimodular import c_coefficient
 
@@ -75,7 +76,6 @@ def _vertex_weight(xs, vertex_genus, lam_i):
 # tropical covers as decorated graphs
 
 
-@dataclass(frozen=True)
 class TropicalCover:
     """One isomorphism class of covers.
 
@@ -87,10 +87,11 @@ class TropicalCover:
     aut: |Aut| of the cover;  degree: the covering degree.
     """
 
-    vertices: tuple
-    edges: tuple
-    aut: int
-    degree: int
+    __slots__ = ("vertices", "edges", "aut", "degree")
+
+    def __init__(self, vertices: tuple, edges: tuple, aut: int, degree: int):
+        self.vertices, self.edges = vertices, edges
+        self.aut, self.degree = aut, degree
 
     def x_sides(self, i):
         """(incoming weights, outgoing weights) at vertex i: x^-, x^+."""
@@ -119,150 +120,72 @@ class TropicalCover:
         return mult
 
 
+def _cover(vertices, edges, d):
+    """The cover of degree d with these vertices and edges.
+
+    |Aut| permutes equal edges, and a vertex-free strand of weight w adds
+    its w deck transformations.
+    """
+    aut = 1
+    for (a, t, w, k, kind), c in Counter(edges).items():
+        aut *= factorial(c) * (w**c if kind == "strand" else 1)
+    return TropicalCover(tuple(vertices), tuple(sorted(edges)), aut, d)
+
+
 # ---------------------------------------------------------------------------
 # line covers
 
 
 def enumerate_line_covers(g: int, mu, nu):
     """All (possibly disconnected) covers of the line: left profile mu, right
-    profile nu, b = 2g-2+l(mu)+l(nu) marked points, Sum lam_i = b."""
+    profile nu, b = 2g-2+l(mu)+l(nu) marked points, Sum lam_i = b.
+
+    b = 0 is the one composition of 0 into n = 0 parts: strands only.
+    """
     mu, nu = check_partition(mu), check_partition(nu)
     if sum(mu) != sum(nu):
         raise DomainError("|mu| must equal |nu|")
     b = 2 * g - 2 + len(mu) + len(nu)
-    if b < 0:
-        return []
-    out = []
-    if b == 0:
-        if mu == nu:
-            out.append(_strands_only_cover(mu))
-        return out
-    for n in range(1, b + 1):
-        for lam in compositions(b, n):
-            out.extend(_line_covers_for(lam, mu, nu))
-    return out
-
-
-def _strands_only_cover(mu):
-    edges = []
-    aut = 1
-    mult = {}
-    for w in mu:
-        mult[w] = mult.get(w, 0) + 1
-    for w, c in mult.items():
-        aut *= factorial(c) * w**c  # deck factor w per strand
-        for _ in range(c):
-            edges.append((-1, 0, w, 0, "strand"))
-    return TropicalCover(vertices=(), edges=tuple(sorted(edges)), aut=aut,
-                         degree=sum(mu))
+    return [cover for n in range(b + 1) for lam in compositions(b, n)
+            for cover in _line_covers_for(lam, mu, nu)]
 
 
 def _line_covers_for(lam, mu, nu):
-    """Sweep enumeration for a fixed lambda composition (one vertex per point)."""
-    n = len(lam)
-    d = sum(mu)
+    """Sweep enumeration for a fixed lambda composition (one vertex per point).
+
+    The open strands are counted by (weight, source), source -1 the left end.
+    Vertex i absorbs some of them and emits a partition of the absorbed weight.
+    """
+    n, d = len(lam), sum(mu)
     results = []
-
-    # open strands: dict (weight, source) -> count; sources: -1 = left end
-    start = {}
-    for w in mu:
-        start[(w, -1)] = start.get((w, -1), 0) + 1
-
-    def vertex_options(open_strands):
-        """Choices at vertex i: absorb a sub-multiset, emit a new multiset."""
-        items = sorted(open_strands.items())
-        subs = []
-
-        def pick(idx, chosen):
-            if idx == len(items):
-                subs.append(tuple(chosen))
-                return
-            (key, cnt) = items[idx]
-            for take in range(cnt + 1):
-                pick(idx + 1, chosen + [(key, take)])
-
-        pick(0, [])
-        for sub in subs:
-            x_in = []
-            for (key, take) in sub:
-                x_in.extend([key] * take)
-            win = sum(k[0] for k in x_in)
-            if win == 0:
-                continue  # every vertex needs incoming weight on a line sweep?
-            yield x_in, win
-
-    def emissions(win):
-        """Multisets of outgoing weights with total win."""
-        def rec(remaining, maxw):
-            if remaining == 0:
-                yield ()
-                return
-            for w in range(min(remaining, maxw), 0, -1):
-                for rest in rec(remaining - w, w):
-                    yield (w,) + rest
-
-        yield from rec(win, win)
 
     def sweep(i, open_strands, vertices, edges):
         if i == n:
-            # remaining strands exit right; weights must match nu
-            weights = []
-            for (w, src), c in open_strands.items():
-                weights.extend([w] * c)
-            if tuple(sorted(weights, reverse=True)) != nu:
-                return
-            final_edges = list(edges)
-            for (w, src), c in open_strands.items():
-                kind = "strand" if src == -1 else "end"
-                for _ in range(c):
-                    final_edges.append((src, n, w, 0, kind))
-            results.append(_finish_line(vertices, final_edges, n, d))
+            # the open strands exit right and must carry nu
+            ends = [(src, n, w, 0, "strand" if src == -1 else "end")
+                    for (w, src), c in open_strands.items() for _ in range(c)]
+            if tuple(sorted((e[2] for e in ends), reverse=True)) == nu:
+                results.append(_cover(vertices, edges + ends, d))
             return
-        for x_in, win in vertex_options(open_strands):
-            # remove absorbed strands
-            nopen = dict(open_strands)
-            in_counts = {}
-            for key in x_in:
-                in_counts[key] = in_counts.get(key, 0) + 1
-            for key, c in in_counts.items():
-                nopen[key] -= c
-                if nopen[key] == 0:
-                    del nopen[key]
-            for x_out in emissions(win):
-                val = len(x_in) + len(x_out)
-                two_gv = lam[i] + 2 - val
-                if two_gv < 0 or two_gv % 2:
-                    continue
-                gv = two_gv // 2
-                nopen2 = dict(nopen)
-                for w in x_out:
-                    nopen2[(w, i)] = nopen2.get((w, i), 0) + 1
-                nedges = list(edges)
-                for (w, src) in x_in:
-                    kind = "end" if src == -1 else "internal"
-                    nedges.append((src, i, w, 0, kind))
-                sweep(i + 1, nopen2, vertices + ((gv, lam[i]),), nedges)
+        items = sorted(open_strands.items())
+        for takes in product(*(range(c + 1) for _, c in items)):
+            win = sum(w * t for ((w, _), _), t in zip(items, takes))
+            if win == 0:
+                # a vertex that absorbs nothing is an isolated component of
+                # degree 0
+                continue
+            x_in = [(src, i, w, 0, "end" if src == -1 else "internal")
+                    for ((w, src), _), t in zip(items, takes) for _ in range(t)]
+            rest = {key: c - t for (key, c), t in zip(items, takes) if c > t}
+            for x_out in enumerate_partitions(win):
+                two_gv = lam[i] + 2 - len(x_in) - len(x_out)
+                if two_gv >= 0 and two_gv % 2 == 0:
+                    # the strands vertex i emits are new keys (w, i)
+                    sweep(i + 1, {**rest, **Counter((w, i) for w in x_out)},
+                          vertices + ((two_gv // 2, lam[i]),), edges + x_in)
 
-    sweep(0, start, (), [])
+    sweep(0, Counter((w, -1) for w in mu), (), [])
     return results
-
-
-def _finish_line(vertices, edges, n, d):
-    aut = _aut_from_edges(edges)
-    return TropicalCover(vertices=tuple(vertices), edges=tuple(sorted(edges)),
-                         aut=aut, degree=d)
-
-
-def _aut_from_edges(edges):
-    classes = {}
-    for e in edges:
-        classes[e] = classes.get(e, 0) + 1
-    aut = 1
-    for e, c in classes.items():
-        aut *= factorial(c)
-        if e[4] == "strand":
-            aut *= e[2] ** c  # deck transformations of a free strand
-    return aut
 
 
 def tropical_double_sum(variant: str, g: int, mu, nu) -> Fraction:
@@ -270,7 +193,7 @@ def tropical_double_sum(variant: str, g: int, mu, nu) -> Fraction:
     if variant not in ("monotone", "strict"):
         raise DomainError(f"unknown variant {variant}")
     total = Fraction(0)
-    for cover in enumerate_line_covers(g, check_partition(mu), check_partition(nu)):
+    for cover in enumerate_line_covers(g, mu, nu):
         total += cover.multiplicity(variant)
     return total
 
@@ -303,8 +226,11 @@ def enumerate_elliptic_covers(g: int, d: int, max_degree: int = 24,
         for lam in compositions(2 * g - 2, n):
             covers = []
             for shapes in _elliptic_graphs(lam, d, budget):
-                for counts in _balanced_weights(shapes, n, d, budget):
-                    _try_build(lam, d, counts, covers)
+                for edges in _balanced_weights(shapes, n, d, budget):
+                    # lam_i = val(v_i) + 2 g(v_i) - 2
+                    val = Counter(v for e in edges for v in e[:2])
+                    covers.append(_cover([((l + 2 - val[i]) // 2, l)
+                                          for i, l in enumerate(lam)], edges, d))
             # the fixed order in which --list prints the covers
             covers.sort(key=lambda c: tuple((-a, -t, -w, -k)
                                             for (a, t, w, k, _) in c.edges))
@@ -369,8 +295,8 @@ def _balanced_weights(shapes, n, d, budget):
     Balancing makes every arc carry the same weight, so the d-sheet condition
     is the one equation on the p_0 arc.  The edges off a spanning tree take
     free weights, non-increasing within equal shapes; peeling the tree's
-    leaves then forces its weights.  Yields each solution as a tuple of
-    ((a, t, w, k), count) pairs, and none for a disconnected graph.
+    leaves then forces its weights.  Yields each solution as a list of
+    edges (a, t, w, k, "internal"), and none for a disconnected graph.
     """
     # spanning tree by search from vertex 0: order[i] = (vertex, its tree edge)
     tree, order, seen = set(), [], {0}
@@ -415,10 +341,7 @@ def _balanced_weights(shapes, n, d, budget):
     def rec(i):
         if i == len(free):
             if forced():
-                counts = {}
-                for (a, t, k), x in zip(shapes, w):
-                    counts[(a, t, x, k)] = counts.get((a, t, x, k), 0) + 1
-                yield tuple(counts.items())
+                yield [(a, t, x, k, "internal") for (a, t, k), x in zip(shapes, w)]
             return
         e = free[i]
         hi = 1 + min(slack[m] // c for m, c in enumerate(crossings[e]) if c)
@@ -434,56 +357,6 @@ def _balanced_weights(shapes, n, d, budget):
                 slack[m] += c * (x - 1)
 
     yield from rec(0)
-
-
-def _try_build(lam, d, counts, results):
-    n = len(lam)
-    edges = []
-    for (e, c) in counts:
-        a, t, w, k = e
-        for _ in range(c):
-            edges.append((a, t, w, k, "internal"))
-    # valences and balancing
-    val = [0] * n
-    out_w = [0] * n
-    in_w = [0] * n
-    for (a, t, w, k, kind) in edges:
-        val[a] += 1
-        val[t] += 1
-        out_w[a] += w
-        in_w[t] += w
-    genera = []
-    for i in range(n):
-        if out_w[i] != in_w[i] or val[i] == 0:
-            return
-        two_gv = lam[i] + 2 - val[i]
-        if two_gv < 0 or two_gv % 2:
-            return
-        genera.append(two_gv // 2)
-    # connectivity over vertices through edges
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, t, w, k, kind) in edges:
-        ra, rt = find(a), find(t)
-        if ra != rt:
-            parent[ra] = rt
-    if len({find(i) for i in range(n)}) != 1:
-        return
-    aut = _aut_from_edges(edges)
-    results.append(
-        TropicalCover(
-            vertices=tuple((genera[i], lam[i]) for i in range(n)),
-            edges=tuple(sorted(edges)),
-            aut=aut,
-            degree=d,
-        )
-    )
 
 
 def tropical_elliptic_sum(variant: str, g: int, d: int) -> Fraction:

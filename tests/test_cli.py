@@ -75,6 +75,12 @@ def test_fit_first_appendix_polynomial():
     assert terms[(0, 0, 1)] == "-1/12960"
 
 
+def test_fit_failure_document():
+    p = run("fit", "--source-genus", "2", "--k", "2", "--qmax", "12",
+            "--weight", "2", "--bracket")
+    assert p.stdout == '{"fit_failed": true, "residual_index": 2}\n'
+
+
 def test_toprec_document():
     p = run("toprec", "--g", "0", "--n", "3", "--mu", "1,1,2")
     doc = json.loads(p.stdout)
@@ -193,6 +199,36 @@ def test_exit_codes():
               "--source-genus", "0", "--degree", "5", "--profiles", "5",
               "--l", "4", "--method", "oracle", check=False)
     assert res.returncode == 3          # above the oracle limit
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "oracle-vs-characters", "--dmax", "0"],
+    ["--oracle-dmax", "0", "verify", "--suite", "all"],
+    ["--oracle-dmax", "0", "verify", "--suite", "toprec"],
+], ids=["dmax-0", "oracle-dmax-0-all", "oracle-dmax-0-toprec"])
+def test_verify_checking_no_case_is_a_domain_error(args):
+    p = run(*args, check=False)
+    assert p.returncode == 2, p.stderr
+    assert p.stderr.startswith("domain error:") and "checked no case" in p.stderr
+
+
+def test_verify_pool_prints_what_the_serial_run_prints():
+    serial = run("--jobs", "1", "verify", "--suite", "all").stdout
+    assert serial == "checked: 1110, failures: 0\n"
+    assert run("--jobs", "2", "verify", "--suite", "all").stdout == serial
+
+
+def test_tracer_hooks_still_resolve(tmp_path):
+    # perfbench/traced_cli.py wraps src functions and reads memo tables by
+    # name; a rename here would break its per-layer trace
+    args = ["toprec", "--g", "1", "--n", "2", "--mu", "1,2", "--skip-oracle"]
+    out = tmp_path / "trace.json"
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    p = subprocess.run([sys.executable, str(tracer), *args], capture_output=True,
+                       text=True, env=child_env({"PERFBENCH_TRACE_OUT": str(out)}))
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == run(*args).stdout
+    assert json.loads(out.read_text())["counts"]["cli.main.calls"] == 1
 
 
 def test_byte_identical_documents():
@@ -348,6 +384,16 @@ def test_oracle_suite_loads_no_dataclasses():
                                 "--dmax", "2")
     assert "mixedhurwitz.symgroup" in loaded
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("tropical", "--genus", "2", "--degree", "3", "--variant", "strict"),
+    ("fit", "--source-genus", "2", "--k", "2", "--qmax", "12", "--weight",
+     "6", "--bracket"),
+    ("verify", "--suite", "tropical"),
+], ids=["tropical", "fit", "verify-tropical"])
+def test_tropical_and_fit_load_no_dataclasses(argv):
+    assert "dataclasses" not in all_loaded_modules(*argv)
 
 
 def test_double_loads_no_oracle_code():

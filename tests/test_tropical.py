@@ -61,6 +61,7 @@ def _check_cover_invariants(cover: TropicalCover, elliptic_genus=None):
     lam_total = 0
     for i, (gv, lam) in enumerate(cover.vertices):
         xm, xp = cover.x_sides(i)
+        assert len(xm) + len(xp) >= 1             # valence
         assert sum(xm) == sum(xp) >= 1            # balancing
         assert lam == len(xm) + len(xp) + 2 * gv - 2
         assert lam >= 1
@@ -71,14 +72,21 @@ def _check_cover_invariants(cover: TropicalCover, elliptic_genus=None):
         e = len(cover.edges)
         h1 = e - n + 1
         assert h1 + sum(gv for gv, _ in cover.vertices) == elliptic_genus
+        # connected: n rounds of spreading along the edges reach every vertex
+        reached = {0}
+        for _ in range(n):
+            reached |= {v for (a, b, *_) in cover.edges if {a, b} & reached
+                        for v in (a, b)}
+        assert reached == set(range(n))
 
 
 def test_elliptic_cover_invariants_and_values():
-    for d in (1, 2, 3, 4):
-        covers = enumerate_elliptic_covers(2, d)
-        for c in covers:
-            _check_cover_invariants(c, elliptic_genus=2)
-            assert c.degree == d
+    for g in (2, 3):
+        for d in (1, 2, 3, 4):
+            covers = enumerate_elliptic_covers(g, d)
+            for c in covers:
+                _check_cover_invariants(c, elliptic_genus=g)
+                assert c.degree == d
     assert tropical_elliptic_sum("monotone", 2, 2) == 2
     assert tropical_elliptic_sum("strict", 2, 2) == 0
     assert tropical_elliptic_sum("monotone", 2, 3) == 13
@@ -94,8 +102,14 @@ def test_elliptic_bounds():
 
 
 def test_line_cover_invariants():
-    for c in enumerate_line_covers(1, (2, 1), (2, 1)):
-        _check_cover_invariants(c)
+    # line covers may be disconnected; b = 0 gives the strands-only covers
+    for d in (1, 2, 3):
+        for mu in enumerate_partitions(d):
+            for nu in enumerate_partitions(d):
+                for g in (0, 1):
+                    for c in enumerate_line_covers(g, mu, nu):
+                        _check_cover_invariants(c)
+                        assert c.degree == d
 
 
 def test_per_type_partition_of_total():
