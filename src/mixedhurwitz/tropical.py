@@ -93,6 +93,15 @@ class TropicalCover:
         self.vertices, self.edges = vertices, edges
         self.aut, self.degree = aut, degree
 
+    def _key(self):
+        return (self.vertices, self.edges, self.aut, self.degree)
+
+    def __eq__(self, other):
+        return isinstance(other, TropicalCover) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def x_sides(self, i):
         """(incoming weights, outgoing weights) at vertex i: x^-, x^+."""
         xm, xp = [], []

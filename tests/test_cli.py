@@ -212,6 +212,22 @@ def test_verify_checking_no_case_is_a_domain_error(args):
     assert p.stderr.startswith("domain error:") and "checked no case" in p.stderr
 
 
+def test_verify_counterexample_outranks_an_empty_suite(monkeypatch, capsys):
+    # three suites check no case at --oracle-dmax 0, but the tropical one
+    # finds a counterexample: it is printed and verify exits 1, not 2
+    from mixedhurwitz import cli, tropical
+
+    monkeypatch.delenv("MIXEDHURWITZ_ORACLE_DMAX", raising=False)
+    monkeypatch.setattr(tropical, "tropical_elliptic_sum",
+                        _plus_one(tropical.tropical_elliptic_sum))
+    assert cli.main(["--oracle-dmax", "0", "verify", "--suite", "all"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "checked: 20, failures: 1",
+        json.dumps({"first_counterexample": {
+            "inputs": {"variant": "monotone", "g": 2, "d": 1},
+            "tropical": "1", "characters": "0"}})]
+
+
 def test_verify_pool_prints_what_the_serial_run_prints():
     serial = run("--jobs", "1", "verify", "--suite", "all").stdout
     assert serial == "checked: 1110, failures: 0\n"
