@@ -98,7 +98,8 @@ def build_parser():
 
     q = sub.add_parser("qseries", help="generating series over the degree")
     q.add_argument("--base-genus", type=int, required=True)
-    q.add_argument("--source-genus", type=int, required=True)
+    q.add_argument("--source-genus", type=int, required=True, help="checked "
+                   "at base genus 1; elsewhere it varies with d and is not read")
     q.add_argument("--profiles", default="")
     q.add_argument("--k", type=int, default=0)
     q.add_argument("--l", type=int, default=0)
@@ -111,7 +112,8 @@ def build_parser():
 
     f = sub.add_parser("fit", help="fit a q-series into Q[P,Q,R]")
     f.add_argument("--base-genus", type=int, default=1)
-    f.add_argument("--source-genus", type=int, required=True)
+    f.add_argument("--source-genus", type=int, required=True, help="checked "
+                   "at base genus 1; elsewhere it varies with d and is not read")
     f.add_argument("--profiles", default="")
     f.add_argument("--k", type=int, default=0)
     f.add_argument("--l", type=int, default=0)
@@ -196,13 +198,18 @@ def cmd_compute(args):
 def _qseries_for(args):
     from .characters import (check_partition_budget, connected_hurwitz_qseries,
                              sector_value)
-    from .partitions import partition_count
+    from .partitions import partition_count, strip_ones
     from .series import QSeries
 
     if args.qmax < 0:
         raise DomainError("--qmax must be >= 0")
     profiles = parse_profiles(args.profiles)
-    stripped = tuple(tuple(x for x in p if x != 1) for p in profiles)
+    b = args.k + args.l + args.m
+    if args.base_genus == 1 and 2 * args.source_genus - 2 != b + sum(
+            sum(p) - len(p) for p in profiles):
+        raise DomainError(f"--source-genus {args.source_genus} does not fit "
+                          f"base genus 1 with k+l+m = {b} and these profiles")
+    stripped = tuple(strip_ones(p) for p in profiles)
     if args.bracket:
         check_partition_budget(args.qmax)
         num = QSeries([
@@ -218,8 +225,6 @@ def _qseries_for(args):
 
 
 def cmd_qseries(args):
-    # --source-genus is not read: each coefficient's source genus follows
-    # from its degree and b = k+l+m
     series = _qseries_for(args)
     coeffs = [rat_str(series.coefficient(d)) for d in range(args.qmax + 1)]
     doc = {"var": "q", "coefficients": coeffs}

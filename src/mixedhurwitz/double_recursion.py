@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError
-from .partitions import aut_count, check_partition, class_size
+from .partitions import aut_count, check_partition, class_size, strip_ones
 from .characters import _euler_solve, commutator_count_by_characters, subsectors
 
 # Theta(0) = 1 by convention.
@@ -182,7 +182,7 @@ def disconnected_double(variant: str, mu, nu, b: int) -> Fraction:
     if sum(mu) != sum(nu):
         raise DomainError("|mu| must equal |nu|")
     d = sum(mu)
-    mu1, nu1 = _strip(mu), _strip(nu)
+    mu1, nu1 = strip_ones(mu), strip_ones(nu)
     kl = (0, b, 0) if variant == "monotone" else (0, 0, b)
     target = (kl[0], kl[1], kl[2], (mu1, nu1), d)
     connected = {}
@@ -192,10 +192,6 @@ def disconnected_double(variant: str, mu, nu, b: int) -> Fraction:
             continue
         connected[s] = _connected_sector(variant, pmu, pnu, l1 + m1, d1)
     return _exp_at(connected, target)
-
-
-def _strip(p):
-    return tuple(x for x in p if x != 1)
 
 
 def _connected_sector(variant, pmu, pnu, b, d) -> Fraction:

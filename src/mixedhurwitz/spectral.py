@@ -1,13 +1,18 @@
 """CEO topological recursion on the curve x = (z-1)^2/z, y = z/(z-1)^3.
 
-Multidifferentials are stored with the dz's stripped as TensorSum values; the
-deck involution is sigma(z) = 1/z, and a sigma-pullback of a coefficient goes
-through RF1.sigma_pullback(), which carries the d(1/z)/dz = -1/z^2 chain
-factor.  Each stable omega_{g,n} is a combination of pure tensors of the basis
-xi_k(z) = z^k/(1+z)^(2k+2), whose sigma-pullback is -xi_k, so the recursion
-works on {index tuple: Fraction} maps.  Residues are taken at z = -1 only (the
-z = 1 residue does not contribute for this curve); they are tables per basis
-index, computed once from Laurent expansions in t = z + 1.
+Each stable omega_{g,n} (dz's stripped) is a combination of pure tensors of
+the basis xi_k(z) = z^k/(1+z)^(2k+2), and it keeps one form from the
+recursion through extraction: an XiForm, the map {(k_1..k_n): int} of its
+coefficients.  The deck involution sigma(z) = 1/z pulls xi_k back to -xi_k,
+so the recursion works on index tuples alone.  Residues are taken at z = -1
+only (the z = 1 residue does not contribute for this curve); they are
+integer tables per basis index, computed once from Laurent expansions in
+t = z + 1.  Extraction at infinity of xi_k is a closed-form binomial sum.
+
+RF1 and TensorSum carry the initial data (omega_{0,1}; omega_{0,2} is the
+symbolic Bergman kernel) and the rational-function checks, which build the
+TensorSum of xi(k) factors from an XiForm; there RF1.sigma_pullback()
+carries the d(1/z)/dz = -1/z^2 chain factor.
 
 Conventions: x = (z-1)^2/z (the normalization fixed by x(1/z) = x(z));
 extraction at infinity uses u = 1/z, where x = (1-u)^2/u.
@@ -82,6 +87,21 @@ def xi(k: int) -> RF1:
     return RF1(Poly1([0] * k + [1]), den, reduce=False)
 
 
+class XiForm:
+    """A stable omega_{g,n}: terms maps (k_1..k_n) to the int coefficient of
+    xi_{k_1}(z_1) ... xi_{k_n}(z_n)."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n, terms):
+        self.n, self.terms = n, terms
+
+    def tensor(self) -> TensorSum:
+        """The same multidifferential as a TensorSum of xi(k) factors."""
+        return TensorSum(self.n, {tuple(xi(k) for k in ks): c
+                                  for ks, c in self.terms.items()})
+
+
 def _xi_split(pp) -> dict:
     """A principal part {j: c} at w = -1 in the basis, as {k: c}.
 
@@ -130,12 +150,6 @@ def xi_coefficients(f: RF1) -> dict:
     if den.valuation() != top:
         raise DomainError(f"{f} has a pole off z = -1")
     return _xi_split({top - i: c for i, c in enumerate(num.c)})
-
-
-def xi_index_form(om: TensorSum) -> dict:
-    """ceo_omega's output as {(k_1..k_n): c}; the factor xi_k has numerator z^k."""
-    return {tuple(f.num.degree() for f in factors): c
-            for factors, c in om.terms.items()}
 
 
 def b_self_sigma() -> RF1:
@@ -187,7 +201,7 @@ def _bergman_diff_at(q) -> dict:
 
 
 def _z_power(m) -> Poly1:
-    """z^m = (t - 1)^m."""
+    """(v - 1)^m in v: z^m in t = z + 1, and (1 - u)^m for even m."""
     return Poly1([comb(m, i) * (-1) ** (m - i) for i in range(m + 1)])
 
 
@@ -200,7 +214,8 @@ def _residue(num: Poly1, order, factors) -> dict:
     """Res_{z=-1} num(t) t^-order K(z1, z) prod factors, in the xi basis.
 
     K's z1 bifactor is expanded by _kernel_at; the result has z1 first,
-    then the variable of each factor.
+    then the variable of each factor.  Its coefficients are ints: a
+    denominator other than 1 is an AssertionError.
     """
     factors = (_kernel_at,) + tuple(factors)
     pp = {}
@@ -214,7 +229,12 @@ def _residue(num: Poly1, order, factors) -> dict:
                      for j, c in f(q).items()}
         for key, v in terms.items():
             pp[key] = pp.get(key, 0) + v
-    return _xi_tensor(pp, len(factors))
+    out = {}
+    for key, c in _xi_tensor(pp, len(factors)).items():
+        if c.denominator != 1:
+            raise AssertionError("residue coefficients must be integers")
+        out[key] = int(c)
+    return out
 
 
 @cache
@@ -248,12 +268,9 @@ def _base_case(g, n) -> dict:
 _omega_cache = {}
 
 
-def ceo_omega(g: int, n: int) -> TensorSum:
-    """The multidifferential omega_{g,n} (dz's stripped) for 2g-2+n > 0.
-
-    The result is canonical: a sum of pure tensors of the xi(k), one term
-    per index tuple.
-    """
+def ceo_omega(g: int, n: int) -> XiForm:
+    """The multidifferential omega_{g,n} (dz's stripped) for 2g-2+n > 0,
+    one int coefficient per xi index tuple."""
     if n < 1 or g < 0:
         raise DomainError("need n >= 1, g >= 0")
     if 2 * g - 2 + n <= 0:
@@ -261,11 +278,7 @@ def ceo_omega(g: int, n: int) -> TensorSum:
     key = (g, n)
     if key in _omega_cache:
         return _omega_cache[key]
-    if key in ((1, 1), (0, 3)):
-        coeffs = _base_case(g, n)
-    else:
-        coeffs = _recursion(g, n)
-    out = TensorSum(n, {tuple(xi(k) for k in ks): c for ks, c in coeffs.items()})
+    out = XiForm(n, _base_case(g, n) if key in ((1, 1), (0, 3)) else _recursion(g, n))
     _omega_cache[key] = out
     return out
 
@@ -279,17 +292,10 @@ def _recursion(g, n) -> dict:
     once, doubled when its two sides differ.  The terms with omega_{0,2} pair
     up into B(sigma z, w) - B(z, w).
     """
-    forms = {}
-
-    def form(gx, nx):
-        if (gx, nx) not in forms:
-            forms[gx, nx] = xi_index_form(ceo_omega(gx, nx))
-        return forms[gx, nx]
-
     rest = tuple(range(1, n))
     pairs = {}  # (a + b, indices of slots 1..n-1) -> coefficient
     if g >= 1:
-        for (a, b, *ks), c in form(g - 1, n + 1).items():
+        for (a, b, *ks), c in ceo_omega(g - 1, n + 1).terms.items():
             key = (a + b, tuple(ks))
             pairs[key] = pairs.get(key, 0) + c
     for g1 in range(g + 1):
@@ -302,9 +308,10 @@ def _recursion(g, n) -> dict:
                 continue  # (0,1), or (0,2) which the Bergman table carries
             twice = 1 if (g1, I) == (g2, J) else 2
             perm = [(I + J).index(s) for s in rest]
-            for (a, *k1), c1 in form(g1, len(I) + 1).items():
+            right = ceo_omega(g2, len(J) + 1).terms
+            for (a, *k1), c1 in ceo_omega(g1, len(I) + 1).terms.items():
                 c1 *= twice
-                for (b, *k2), c2 in form(g2, len(J) + 1).items():
+                for (b, *k2), c2 in right.items():
                     kk = k1 + k2
                     key = (a + b, tuple(kk[p] for p in perm))
                     pairs[key] = pairs.get(key, 0) + c1 * c2
@@ -315,7 +322,7 @@ def _recursion(g, n) -> dict:
             out[key] = out.get(key, 0) + c * r
     if rest and 2 * g - 3 + n > 0:
         # omega_{g,n-1}(z or sigma z, S - j) times omega_{0,2}(sigma z or z, z_j)
-        for (a, *ks), c in form(g, n - 1).items():
+        for (a, *ks), c in ceo_omega(g, n - 1).terms.items():
             for j in rest:
                 for (k1, kj), s in _bergman_table(a).items():
                     key = (k1,) + tuple(ks[:j - 1]) + (kj,) + tuple(ks[j - 1:])
@@ -335,22 +342,30 @@ def _subsets(items):
 
 @cache
 def _extract_one(f: RF1, mu_i: int) -> Fraction:
-    """Res_{z->inf} x(z)^mu f(z) dz via u = 1/z: coefficient of u^(mu+1) in
-    (1-u)^(2 mu) u^(-mu) f(1/u) -- i.e. [u^(1+2mu... ] handled exactly."""
+    """Res_{z->inf} x(z)^mu f(z) dz via u = 1/z: the coefficient of u^(mu+1)
+    in (1-u)^(2 mu) f(1/u)."""
     g = f.subs_reciprocal()
-    pw = Poly1([1, -1])  # (1-u)
-    acc = Poly1([1])
-    for _ in range(2 * mu_i):
-        acc = acc * pw
-    h = RF1(g.num * acc, g.den)
-    return laurent_at_zero(h.num, h.den, mu_i + 1)
+    return laurent_at_zero(g.num * _z_power(2 * mu_i), g.den, mu_i + 1)
+
+
+@cache
+def _xi_extract(k: int, mu_i: int) -> int:
+    """_extract_one(xi(k), mu_i) in closed form: xi_k(1/u) = u^(k+2)/(1+u)^(2k+2),
+    so it is [u^n] of (1-u)^(2 mu) (1+u)^-(2k+2) with n = mu-1-k."""
+    n = mu_i - 1 - k
+    if n < 0:
+        return 0
+    return (-1) ** n * sum(comb(2 * mu_i, j) * comb(2 * k + 1 + n - j, n - j)
+                           for j in range(n + 1))
 
 
 def extract_C(omega, mu) -> Fraction:
     """C_{g,n}(mu) = residues at infinity of prod x(z_i)^{mu_i} omega.
 
-    omega is a TensorSum, omega01(), or the OMEGA02 sentinel (Bergman kernel,
-    whose double-pole part extracts to zero).
+    omega is a stable XiForm (extracted per factor by the closed form
+    _xi_extract), omega01() (a TensorSum, extracted through RF1 by
+    _extract_one), or the OMEGA02 sentinel (Bergman kernel, whose
+    double-pole part extracts to zero).
     """
     mu = tuple(mu)
     if any(m < 1 for m in mu):
@@ -361,11 +376,12 @@ def extract_C(omega, mu) -> Fraction:
         return _extract_bergman(mu[0], mu[1])
     if omega.n != len(mu):
         raise DomainError(f"omega has {omega.n} slots, mu has {len(mu)}")
+    one = _xi_extract if isinstance(omega, XiForm) else _extract_one
     total = Fraction(0)
     for factors, coef in omega.terms.items():
         prod = coef
         for f, m in zip(factors, mu):
-            prod *= _extract_one(f, m)
+            prod *= one(f, m)
             if prod == 0:
                 break
         total += prod
@@ -373,26 +389,14 @@ def extract_C(omega, mu) -> Fraction:
 
 
 def _extract_bergman(mu1: int, mu2: int) -> Fraction:
-    """Iterated extraction of 1/(z1-z2)^2 (= omega_{0,2} with dz's stripped)."""
-    # inner residue in z1: coefficient of u^(mu1+1) in (1-u)^(2mu1) u^(-mu1) *
-    # 1/((1/u) - z2)^2 = u^2/(1 - u z2)^2; expansion has Poly1-in-z2 coeffs
-    keep = mu1 + 2 + 1
-    # (1-u)^(2 mu1) * u^(2 - mu1) * sum_k (k+1) z2^k u^k ; need coeff of u^(mu1+1)
-    pw = Poly1([1, -1])
-    acc = Poly1([1])
-    for _ in range(2 * mu1):
-        acc = acc * pw
-    # coefficient of u^(mu1+1) of acc(u) * u^(2-mu1) * sum (k+1) (z2 u)^k:
-    # sum over k: acc[mu1+1 - (2-mu1) - k] * (k+1) z2^k
-    poly_z2 = {}
-    base = mu1 - 1  # [u^(1+mu1)] of (1-u)^(2mu1) u^2 sum_k (k+1)(z2 u)^k
-    for k in range(0, base + 1):
-        idx = base - k
-        if 0 <= idx < len(acc.c) and acc.c[idx]:
-            poly_z2[k] = acc.c[idx] * (k + 1)
-    inner = Poly1([poly_z2.get(e, 0) for e in range(max(poly_z2, default=0) + 1)])
-    outer = RF1(inner, Poly1([1]))
-    return _extract_one(outer, mu2)
+    """Iterated extraction of 1/(z1-z2)^2 (= omega_{0,2} with dz's stripped).
+
+    The inner residue in z1 is [u^(mu1+1)] of (1-u)^(2 mu1) u^2/(1 - u z2)^2,
+    i.e. sum_k row[mu1-1-k] (k+1) z2^k with row the coefficients of (1-u)^(2 mu1).
+    """
+    row = _z_power(2 * mu1).c
+    inner = Poly1([row[mu1 - 1 - k] * (k + 1) for k in range(mu1)])
+    return _extract_one(RF1(inner), mu2)
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +474,20 @@ def oracle_C(g: int, n: int, mu, limit=6) -> Fraction:
 # invariant helpers
 
 
-def sigma_antisymmetry_defect(om: TensorSum) -> TensorSum:
+def sigma_antisymmetry_defect(om: XiForm) -> TensorSum:
     """om(1/z1, rest)*d(1/z1)/dz1 + om(z1, rest): zero for stable (g,n)."""
-    pulled = om.apply_slot(0, lambda f: f.sigma_pullback())
-    return pulled + om
+    t = om.tensor()
+    return t.apply_slot(0, lambda f: f.sigma_pullback()) + t
 
 
-def pole_structure(om: TensorSum):
-    """Per-variable denominator factorization over {z, z-1, z+1}.
+def pole_structure(om: XiForm):
+    """Per-variable denominator factorization over {z, z-1, z+1} of om's
+    TensorSum of xi(k) factors.
 
     Returns a list of dicts {"z":a, "z-1":b, "z+1":c} after reducing the
     combined fraction; raises DomainError if any other factor survives.
     """
-    num, dens = om.combine()
+    num, dens = om.tensor().combine()
     out = []
     for i, d in enumerate(dens):
         facs = {"z": 0, "z-1": 0, "z+1": 0}

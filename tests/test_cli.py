@@ -56,6 +56,13 @@ def test_qseries_example():
     assert doc["coefficients"] == ["0", "0", "2", "16", "60", "160"]
 
 
+def test_qseries_source_genus_counts_the_profiles():
+    # at base genus 1, 2g' - 2 = k+l+m + |mu| - l(mu): 2 + 3 - 1 = 4
+    p = run("qseries", "--base-genus", "1", "--source-genus", "3",
+            "--profiles", "3", "--k", "2", "--qmax", "4")
+    assert json.loads(p.stdout)["coefficients"] == ["0", "0", "0", "36", "540"]
+
+
 def test_qseries_csv():
     p = run("--format", "csv", "qseries", "--base-genus", "1",
             "--source-genus", "2", "--k", "2", "--qmax", "3")
@@ -244,7 +251,13 @@ def test_tracer_hooks_still_resolve(tmp_path):
                        text=True, env=child_env({"PERFBENCH_TRACE_OUT": str(out)}))
     assert p.returncode == 0, p.stderr
     assert p.stdout == run(*args).stdout
-    assert json.loads(out.read_text())["counts"]["cli.main.calls"] == 1
+    counts = json.loads(out.read_text())["counts"]
+    assert counts["cli.main.calls"] == 1
+    # perfbench counts omega levels and terms through _omega_cache
+    assert counts["spectral.omega_terms"] == 8
+    assert counts["spectral.ceo_omega.computed"] == 3
+    # stable omega extract by closed form: no RF1 reduction
+    assert counts.get("ratfun.Poly1.divmod.calls", 0) == 0
 
 
 def test_byte_identical_documents():
@@ -316,6 +329,12 @@ def test_cache_clear_removes_corrupt_file(tmp_path):
       "--weight", "6"], "--qmax"),
     (["tropical", "--genus", "2", "--degree", "0", "--variant", "monotone"],
      "degree"),
+    (["qseries", "--base-genus", "1", "--source-genus", "99", "--k", "2",
+      "--qmax", "4"], "--source-genus 99"),
+    (["qseries", "--base-genus", "1", "--source-genus", "-5", "--k", "2",
+      "--qmax", "4"], "--source-genus -5"),
+    (["qseries", "--base-genus", "1", "--source-genus", "2", "--profiles", "3",
+      "--k", "2", "--qmax", "4"], "--source-genus 2"),
 ])
 def test_malformed_input_is_a_domain_error(args, reason):
     p = run(*args, check=False)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,10 @@ from mixedhurwitz.partitions import compositions
 from mixedhurwitz.ratfun import RF1, MultiPoly, Poly1, TensorSum
 from mixedhurwitz.spectral import (
     OMEGA02,
+    _bergman_table,
+    _extract_one,
+    _pair_table,
+    _xi_extract,
     b_self_sigma,
     ceo_omega,
     closed_form_C,
@@ -21,7 +26,6 @@ from mixedhurwitz.spectral import (
     spectral_data,
     xi,
     xi_coefficients,
-    xi_index_form,
 )
 
 
@@ -66,8 +70,8 @@ def test_extraction_from_initial_data():
     o1 = omega01()
     for m in range(1, 7):
         assert extract_C(o1, (m,)) == closed_form_C((0, 1), (m,))
-    for m1 in range(1, 5):
-        for m2 in range(1, 5):
+    for m1 in range(1, 8):
+        for m2 in range(1, 8):
             assert extract_C(OMEGA02, (m1, m2)) == closed_form_C((0, 2), (m1, m2))
     with pytest.raises(DomainError):
         extract_C(o1, (0,))
@@ -78,16 +82,47 @@ def test_omega03_closed_form():
     unit = RF1(Poly1([1]), Poly1([1, 1]) * Poly1([1, 1]))
     target = TensorSum(3)
     target.add_term(8, (unit, unit, unit))
-    assert o3.equals(target)
+    assert o3.tensor().equals(target)
     for mu in compositions(4, 3):
         assert extract_C(o3, mu) == closed_form_C((0, 3), mu)
 
 
 def test_omega_index_form():
-    assert xi_index_form(ceo_omega(0, 3)) == {(0, 0, 0): 8}
-    assert xi_index_form(ceo_omega(1, 1)) == {(1,): -1}    # -z/(1+z)^4
+    assert ceo_omega(0, 3).terms == {(0, 0, 0): 8}
+    assert ceo_omega(1, 1).terms == {(1,): -1}    # -z/(1+z)^4
     assert all(f is xi(f.num.degree())
-               for factors in ceo_omega(1, 2).terms for f in factors)
+               for factors in ceo_omega(1, 2).tensor().terms for f in factors)
+
+
+def test_xi_closed_form_matches_rf1_extraction():
+    for k in range(9):
+        for mu in range(1, 12):
+            assert _xi_extract(k, mu) == _extract_one(xi(k), mu), (k, mu)
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g in range(3) for n in range(1, 7)
+                                 if 0 < 2 * g - 2 + n <= 4])
+def test_xi_form_extracts_as_its_tensor(g, n):
+    om = ceo_omega(g, n)
+    om_tensor = om.tensor()
+    for tot in range(n, 7):
+        for mu in compositions(tot, n):
+            assert extract_C(om, mu) == extract_C(om_tensor, mu), (g, n, mu)
+
+
+def test_omega_tables_are_ints_pinned_to_their_values():
+    levels = [(g, n) for g in range(4) for n in range(1, 8)
+              if 0 < 2 * g - 2 + n <= 5]
+    forms = sorted((g, n, sorted(ceo_omega(g, n).terms.items()))
+                   for g, n in levels)
+    assert len(forms) == 14 and sum(len(t) for *_, t in forms) == 906
+    tables = [c for *_, t in forms for _, c in t]
+    for m in range(9):
+        tables += [*_pair_table(m).values(), *_bergman_table(m).values()]
+    assert all(type(c) is int for c in tables)
+    # computed from the TensorSum form of the same omegas, coefficients as ints
+    assert hashlib.sha256(repr(forms).encode()).hexdigest() == (
+        "35ce65ae7c0ace574513542dfd758ada426cbdb49f4e59b7675463d2bc733cbe")
 
 
 def test_xi_decomposition_refuses_functions_outside_the_basis():
