@@ -347,7 +347,7 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
 def _suite_n_recursion(dmax, oracle_limit):
     from .double_recursion import N_value, double_hurwitz
     from .partitions import enumerate_partitions
-    from .symgroup import monotone_double_count, oracle_N
+    from .symgroup import monotone_double_count, oracle_N_slots
 
     for d in range(1, dmax + 1):
         parts = enumerate_partitions(d)
@@ -360,14 +360,14 @@ def _suite_n_recursion(dmax, oracle_limit):
                     for variant in ("monotone", "strict"):
                         inputs = {"variant": variant, "g": g,
                                   "mu": list(mu), "nu": list(nu)}
+                        slots = oracle_N_slots(variant, g, mu, nu, oracle_limit)
                         for i in range(1, len(mu) + 1):
                             for l in range(1, nu[-1] + 1):
-                                want = oracle_N(variant, g, mu, nu, l, i,
-                                                limit=oracle_limit)
                                 got = N_value(variant, g, mu[i - 1],
                                               mu[:i - 1] + mu[i:], nu, l)
                                 yield ({**inputs, "l": l, "i": i},
-                                       {"oracle": want, "recursion": got})
+                                       {"oracle": slots.get((l, i), 0),
+                                        "recursion": got})
                         want = monotone_double_count(
                             g, mu, nu, strict=(variant == "strict"),
                             limit=oracle_limit)

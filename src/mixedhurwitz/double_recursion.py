@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError
-from .partitions import aut_count, check_partition, class_size, strip_ones
+from .partitions import aut_count, check_partition, class_size, splits, strip_ones
 from .characters import _euler_solve, commutator_count_by_characters, subsectors
 
 # Theta(0) = 1 by convention.
@@ -75,27 +75,23 @@ def _N(variant, g, dist, rest, nu, l) -> int:
         for p in range(1, p_hi + 1):
             total += beta * _N(variant, g - 1, alpha, new_rest, nu, p)
 
-    # essential join: the factorization splits into two transitive pieces
-    n = len(nu)
+    # essential join: the factorization splits into two transitive pieces; the
+    # second has no tail condition, so it enters by its full (l, i)-aggregate
     for alpha in range(1, dist):
         beta = dist - alpha
         for g1 in range(0, g + 1):
             g2 = g - g1
-            for imask in range(1 << len(rest)):
-                I1 = tuple(rest[i] for i in range(len(rest)) if (imask >> i) & 1)
-                I2 = tuple(rest[i] for i in range(len(rest)) if not (imask >> i) & 1)
-                for jmask in range(1 << (n - 1)):
-                    J = tuple(i for i in range(n - 1) if (jmask >> i) & 1)
-                    Jc = tuple(i for i in range(n) if i not in J)
-                    nu_J = tuple(nu[i] for i in J)
-                    nu_Jc = tuple(nu[i] for i in Jc)
+            for I1, I2 in splits(rest):
+                for nu_J, nu_Jc in splits(nu[:-1]):
+                    nu_Jc += nu[-1:]  # the last nu-block stays with tau_b
                     if alpha + sum(I1) != sum(nu_Jc):
                         continue
                     if beta + sum(I2) != sum(nu_J):
                         continue
                     if not nu_J:
                         continue
-                    second = _second_factor(variant, g2, beta, I2, nu_J)
+                    parts = tuple(sorted(I2 + (beta,), reverse=True))
+                    second = _aggregate(variant, g2, parts, nu_J)
                     if second == 0:
                         continue
                     I1s = tuple(sorted(I1, reverse=True))
@@ -132,32 +128,24 @@ def _anchor(b, rest, nu, l) -> int:
     return int(rest[0] <= l - 1)
 
 
-def _second_factor(variant, g2, beta, I2, nu_J) -> int:
-    """Full (l, i)-aggregate over the second piece.
-
-    The second piece carries no tail condition: its final transposition may
-    sit in any of its cycles, so every labeling position is summed, not just
-    the beta slot.  The counter runs up to the last part of nu_J: the refined
-    counts vanish beyond it.
-    """
-    hi = nu_J[-1]
-    parts = tuple(sorted(I2 + (beta,), reverse=True))
-    total = 0
-    for i in range(len(parts)):
-        rest2 = parts[:i] + parts[i + 1:]
-        for p in range(1, hi + 1):
-            total += _N(variant, g2, parts[i], rest2, nu_J, p)
-    return total
-
-
 def N_aggregate(variant: str, g: int, mu, nu) -> int:
     """Sum of N_value over all (l, i) slots."""
+    if variant not in ("monotone", "strict"):
+        raise DomainError(f"unknown variant {variant}")
     mu, nu = check_partition(mu), check_partition(nu)
+    if sum(mu) != sum(nu):
+        raise DomainError("|mu| must equal |nu|")
+    return _aggregate(variant, g, mu, nu)
+
+
+def _aggregate(variant, g, mu, nu) -> int:
+    """Sum of _N over every labeling position i and every counter l up to
+    the last part of nu: the refined counts vanish beyond it."""
     total = 0
     for i in range(len(mu)):
         rest = mu[:i] + mu[i + 1:]
         for l in range(1, nu[-1] + 1):
-            total += N_value(variant, g, mu[i], rest, nu, l)
+            total += _N(variant, g, mu[i], rest, nu, l)
     return total
 
 
@@ -167,6 +155,8 @@ def double_hurwitz(variant: str, g: int, mu, nu) -> Fraction:
     h = (|C_nu| / d!) * sum_{l,i} N / Aut(mu): the unlabeled normalization,
     matching the g = 0 base specialization of the triply mixed counts.
     """
+    if g < 0:
+        raise DomainError(f"genus {g} must be >= 0")
     mu, nu = check_partition(mu), check_partition(nu)
     if sum(mu) != sum(nu):
         raise DomainError("|mu| must equal |nu|")

@@ -84,6 +84,15 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def splits(items):
+    """Every split (I, J) of items into a chosen subset of positions and its
+    complement, in bitmask order; both parts keep the order of items."""
+    items = tuple(items)
+    for mask in range(1 << len(items)):
+        yield (tuple(x for k, x in enumerate(items) if mask >> k & 1),
+               tuple(x for k, x in enumerate(items) if not mask >> k & 1))
+
+
 def strip_ones(p) -> Partition:
     """Drop all parts equal to 1."""
     return tuple(x for x in p if x != 1)

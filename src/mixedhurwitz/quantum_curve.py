@@ -156,6 +156,8 @@ def quantum_curve_residual(variant: str, g: int, d_max: int, b_max: int) -> BiSe
 
 def residual_max_abs(variant: str, g: int, d_max: int, b_max: int) -> Fraction:
     """Largest |coefficient| of the residual restricted to d <= d_max, b <= b_max."""
+    if d_max < 0 or b_max < 0:
+        raise DomainError(f"the window d <= {d_max}, b <= {b_max} holds no cell")
     res = quantum_curve_residual(variant, g, d_max, b_max)
     skew = res.skew
     worst = Fraction(0)

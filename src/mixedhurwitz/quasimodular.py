@@ -202,6 +202,8 @@ def fit_quasimodular(s: QSeries, weight_bound: int, margin: int = FIT_SAFETY_MAR
     """
     if s.low < 0:
         raise DomainError("cannot fit a Laurent series with negative exponents")
+    if weight_bound < 0:
+        raise DomainError(f"weight bound {weight_bound} must be >= 0")
     basis = monomial_basis(weight_bound)
     dim = len(basis)
     order = s.high

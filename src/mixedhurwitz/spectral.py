@@ -24,8 +24,9 @@ from itertools import product
 from math import comb
 
 from .errors import DomainError
-from .partitions import check_partition
+from .partitions import check_partition, splits
 from .ratfun import RF1, Poly1, TensorSum, laurent_at_zero
+from .util import DEFAULT_ORACLE_LIMIT
 
 # ---------------------------------------------------------------------------
 # spectral data
@@ -300,8 +301,7 @@ def _recursion(g, n) -> dict:
             pairs[key] = pairs.get(key, 0) + c
     for g1 in range(g + 1):
         g2 = g - g1
-        for I in _subsets(rest):
-            J = tuple(s for s in rest if s not in I)
+        for I, J in splits(rest):
             if (g1, I) > (g2, J):
                 continue  # the mirror split (g2, J) lands on the same keys
             if 2 * g1 - 1 + len(I) <= 0 or 2 * g2 - 1 + len(J) <= 0:
@@ -328,12 +328,6 @@ def _recursion(g, n) -> dict:
                     key = (k1,) + tuple(ks[:j - 1]) + (kj,) + tuple(ks[j - 1:])
                     out[key] = out.get(key, 0) + c * s
     return {k: c for k, c in out.items() if c}
-
-
-def _subsets(items):
-    items = list(items)
-    for mask in range(1 << len(items)):
-        yield tuple(items[i] for i in range(len(items)) if (mask >> i) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +427,7 @@ def cut_and_join_C(g: int, n: int, mu) -> Fraction:
         beta = mu1 - alpha
         for g1 in range(0, g + 1):
             g2 = g - g1
-            for subset in _subsets(range(len(rest))):
-                I = tuple(rest[i] for i in subset)
-                J = tuple(rest[i] for i in range(len(rest)) if i not in subset)
+            for I, J in splits(rest):
                 total += cut_and_join_C(g1, 1 + len(I), (alpha,) + I) * \
                     cut_and_join_C(g2, 1 + len(J), (beta,) + J)
     return -total
@@ -460,7 +452,7 @@ def closed_form_C(level, mu) -> Fraction:
     raise DomainError(f"no closed form for level {level}")
 
 
-def oracle_C(g: int, n: int, mu, limit=6) -> Fraction:
+def oracle_C(g: int, n: int, mu, limit=DEFAULT_ORACLE_LIMIT) -> Fraction:
     """(-1)^(n+|mu|) times the brute-force monotone factorization count."""
     from .symgroup import count_monotone_of_fixed_target
 

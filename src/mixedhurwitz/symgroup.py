@@ -318,6 +318,12 @@ def _walk(d: int, states, blocks):
     return states
 
 
+def _tau_walk(d: int, b: int, strict: bool, orbits):
+    """End states of b weakly (or strictly) monotone transpositions walked from
+    the identity and the given orbit labels: each permutation is tau_1...tau_b."""
+    return _walk(d, {(identity(d), 0, orbits): 1}, ((b, STRICT if strict else WEAK),))
+
+
 def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
     """Exact (1/d!) * number of triply mixed factorizations of the given type.
 
@@ -392,7 +398,9 @@ def monotone_double_count(source_genus, mu, nu, strict, connected=True,
     the canonical permutation of type mu and the count multiplied by |C_mu|:
     the sums of (strictly) monotone products are the central h_b and e_b of
     the Jucys-Murphy elements, so the count is the same for every sigma_1 in
-    the class (conjugation invariance, no characters).
+    the class (conjugation invariance, no characters).  The tau block is
+    walked once from the identity, and each end state p fixes
+    sigma_2 = sigma_1^-1 p^-1, which must have type nu.
     """
     mu, nu = sort_composition(mu), sort_composition(nu)
     if sum(mu) != sum(nu):
@@ -403,15 +411,12 @@ def monotone_double_count(source_genus, mu, nu, strict, connected=True,
     b = 2 * source_genus - 2 + len(mu) + len(nu)
     if b < 0:
         return Fraction(0)
-    ident = identity(d)
     s1 = canonical_of_type(mu, d)
-    states = _tally(
-        ((compose(s1, s2), 0, orbit_labels(d, (s1, s2)) if connected else None), 1)
-        for s2 in perms_of_type(d, pad_to(nu, d))
-    )
-    ends = _walk(d, states, ((b, STRICT if strict else WEAK),))
+    # sigma_2 lies in <sigma_1, tau>, so the joined orbits decide transitivity;
+    # sigma_2^-1 = p sigma_1 has the cycle type of sigma_2
+    ends = _tau_walk(d, b, strict, orbit_labels(d, (s1,)) if connected else None)
     total = sum(c for (p, _, lab), c in ends.items()
-                if p == ident and not (connected and any(lab)))
+                if not (connected and any(lab)) and cycle_type(compose(p, s1)) == nu)
     return Fraction(total * class_size(mu, d), factorial(d))
 
 
@@ -439,9 +444,7 @@ def count_monotone_of_fixed_target(mu, b: int, strict: bool = False,
     if b < 0 or g2 < 0 or g2 % 2 != 0:
         raise DomainError(f"b={b} infeasible for mu={mu}")
     target = canonical_of_type(mu, d)
-    # the walk starts at the identity with the target's orbits already joined
-    states = {(identity(d), 0, orbit_labels(d, (target,))): 1}
-    ends = _walk(d, states, ((b, STRICT if strict else WEAK),))
+    ends = _tau_walk(d, b, strict, orbit_labels(d, (target,)))
     return sum(c for (p, _, lab), c in ends.items()
                if p == target and not any(lab))
 
@@ -450,9 +453,10 @@ def count_monotone_of_fixed_target(mu, b: int, strict: bool = False,
 # refined N numbers (direct count per the tuple conditions)
 
 
-def oracle_N(variant: str, g: int, mu, nu, l: int, i: int,
-             limit: int = DEFAULT_ORACLE_LIMIT) -> int:
-    """Direct count of refined monotone/strict tuples.
+def oracle_N_slots(variant: str, g: int, mu, nu,
+                   limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
+    """Direct count of refined monotone/strict tuples: {(l, i): count} over
+    the nonzero slots, all from one walk.
 
     Counts tuples (sigma_1 = canonical of type nu, tau_1..tau_b, sigma_2) with
     tau_b...tau_1 sigma_1 = sigma_2, exact cycle types nu and mu, joint
@@ -467,49 +471,49 @@ def oracle_N(variant: str, g: int, mu, nu, l: int, i: int,
     if variant not in ("monotone", "strict"):
         raise DomainError(f"unknown variant {variant}")
     d = sum(nu)
-    if not (1 <= i <= len(mu)):
-        raise DomainError(f"index i={i} out of range for mu={mu}")
-    if not (1 <= l <= nu[-1]):
-        raise DomainError(f"counter l={l} out of range for nu={nu}")
     b = 2 * g - 2 + len(mu) + len(nu)
     if g < 0 or b < 0:
         raise DomainError("infeasible genus")
-    dist, rest = mu[i - 1], mu[: i - 1] + mu[i:]
     if b == 0:
-        return int(mu == nu and len(nu) == 1 and l == nu[-1])
+        return {(d, 1): 1} if mu == nu and len(nu) == 1 else {}
     if b >= 2 and d > limit:
         raise ResourceLimitError(f"degree {d} above oracle limit {limit}")
     sigma1 = canonical_of_type(nu, d)
-    t_last = d - nu[-1] + (l - 1)  # 0-based point
+    s1_inv, offset = inverse(sigma1), sum(nu[:-1])  # first point of the last block
     # tau_b...tau_1 sigma_1 = sigma_2 iff sigma_1^-1 tau_1...tau_b = sigma_2^-1,
-    # so walk from sigma_1^-1; sigma_2^-1 has the cycles of sigma_2
-    states = {(inverse(sigma1), 0, orbit_labels(d, (sigma1,))): 1}
-    ends = _walk(d, states, ((b, STRICT if variant == "strict" else WEAK),))
-    total = sum(c for (p, last, lab), c in ends.items()
-                if last == t_last and not any(lab)
-                and cycle_type(p) == mu
-                # the cycle containing t_b carries the distinguished label
-                and _cycle_len_through(p, t_last) == dist)
-    return total * aut_count(rest)
+    # and sigma_2^-1 has the cycles of sigma_2
+    slots = {}
+    for (p, last, lab), c in _tau_walk(d, b, variant == "strict",
+                                       orbit_labels(d, (sigma1,))).items():
+        if last < offset or any(lab):
+            continue
+        q = compose(s1_inv, p)
+        if cycle_type(q) != mu:
+            continue
+        cyc = _labels_of(q)
+        # the cycle containing t_b carries the distinguished label i
+        dist = cyc.count(cyc[last])
+        for i, part in enumerate(mu):
+            if part == dist:
+                key = (last - offset + 1, i + 1)
+                slots[key] = slots.get(key, 0) + c * aut_count(mu[:i] + mu[i + 1:])
+    return slots
 
 
-def _cycle_len_through(p, x):
-    n, j = 0, x
-    while True:
-        j = p[j]
-        n += 1
-        if j == x:
-            return n
+def oracle_N(variant: str, g: int, mu, nu, l: int, i: int,
+             limit: int = DEFAULT_ORACLE_LIMIT) -> int:
+    """The (l, i) slot of oracle_N_slots."""
+    mu, nu = check_partition(mu), check_partition(nu)
+    if not (1 <= i <= len(mu)):
+        raise DomainError(f"index i={i} out of range for mu={mu}")
+    if not nu or not (1 <= l <= nu[-1]):
+        raise DomainError(f"counter l={l} out of range for nu={nu}")
+    return oracle_N_slots(variant, g, mu, nu, limit).get((l, i), 0)
 
 
 def oracle_N_aggregate(variant, g, mu, nu, limit=DEFAULT_ORACLE_LIMIT):
     """Sum of oracle_N over all slots (l, i)."""
-    mu, nu = check_partition(mu), check_partition(nu)
-    total = 0
-    for i in range(1, len(mu) + 1):
-        for l in range(1, nu[-1] + 1):
-            total += oracle_N(variant, g, mu, nu, l, i, limit)
-    return total
+    return sum(oracle_N_slots(variant, g, mu, nu, limit).values())
 
 
 # ---------------------------------------------------------------------------

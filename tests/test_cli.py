@@ -335,6 +335,14 @@ def test_cache_clear_removes_corrupt_file(tmp_path):
       "--qmax", "4"], "--source-genus -5"),
     (["qseries", "--base-genus", "1", "--source-genus", "2", "--profiles", "3",
       "--k", "2", "--qmax", "4"], "--source-genus 2"),
+    (["double", "--variant", "strict", "--mu", "2", "--nu", "2",
+      "--genus", "-3"], "genus -3"),
+    (["qc", "verify", "--variant", "monotone", "--genus", "0", "--dmax", "-1"],
+     "d <= -1"),
+    (["qc", "verify", "--variant", "monotone", "--genus", "1", "--dmax", "3",
+      "--bmax", "-1"], "b <= -1"),
+    (["fit", "--source-genus", "2", "--k", "2", "--qmax", "20",
+      "--weight", "-1"], "weight bound -1"),
 ])
 def test_malformed_input_is_a_domain_error(args, reason):
     p = run(*args, check=False)

@@ -23,7 +23,7 @@ from mixedhurwitz.symgroup import (
     HurwitzSpec,
     count_triply_mixed,
     monotone_double_count,
-    oracle_N,
+    oracle_N_slots,
     source_genus_for,
 )
 from mixedhurwitz.tropical import (
@@ -170,10 +170,14 @@ def double_cases(draw):
 @given(double_cases())
 def test_n_recursion_matches_oracle(case):
     variant, g, mu, nu = case
+    recursion = {}
     for i in range(1, len(mu) + 1):
         for l in range(1, nu[-1] + 1):
-            assert N_value(variant, g, mu[i - 1], mu[:i - 1] + mu[i:], nu, l) \
-                == oracle_N(variant, g, mu, nu, l, i)
+            n = N_value(variant, g, mu[i - 1], mu[:i - 1] + mu[i:], nu, l)
+            if n:
+                recursion[l, i] = n
+    # whole tables: an oracle slot outside the (l, i) range fails too
+    assert recursion == oracle_N_slots(variant, g, mu, nu)
     assert double_hurwitz(variant, g, mu, nu) == monotone_double_count(
         g, mu, nu, strict=(variant == "strict"))
 

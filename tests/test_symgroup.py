@@ -26,6 +26,7 @@ from mixedhurwitz.symgroup import (
     monotone_double_count,
     oracle_N,
     oracle_N_aggregate,
+    oracle_N_slots,
     orbit_labels,
     source_genus_for,
 )
@@ -87,7 +88,8 @@ def test_labeled_is_aut_times_unlabeled():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_specializations_match_dedicated_enumerators(d):
-    # l = m = 0 reproduces classical counts; k = m = 0 monotone; k = l = 0 strict
+    # l = m = 0 reproduces classical counts (k = m = 0 and k = l = 0: see
+    # test_monotone_double_count_matches_triply_mixed)
     for gp in range(0, 3):
         for profiles in [((2,),), ((d,),)] if d > 1 else [((1,),)]:
             try:
@@ -99,17 +101,26 @@ def test_specializations_match_dedicated_enumerators(d):
             assert count_triply_mixed(
                 HurwitzSpec(0, gp, d, profiles, 0, 0, 0)
             ) == classical_hurwitz_count(0, gp, d, profiles)
-    for gp in range(0, 3):
-        mu, nu = (d,), (d,)
-        b = 2 * gp - 2 + 2
-        if b < 0:
-            continue
-        mono = monotone_double_count(gp, mu, nu, strict=False)
-        strict = monotone_double_count(gp, mu, nu, strict=True)
-        spec_m = HurwitzSpec(0, gp, d, (mu, nu), 0, b, 0)
-        spec_s = HurwitzSpec(0, gp, d, (mu, nu), 0, 0, b)
-        assert count_triply_mixed(spec_m) == mono
-        assert count_triply_mixed(spec_s) == strict
+
+
+def test_monotone_double_count_matches_triply_mixed():
+    # count_triply_mixed runs sigma_1 and sigma_2 over their full classes, so
+    # it checks the fixed sigma_1 and the sigma_2 read off each walk end
+    cases = 0
+    for d in range(1, 6):
+        parts = enumerate_partitions(d)
+        for mu, nu, gp in product(parts, parts, range(3)):
+            b = 2 * gp - 2 + len(mu) + len(nu)
+            if not 0 <= b <= 4:
+                continue
+            for strict, connected in product((False, True), repeat=2):
+                cases += 1
+                blocks = (0, 0, b) if strict else (0, b, 0)
+                spec = HurwitzSpec(0, gp, d, (mu, nu), *blocks, connected)
+                assert monotone_double_count(
+                    gp, mu, nu, strict, connected) == count_triply_mixed(spec), \
+                    (mu, nu, gp, strict, connected)
+    assert cases == 436
 
 
 def test_monotone_fixed_target_examples():
@@ -137,6 +148,11 @@ def test_oracle_N_examples():
     assert oracle_N("monotone", 0, (3,), (3,), 1, 1) == 0
     with pytest.raises(DomainError):
         oracle_N("monotone", 0, (3,), (2, 1), 5, 1)
+    # every nonzero slot of a (g, mu, nu) from one walk
+    assert oracle_N_slots("monotone", 0, (2, 1), (3,)) == {
+        (2, 1): 1, (3, 1): 1, (3, 2): 1}
+    assert oracle_N_slots("monotone", 1, (2, 1), (2, 1)) == {
+        (1, 1): 20, (1, 2): 10}
 
 
 def test_commutator_counts():
