@@ -15,8 +15,8 @@ _EXPORTS = {
     "errors": "DomainError ResourceLimitError WindowError",
     "partitions": "HurwitzSpec enumerate_partitions class_size aut_count "
                   "hook_dim contents sym_eval stirling",
-    "symgroup": "count_triply_mixed count_monotone_of_fixed_target "
-                "oracle_N count_commutator_type",
+    "symgroup": "count_triply_mixed count_monotone_of_fixed_target oracle_N",
+    "commutators": "count_commutator_type",
     "characters": "character central_character_f hurwitz_by_characters "
                   "connected_series connected_hurwitz_qseries "
                   "commutator_count_by_characters",

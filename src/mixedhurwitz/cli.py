@@ -573,6 +573,11 @@ def resolve_global_flags(args):
                 f"{ORACLE_LIMIT_ENV} must be an integer, got {env!r}") from None
     if not hasattr(args, "jobs"):
         args.jobs = 1
+    if args.oracle_dmax < 0:
+        raise DomainError(f"--oracle-dmax (or {ORACLE_LIMIT_ENV}) must be >= 0, "
+                          f"got {args.oracle_dmax}")
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def main(argv=None):

@@ -11,7 +11,10 @@ Exponential in d; intended for d <= ~6 and guarded by an explicit limit.
 Every oracle runs on one engine, _walk: aggregated states (permutation,
 last t, orbit labels) advanced through blocks of free, weakly monotone and
 strictly monotone transpositions, one right multiplication per step.  Orbits
-are label tuples (each point labelled by the least point of its orbit).
+are label tuples (each point labelled by the least point of its orbit).  The
+walk runs on integer codes: each permutation and each label tuple is coded by
+the order it was first met (_Interned), so a step is two list lookups.
+The commutator tables of a base genus g >= 1 live in the commutators module.
 """
 
 from fractions import Fraction
@@ -27,7 +30,6 @@ from .partitions import (
     class_size,
     pad_to,
     sort_composition,
-    strip_ones,
 )
 from .util import DEFAULT_ORACLE_LIMIT
 
@@ -52,26 +54,33 @@ def inverse(a):
     return tuple(out)
 
 
+def _cycles(p):
+    """The cycles of p, each read from its least point, longest first."""
+    seen, out = set(), []
+    for i in range(len(p)):
+        if i not in seen:
+            cyc = [i]
+            while p[cyc[-1]] != i:
+                cyc.append(p[cyc[-1]])
+            seen.update(cyc)
+            out.append(cyc)
+    return sorted(out, key=len, reverse=True)
+
+
 def cycle_type(p):
     """Full cycle type (with 1-parts), weakly decreasing."""
-    seen = [False] * len(p)
-    lens = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        n, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            n += 1
-        lens.append(n)
-    return tuple(sorted(lens, reverse=True))
+    return tuple(map(len, _cycles(p)))
+
+
+def _swapped(p, s, t):
+    """p right-multiplied by the transposition (s, t): entries s and t swapped."""
+    q = list(p)
+    q[s], q[t] = p[t], p[s]
+    return tuple(q)
 
 
 def transposition(d: int, s: int, t: int):
-    p = list(range(d))
-    p[s], p[t] = t, s
-    return tuple(p)
+    return _swapped(identity(d), s, t)
 
 
 @cache
@@ -146,65 +155,56 @@ def _labels_of(p):
     return orbit_labels(len(p), (p,))
 
 
-@cache
-def _join(a, b):
-    """The join of two label tuples; at most B(d)^2 pairs (52^2 at d = 5)."""
-    return orbit_labels(len(a), (a, b))
+class _Interned:
+    """Items of one degree coded by the order they were first met.
 
-
-# ---------------------------------------------------------------------------
-# commutator tables
-
-_pair_tables = {}
-
-
-def commutator_pair_table(d: int):
-    """Aggregate (alpha, beta) in S_d^2 by (commutator, orbit labels of <alpha,beta>).
-
-    Returns {kappa: {orbit_labels: count}} with kappa = [alpha,beta].
+    row(i) lists, for the j-th transposition (s, t) in t order, the code of
+    step(item i, s, t); it is filled the first time item i is stepped from,
+    so only the items a walk reaches are ever coded.
     """
-    if d in _pair_tables:
-        return _pair_tables[d]
-    table = {}
-    perms = all_perms(d)
-    inv = {a: inverse(a) for a in perms}
-    for a in perms:
-        a_inv, a_lab = inv[a], _labels_of(a)
-        # <a,b> by the cycles of b; local to a, as the (d!)^2 pairs would
-        # fill the module-wide _join cache with B(d)^2 entries
-        joins = {}
-        for b in perms:
-            # [a,b] = a b a^-1 b^-1, read right to left as index lookups
-            ab = tuple(map(a.__getitem__, b))
-            kappa = tuple(map(ab.__getitem__, map(a_inv.__getitem__, inv[b])))
-            b_lab = _labels_of(b)
-            orb = joins.get(b_lab)
-            if orb is None:
-                orb = joins[b_lab] = orbit_labels(d, (a_lab, b_lab))
-            by_orbit = table.setdefault(kappa, {})
-            by_orbit[orb] = by_orbit.get(orb, 0) + 1
-    _pair_tables[d] = table
-    return table
+
+    __slots__ = ("pairs", "step", "items", "ids", "rows")
+
+    def __init__(self, d, step):
+        self.pairs = [(s, t) for t in range(1, d) for s in range(t)]
+        self.step, self.items, self.ids, self.rows = step, [], {}, []
+
+    def code(self, item):
+        i = self.ids.get(item)
+        if i is None:
+            i = self.ids[item] = len(self.items)
+            self.items.append(item)
+            self.rows.append(None)
+        return i
+
+    def row(self, i):
+        row = self.rows[i]
+        if row is None:
+            item = self.items[i]
+            row = self.rows[i] = [self.code(self.step(item, s, t))
+                                  for s, t in self.pairs]
+        return row
 
 
-def commutator_tuple_table(d: int, g: int):
-    """Same aggregation for products [a_1,b_1]...[a_g,b_g] of g commutators."""
-    if g < 1:
-        raise DomainError("g must be >= 1")
-    table = commutator_pair_table(d)
-    if g == 1:
-        return table
-    prev = commutator_tuple_table(d, g - 1)
-    out = {}
-    for k1, orbs1 in prev.items():
-        for k2, orbs2 in table.items():
-            kappa = compose(k1, k2)
-            dest = out.setdefault(kappa, {})
-            for p1, c1 in orbs1.items():
-                for p2, c2 in orbs2.items():
-                    joined = _join(p1, p2)
-                    dest[joined] = dest.get(joined, 0) + c1 * c2
-    return out
+@cache
+def _codes(d: int):
+    """The permutation and label codes of degree d, shared by every walk."""
+    return _Interned(d, _swapped), _Interned(d, _merge)
+
+
+def _join(labels, a, b):
+    """The code of the join of the labels coded a and b."""
+    for x, v in enumerate(labels.items[b]):
+        if v != x:
+            a = labels.row(a)[x * (x - 1) // 2 + v]
+    return a
+
+
+@cache
+def _transitive(d: int, a: int, b: int) -> bool:
+    """Whether the labels coded a and b join to a single orbit."""
+    labels = _codes(d)[1]
+    return not any(labels.items[_join(labels, a, b)])
 
 
 class FactorizationTuple:
@@ -293,35 +293,42 @@ def _tally(items):
 def _walk(d: int, states, blocks):
     """Advance aggregated walk states through blocks of transpositions.
 
-    states maps (perm, last t, orbit labels) to a count, with labels None
-    when orbits are not tracked; blocks is a sequence of (length, mode), mode
-    FREE, WEAK or STRICT.  A step right-multiplies by a transposition (s, t):
-    it swaps the entries at s and t and joins the orbits of s and t.  A weak
-    step needs t >= last t and a strict one t > last t; the condition
-    restarts at each block, and a free block keeps last t at 0.
+    states maps coded (perm, last t, orbit labels) to a count (see _codes);
+    blocks is a sequence of (length, mode), mode FREE, WEAK or STRICT.  A step
+    right-multiplies by a transposition (s, t): it swaps the entries at s and
+    t and joins the orbits of s and t.  A weak step needs t >= last t and a
+    strict one t > last t; the condition restarts at each block that takes a
+    step, and a free block keeps last t at 0.  A walk that needs no orbits
+    starts from the one-orbit labels, which every join keeps.
     """
-    pairs = [(s, t) for t in range(1, d) for s in range(t)]  # ordered by t
+    perms, labels = _codes(d)
+    pairs = perms.pairs  # ordered by t
     for length, mode in blocks:
+        if not length:
+            continue
+        ts = [0 if mode == FREE else t for _, t in pairs]
         states = _tally(((p, 0, lab), c) for (p, _, lab), c in states.items())
         for _ in range(length):
             nxt = {}
             for (p, last, lab), c in states.items():
                 lo = last + (mode == STRICT)
+                swapped = perms.rows[p] or perms.row(p)
+                merged = labels.rows[lab] or labels.row(lab)
                 # the pairs with t >= lo are a suffix of pairs
-                for s, t in pairs[lo * (lo - 1) // 2:]:
-                    q = list(p)
-                    q[s], q[t] = p[t], p[s]
-                    key = (tuple(q), 0 if mode == FREE else t,
-                           None if lab is None else _merge(lab, s, t))
+                for j in range(lo * (lo - 1) // 2, len(pairs)):
+                    key = (swapped[j], ts[j], merged[j])
                     nxt[key] = nxt.get(key, 0) + c
             states = nxt
     return states
 
 
 def _tau_walk(d: int, b: int, strict: bool, orbits):
-    """End states of b weakly (or strictly) monotone transpositions walked from
-    the identity and the given orbit labels: each permutation is tau_1...tau_b."""
-    return _walk(d, {(identity(d), 0, orbits): 1}, ((b, STRICT if strict else WEAK),))
+    """Coded end states of b weakly (or strictly) monotone transpositions walked
+    from the identity and the given orbit labels: each permutation is
+    tau_1...tau_b."""
+    perms, labels = _codes(d)
+    start = {(perms.code(identity(d)), 0, labels.code(orbits)): 1}
+    return _walk(d, start, ((b, STRICT if strict else WEAK),))
 
 
 def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
@@ -330,10 +337,13 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
     Transitivity is enforced iff spec.connected; the labeled variant multiplies
     by Aut of the profiles as given.  Every call re-enumerates its walk: no
     Hurwitz count and no character value is cached.  The memos hold only
-    permutation and set-partition combinatorics: inverses, cycle labels,
-    label joins and the commutator table of each degree.  The profiles run
-    over their full conjugacy classes: no symmetry is used, so this stays an
-    independent check of the specialized enumerators below.
+    permutation and set-partition combinatorics: the permutations of each
+    degree and of each cycle type, the codes of the permutations and label
+    tuples met so far with their step rows, the cycles of a permutation as a
+    label tuple, whether two coded labels join to one orbit, and the
+    commutator tables of each degree and genus.  The profiles run over their
+    full conjugacy classes, so this stays an independent check of the
+    specialized enumerators below.
     """
     if spec.degree > oracle_limit:
         raise ResourceLimitError(
@@ -341,30 +351,31 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
         )
     d = spec.degree
     g = spec.base_genus
-    ident = identity(d)
-    states = {(ident, 0, orbit_labels(d) if spec.connected else None): 1}
+    perms, labels = _codes(d)
+    ident = perms.code(identity(d))
+    start = orbit_labels(d) if spec.connected else (0,) * d
+    states = {(ident, 0, labels.code(start)): 1}
     for prof in spec.padded_profiles():
+        cls = [(s, labels.code(_labels_of(s))) for s in perms_of_type(d, prof)]
         states = _tally(
-            ((compose(p, s), 0, None if lab is None else _join(lab, _labels_of(s))), c)
+            ((perms.code(compose(perms.items[p], s)), 0, _join(labels, lab, cyc)), c)
             for (p, _, lab), c in states.items()
-            for s in perms_of_type(d, prof)
+            for s, cyc in cls
         )
     states = _walk(d, states, ((spec.k, FREE), (spec.l, WEAK), (spec.m, STRICT)))
-    # aggregate by (product, orbits) so the commutator joins run once per pair
+    # aggregate by (product, orbits) so each leaf reads the commutator table once
     leaves = _tally(((p, lab), c) for (p, _, lab), c in states.items())
 
-    total = 0
     if g == 0:
         total = sum(c for (p, lab), c in leaves.items()
-                    if p == ident and not (spec.connected and any(lab)))
+                    if p == ident and not any(labels.items[lab]))
     else:
-        comm_table = commutator_tuple_table(d, g)
-        for (prod, q), mult in leaves.items():
-            by_orbit = comm_table.get(prod, {})
-            total += mult * sum(
-                c for p, c in by_orbit.items()
-                if not (spec.connected and any(_join(q, p)))
-            )
+        from .commutators import commutator_codes
+
+        comm_table = commutator_codes(d, g)
+        total = sum(mult * sum(c for p, c in comm_table.get(prod, {}).items()
+                               if _transitive(d, q, p))
+                    for (prod, q), mult in leaves.items())
 
     if spec.labeled:
         for p in spec.profiles:
@@ -414,9 +425,10 @@ def monotone_double_count(source_genus, mu, nu, strict, connected=True,
     s1 = canonical_of_type(mu, d)
     # sigma_2 lies in <sigma_1, tau>, so the joined orbits decide transitivity;
     # sigma_2^-1 = p sigma_1 has the cycle type of sigma_2
-    ends = _tau_walk(d, b, strict, orbit_labels(d, (s1,)) if connected else None)
-    total = sum(c for (p, _, lab), c in ends.items()
-                if not (connected and any(lab)) and cycle_type(compose(p, s1)) == nu)
+    perms, labels = _codes(d)
+    ends = _tau_walk(d, b, strict, orbit_labels(d, (s1,)) if connected else (0,) * d)
+    total = sum(c for (p, _, lab), c in ends.items() if not any(labels.items[lab])
+                and cycle_type(compose(perms.items[p], s1)) == nu)
     return Fraction(total * class_size(mu, d), factorial(d))
 
 
@@ -443,10 +455,11 @@ def count_monotone_of_fixed_target(mu, b: int, strict: bool = False,
     g2 = b - (n + d - 2)
     if b < 0 or g2 < 0 or g2 % 2 != 0:
         raise DomainError(f"b={b} infeasible for mu={mu}")
-    target = canonical_of_type(mu, d)
-    ends = _tau_walk(d, b, strict, orbit_labels(d, (target,)))
+    perms, labels = _codes(d)
+    target = perms.code(canonical_of_type(mu, d))
+    ends = _tau_walk(d, b, strict, orbit_labels(d, (perms.items[target],)))
     return sum(c for (p, _, lab), c in ends.items()
-               if p == target and not any(lab))
+               if p == target and not any(labels.items[lab]))
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +495,13 @@ def oracle_N_slots(variant: str, g: int, mu, nu,
     s1_inv, offset = inverse(sigma1), sum(nu[:-1])  # first point of the last block
     # tau_b...tau_1 sigma_1 = sigma_2 iff sigma_1^-1 tau_1...tau_b = sigma_2^-1,
     # and sigma_2^-1 has the cycles of sigma_2
+    perms, labels = _codes(d)
     slots = {}
     for (p, last, lab), c in _tau_walk(d, b, variant == "strict",
                                        orbit_labels(d, (sigma1,))).items():
-        if last < offset or any(lab):
+        if last < offset or any(labels.items[lab]):
             continue
-        q = compose(s1_inv, p)
+        q = compose(s1_inv, perms.items[p])
         if cycle_type(q) != mu:
             continue
         cyc = _labels_of(q)
@@ -509,31 +523,3 @@ def oracle_N(variant: str, g: int, mu, nu, l: int, i: int,
     if not nu or not (1 <= l <= nu[-1]):
         raise DomainError(f"counter l={l} out of range for nu={nu}")
     return oracle_N_slots(variant, g, mu, nu, limit).get((l, i), 0)
-
-
-def oracle_N_aggregate(variant, g, mu, nu, limit=DEFAULT_ORACLE_LIMIT):
-    """Sum of oracle_N over all slots (l, i)."""
-    return sum(oracle_N_slots(variant, g, mu, nu, limit).values())
-
-
-# ---------------------------------------------------------------------------
-# commutator cycle-type counts
-
-
-def count_commutator_type(g: int, nu, d: int,
-                          limit: int = DEFAULT_ORACLE_LIMIT) -> int:
-    """Number of 2g-tuples in S_d^2g whose commutator product has padded type nu."""
-    if g < 1:
-        raise DomainError("g must be >= 1")
-    nu = check_partition(nu)
-    if sum(nu) > d:
-        raise DomainError("|nu| > d")
-    if d > limit:
-        raise ResourceLimitError(f"degree {d} above oracle limit {limit}")
-    target = pad_to(strip_ones(nu), d)
-    table = commutator_tuple_table(d, g)
-    total = 0
-    for kappa, orbs in table.items():
-        if cycle_type(kappa) == target:
-            total += sum(orbs.values())
-    return total

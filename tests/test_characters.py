@@ -26,11 +26,11 @@ from mixedhurwitz.partitions import (
     partition_count,
     sym_eval,
 )
+from mixedhurwitz.commutators import count_commutator_type
 from mixedhurwitz.series import QSeries
 from mixedhurwitz.symgroup import (
     HurwitzSpec,
     all_perms,
-    count_commutator_type,
     cycle_type,
     perms_of_type,
 )

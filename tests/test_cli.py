@@ -294,10 +294,11 @@ def test_oracle_dmax_precedence():
 
 
 def test_malformed_oracle_dmax_env_is_a_domain_error():
-    p = run(*ORACLE_COMPUTE, env={"MIXEDHURWITZ_ORACLE_DMAX": "abc"},
-            check=False)
-    assert p.returncode == 2
-    assert p.stderr.startswith("domain error:"), p.stderr
+    for value in ("abc", "-1"):
+        p = run(*ORACLE_COMPUTE, env={"MIXEDHURWITZ_ORACLE_DMAX": value},
+                check=False)
+        assert p.returncode == 2, value
+        assert p.stderr.startswith("domain error:"), p.stderr
 
 
 def test_no_global_flag_matches_explicit_defaults():
@@ -343,6 +344,9 @@ def test_cache_clear_removes_corrupt_file(tmp_path):
       "--bmax", "-1"], "b <= -1"),
     (["fit", "--source-genus", "2", "--k", "2", "--qmax", "20",
       "--weight", "-1"], "weight bound -1"),
+    (["--jobs", "0", "verify", "--suite", "all"], "--jobs must be >= 1, got 0"),
+    (["verify", "--suite", "all", "--jobs", "-2"], "--jobs must be >= 1, got -2"),
+    (["--oracle-dmax", "-1", *ORACLE_COMPUTE], "must be >= 0, got -1"),
 ])
 def test_malformed_input_is_a_domain_error(args, reason):
     p = run(*args, check=False)

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mixedhurwitz.characters import (
     connected_hurwitz_qseries,
@@ -20,11 +20,19 @@ from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import enumerate_partitions
 from mixedhurwitz.spectral import ceo_omega, cut_and_join_C, extract_C
 from mixedhurwitz.symgroup import (
+    FREE,
+    STRICT,
+    WEAK,
     HurwitzSpec,
+    _codes,
+    _walk,
+    all_perms,
     count_triply_mixed,
     monotone_double_count,
     oracle_N_slots,
+    orbit_labels,
     source_genus_for,
+    transposition,
 )
 from mixedhurwitz.tropical import (
     enumerate_elliptic_covers,
@@ -202,3 +210,61 @@ def test_tropical_matches_characters(case):
     kl = (0, 2 * g - 2, 0) if variant == "monotone" else (0, 0, 2 * g - 2)
     want = connected_hurwitz_qseries(1, *kl, (), d).coefficient(d)
     assert tropical_elliptic_sum(variant, g, d) == want
+
+
+def _reference_walk(d, states, blocks):
+    """_walk on plain tuples: each step swaps two entries of the permutation
+    and joins their orbits with orbit_labels."""
+    for length, mode in blocks:
+        if not length:  # no step, so no restart either
+            continue
+        restarted = Counter()
+        for (p, _, lab), c in states.items():
+            restarted[p, 0, lab] += c
+        states = restarted
+        for _ in range(length):
+            nxt = Counter()
+            for (p, last, lab), c in states.items():
+                for t in range(1, d):
+                    if t < last or (mode == STRICT and t == last):
+                        continue
+                    for s in range(t):
+                        q = list(p)
+                        q[s], q[t] = p[t], p[s]
+                        joined = orbit_labels(d, (lab, transposition(d, s, t)))
+                        nxt[tuple(q), 0 if mode == FREE else t, joined] += c
+            states = nxt
+    return dict(states)
+
+
+@st.composite
+def walk_cases(draw):
+    """Start states over S_d, d <= 5, and up to three blocks of up to two
+    steps.  A state's labels are the one-orbit labels (how a walk that needs
+    no transitivity starts) or the cycles of a random permutation, which
+    reach every set partition."""
+    d = draw(st.integers(1, 5))
+    perm = st.sampled_from(all_perms(d))
+    labels = st.one_of(st.just((0,) * d),
+                       perm.map(lambda p: orbit_labels(d, (p,))))
+    states = draw(st.dictionaries(
+        st.tuples(perm, st.integers(0, d - 1), labels), st.integers(1, 9),
+        min_size=1, max_size=4))
+    blocks = draw(st.lists(st.tuples(
+        st.integers(0, 2), st.sampled_from((FREE, WEAK, STRICT))), max_size=3))
+    return d, states, blocks
+
+
+@PROPERTY
+# a strict block from last t = d - 1: the block restarts last t, and a state
+# whose step used t = d - 1 has no strict successor
+@example((4, {((1, 0, 3, 2), 3, (0, 0, 2, 2)): 2}, [(3, STRICT)]))
+@given(walk_cases())
+def test_coded_walk_matches_a_tuple_reference(case):
+    d, states, blocks = case
+    perms, labels = _codes(d)
+    coded = {(perms.code(p), last, labels.code(lab)): c
+             for (p, last, lab), c in states.items()}
+    got = {(perms.items[p], last, labels.items[lab]): c
+           for (p, last, lab), c in _walk(d, coded, blocks).items()}
+    assert got == _reference_walk(d, states, blocks)

@@ -1,23 +1,27 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
 from math import factorial
 
 import pytest
 
+from mixedhurwitz.commutators import (
+    commutator_pair_table,
+    commutator_tuple_table,
+    count_commutator_type,
+)
 from mixedhurwitz.errors import DomainError, ResourceLimitError
-from mixedhurwitz.partitions import aut_count, enumerate_partitions
+from mixedhurwitz.partitions import aut_count, class_size, enumerate_partitions
 from mixedhurwitz.symgroup import (
     DEFAULT_ORACLE_LIMIT,
     HurwitzSpec,
+    _codes,
     _join,
     _labels_of,
     all_perms,
     canonical_of_type,
     classical_hurwitz_count,
-    commutator_pair_table,
-    commutator_tuple_table,
     compose,
-    count_commutator_type,
     count_monotone_of_fixed_target,
     count_triply_mixed,
     cycle_type,
@@ -25,7 +29,6 @@ from mixedhurwitz.symgroup import (
     inverse,
     monotone_double_count,
     oracle_N,
-    oracle_N_aggregate,
     oracle_N_slots,
     orbit_labels,
     source_genus_for,
@@ -142,7 +145,7 @@ def test_canonical_of_type_labels():
 
 def test_oracle_N_examples():
     assert oracle_N("monotone", 0, (3,), (2, 1), 1, 1) == 2
-    assert oracle_N_aggregate("strict", 1, (2,), (2,)) == 0
+    assert sum(oracle_N_slots("strict", 1, (2,), (2,)).values()) == 0
     # b = 0 base convention: single cycle, slot (l = last part, i = 1)
     assert oracle_N("monotone", 0, (3,), (3,), 3, 1) == 1
     assert oracle_N("monotone", 0, (3,), (3,), 1, 1) == 0
@@ -181,9 +184,26 @@ def _naive_commutator_table(d, g):
     return table
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_commutator_pair_table_matches_plain_products(d):
     assert commutator_pair_table(d) == _naive_commutator_table(d, 1)
+
+
+def test_commutator_pair_table_at_degree_6():
+    from mixedhurwitz.characters import commutator_count_by_characters
+
+    table = commutator_pair_table(6)
+    for kappa, by_orbit in table.items():
+        nu = cycle_type(kappa)
+        assert sum(by_orbit.values()) * class_size(nu, 6) == \
+            commutator_count_by_characters(1, nu, 6), kappa
+    # all (6!)^2 pairs lie over the 360 even permutations; the digest is that
+    # of the same table built by a plain loop over the pairs
+    assert sum(sum(r.values()) for r in table.values()) == factorial(6) ** 2
+    assert len(table) == 360
+    rows = sorted((k, sorted(r.items())) for k, r in table.items())
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "ec54c6f47ab351bc3f40ae17d38350ecd0ec0e36b8dcad12d311922eb4ea17e4")
 
 
 def test_commutator_tuple_table_matches_plain_products():
@@ -197,9 +217,11 @@ def test_label_joins_match_orbit_labels(d):
     # every set partition is the cycle partition of some permutation
     labels = {orbit_labels(d, (p,)) for p in all_perms(d)}
     assert len(labels) == [1, 1, 2, 5, 15, 52][d]
+    codes = _codes(d)[1]
     for a in labels:
         for b in labels:
-            assert _join(a, b) == orbit_labels(d, (a, b))
+            joined = _join(codes, codes.code(a), codes.code(b))
+            assert codes.items[joined] == orbit_labels(d, (a, b))
 
 
 def test_disconnected_assembles_from_connected():
