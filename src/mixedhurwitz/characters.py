@@ -11,20 +11,20 @@ import json
 import os
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
+    _block_start,
     check_partition,
     class_size,
-    contents,
     enumerate_partitions,
     hook_dim,
     pad_to,
     partition_count,
     strip_ones,
-    sym_eval,
 )
 from .series import QSeries
 from .util import CACHE_ENV
@@ -221,11 +221,28 @@ def _lambda_column(d: int, key):
         lams = enumerate_partitions(d)
         if key == "dim":
             col = [hook_dim(lam) for lam in lams]
-        elif key == "f2":  # row i holds the contents -i, ..., r - 1 - i
-            col = [sum(r * (r - 1) // 2 - i * r for i, r in enumerate(lam))
-                   for lam in lams]
-        else:
-            col = [sym_eval(*key, contents(lam)) for lam in lams]
+        elif key == "f2":  # f2((first,) + tail) = C(first, 2) + f2(tail) - |tail|
+            col = [0] if d == 0 else []
+            for first in range(d, 0, -1):
+                r = d - first
+                tails = _lambda_column(r, "f2")[_block_start[r][min(first, r)]:]
+                col.extend([f + first * (first - 1) // 2 - r for f in tails])
+        else:  # every h_j and e_j, j <= n, from one walk over the contents
+            n, rows = key[1], []
+            for lam in lams:
+                h, e = [1] + [0] * n, [1] + [0] * n
+                for i, r in enumerate(lam):
+                    for v in range(-i, r - i):
+                        if v:
+                            for j in range(n, 0, -1):
+                                e[j] += v * e[j - 1]
+                            for j in range(1, n + 1):
+                                h[j] += v * h[j - 1]
+                rows.append(h[1:] + e[1:])
+            for j, col in enumerate(zip(*rows)):
+                kind = "elementary" if j >= n else "complete_homogeneous"
+                _lambda_columns[(d, (kind, j % n + 1))] = list(col)
+            return _lambda_columns[(d, key)]
         _lambda_columns[(d, key)] = col
     return col
 
@@ -320,59 +337,36 @@ def _first_degree_over(limit):
 # content and the degree are plain additive gradings.
 
 
-def _sub_triples(k, l, m):
-    for k1 in range(k + 1):
-        for l1 in range(l + 1):
-            for m1 in range(m + 1):
-                yield k1, l1, m1
-
-
-def _sub_multisets(parts):
-    parts = tuple(parts)
-    if not parts:
-        yield ()
-        return
-    head, tail = parts[0], parts[1:]
-    seen = set()
-    for rest in _sub_multisets(tail):
-        for take in (True, False):
-            cand = tuple(sorted(((head,) if take else ()) + rest, reverse=True))
-            if cand not in seen:
-                seen.add(cand)
-                yield cand
-
-
-def _sub_profiles(profiles):
-    if not profiles:
-        yield ()
-        return
-    for first in _sub_multisets(profiles[0]):
-        for rest in _sub_profiles(profiles[1:]):
-            yield (first,) + rest
-
-
-def _profile_diff(whole, part):
-    out = []
-    for w, p in zip(whole, part):
-        avail = list(w)
-        for x in p:
-            avail.remove(x)
-        out.append(tuple(sorted(avail, reverse=True)))
-    return tuple(out)
+@cache
+def _multiset_splits(parts):
+    """(sub, parts - sub) for every sub-multiset sub of the partition parts."""
+    out = [((), ())]
+    for v in sorted(set(parts), reverse=True):
+        c = parts.count(v)
+        out = [(a + (v,) * i, b + (v,) * (c - i)) for a, b in out for i in range(c + 1)]
+    return out
 
 
 @cache
 def _profile_splits(profiles):
     """(part, profiles - part) for every sub-profile part of profiles."""
-    return tuple((p, _profile_diff(profiles, p)) for p in _sub_profiles(profiles))
+    out = [((), ())]
+    for p in profiles:
+        out = [(a + (s,), b + (r,)) for a, b in out for s, r in _multiset_splits(p)]
+    return out
+
+
+def _euler_terms(key):
+    """(C(k, k1), key1, key - key1) for every subkey key1 of key."""
+    k, l, m, profiles = key
+    return [(comb(k, k1), (k1, l1, m1, prof1), (k - k1, l - l1, m - m1, prof2))
+            for k1, l1, m1 in product(range(k + 1), range(l + 1), range(m + 1))
+            for prof1, prof2 in _profile_splits(profiles)]
 
 
 def _subkeys(key):
     """All (k', l', m', profiles') componentwise inside (k, l, m, profiles)."""
-    k, l, m, profiles = key
-    for k1, l1, m1 in _sub_triples(k, l, m):
-        for prof in _sub_profiles(profiles):
-            yield (k1, l1, m1, prof)
+    return [key1 for _, key1, _ in _euler_terms(key)]
 
 
 def subsectors(sector):
@@ -387,28 +381,27 @@ def _binomial_row(n):
     return tuple(comb(n, j) for j in range(n + 1))
 
 
-def _euler_sum(s, conn, disc):
-    """Sum of C(k, k1) C(d-1, d1-1) conn[s1] disc[s2] over s1 + s2 = s with
-    1 <= d1 < d, for conn and disc mapping (k, l, m, profiles) to per-degree
-    lists of integers.
+def _euler_sum(terms, d, conn, disc):
+    """Sum of C(k, k1) C(d-1, d1-1) conn[s1] disc[s2] over s1 + s2 = (key, d)
+    with 1 <= d1 < d, terms = _euler_terms(key).  conn and disc are pairs
+    (columns, lows): columns maps (k, l, m, profiles) to per-degree lists of
+    integers, and lows maps it to a degree >= 1 below which the column is 0.
 
     With D the degree operator, D log(1 + P) = DP / (1 + P) gives, sector by
     sector, d P_s = d L_s + sum C(k, k1) d1 L_s1 P_s2.  Scale each degree-d
     value by w_d = d! c^d: then w_d = C(d, d1) w_d1 w_d2, and the identity
-    times w_d / d is the division-free P~_s = L~_s + _euler_sum(s, L~, P~).
-    Taken in increasing degree, it yields the log L from P and the exp P
-    from L (_euler_solve).
+    times w_d / d is the division-free P~_s = L~_s + this sum with conn = L~
+    and disc = P~.  Taken in increasing degree, it yields the log L from P
+    and the exp P from L (_euler_solve).
     """
-    k, l, m, profiles, d = s
+    (a, a_low), (b, b_low) = conn, disc
     row = _binomial_row(d - 1)  # row[d1 - 1] = C(d - 1, d1 - 1)
     total = 0
-    for k1, l1, m1 in _sub_triples(k, l, m):
-        part = 0
-        for prof1, prof2 in _profile_splits(profiles):
-            a = conn[(k1, l1, m1, prof1)]
-            b = disc[(k - k1, l - l1, m - m1, prof2)]
-            part += sum(map(mul, map(mul, row, a[1:d]), b[d - 1:0:-1]))
-        total += comb(k, k1) * part
+    for c, key1, key2 in terms:
+        lo, hi = a_low[key1], d - b_low[key2]  # the d1 where both can be nonzero
+        if lo <= hi:
+            total += c * sum(map(mul, map(mul, row[lo - 1:hi], a[key1][lo:hi + 1]),
+                                 b[key2][d - lo:d - hi - 1:-1]))
     return total
 
 
@@ -429,12 +422,21 @@ def _euler_solve(columns, tops, log):
     given = {key: [v.numerator * (wd // v.denominator) for v, wd in zip(col, w)]
              for key, col in columns.items()}
     out = {key: [0] * (dmax + 1) for key in columns}
-    conn, disc = (out, given) if log else (given, out)
+    # the lowest nonzero degree of each column; dmax + 1 while it has none
+    given_low = {key: next((d for d in range(1, dmax + 1) if col[d]), dmax + 1)
+                 for key, col in given.items()}
+    out_low = dict.fromkeys(columns, dmax + 1)
+    conn, disc = (out, out_low), (given, given_low)
+    if not log:
+        conn, disc = disc, conn
     sign = -1 if log else 1
-    for d in range(1, dmax + 1):
-        for key, top in tops.items():
-            if d <= top:
-                out[key][d] = given[key][d] + sign * _euler_sum(key + (d,), conn, disc)
+    # a proper subkey has fewer transpositions or profile parts: solved first
+    for key in sorted(tops, key=lambda key: sum(key[:3]) + sum(map(len, key[3]))):
+        terms, col = _euler_terms(key), out[key]
+        for d in range(1, tops[key] + 1):
+            col[d] = given[key][d] + sign * _euler_sum(terms, d, conn, disc)
+            if col[d] and out_low[key] > d:
+                out_low[key] = d
     return out, w
 
 

@@ -10,7 +10,8 @@ tests.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from operator import mul
 
 from .errors import DomainError
 from .partitions import check_partition, enumerate_partitions, partition_count
@@ -188,12 +189,28 @@ def monomial_basis(weight_bound: int):
     return [m for _, m in out]
 
 
+def basis_size(weight_bound: int) -> int:
+    """len(monomial_basis(weight_bound)), counted without building it: for
+    each c, the pairs with a + 2b <= n = (bound - 6c) // 2 number
+    (q + 1)(n + 1 - q), q = n // 2."""
+    total = 0
+    for c in range(weight_bound // 6 + 1):
+        n = (weight_bound - 6 * c) // 2
+        total += (n // 2 + 1) * (n + 1 - n // 2)
+    return total
+
+
+def _times(a, b):
+    """The product of two integer q-expansions of the same length."""
+    return [sum(map(mul, a[:e + 1], b[e::-1])) for e in range(len(a))]
+
+
 FIT_SAFETY_MARGIN = 5
 
 
 def fit_quasimodular(s: QSeries, weight_bound: int, margin: int = FIT_SAFETY_MARGIN):
     """The unique mixed-weight <= bound polynomial matching s on all its
-    coefficients, by exact Gaussian elimination.
+    coefficients, by exact Gauss-Jordan elimination on integers.
 
     Over-determination is mandatory: s must supply at least dim + margin
     coefficients, and every supplied coefficient is used as an equation.
@@ -204,8 +221,7 @@ def fit_quasimodular(s: QSeries, weight_bound: int, margin: int = FIT_SAFETY_MAR
         raise DomainError("cannot fit a Laurent series with negative exponents")
     if weight_bound < 0:
         raise DomainError(f"weight bound {weight_bound} must be >= 0")
-    basis = monomial_basis(weight_bound)
-    dim = len(basis)
+    dim = basis_size(weight_bound)
     order = s.high
     n_eq = order + 1
     if n_eq < dim + margin:
@@ -213,59 +229,44 @@ def fit_quasimodular(s: QSeries, weight_bound: int, margin: int = FIT_SAFETY_MAR
             f"need at least {dim + margin} coefficients to fit at weight {weight_bound}, "
             f"got {n_eq}"
         )
-    expansions = []
-    P = eisenstein(2, order)
-    Q = eisenstein(4, order)
-    R = eisenstein(6, order)
-    pow_cache = {}
+    basis = monomial_basis(weight_bound)
+    powers = {}  # powers[k][a] = E_k^a, E_2, E_4, E_6 = P, Q, R as integer lists
+    for k in (2, 4, 6):
+        series = [int(x) for x in eisenstein(k, order).coeffs]
+        powers[k] = [[1] + [0] * order]
+        for _ in range(weight_bound // k):
+            powers[k].append(_times(powers[k][-1], series))
+    expansions = [_times(_times(powers[2][a], powers[4][b]), powers[6][c])
+                  for a, b, c in basis]
 
-    def power(series, label, k):
-        key = (label, k)
-        if key not in pow_cache:
-            if k == 0:
-                pow_cache[key] = QSeries([1] + [0] * order, 0, "q")
-            else:
-                pow_cache[key] = power(series, label, k - 1) * series
-        return pow_cache[key]
-
-    for (a, b, c) in basis:
-        expansions.append(power(P, "P", a) * power(Q, "Q", b) * power(R, "R", c))
-
-    # rows: one equation per q-exponent 0..order
+    # one equation per q-exponent 0..order, times the denominator of its
+    # right-hand side: the expansions are integer series
     rows = []
     for e in range(n_eq):
-        rows.append([exp.coefficient(e) for exp in expansions] + [s.coefficient(e)])
+        rhs = s.coefficient(e)
+        rows.append([x[e] * rhs.denominator for x in expansions] + [rhs.numerator])
 
-    # exact Gaussian elimination with column pivoting over the fractions
-    pivot_rows = []
-    pivot_cols = []
+    # Gauss-Jordan with column pivoting: the pivot is the first unused row with
+    # a nonzero entry, and each updated row is divided by its content
+    pivots = {}  # row -> column
     for col in range(dim):
-        sel = None
-        for ri, row in enumerate(rows):
-            if ri in pivot_rows:
-                continue
-            if row[col] != 0:
-                sel = ri
-                break
+        sel = next((ri for ri, row in enumerate(rows)
+                    if row[col] and ri not in pivots), None)
         if sel is None:
             continue
-        pivot_rows.append(sel)
-        pivot_cols.append(col)
-        pv = rows[sel][col]
-        rows[sel] = [x / pv for x in rows[sel]]
+        pivots[sel] = col
+        prow = rows[sel]
+        pv = prow[col]
         for ri, row in enumerate(rows):
-            if ri != sel and row[col] != 0:
-                f = row[col]
-                rows[ri] = [x - f * y for x, y in zip(row, rows[sel])]
-
-    sol = [Fraction(0)] * dim
-    for ri, col in zip(pivot_rows, pivot_cols):
-        sol[col] = rows[ri][dim]
+            f = row[col]
+            if f and ri != sel:
+                row = [pv * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                rows[ri] = [x // g for x in row] if g > 1 else row
     # consistency: every non-pivot row must be fully zero
     for ri, row in enumerate(rows):
-        if ri in pivot_rows:
-            continue
-        if any(x != 0 for x in row[: dim + 1]):
+        if ri not in pivots and any(row):
             return FitFailure(residual_index=ri)
-    terms = tuple((mono, sol[i]) for i, mono in enumerate(basis) if sol[i] != 0)
+    sol = {col: Fraction(rows[ri][dim], rows[ri][col]) for ri, col in pivots.items()}
+    terms = tuple((mono, sol[i]) for i, mono in enumerate(basis) if sol.get(i))
     return QuasimodularPoly(weight_bound=weight_bound, terms=terms)

@@ -207,64 +207,6 @@ def _transitive(d: int, a: int, b: int) -> bool:
     return not any(labels.items[_join(labels, a, b)])
 
 
-class FactorizationTuple:
-    """One explicit witness tuple for a HurwitzSpec.
-
-    sigmas: the profile permutations; taus: the b transpositions as (s, t)
-    pairs with s < t; alphas/betas: the g handle permutations.  validate()
-    checks the product relation and the monotone blocks.
-    """
-
-    __slots__ = ("spec", "sigmas", "taus", "alphas", "betas")
-
-    def __init__(self, spec: HurwitzSpec, sigmas: tuple, taus: tuple,
-                 alphas: tuple = (), betas: tuple = ()):
-        self.spec, self.sigmas, self.taus = spec, sigmas, taus
-        self.alphas, self.betas = alphas, betas
-
-    def validate(self) -> bool:
-        d = self.spec.degree
-        if len(self.sigmas) != len(self.spec.profiles):
-            raise DomainError("wrong number of profile permutations")
-        if len(self.taus) != self.spec.b:
-            raise DomainError("wrong number of transpositions")
-        g = self.spec.base_genus
-        if len(self.alphas) != g or len(self.betas) != g:
-            raise DomainError("wrong number of handle permutations")
-        for sig, prof in zip(self.sigmas, self.spec.padded_profiles()):
-            if cycle_type(sig) != prof:
-                raise DomainError(f"permutation has type {cycle_type(sig)}, "
-                                  f"profile wants {prof}")
-        lhs = identity(d)
-        for sig in self.sigmas:
-            lhs = compose(lhs, sig)
-        for (s, t) in self.taus:
-            if not 0 <= s < t < d:
-                raise DomainError(f"bad transposition ({s}, {t})")
-            lhs = compose(lhs, transposition(d, s, t))
-        rhs = identity(d)
-        for a, bb in zip(self.alphas, self.betas):
-            rhs = compose(rhs, compose(compose(a, bb),
-                                       compose(inverse(a), inverse(bb))))
-        if lhs != rhs:
-            raise DomainError("product relation fails")
-        k, l, m = self.spec.k, self.spec.l, self.spec.m
-        ts = [t for (_, t) in self.taus]
-        for i in range(k, k + l - 1):
-            if ts[i] > ts[i + 1]:
-                raise DomainError("weakly monotone block violated")
-        for i in range(k + l, k + l + m - 1):
-            if ts[i] >= ts[i + 1]:
-                raise DomainError("strictly monotone block violated")
-        if self.spec.connected:
-            gens = self.sigmas + tuple(
-                transposition(d, s, t) for (s, t) in self.taus
-            ) + self.alphas + self.betas
-            if any(orbit_labels(d, gens)):
-                raise DomainError("tuple is not transitive")
-        return True
-
-
 def source_genus_for(base_genus: int, degree: int, profiles, b: int) -> int:
     """Source genus implied by b transpositions; errors if not a nonneg integer."""
     corr = sum(len(check_partition(p)) - sum(p) for p in profiles)

@@ -244,6 +244,20 @@ def test_genus_one_sector_without_profiles_builds_no_dim_column(monkeypatch):
     assert (9, "dim") in characters._lambda_columns
 
 
+def test_lambda_columns_match_their_definitions(monkeypatch):
+    # f2 comes from the smaller degrees' columns, h_j and e_j from one walk
+    # for every j <= n; requests alternate kinds and raise or lower j
+    monkeypatch.setattr(characters, "_lambda_columns", {})
+    kinds = ("complete_homogeneous", "elementary")
+    for d in range(21):
+        conts = [contents(lam) for lam in enumerate_partitions(d)]
+        assert characters._lambda_column(d, "f2") == [sum(c) for c in conts]
+        for j in (1, 3, 2, 4):
+            for kind in kinds[j % 2:] + kinds[:j % 2]:
+                assert characters._lambda_column(d, (kind, j)) == [
+                    sym_eval(kind, j, c) for c in conts], (d, kind, j)
+
+
 def test_partition_budget_refuses_the_first_degree_past_it(monkeypatch):
     monkeypatch.setattr(characters, "PARTITION_LIMIT", partition_count(10))
     assert sector_value(1, 2, 0, 0, (), 10) > 0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 BASE = [sys.executable, "-m", "mixedhurwitz.cli"]
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def child_env(extra=None):
@@ -347,6 +349,8 @@ def test_cache_clear_removes_corrupt_file(tmp_path):
     (["--jobs", "0", "verify", "--suite", "all"], "--jobs must be >= 1, got 0"),
     (["verify", "--suite", "all", "--jobs", "-2"], "--jobs must be >= 1, got -2"),
     (["--oracle-dmax", "-1", *ORACLE_COMPUTE], "must be >= 0, got -1"),
+    (["fit", "--source-genus", "3", "--k", "4", "--qmax", "27",
+      "--weight", "1000000", "--bracket"], "need at least"),
 ])
 def test_malformed_input_is_a_domain_error(args, reason):
     p = run(*args, check=False)
@@ -459,3 +463,22 @@ def test_character_route_refuses_a_degree_past_its_partition_budget():
     assert p.returncode == 3, p.stderr
     assert "partitions" in p.stderr and "Traceback" not in p.stderr
     assert time.monotonic() - start < 10
+
+
+def test_benchmark_invocations_print_their_expected_stdout(capsys):
+    # every variant of every perfbench workload, run in-process; perfbench
+    # is read (runpy compiles without writing bytecode), never changed
+    from mixedhurwitz import cli
+
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    argvs = [argv for slots in workloads["WORKLOADS"].values()
+             for variants in slots for argv in variants]
+    assert len(argvs) == len(expected["invocations"]) == 34
+    differ = []
+    for argv in argvs:
+        assert cli.main(workloads["GLOBAL_FLAGS"] + argv) == 0, argv
+        key = workloads["key"](argv)
+        if capsys.readouterr().out != expected["invocations"][key]["stdout"]:
+            differ.append(key)
+    assert differ == []

@@ -6,6 +6,7 @@ reproduces without a stored example database.
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,11 +14,20 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mixedhurwitz.characters import (
     connected_hurwitz_qseries,
     potential_log,
+    sector_value,
     subsectors,
 )
 from mixedhurwitz.double_recursion import N_value, _exp_at, double_hurwitz
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import enumerate_partitions
+from mixedhurwitz.quasimodular import (
+    FitFailure,
+    QuasimodularPoly,
+    eisenstein,
+    fit_quasimodular,
+    monomial_basis,
+)
+from mixedhurwitz.series import QSeries
 from mixedhurwitz.spectral import ceo_omega, cut_and_join_C, extract_C
 from mixedhurwitz.symgroup import (
     FREE,
@@ -67,6 +77,11 @@ def test_exp_inverts_potential_log(family):
     assert _exp_at(connected, target) == disconnected[target]
 
 
+@cache
+def _multiset_difference(p, p1):
+    return tuple(sorted((Counter(p) - Counter(p1)).elements(), reverse=True))
+
+
 def _reference_euler_sum(s, conn, disc):
     """Sum of C(k, k1) d1 conn[s1] disc[s - s1] over subsectors s1 of s with
     1 <= d1 < d, term by term in Fractions."""
@@ -76,9 +91,7 @@ def _reference_euler_sum(s, conn, disc):
         k1, l1, m1, prof1, d1 = s1
         if not 1 <= d1 < d:
             continue
-        prof2 = tuple(tuple(sorted((Counter(p) - Counter(p1)).elements(),
-                                   reverse=True))
-                      for p, p1 in zip(profiles, prof1))
+        prof2 = tuple(map(_multiset_difference, profiles, prof1))
         total += (comb(k, k1) * d1 * conn[s1]
                   * disc[(k - k1, l - l1, m - m1, prof2, d - d1)])
     return total
@@ -98,17 +111,36 @@ def _reference_log_exp(values, log):
 @st.composite
 def rational_families(draw):
     """A target of degree <= 5 and a value with denominator <= 12 on each of
-    its subsectors of degree >= 1, zeros and negative values included."""
+    its subsectors of degree >= 1, zeros and negative values included.  In
+    half the families a sector vanishes below a degree of its own, at least
+    its largest profile's size, as a genus-0 profile sector does."""
     target = (draw(st.integers(0, 2)), draw(st.integers(0, 1)),
               draw(st.integers(0, 1)), draw(profiles), draw(st.integers(1, 5)))
     sectors = sorted(s for s in subsectors(target) if s[4])
     value = st.one_of(st.just(Fraction(0)), st.fractions(
         min_value=-7, max_value=7, max_denominator=12))
     values = draw(st.lists(value, min_size=len(sectors), max_size=len(sectors)))
-    return target, dict(zip(sectors, values))
+    family = dict(zip(sectors, values))
+    if draw(st.booleans()):
+        keys = sorted({s[:4] for s in sectors})
+        extra = draw(st.lists(st.integers(0, 2), min_size=len(keys),
+                              max_size=len(keys)))
+        lows = {key: max(map(sum, key[3]), default=0) + x
+                for key, x in zip(keys, extra)}
+        family = {s: v if s[4] >= lows[s[:4]] else Fraction(0)
+                  for s, v in family.items()}
+    # largest sectors first: the solvers must not rely on the input order
+    return target, dict(reversed(family.items()))
+
+
+def _genus_zero_family(target):
+    """The disconnected genus-0 character values on the subsectors of target."""
+    return target, {s: sector_value(0, *s) for s in subsectors(target) if s[4]}
 
 
 @PROPERTY
+@example(_genus_zero_family((2, 1, 0, ((2, 2), (3,)), 5)))
+@example(_genus_zero_family((1, 1, 1, ((3,), (2,)), 5)))
 @given(rational_families())
 def test_log_and_exp_match_a_fraction_reference(family):
     target, values = family
@@ -268,3 +300,71 @@ def test_coded_walk_matches_a_tuple_reference(case):
     got = {(perms.items[p], last, labels.items[lab]): c
            for (p, last, lab), c in _walk(d, coded, blocks).items()}
     assert got == _reference_walk(d, states, blocks)
+
+
+def _reference_fit(s, weight_bound):
+    """Gauss-Jordan over Fractions with the fit's pivot rule: (terms, None)
+    for a solution with the free unknowns at 0, (None, row) for the first
+    row left inconsistent."""
+    basis = monomial_basis(weight_bound)
+    order = s.high
+    P, Q, R = (eisenstein(k, order) for k in (2, 4, 6))
+    one = QSeries.one(order)
+    expansions = []
+    for a, b, c in basis:
+        x = one
+        for series, n in ((P, a), (Q, b), (R, c)):
+            for _ in range(n):
+                x = x * series
+        expansions.append(x)
+    rows = [[x.coefficient(e) for x in expansions] + [s.coefficient(e)]
+            for e in range(order + 1)]
+    pivots = {}
+    for col in range(len(basis)):
+        sel = next((i for i, row in enumerate(rows)
+                    if row[col] and i not in pivots), None)
+        if sel is None:
+            continue
+        pivots[sel] = col
+        rows[sel] = [x / rows[sel][col] for x in rows[sel]]
+        for i, row in enumerate(rows):
+            if i != sel and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[sel])]
+    for i, row in enumerate(rows):
+        if i not in pivots and any(row):
+            return None, i
+    sol = {col: rows[i][-1] for i, col in pivots.items()}
+    return tuple((m, sol[j]) for j, m in enumerate(basis) if sol.get(j)), None
+
+
+@st.composite
+def fit_systems(draw):
+    """(series, weight bound, margin): the expansion of a random polynomial,
+    perhaps with one coefficient changed, or a random series.  A negative
+    margin leaves fewer equations than unknowns."""
+    weight = draw(st.integers(0, 12))
+    margin = draw(st.integers(-4, 6))
+    order = max(0, len(monomial_basis(weight)) + margin - 1)
+    coef = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+    kind = draw(st.sampled_from(["consistent", "perturbed", "random"]))
+    if kind == "random":
+        return QSeries(draw(st.lists(coef, min_size=order + 1,
+                                     max_size=order + 1))), weight, margin
+    terms = tuple((m, draw(coef)) for m in monomial_basis(weight)
+                  if draw(st.booleans()))
+    coeffs = QuasimodularPoly(weight, terms).expand(order).coefficients(0, order)
+    if kind == "perturbed":
+        coeffs[draw(st.integers(0, order))] += draw(coef.filter(bool))
+    return QSeries(coeffs), weight, margin
+
+
+@PROPERTY
+@given(fit_systems())
+def test_integer_fit_matches_a_fraction_reference(case):
+    s, weight, margin = case
+    terms, residual = _reference_fit(s, weight)
+    fit = fit_quasimodular(s, weight, margin)
+    if residual is None:
+        assert isinstance(fit, QuasimodularPoly) and fit.terms == terms
+    else:
+        assert isinstance(fit, FitFailure) and fit.residual_index == residual

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from mixedhurwitz.partitions import (
 from mixedhurwitz.quasimodular import (
     FitFailure,
     Q_k_eval,
+    basis_size,
     c_coefficient,
     completion_coefficients,
     eisenstein,
@@ -141,3 +143,16 @@ def test_monomial_basis_order():
     assert len(basis) == 7
     weights = [2 * a + 4 * b + 6 * c for (a, b, c) in basis]
     assert weights == sorted(weights)
+
+
+def test_basis_size_counts_the_basis():
+    assert [basis_size(w) for w in range(60)] == [
+        len(monomial_basis(w)) for w in range(60)]
+
+
+def test_fit_refuses_a_huge_weight_bound_at_once():
+    # the basis of weight <= 10**6 would hold about 3.5e15 monomials
+    start = time.monotonic()
+    with pytest.raises(DomainError, match="need at least 3472295139347228 "):
+        fit_quasimodular(QSeries([1] * 28), 10**6)
+    assert time.monotonic() - start < 5

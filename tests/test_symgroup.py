@@ -259,34 +259,3 @@ def test_disconnected_assembles_from_connected():
     gp = source_genus_for(1, 3, (), 2)
     assert disc == count_triply_mixed(
         HurwitzSpec(1, gp, 3, (), 2, 0, 0, connected=False))
-
-
-def test_factorization_tuple_validation():
-    from mixedhurwitz.symgroup import FactorizationTuple, transposition
-
-    spec = HurwitzSpec(0, 1, 3, ((3,), (3,)), 0, 2, 0)
-    sig1 = (1, 2, 0)   # (0 1 2)
-    sig2 = (1, 2, 0)
-    # (0 1 2)(0 1 2) = (0 2 1); two monotone transpositions undoing it:
-    # need tau product with sigma product = id
-    from mixedhurwitz.symgroup import compose, identity, inverse
-
-    prod = compose(sig1, sig2)
-    # choose taus (s1,t1),(s2,t2) with prod * t1 * t2 = id
-    want = inverse(prod)
-    found = None
-    from mixedhurwitz.symgroup import all_transpositions
-
-    for (s1, t1, tp1) in all_transpositions(3):
-        for (s2, t2, tp2) in all_transpositions(3):
-            if t1 <= t2 and compose(tp1, tp2) == want:
-                found = ((s1, t1), (s2, t2))
-    assert found
-    tup = FactorizationTuple(spec, (sig1, sig2), found)
-    assert tup.validate()
-    bad = FactorizationTuple(spec, (sig1, sig2), (found[1], found[0]))
-    import pytest as _pytest
-
-    if found[0] != found[1] and found[1][1] > found[0][1]:
-        with _pytest.raises(DomainError):
-            bad.validate()
