@@ -498,19 +498,15 @@ def connected_hurwitz_qseries(g: int, k: int, l: int, m: int, profiles, qmax: in
                               connected: bool = True) -> QSeries:
     """Generating series over the degree for fixed (k,l,m,profiles), base genus g.
 
-    Computes every needed disconnected subsector by the character formula and
-    takes the potential log when connected=True.
+    connected=False sums the sector itself by the character formula; the
+    connected series takes the potential log of every subsector's.
     """
     profiles = tuple(tuple(strip_ones(check_partition(p))) for p in profiles)
     check_partition_budget(qmax)
-    family = {}
-    for key in set(_subkeys((k, l, m, profiles))):
-        k1, l1, m1, prof = key
-        coeffs = [sector_value(g, k1, l1, m1, prof, d) for d in range(qmax + 1)]
-        family[key] = QSeries(coeffs, 0, "q")
-    if not connected:
-        return family[(k, l, m, profiles)]
-    return connected_series(family)[(k, l, m, profiles)]
+    top = (k, l, m, profiles)
+    family = {key: QSeries([sector_value(g, *key, d) for d in range(qmax + 1)], 0, "q")
+              for key in (set(_subkeys(top)) if connected else (top,))}
+    return connected_series(family)[top] if connected else family[top]
 
 
 # ---------------------------------------------------------------------------

@@ -247,9 +247,9 @@ def cmd_toprec(args):
     mu = parse_composition(args.mu)
     if len(mu) != args.n:
         raise DomainError("--mu must have exactly n parts")
-    om = ceo_omega(args.g, args.n)
-    c = extract_C(om, mu)
+    # first the check whose budget bounds |mu|: extraction's cost grows with mu
     cj = cut_and_join_C(args.g, args.n, mu)
+    c = extract_C(ceo_omega(args.g, args.n), mu)
     doc = {"C": rat_str(c), "checks": {"cut_and_join": rat_str(cj), "oracle": None}}
     if not args.skip_oracle and sum(mu) <= args.oracle_dmax:
         doc["checks"]["oracle"] = rat_str(oracle_C(args.g, args.n, mu,

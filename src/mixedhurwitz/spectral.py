@@ -5,9 +5,11 @@ the basis xi_k(z) = z^k/(1+z)^(2k+2), and it keeps one form from the
 recursion through extraction: an XiForm, the map {(k_1..k_n): int} of its
 coefficients.  The deck involution sigma(z) = 1/z pulls xi_k back to -xi_k,
 so the recursion works on index tuples alone.  Residues are taken at z = -1
-only (the z = 1 residue does not contribute for this curve); they are
-integer tables per basis index, computed once from Laurent expansions in
-t = z + 1.  Extraction at infinity of xi_k is a closed-form binomial sum.
+only (the z = 1 residue does not contribute for this curve), as two integer
+tables in closed form: R_m = -xi_{m+1} + 4 xi_{m+2} for the pair terms and a
+three-diagonal S_a for the Bergman terms.  Extraction at infinity of xi_k is
+a closed-form binomial sum.  ceo_omega and cut_and_join_C raise
+ResourceLimitError past module bounds.
 
 RF1 and TensorSum carry the initial data (omega_{0,1}; omega_{0,2} is the
 symbolic Bergman kernel) and the rational-function checks, which build the
@@ -20,10 +22,9 @@ extraction at infinity uses u = 1/z, where x = (1-u)^2/u.
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .partitions import check_partition, splits
 from .ratfun import RF1, Poly1, TensorSum, laurent_at_zero
 from .util import DEFAULT_ORACLE_LIMIT
@@ -76,9 +77,9 @@ OMEGA02 = "bergman"
 # xi_{k_1}(z_1) ... xi_{k_n}(z_n), xi_k(z) = z^k/(1+z)^(2k+2): in each
 # variable its coefficient has poles at z = -1 only, and its numerator over
 # (1+z)^(2K+2) is palindromic of degree 2K, which is exactly the span of
-# xi_0..xi_K.  The sigma-pullback of xi_k is -xi_k.  One-variable results
-# are first kept as principal parts {j: c}, meaning sum c (1+w)^-j, and then
-# written in the basis by _xi_split, which refuses anything outside it.
+# xi_0..xi_K.  The sigma-pullback of xi_k is -xi_k.  xi_coefficients writes
+# a one-variable function in the basis through its principal part {j: c},
+# meaning sum c (1+w)^-j, and _xi_split, which refuses anything outside it.
 
 
 @cache
@@ -128,19 +129,6 @@ def _xi_split(pp) -> dict:
     return out
 
 
-def _xi_tensor(pp, r) -> dict:
-    """{(j_1..j_r): c} of principal-part orders -> {(k_1..k_r): c}, slot by slot."""
-    for s in range(r):
-        cols = {}
-        for key, c in pp.items():
-            cols.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
-        pp = {}
-        for rest, col in cols.items():
-            for k, c in _xi_split(col).items():
-                pp[rest[:s] + (k,) + rest[s:]] = c
-    return pp
-
-
 def xi_coefficients(f: RF1) -> dict:
     """A one-variable coefficient in the xi basis, {k: c}.
 
@@ -160,45 +148,12 @@ def b_self_sigma() -> RF1:
 
 
 # ---------------------------------------------------------------------------
-# residues at z = -1 in t = z + 1
+# residues at z = -1, in closed form
 #
-# A t-series factor maps q to the principal part of its t^q coefficient in
-# the one variable it carries.
-
-
-def _shifted_power(q, scale, top) -> dict:
-    """scale * w^q / (1+w)^top as a principal part at w = -1."""
-    return {top - i: scale * comb(q, i) * (-1) ** (q - i) for i in range(q + 1)}
-
-
-@cache
-def _kernel_at(p) -> dict:
-    """[t^p] of 1/((z1 - z)(z1 z - 1)) = -sum_{i+j=p} z1^j t^p/(1+z1)^(p+2)."""
-    out = {}
-    for j in range(p + 1):
-        for order, c in _shifted_power(j, -1, p + 2).items():
-            out[order] = out.get(order, 0) + c
-    return out
-
-
-@cache
-def _bergman_at(q) -> dict:
-    """[t^q] of B(z, w) = 1/(z - w)^2 = 1/(t - (1+w))^2."""
-    return {q + 2: Fraction(q + 1)}
-
-
-@cache
-def _bergman_sigma_at(q) -> dict:
-    """[t^q] of B(sigma z, w) with its chain factor: -1/((1+w) - w t)^2."""
-    return _shifted_power(q, Fraction(-(q + 1)), q + 2)
-
-
-@cache
-def _bergman_diff_at(q) -> dict:
-    """[t^q] of B(sigma z, w) - B(z, w)."""
-    out = dict(_bergman_sigma_at(q))
-    out[q + 2] = out.get(q + 2, 0) - (q + 1)
-    return out
+# The kernel is K(z1, z) = kernel_z_part(z) / ((z1 - z)(z1 z - 1)).  Each
+# integrand below decays like z^-3 or faster, so by the residue theorem its
+# residue at z = -1 is minus the sum of its residues at the other poles:
+# z = z1 and 1/z1 from K, and z = w and 1/w from a Bergman kernel.
 
 
 def _z_power(m) -> Poly1:
@@ -206,65 +161,54 @@ def _z_power(m) -> Poly1:
     return Poly1([comb(m, i) * (-1) ** (m - i) for i in range(m + 1)])
 
 
-def _kernel_z_num() -> Poly1:
-    """t * kernel_z_part() = z (z-1)^3 / 2 in t."""
-    return _z_power(1) * Poly1([-8, 12, -6, 1]) * Fraction(1, 2)
-
-
-def _residue(num: Poly1, order, factors) -> dict:
-    """Res_{z=-1} num(t) t^-order K(z1, z) prod factors, in the xi basis.
-
-    K's z1 bifactor is expanded by _kernel_at; the result has z1 first,
-    then the variable of each factor.  Its coefficients are ints: a
-    denominator other than 1 is an AssertionError.
-    """
-    factors = (_kernel_at,) + tuple(factors)
-    pp = {}
-    for qs in product(range(order), repeat=len(factors)):
-        i = order - 1 - sum(qs)
-        if i < 0 or i >= len(num.c) or not num.c[i]:
-            continue
-        terms = {(): num.c[i]}
-        for f, q in zip(factors, qs):
-            terms = {key + (j,): v * c for key, v in terms.items()
-                     for j, c in f(q).items()}
-        for key, v in terms.items():
-            pp[key] = pp.get(key, 0) + v
-    out = {}
-    for key, c in _xi_tensor(pp, len(factors)).items():
-        if c.denominator != 1:
-            raise AssertionError("residue coefficients must be integers")
-        out[key] = int(c)
-    return out
-
-
-@cache
 def _pair_table(m) -> dict:
-    """R_m(z1) = Res K(z1, z) (-xi_a xi_b)(z) for a + b = m, as {k: c}."""
-    tab = _residue(_kernel_z_num() * _z_power(m) * -1, 2 * m + 5, ())
-    return {k: c for (k,), c in tab.items()}
+    """R_m(z1) = Res K(z1, z) (-xi_a xi_b)(z) for a + b = m, as {k: c}.
+
+    The integrand -z^(m+1) (z-1)^3 / (2 (1+z)^(2m+5) (z1-z)(z1 z-1)) has the
+    residue z1^(m+1) (z1-1)^2 / (2 (1+z1)^(2m+6)) at z = z1 and the same at
+    z = 1/z1.  So R_m = -z1^(m+1) (z1-1)^2 / (1+z1)^(2m+6), and writing
+    (z1-1)^2 = (1+z1)^2 - 4 z1 gives -xi_{m+1} + 4 xi_{m+2}.
+    """
+    return {m + 1: -1, m + 2: 4}
 
 
 @cache
 def _bergman_table(a) -> dict:
-    """S_a(z1, w) = Res K(z1, z) xi_a(z) [B(sigma z, w) - B(z, w)], {(k1, kw): c}."""
-    return _residue(_kernel_z_num() * _z_power(a), 2 * a + 3, (_bergman_diff_at,))
+    """S_a(z1, w) = Res K(z1, z) xi_a(z) [B(sigma z, w) - B(z, w)], as
+    {(k1, kw): c}: -(kw + 1) on k1 + kw = a - 1, 8 kw + 6 on k1 + kw = a and
+    -(16 kw + 8) on k1 + kw = a + 1.
+
+    The integrand is phi D, D(z) = -1/(1 - w z)^2 - 1/(z - w)^2 and
+    phi(z) = z^(a+1) (z-1)^3 / (2 (1+z)^(2a+3) (z1-z)(z1 z-1)).  As
+    phi(1/z) = -phi(z) and D(1/z) = z^2 D(z), the poles z1 and 1/z1 give
+    equal residues, and so do w and 1/w (-phi'(w) each):
+        S_a = (z1-1)^2 xi_{a+1}(z1) D(z1) + 2 phi'(w).
+    In s = X(z1), t = X(w), X(z) = z/(1+z)^2, xi_k1(z1) xi_kw(w) is
+    s^k1 t^kw / P with P = (1+z1)^2 (1+w)^2.  From (z1-w)(1-z1 w) = (s-t) P,
+    (z-1)^2 = (1+z)^2 (1-4X) and dX/dz = (1-z)/(1+z)^3 follows
+        P S_a (s-t)^2 = (1-4t) [t^(a+1) (1-4t) + (s-t) t^a (a+1 - (4a+10) t)]
+                        - s^(a+1) (1-4s) [(1-2s)(1-2t) - 4st],
+    whose quotient by (s-t)^2 is the three diagonals.
+    """
+    diagonals = {a - 1: (-1, -1), a: (8, 6), a + 1: (-16, -8)}  # c = p kw + q
+    return {(d - kw, kw): p * kw + q
+            for d, (p, q) in diagonals.items() for kw in range(d + 1)}
 
 
-def _base_case(g, n) -> dict:
-    """(1,1) from omega_{0,2}(z, sigma z); (0,3) from two Bergman kernels."""
-    if (g, n) == (1, 1):
-        # kernel_z_part() * b_self_sigma() = -z (z-1) / (2 t^3)
-        return _residue(_z_power(1) * Poly1([-2, 1]) * Fraction(-1, 2), 3, ())
-    kz = _kernel_z_num()
-    out = _residue(kz, 1, (_bergman_at, _bergman_sigma_at))
-    for key, c in _residue(kz, 1, (_bergman_sigma_at, _bergman_at)).items():
-        out[key] = out.get(key, 0) + c
-    return out
+# omega_{1,1} = -xi_1 is the residue of K(z1, z) omega_{0,2}(z, sigma z), and
+# omega_{0,3} = 8 xi_0 xi_0 xi_0 comes from two Bergman kernels
+_BASE_CASES = {(1, 1): {(1,): -1}, (0, 3): {(0, 0, 0): 8}}
 
 
 # ---------------------------------------------------------------------------
 # the recursion
+
+# ceo_omega refuses to build a level past either bound.  omega_{g,n} has at
+# most C(3g-3+2n, n) xi terms, and its recursion builds each (g-j, n+j).
+# omega_{8,1} is at both bounds: its level (2, 7) has C(17, 7) terms.  The
+# 2g-2+n bound alone would admit omega_{0,17}, with C(31, 17) terms.
+OMEGA_CHI_LIMIT = 15
+OMEGA_TERM_LIMIT = 19_448
 
 _omega_cache = {}
 
@@ -279,7 +223,14 @@ def ceo_omega(g: int, n: int) -> XiForm:
     key = (g, n)
     if key in _omega_cache:
         return _omega_cache[key]
-    out = XiForm(n, _base_case(g, n) if key in ((1, 1), (0, 3)) else _recursion(g, n))
+    if 2 * g - 2 + n > OMEGA_CHI_LIMIT:
+        raise ResourceLimitError(f"omega_{{{g},{n}}}: 2g-2+n = {2 * g - 2 + n} "
+                                 f"above the limit {OMEGA_CHI_LIMIT}")
+    terms = max(comb(3 * g + 2 * n - 3 - j, n + j) for j in range(g + 1))
+    if terms > OMEGA_TERM_LIMIT:
+        raise ResourceLimitError(f"omega_{{{g},{n}}} needs a level of {terms} "
+                                 f"xi terms, above the limit {OMEGA_TERM_LIMIT}")
+    out = XiForm(n, dict(_BASE_CASES[key]) if key in _BASE_CASES else _recursion(g, n))
     _omega_cache[key] = out
     return out
 
@@ -397,21 +348,26 @@ def _extract_bergman(mu1: int, mu2: int) -> Fraction:
 # cut-and-join recursion and closed forms
 
 
+# cut_and_join_C refuses b = 2g-2+n+|mu| above this; b is also the depth of
+# its recursion.  At b = 20 the costliest shape, (g, n) = (4, 1), visits
+# about 8,000 states in under a second; each unit of b adds about 60%.
+CUT_AND_JOIN_LIMIT = 20
+
+
 @cache
 def cut_and_join_C(g: int, n: int, mu) -> Fraction:
     """C_{g,n}(mu) by the cut-and-join recursion with C_{0,1}(1) = 1."""
     mu = tuple(mu)
-    if len(mu) != n or any(m < 1 for m in mu):
-        raise DomainError("mu must have n positive parts")
+    if n < 1 or len(mu) != n or any(m < 1 for m in mu):
+        raise DomainError("mu must have n >= 1 positive parts")
     if g < 0:
         return Fraction(0)
     b = 2 * g - 2 + n + sum(mu)
-    if b < 0:
-        return Fraction(0)
-    if (g, n, mu) == (0, 1, (1,)):
+    if b > CUT_AND_JOIN_LIMIT:
+        raise ResourceLimitError(f"cut-and-join: b = 2g-2+n+|mu| = {b} above "
+                                 f"the limit {CUT_AND_JOIN_LIMIT}")
+    if b == 0:  # n >= 1 parts >= 1 leave b = 0 only at (0, 1, (1,))
         return Fraction(1)
-    if b == 0:
-        return Fraction(0)
     mu1, rest = mu[0], mu[1:]
     total = Fraction(0)
     # join terms

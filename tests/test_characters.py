@@ -163,6 +163,23 @@ def test_connected_series_golden():
         connected_series(missing)
 
 
+def test_disconnected_series_evaluates_only_its_own_sector(monkeypatch):
+    calls = []
+
+    def counting_sector_value(*args):
+        calls.append(args)
+        return sector_value(*args)
+
+    monkeypatch.setattr(characters, "sector_value", counting_sector_value)
+    s = connected_hurwitz_qseries(0, 4, 2, 0, ((2, 2), (3,)), 12, connected=False)
+    assert len(calls) == 13
+    assert {args[1:5] for args in calls} == {(4, 2, 0, ((2, 2), (3,)))}
+    assert [str(c) for c in s.coefficients(0, 12)] == [
+        "0", "0", "0", "0", "2700", "27080", "108603/2", "1137157/24",
+        "75334/3", "450119/48", "385645/144", "12414107/20160",
+        "1190197/10080"]
+
+
 @pytest.mark.parametrize("d,g", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2)])
 def test_commutator_counts_match_oracle(d, g):
     for nu in enumerate_partitions(d):

@@ -465,6 +465,36 @@ def test_character_route_refuses_a_degree_past_its_partition_budget():
     assert time.monotonic() - start < 10
 
 
+@pytest.mark.parametrize("args,reason", [
+    (["--g", "0", "--n", "3", "--mu", "1,1,600"], "b = 2g-2+n+|mu| = 603"),
+    (["--g", "1", "--n", "1", "--mu", "300"], "b = 2g-2+n+|mu| = 301"),
+    (["--g", "10", "--n", "1", "--mu", "2"], "b = 2g-2+n+|mu| = 21"),
+    (["--g", "4", "--n", "1", "--mu", "14"], "b = 2g-2+n+|mu| = 21"),
+    (["--g", "8", "--n", "2", "--mu", "1,1"], "2g-2+n = 16"),
+    (["--g", "1", "--n", "9", "--mu", ",".join(["1"] * 9)], "48620 xi terms"),
+], ids=["mu-600", "mu-300", "g-10", "b-21", "chi-16", "terms"])
+def test_toprec_refuses_work_past_its_budget_at_once(args, reason, capsys):
+    from mixedhurwitz import cli
+
+    start = time.monotonic()
+    assert cli.main(["toprec", *args, "--skip-oracle"]) == 3
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and reason in err, err
+
+
+@pytest.mark.parametrize("args,value", [
+    (["--g", "8", "--n", "1", "--mu", "2"], "-1"),           # 2g-2+n = 15
+    (["--g", "4", "--n", "1", "--mu", "13"], "3322667407211880"),  # b = 20
+], ids=["omega-8-1", "b-20"])
+def test_toprec_finishes_at_its_budget(args, value, capsys):
+    from mixedhurwitz import cli
+
+    assert cli.main(["toprec", *args, "--skip-oracle"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "C": value, "checks": {"cut_and_join": value, "oracle": None}}
+
+
 def test_benchmark_invocations_print_their_expected_stdout(capsys):
     # every variant of every perfbench workload, run in-process; perfbench
     # is read (runpy compiles without writing bytecode), never changed

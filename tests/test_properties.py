@@ -4,13 +4,19 @@ Each runs the same examples on every run (derandomize=True), so a failure
 reproduces without a stored example database.
 """
 
+import io
+import json
+import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
 from math import comb
+from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from mixedhurwitz import cli, spectral
 from mixedhurwitz.characters import (
     connected_hurwitz_qseries,
     potential_log,
@@ -192,6 +198,63 @@ def tr_correlators(draw):
 def test_recursion_matches_cut_and_join(case):
     g, n, mu = case
     assert extract_C(ceo_omega(g, n), mu) == cut_and_join_C(g, n, mu)
+
+
+TOPREC = ["--cache-dir=", "--oracle-dmax", "4", "toprec"]
+HUGE = "9" * 30
+BAD_COUNTS = ["-1", "0", "40", HUGE, "", "x", "1.5"]
+BAD_TOPREC = {
+    "--g": BAD_COUNTS,
+    "--n": BAD_COUNTS,
+    "--mu": ["0", "-1", "", "1,,2", "1,", ",", "a", HUGE, "1,1,600",
+             ",".join(["1"] * 40), "9" * 5000],
+}
+
+
+@st.composite
+def toprec_argvs(draw):
+    """toprec argv: valid (g, n, mu), each flag now and then swapped for a
+    malformed, edge or huge value, or left out."""
+    n = draw(st.integers(1, 4))
+    mu = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    flags = {"--g": str(draw(st.integers(0, 3))), "--n": str(n),
+             "--mu": ",".join(map(str, mu))}
+    argv = list(TOPREC)
+    for flag, value in flags.items():
+        kind = draw(st.sampled_from(["valid"] * 6 + ["bad"] * 3 + ["missing"]))
+        if kind == "bad":
+            value = draw(st.sampled_from(BAD_TOPREC[flag]))
+        if kind != "missing":
+            argv += [flag, value]
+    return argv + draw(st.sampled_from([[], ["--skip-oracle"]]))
+
+
+@settings(PROPERTY, max_examples=150)
+@example(TOPREC + ["--g", "1", "--n", "1", "--mu", "300"])
+@example(TOPREC + ["--g", "0", "--n", "3", "--mu", "1,1,600", "--skip-oracle"])
+@example(TOPREC + ["--g", "0", "--n", "40", "--mu", ",".join(["1"] * 40)])
+@example(TOPREC + ["--g", "2", "--n", "0", "--mu", ""])
+@given(toprec_argvs())
+def test_toprec_argv_exits_0_2_or_3_without_a_traceback(argv):
+    # small budgets keep every accepted argv cheap, so a slow one ran past them
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with mock.patch.multiple(spectral, OMEGA_CHI_LIMIT=4, OMEGA_TERM_LIMIT=200,
+                             CUT_AND_JOIN_LIMIT=9), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse refuses a malformed flag
+            code = e.code
+    assert time.monotonic() - start < 2, argv
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        doc = json.loads(out.getvalue())
+        assert doc["C"] == doc["checks"]["cut_and_join"]
+        assert doc["checks"]["oracle"] in (None, doc["C"])
+    else:
+        assert out.getvalue() == ""
 
 
 @st.composite

@@ -1,5 +1,8 @@
 import hashlib
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -12,6 +15,8 @@ from mixedhurwitz.spectral import (
     _extract_one,
     _pair_table,
     _xi_extract,
+    _xi_split,
+    _z_power,
     b_self_sigma,
     ceo_omega,
     closed_form_C,
@@ -27,6 +32,118 @@ from mixedhurwitz.spectral import (
     xi,
     xi_coefficients,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference residues at z = -1, from Laurent expansions in t = z + 1
+#
+# The closed forms of _pair_table, _bergman_table and the base cases are
+# checked against this direct computation.  A t-series factor maps q to the
+# principal part of its t^q coefficient in the one variable it carries.
+
+
+def _shifted_power(q, scale, top):
+    """scale * w^q / (1+w)^top as a principal part at w = -1."""
+    return {top - i: scale * comb(q, i) * (-1) ** (q - i) for i in range(q + 1)}
+
+
+@cache
+def _kernel_at(p):
+    """[t^p] of 1/((z1 - z)(z1 z - 1)) = -sum_{i+j=p} z1^j t^p/(1+z1)^(p+2)."""
+    out = {}
+    for j in range(p + 1):
+        for order, c in _shifted_power(j, -1, p + 2).items():
+            out[order] = out.get(order, 0) + c
+    return out
+
+
+def _bergman_at(q):
+    """[t^q] of B(z, w) = 1/(z - w)^2 = 1/(t - (1+w))^2."""
+    return {q + 2: Fraction(q + 1)}
+
+
+def _bergman_sigma_at(q):
+    """[t^q] of B(sigma z, w) with its chain factor: -1/((1+w) - w t)^2."""
+    return _shifted_power(q, Fraction(-(q + 1)), q + 2)
+
+
+def _bergman_diff_at(q):
+    """[t^q] of B(sigma z, w) - B(z, w)."""
+    out = dict(_bergman_sigma_at(q))
+    out[q + 2] = out.get(q + 2, 0) - (q + 1)
+    return out
+
+
+def _kernel_z_num():
+    """t * kernel_z_part() = z (z-1)^3 / 2 in t."""
+    return _z_power(1) * Poly1([-8, 12, -6, 1]) * Fraction(1, 2)
+
+
+def _xi_tensor(pp, r):
+    """{(j_1..j_r): c} of principal-part orders -> {(k_1..k_r): c}, slot by slot."""
+    for s in range(r):
+        cols = {}
+        for key, c in pp.items():
+            cols.setdefault(key[:s] + key[s + 1:], {})[key[s]] = c
+        pp = {}
+        for rest, col in cols.items():
+            for k, c in _xi_split(col).items():
+                pp[rest[:s] + (k,) + rest[s:]] = c
+    return pp
+
+
+def _residue(num, order, factors):
+    """Res_{z=-1} num(t) t^-order K(z1, z) prod factors, in the xi basis.
+
+    K's z1 bifactor is expanded by _kernel_at; the result has z1 first, then
+    the variable of each factor.  A coefficient that is not an integer is an
+    AssertionError.
+    """
+    factors = (_kernel_at,) + tuple(factors)
+    pp = {}
+    for qs in product(range(order), repeat=len(factors)):
+        i = order - 1 - sum(qs)
+        if i < 0 or i >= len(num.c) or not num.c[i]:
+            continue
+        terms = {(): num.c[i]}
+        for f, q in zip(factors, qs):
+            terms = {key + (j,): v * c for key, v in terms.items()
+                     for j, c in f(q).items()}
+        for key, v in terms.items():
+            pp[key] = pp.get(key, 0) + v
+    out = {}
+    for key, c in _xi_tensor(pp, len(factors)).items():
+        assert c.denominator == 1, "residue coefficients must be integers"
+        out[key] = int(c)
+    return out
+
+
+def test_closed_form_residues_match_the_laurent_reference():
+    kz = _kernel_z_num()
+    for m in range(13):
+        ref = _residue(kz * _z_power(m) * -1, 2 * m + 5, ())
+        assert _pair_table(m) == {k: c for (k,), c in ref.items()}, m
+        ref = _residue(kz * _z_power(m), 2 * m + 3, (_bergman_diff_at,))
+        assert _bergman_table(m) == ref, m
+    # kernel_z_part() * b_self_sigma() = -z (z-1) / (2 t^3)
+    ref = _residue(_z_power(1) * Poly1([-2, 1]) * Fraction(-1, 2), 3, ())
+    assert ceo_omega(1, 1).terms == ref
+    ref = _residue(kz, 1, (_bergman_at, _bergman_sigma_at))
+    for key, c in _residue(kz, 1, (_bergman_sigma_at, _bergman_at)).items():
+        ref[key] = ref.get(key, 0) + c
+    assert ceo_omega(0, 3).terms == ref
+
+
+def test_deep_omega_tables_are_pinned():
+    # the sha256 of repr(sorted(terms.items())), computed with the Laurent
+    # residue engine; (6, 2) has 171 terms and (7, 1) has 19
+    digests = {
+        (6, 2): "d3bed14d0ed435c364fa7476ad0fb574bc35f20087149fe98d9b9f1f879a8793",
+        (7, 1): "655c578c6809d87e08ec3530b041bbcc425b6e2b6a6924c12c5c28c9450cfbb3",
+    }
+    for (g, n), digest in digests.items():
+        terms = repr(sorted(ceo_omega(g, n).terms.items()))
+        assert hashlib.sha256(terms.encode()).hexdigest() == digest, (g, n)
 
 
 def test_spectral_data():
