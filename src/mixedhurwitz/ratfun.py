@@ -2,8 +2,8 @@
 Laurent coefficients at zero, for the spectral recursion and its checks.
 
 Multidifferentials are stored as sums of products of univariate rational
-functions (one factor per variable), which keeps every operation -- residues,
-involution pullbacks, coefficient extraction at infinity -- univariate.
+functions (one factor per variable), which keeps every operation -- the
+reciprocal substitution, coefficient extraction at infinity -- univariate.
 """
 
 from fractions import Fraction
@@ -217,12 +217,6 @@ class RF1:
         den = self.den.reversed_coeffs().shift_pow(m - dd)
         return RF1(num, den)
 
-    def sigma_pullback(self):
-        """f(1/x) * d(1/x)/dx = -f(1/x)/x^2: the involution acting on a
-        one-form coefficient.  The single place the chain factor lives."""
-        g = self.subs_reciprocal()
-        return RF1(-g.num, g.den.shift_pow(2))
-
     def __repr__(self):
         return f"RF1({self.num.c}/{self.den.c})"
 
@@ -309,32 +303,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def divide_linear(self, var: int, root) -> "MultiPoly | None":
-        """Exact quotient by (x_var - root), or None if not divisible."""
-        # synthetic division in the chosen variable
-        by_rest = {}
-        for k, v in self.terms.items():
-            rest = k[:var] + k[var + 1:]
-            by_rest.setdefault(rest, {})[k[var]] = v
-        out = {}
-        for rest, coeffs in by_rest.items():
-            deg = max(coeffs)
-            q = {}
-            carry = Fraction(0)
-            for e in range(deg, -1, -1):
-                c = coeffs.get(e, Fraction(0)) + carry * root
-                if e == 0:
-                    if c != 0:
-                        return None
-                else:
-                    q[e - 1] = c
-                    carry = c
-            for e, c in q.items():
-                if c:
-                    k = rest[:var] + (e,) + rest[var:]
-                    out[k] = c
-        return MultiPoly(self.n, out)
-
     @staticmethod
     def from_univariate(n, var, poly: Poly1):
         out = {}
@@ -401,15 +369,6 @@ class TensorSum:
         out = TensorSum(self.n)
         for k, v in self.terms.items():
             out.add_term(v * c, k)
-        return out
-
-    def apply_slot(self, slot, fn):
-        """Replace factor u -> fn(u) in one slot."""
-        out = TensorSum(self.n)
-        for k, v in self.terms.items():
-            nk = list(k)
-            nk[slot] = fn(k[slot])
-            out.add_term(v, nk)
         return out
 
     def compact(self):
@@ -486,10 +445,6 @@ class TensorSum:
     def equals(self, other) -> bool:
         diff = self + other.scale(-1)
         num, _ = diff.combine()
-        return num.is_zero()
-
-    def is_zero(self) -> bool:
-        num, _ = self.combine()
         return num.is_zero()
 
     def __repr__(self):

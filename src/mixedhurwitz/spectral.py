@@ -2,19 +2,20 @@
 
 Each stable omega_{g,n} (dz's stripped) is a combination of pure tensors of
 the basis xi_k(z) = z^k/(1+z)^(2k+2), and it keeps one form from the
-recursion through extraction: an XiForm, the map {(k_1..k_n): int} of its
-coefficients.  The deck involution sigma(z) = 1/z pulls xi_k back to -xi_k,
-so the recursion works on index tuples alone.  Residues are taken at z = -1
-only (the z = 1 residue does not contribute for this curve), as two integer
-tables in closed form: R_m = -xi_{m+1} + 4 xi_{m+2} for the pair terms and a
-three-diagonal S_a for the Bergman terms.  Extraction at infinity of xi_k is
-a closed-form binomial sum.  ceo_omega and cut_and_join_C raise
+recursion through extraction: an XiForm, the map {sorted (k_1..k_n): int}
+of its coefficients.  omega_{g,n} is symmetric in its arguments, so one
+coefficient stands for every ordering of its indices, and the recursion
+computes it once.  The deck involution sigma(z) = 1/z pulls xi_k back to
+-xi_k, so the recursion works on index tuples alone.  Residues are taken at
+z = -1 only (the z = 1 residue does not contribute for this curve), as two
+integer tables in closed form: R_m = -xi_{m+1} + 4 xi_{m+2} for the pair
+terms and a three-diagonal S_a for the Bergman terms.  Extraction at infinity
+of xi_k is a closed-form binomial sum.  ceo_omega and cut_and_join_C raise
 ResourceLimitError past module bounds.
 
 RF1 and TensorSum carry the initial data (omega_{0,1}; omega_{0,2} is the
-symbolic Bergman kernel) and the rational-function checks, which build the
-TensorSum of xi(k) factors from an XiForm; there RF1.sigma_pullback()
-carries the d(1/z)/dz = -1/z^2 chain factor.
+symbolic Bergman kernel), and XiForm.tensor() writes a stable omega as a
+TensorSum of xi(k) factors for the rational-function checks.
 
 Conventions: x = (z-1)^2/z (the normalization fixed by x(1/z) = x(z));
 extraction at infinity uses u = 1/z, where x = (1-u)^2/u.
@@ -22,6 +23,7 @@ extraction at infinity uses u = 1/z, where x = (1-u)^2/u.
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import DomainError, ResourceLimitError
@@ -89,19 +91,34 @@ def xi(k: int) -> RF1:
     return RF1(Poly1([0] * k + [1]), den, reduce=False)
 
 
+def _arrangements(key):
+    """The distinct orderings of a sorted tuple."""
+    if not key:
+        yield ()
+    for i, k in enumerate(key):
+        if not i or key[i - 1] != k:
+            for tail in _arrangements(key[:i] + key[i + 1:]):
+                yield (k,) + tail
+
+
 class XiForm:
-    """A stable omega_{g,n}: terms maps (k_1..k_n) to the int coefficient of
-    xi_{k_1}(z_1) ... xi_{k_n}(z_n)."""
+    """A stable omega_{g,n}, symmetric in its n arguments: terms maps each
+    sorted (k_1..k_n) to the int coefficient of xi_{k_1}(z_1) ... xi_{k_n}(z_n),
+    which every ordering of the k_i shares."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms):
         self.n, self.terms = n, terms
 
+    def ordered(self) -> dict:
+        """{(k_1..k_n): c} over every distinct ordering of each key."""
+        return {ks: c for key, c in self.terms.items() for ks in _arrangements(key)}
+
     def tensor(self) -> TensorSum:
         """The same multidifferential as a TensorSum of xi(k) factors."""
         return TensorSum(self.n, {tuple(xi(k) for k in ks): c
-                                  for ks, c in self.terms.items()})
+                                  for ks, c in self.ordered().items()})
 
 
 def _xi_split(pp) -> dict:
@@ -204,18 +221,19 @@ _BASE_CASES = {(1, 1): {(1,): -1}, (0, 3): {(0, 0, 0): 8}}
 # the recursion
 
 # ceo_omega refuses to build a level past either bound.  omega_{g,n} has at
-# most C(3g-3+2n, n) xi terms, and its recursion builds each (g-j, n+j).
-# omega_{8,1} is at both bounds: its level (2, 7) has C(17, 7) terms.  The
-# 2g-2+n bound alone would admit omega_{0,17}, with C(31, 17) terms.
-OMEGA_CHI_LIMIT = 15
-OMEGA_TERM_LIMIT = 19_448
+# most C(3g-3+2n, n) ordered xi terms, and its recursion builds each
+# (g-j, n+j).  omega_{9,1} is at both bounds: its level (3, 7) has C(20, 7)
+# ordered terms.  The 2g-2+n bound alone would admit omega_{0,19}, with
+# C(35, 19).
+OMEGA_CHI_LIMIT = 17
+OMEGA_TERM_LIMIT = 77_520
 
 _omega_cache = {}
 
 
 def ceo_omega(g: int, n: int) -> XiForm:
     """The multidifferential omega_{g,n} (dz's stripped) for 2g-2+n > 0,
-    one int coefficient per xi index tuple."""
+    one int coefficient per sorted xi index tuple."""
     if n < 1 or g < 0:
         raise DomainError("need n >= 1, g >= 0")
     if 2 * g - 2 + n <= 0:
@@ -235,50 +253,53 @@ def ceo_omega(g: int, n: int) -> XiForm:
     return out
 
 
+def _at(terms, ks) -> int:
+    """The coefficient of a stable omega at the index tuple ks, in any order."""
+    return terms.get(tuple(sorted(ks)), 0)
+
+
 def _recursion(g, n) -> dict:
     """Res K(z1, z) [omega_{g-1,n+1}(z, sigma z, S) + primed sum of
     omega_{g1}(z, I) omega_{g2}(sigma z, J)] over I + J = S = slots 1..n-1.
 
-    Stable terms meet in -xi_a xi_b(z), which depends on a + b only, so a
-    split and its mirror give the same terms: each unordered split is summed
-    once, doubled when its two sides differ.  The terms with omega_{0,2} pair
-    up into B(sigma z, w) - B(z, w).
+    Each sorted key K with sum at most 3g-3+n is computed once, with
+    z1 = K[0] and S = K[1:], reading every lower omega through one sorted
+    lookup.  Stable terms meet in -xi_a xi_b(z), which depends on m = a + b
+    only, and R_m reaches xi_{K[0]} only from m = K[0] - 1 and K[0] - 2.
+    The terms with omega_{0,2} pair up into B(sigma z, w) - B(z, w), whose
+    S_a reaches (K[0], K[j]) only for a within one of K[0] + K[j].
     """
-    rest = tuple(range(1, n))
-    pairs = {}  # (a + b, indices of slots 1..n-1) -> coefficient
-    if g >= 1:
-        for (a, b, *ks), c in ceo_omega(g - 1, n + 1).terms.items():
-            key = (a + b, tuple(ks))
-            pairs[key] = pairs.get(key, 0) + c
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for I, J in splits(rest):
-            if (g1, I) > (g2, J):
-                continue  # the mirror split (g2, J) lands on the same keys
-            if 2 * g1 - 1 + len(I) <= 0 or 2 * g2 - 1 + len(J) <= 0:
-                continue  # (0,1), or (0,2) which the Bergman table carries
-            twice = 1 if (g1, I) == (g2, J) else 2
-            perm = [(I + J).index(s) for s in rest]
-            right = ceo_omega(g2, len(J) + 1).terms
-            for (a, *k1), c1 in ceo_omega(g1, len(I) + 1).terms.items():
-                c1 *= twice
-                for (b, *k2), c2 in right.items():
-                    kk = k1 + k2
-                    key = (a + b, tuple(kk[p] for p in perm))
-                    pairs[key] = pairs.get(key, 0) + c1 * c2
+    top = 3 * g - 3 + n
+    handle = ceo_omega(g - 1, n + 1).terms if g else {}
+    shorter = ceo_omega(g, n - 1).terms if n > 1 else {}
+    # the stable halves of a split, each with 2h-2+r below 2g-3+n; a (0,2)
+    # half enters through the Bergman table instead
+    halves = {(h, r): ceo_omega(h, r).terms for h in range(g + 1)
+              for r in range(1, n + 1) if 0 < 2 * h - 2 + r < 2 * g - 3 + n}
     out = {}
-    for (m, ks), c in pairs.items():
-        for k1, r in _pair_table(m).items():
-            key = (k1,) + ks
-            out[key] = out.get(key, 0) + c * r
-    if rest and 2 * g - 3 + n > 0:
+    for K in combinations_with_replacement(range(top + 1), n):
+        if sum(K) > top:
+            continue
+        k1, rest = K[0], K[1:]
+        c = 0
+        for m in range(max(k1 - 2, 0), k1):
+            p = sum(_at(handle, (a, m - a) + rest) for a in range(m + 1))
+            for I, J in splits(rest):
+                for h in range(g + 1):
+                    left = halves.get((h, len(I) + 1))
+                    right = halves.get((g - h, len(J) + 1))
+                    if left and right:
+                        p += sum(_at(left, (a,) + I) * _at(right, (m - a,) + J)
+                                 for a in range(m + 1))
+            c += _pair_table(m)[k1] * p
         # omega_{g,n-1}(z or sigma z, S - j) times omega_{0,2}(sigma z or z, z_j)
-        for (a, *ks), c in ceo_omega(g, n - 1).terms.items():
-            for j in rest:
-                for (k1, kj), s in _bergman_table(a).items():
-                    key = (k1,) + tuple(ks[:j - 1]) + (kj,) + tuple(ks[j - 1:])
-                    out[key] = out.get(key, 0) + c * s
-    return {k: c for k, c in out.items() if c}
+        for j in range(1, n):
+            kj, others = K[j], rest[:j - 1] + rest[j:]
+            for a in range(max(k1 + kj - 1, 0), k1 + kj + 2):
+                c += _bergman_table(a).get((k1, kj), 0) * _at(shorter, (a,) + others)
+        if c:
+            out[K] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +328,10 @@ def _xi_extract(k: int, mu_i: int) -> int:
 def extract_C(omega, mu) -> Fraction:
     """C_{g,n}(mu) = residues at infinity of prod x(z_i)^{mu_i} omega.
 
-    omega is a stable XiForm (extracted per factor by the closed form
-    _xi_extract), omega01() (a TensorSum, extracted through RF1 by
-    _extract_one), or the OMEGA02 sentinel (Bergman kernel, whose
-    double-pole part extracts to zero).
+    omega is a stable XiForm (each ordering of each key extracted per
+    factor by the closed form _xi_extract), omega01() (a TensorSum,
+    extracted through RF1 by _extract_one), or the OMEGA02 sentinel
+    (Bergman kernel, whose double-pole part extracts to zero).
     """
     mu = tuple(mu)
     if any(m < 1 for m in mu):
@@ -321,9 +342,12 @@ def extract_C(omega, mu) -> Fraction:
         return _extract_bergman(mu[0], mu[1])
     if omega.n != len(mu):
         raise DomainError(f"omega has {omega.n} slots, mu has {len(mu)}")
-    one = _xi_extract if isinstance(omega, XiForm) else _extract_one
+    if isinstance(omega, XiForm):
+        one, terms = _xi_extract, omega.ordered()
+    else:
+        one, terms = _extract_one, omega.terms
     total = Fraction(0)
-    for factors, coef in omega.terms.items():
+    for factors, coef in terms.items():
         prod = coef
         for f, m in zip(factors, mu):
             prod *= one(f, m)
@@ -416,44 +440,3 @@ def oracle_C(g: int, n: int, mu, limit=DEFAULT_ORACLE_LIMIT) -> Fraction:
     b = 2 * g - 2 + n + sum(mu)
     m = count_monotone_of_fixed_target(check_partition(mu), b, strict=False, limit=limit)
     return Fraction((-1) ** (n + sum(mu)) * m)
-
-
-# ---------------------------------------------------------------------------
-# invariant helpers
-
-
-def sigma_antisymmetry_defect(om: XiForm) -> TensorSum:
-    """om(1/z1, rest)*d(1/z1)/dz1 + om(z1, rest): zero for stable (g,n)."""
-    t = om.tensor()
-    return t.apply_slot(0, lambda f: f.sigma_pullback()) + t
-
-
-def pole_structure(om: XiForm):
-    """Per-variable denominator factorization over {z, z-1, z+1} of om's
-    TensorSum of xi(k) factors.
-
-    Returns a list of dicts {"z":a, "z-1":b, "z+1":c} after reducing the
-    combined fraction; raises DomainError if any other factor survives.
-    """
-    num, dens = om.tensor().combine()
-    out = []
-    for i, d in enumerate(dens):
-        facs = {"z": 0, "z-1": 0, "z+1": 0}
-        for label, root in (("z", Fraction(0)), ("z-1", Fraction(1)), ("z+1", Fraction(-1))):
-            while True:
-                q, r = d.divmod(Poly1([-root, 1]))
-                if r.is_zero() and not d.is_zero() and d.degree() >= 1:
-                    # cancel against the numerator when possible
-                    cancelled = num.divide_linear(i, root)
-                    if cancelled is not None:
-                        num = cancelled
-                        d = q
-                        continue
-                    facs[label] += 1
-                    d = q
-                    continue
-                break
-        if d.degree() > 0:
-            raise DomainError(f"unexpected denominator factor {d} in variable {i}")
-        out.append(facs)
-    return out

@@ -256,7 +256,7 @@ def test_tracer_hooks_still_resolve(tmp_path):
     counts = json.loads(out.read_text())["counts"]
     assert counts["cli.main.calls"] == 1
     # perfbench counts omega levels and terms through _omega_cache
-    assert counts["spectral.omega_terms"] == 8
+    assert counts["spectral.omega_terms"] == 6
     assert counts["spectral.ceo_omega.computed"] == 3
     # stable omega extract by closed form: no RF1 reduction
     assert counts.get("ratfun.Poly1.divmod.calls", 0) == 0
@@ -468,11 +468,11 @@ def test_character_route_refuses_a_degree_past_its_partition_budget():
 @pytest.mark.parametrize("args,reason", [
     (["--g", "0", "--n", "3", "--mu", "1,1,600"], "b = 2g-2+n+|mu| = 603"),
     (["--g", "1", "--n", "1", "--mu", "300"], "b = 2g-2+n+|mu| = 301"),
-    (["--g", "10", "--n", "1", "--mu", "2"], "b = 2g-2+n+|mu| = 21"),
+    (["--g", "10", "--n", "1", "--mu", "1"], "omega_{10,1}: 2g-2+n = 19"),
     (["--g", "4", "--n", "1", "--mu", "14"], "b = 2g-2+n+|mu| = 21"),
-    (["--g", "8", "--n", "2", "--mu", "1,1"], "2g-2+n = 16"),
-    (["--g", "1", "--n", "9", "--mu", ",".join(["1"] * 9)], "48620 xi terms"),
-], ids=["mu-600", "mu-300", "g-10", "b-21", "chi-16", "terms"])
+    (["--g", "9", "--n", "2", "--mu", "1,1"], "2g-2+n = 18"),
+    (["--g", "1", "--n", "10", "--mu", ",".join(["1"] * 10)], "184756 xi terms"),
+], ids=["mu-600", "mu-300", "g-10", "b-21", "chi-18", "terms"])
 def test_toprec_refuses_work_past_its_budget_at_once(args, reason, capsys):
     from mixedhurwitz import cli
 
@@ -485,14 +485,32 @@ def test_toprec_refuses_work_past_its_budget_at_once(args, reason, capsys):
 
 @pytest.mark.parametrize("args,value", [
     (["--g", "8", "--n", "1", "--mu", "2"], "-1"),           # 2g-2+n = 15
+    (["--g", "9", "--n", "1", "--mu", "2"], "-1"),           # 2g-2+n = 17
     (["--g", "4", "--n", "1", "--mu", "13"], "3322667407211880"),  # b = 20
-], ids=["omega-8-1", "b-20"])
+], ids=["omega-8-1", "omega-9-1", "b-20"])
 def test_toprec_finishes_at_its_budget(args, value, capsys):
     from mixedhurwitz import cli
 
     assert cli.main(["toprec", *args, "--skip-oracle"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "C": value, "checks": {"cut_and_join": value, "oracle": None}}
+
+
+@pytest.mark.parametrize("args,code,out", [
+    (["--genus", "10", "--mu", "2", "--nu", "2"], 0, '{"value": "1/2"}'),
+    (["--genus", "4", "--mu", "13,1", "--nu", "14"], 3, ""),
+], ids=["b-mu-22", "b-mu-23"])
+def test_double_runs_at_its_budget_and_refuses_past_it_at_once(args, code, out,
+                                                              capsys):
+    from mixedhurwitz import cli
+
+    start = time.monotonic()
+    assert cli.main(["double", "--variant", "monotone", *args]) == code
+    assert time.monotonic() - start < 1
+    got = capsys.readouterr()
+    assert got.out.strip() == out
+    if code:
+        assert got.err.startswith("resource limit: double: b + |mu| = 23"), got.err
 
 
 def test_benchmark_invocations_print_their_expected_stdout(capsys):

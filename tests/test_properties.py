@@ -16,7 +16,7 @@ from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mixedhurwitz import cli, spectral
+from mixedhurwitz import cli, double_recursion, spectral
 from mixedhurwitz.characters import (
     connected_hurwitz_qseries,
     potential_log,
@@ -201,31 +201,37 @@ def test_recursion_matches_cut_and_join(case):
 
 
 TOPREC = ["--cache-dir=", "--oracle-dmax", "4", "toprec"]
+DOUBLE = ["--cache-dir=", "double"]
 HUGE = "9" * 30
 BAD_COUNTS = ["-1", "0", "40", HUGE, "", "x", "1.5"]
-BAD_TOPREC = {
-    "--g": BAD_COUNTS,
-    "--n": BAD_COUNTS,
-    "--mu": ["0", "-1", "", "1,,2", "1,", ",", "a", HUGE, "1,1,600",
-             ",".join(["1"] * 40), "9" * 5000],
-}
+BAD_PARTS = ["0", "-1", "", "1,,2", "1,", ",", "a", HUGE, "1,1,600",
+             ",".join(["1"] * 40), "9" * 5000]
+BAD_TOPREC = {"--g": BAD_COUNTS, "--n": BAD_COUNTS, "--mu": BAD_PARTS}
+BAD_DOUBLE = {"--variant": ["weak", "", "MONOTONE"], "--genus": BAD_COUNTS,
+              "--mu": BAD_PARTS, "--nu": BAD_PARTS}
+
+
+def _mangled(draw, argv, flags, bad):
+    """argv plus each flag, now and then with its value swapped for a
+    malformed, edge or huge one from bad, or left out."""
+    argv = list(argv)
+    for flag, value in flags.items():
+        kind = draw(st.sampled_from(["valid"] * 6 + ["bad"] * 3 + ["missing"]))
+        if kind == "bad":
+            value = draw(st.sampled_from(bad[flag]))
+        if kind != "missing":
+            argv += [flag, value]
+    return argv
 
 
 @st.composite
 def toprec_argvs(draw):
-    """toprec argv: valid (g, n, mu), each flag now and then swapped for a
-    malformed, edge or huge value, or left out."""
+    """toprec argv: valid (g, n, mu), each flag mangled now and then."""
     n = draw(st.integers(1, 4))
     mu = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     flags = {"--g": str(draw(st.integers(0, 3))), "--n": str(n),
              "--mu": ",".join(map(str, mu))}
-    argv = list(TOPREC)
-    for flag, value in flags.items():
-        kind = draw(st.sampled_from(["valid"] * 6 + ["bad"] * 3 + ["missing"]))
-        if kind == "bad":
-            value = draw(st.sampled_from(BAD_TOPREC[flag]))
-        if kind != "missing":
-            argv += [flag, value]
+    argv = _mangled(draw, TOPREC, flags, BAD_TOPREC)
     return argv + draw(st.sampled_from([[], ["--skip-oracle"]]))
 
 
@@ -253,6 +259,45 @@ def test_toprec_argv_exits_0_2_or_3_without_a_traceback(argv):
         doc = json.loads(out.getvalue())
         assert doc["C"] == doc["checks"]["cut_and_join"]
         assert doc["checks"]["oracle"] in (None, doc["C"])
+    else:
+        assert out.getvalue() == ""
+
+
+@st.composite
+def double_argvs(draw):
+    """double argv: valid (variant, genus, mu, nu) with |mu| = |nu| <= 5,
+    each flag mangled now and then."""
+    parts = enumerate_partitions(draw(st.integers(1, 5)))
+    mu, nu = draw(st.sampled_from(parts)), draw(st.sampled_from(parts))
+    flags = {"--variant": draw(st.sampled_from(["monotone", "strict"])),
+             "--genus": str(draw(st.integers(0, 3))),
+             "--mu": ",".join(map(str, mu)), "--nu": ",".join(map(str, nu))}
+    return _mangled(draw, DOUBLE, flags, BAD_DOUBLE)
+
+
+@settings(PROPERTY, max_examples=150)
+@example(DOUBLE + ["--variant", "strict", "--mu", "30", "--nu", "30",
+                   "--genus", "6"])
+@example(DOUBLE + ["--variant", "monotone", "--mu", "2,1", "--nu", "3",
+                   "--genus", "2"])                     # b + |mu| = 8
+@example(DOUBLE + ["--variant", "monotone", "--mu", "2,1", "--nu", "2,1",
+                   "--genus", "2"])                     # b + |mu| = 9
+@given(double_argvs())
+def test_double_argv_exits_0_2_or_3_without_a_traceback(argv):
+    # a small budget keeps every accepted argv cheap, so a slow one ran past it
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with mock.patch.object(double_recursion, "DOUBLE_LIMIT", 8), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse refuses a malformed flag
+            code = e.code
+    assert time.monotonic() - start < 2, argv
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert Fraction(json.loads(out.getvalue())["value"]) >= 0
     else:
         assert out.getvalue() == ""
 

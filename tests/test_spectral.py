@@ -26,8 +26,6 @@ from mixedhurwitz.spectral import (
     cut_and_join_C,
     extract_C,
     omega01,
-    pole_structure,
-    sigma_antisymmetry_defect,
     spectral_data,
     xi,
     xi_coefficients,
@@ -135,15 +133,30 @@ def test_closed_form_residues_match_the_laurent_reference():
 
 
 def test_deep_omega_tables_are_pinned():
-    # the sha256 of repr(sorted(terms.items())), computed with the Laurent
-    # residue engine; (6, 2) has 171 terms and (7, 1) has 19
+    # the sha256 of repr(sorted(ordered terms)): (6, 2) and (7, 1), with 171
+    # and 19 terms, were computed with the Laurent residue engine; (8, 1),
+    # with 22, and (2, 7), with 19,448 (132 sorted keys), by the ordered
+    # recursion that stored every ordering of a key
     digests = {
         (6, 2): "d3bed14d0ed435c364fa7476ad0fb574bc35f20087149fe98d9b9f1f879a8793",
         (7, 1): "655c578c6809d87e08ec3530b041bbcc425b6e2b6a6924c12c5c28c9450cfbb3",
+        (8, 1): "3cd488db2eef55d49e55f1427b21eea3549e7c2620266a235fb1e229ed5b2549",
+        (2, 7): "1a3f2e88859a1b2b76fca827653e91c24668d3d9ca3a60e06563f4170846c42d",
     }
     for (g, n), digest in digests.items():
-        terms = repr(sorted(ceo_omega(g, n).terms.items()))
+        terms = repr(sorted(ceo_omega(g, n).ordered().items()))
         assert hashlib.sha256(terms.encode()).hexdigest() == digest, (g, n)
+    assert len(ceo_omega(2, 7).terms) == 132
+
+
+def test_recursion_matches_cut_and_join_at_the_omega_budget():
+    # the largest levels the omega bounds admit, at n = 1, n = 2 and g = 0
+    for mu in ((1,), (2,), (3,)):                    # b <= 20
+        assert extract_C(ceo_omega(9, 1), mu) == cut_and_join_C(9, 1, mu), mu
+    for mu in ((1, 1), (2, 1)):
+        assert extract_C(ceo_omega(8, 2), mu) == cut_and_join_C(8, 2, mu), mu
+    mu = (1,) * 11
+    assert extract_C(ceo_omega(0, 11), mu) == cut_and_join_C(0, 11, mu)
 
 
 def test_spectral_data():
@@ -209,6 +222,12 @@ def test_omega_index_form():
     assert ceo_omega(1, 1).terms == {(1,): -1}    # -z/(1+z)^4
     assert all(f is xi(f.num.degree())
                for factors in ceo_omega(1, 2).tensor().terms for f in factors)
+    # one coefficient per sorted key, shared by each of its orderings
+    om = ceo_omega(1, 3)
+    assert all(list(ks) == sorted(ks) for ks in om.terms)
+    ordered = om.ordered()
+    assert len(ordered) == comb(6, 3) > len(om.terms)
+    assert all(om.terms[tuple(sorted(ks))] == c for ks, c in ordered.items())
 
 
 def test_xi_closed_form_matches_rf1_extraction():
@@ -230,7 +249,7 @@ def test_xi_form_extracts_as_its_tensor(g, n):
 def test_omega_tables_are_ints_pinned_to_their_values():
     levels = [(g, n) for g in range(4) for n in range(1, 8)
               if 0 < 2 * g - 2 + n <= 5]
-    forms = sorted((g, n, sorted(ceo_omega(g, n).terms.items()))
+    forms = sorted((g, n, sorted(ceo_omega(g, n).ordered().items()))
                    for g, n in levels)
     assert len(forms) == 14 and sum(len(t) for *_, t in forms) == 906
     tables = [c for *_, t in forms for _, c in t]
@@ -288,19 +307,15 @@ def test_closed_form_examples():
     assert closed_form_C((0, 3), (1, 1, 2)) == -48
 
 
-@pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)])
-def test_antisymmetry_and_poles(g, n):
-    om = ceo_omega(g, n)
-    assert sigma_antisymmetry_defect(om).is_zero()
-    for facs in pole_structure(om):
-        assert facs["z"] == 0
-        assert facs["z-1"] <= 1
-
-
-def test_sigma_defect_cancels_term_by_term():
-    # the pullback of xi_k is -xi_k; with the sign moved into the term's
-    # coefficient the defect is empty before any combine()
-    assert sigma_antisymmetry_defect(ceo_omega(1, 4)).terms == {}
+def test_xi_basis_is_sigma_odd_with_poles_at_minus_one_only():
+    # xi_k(1/z) = z^2 xi_k(z), so sigma pulls xi_k dz back to -xi_k dz, and
+    # xi_k is its own basis expansion, so its only pole is z = -1; every
+    # stable omega, a combination of products of xi_k, inherits both
+    z2 = RF1(Poly1([0, 0, 1]))
+    for k in range(13):
+        assert xi(k).subs_reciprocal() == xi(k) * z2, k
+        assert xi_coefficients(xi(k)) == {k: 1}, k
+    # add_term moves a factor's sign into the term's coefficient
     t = TensorSum(1)
     t.add_term(3, (RF1(Poly1([1, -2])),))
     assert t.terms == {(RF1(Poly1([-1, 2])),): -3}
