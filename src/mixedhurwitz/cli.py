@@ -217,11 +217,9 @@ def _qseries_for(args):
             for d in range(args.qmax + 1)
         ])
         return num / QSeries([partition_count(d) for d in range(args.qmax + 1)])
-    if getattr(args, "disconnected", False):
-        return connected_hurwitz_qseries(args.base_genus, args.k, args.l, args.m,
-                                         profiles, args.qmax, connected=False)
     return connected_hurwitz_qseries(args.base_genus, args.k, args.l, args.m,
-                                     profiles, args.qmax)
+                                     profiles, args.qmax,
+                                     not getattr(args, "disconnected", False))
 
 
 def cmd_qseries(args):
@@ -304,14 +302,21 @@ def cmd_qc(args):
 # not 0.
 
 
-def _suite_oracle_vs_characters(dmax, oracle_limit):
-    from .characters import connected_hurwitz_qseries, hurwitz_by_characters
-    from .symgroup import HurwitzSpec, count_triply_mixed, source_genus_for
+def _splits(b):
+    """Every (k, l, m) with k + l + m = b, in the order verify checks them."""
+    return [(k, l, b - k - l) for k in range(b + 1) for l in range(b - k + 1)]
 
-    profile_menu = [(), ((2,),), ((3,),), ((2,), (2,))]
-    series = {}  # one connected character series per (g, k, l, m, profiles)
+
+def _suite_oracle_vs_characters(dmax, oracle_limit):
+    from .characters import (check_partition_budget, connected_series,
+                             hurwitz_by_characters, sector_value, subsectors)
+    from .series import QSeries
+    from .symgroup import HurwitzSpec, source_genus_for, triply_mixed_slots
+
+    check_partition_budget(dmax)
     for g in (0, 1):
-        for profiles in profile_menu:
+        for profiles in [(), ((2,),), ((3,),), ((2,), (2,))]:
+            cases = {}  # {d: {b: source genus}} for b <= 3 and genus <= 3
             for d in range(1, dmax + 1):
                 if any(sum(p) > d for p in profiles):
                     continue
@@ -320,28 +325,28 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
                         gp = source_genus_for(g, d, profiles, b)
                     except DomainError:
                         continue
-                    if gp > 3:
-                        continue
-                    for k in range(b + 1):
-                        for l in range(b - k + 1):
-                            m = b - k - l
-                            for connected in (False, True):
-                                spec = HurwitzSpec(g, gp, d, profiles, k, l, m,
-                                                   connected=connected)
-                                oracle = count_triply_mixed(spec, oracle_limit)
-                                if connected:
-                                    key = (g, k, l, m, profiles)
-                                    if key not in series:
-                                        series[key] = connected_hurwitz_qseries(
-                                            g, k, l, m, profiles, dmax)
-                                    chars = series[key].coefficient(d)
-                                else:
-                                    chars = hurwitz_by_characters(spec)
-                                yield ({"g": g, "gp": gp, "d": d,
-                                        "profiles": [list(p) for p in profiles],
-                                        "k": k, "l": l, "m": m,
-                                        "connected": connected},
-                                       {"oracle": oracle, "characters": chars})
+                    if gp <= 3:
+                        cases.setdefault(d, {})[b] = gp
+            # one oracle walk per degree and one potential log for all cases
+            keys = {s[:4] for bs in cases.values() for b in bs for klm in _splits(b)
+                    for s in subsectors((*klm, profiles, 0))}
+            series = connected_series({key: QSeries(
+                [sector_value(g, *key, d) for d in range(dmax + 1)]) for key in keys})
+            for d, bs in cases.items():
+                slots = triply_mixed_slots(g, d, profiles, bs, oracle_limit)
+                for b, gp in bs.items():
+                    for k, l, m in _splits(b):
+                        for connected in (False, True):
+                            if connected:
+                                chars = series[k, l, m, profiles].coefficient(d)
+                            else:
+                                chars = hurwitz_by_characters(HurwitzSpec(
+                                    g, gp, d, profiles, k, l, m, connected))
+                            yield ({"g": g, "gp": gp, "d": d,
+                                    "profiles": [list(p) for p in profiles],
+                                    "k": k, "l": l, "m": m, "connected": connected},
+                                   {"oracle": slots[k, l, m][connected],
+                                    "characters": chars})
 
 
 def _suite_n_recursion(dmax, oracle_limit):
@@ -482,7 +487,7 @@ def cmd_verify(args):
     if args.jobs > 1 and n > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        with concurrent.futures.ProcessPoolExecutor(min(args.jobs, n)) as ex:
             results = list(ex.map(run_suite, selected, [args.dmax] * n,
                                   [args.deep] * n, [args.oracle_dmax] * n))
     else:

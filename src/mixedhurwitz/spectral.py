@@ -91,13 +91,13 @@ def xi(k: int) -> RF1:
     return RF1(Poly1([0] * k + [1]), den, reduce=False)
 
 
-def _arrangements(key):
-    """The distinct orderings of a sorted tuple."""
+def _arrangements(key, below=()):
+    """The distinct orderings of a sorted tuple; given below, k_i < below[i]."""
     if not key:
         yield ()
     for i, k in enumerate(key):
-        if not i or key[i - 1] != k:
-            for tail in _arrangements(key[:i] + key[i + 1:]):
+        if (not i or key[i - 1] != k) and (not below or k < below[0]):
+            for tail in _arrangements(key[:i] + key[i + 1:], below[1:]):
                 yield (k,) + tail
 
 
@@ -111,9 +111,11 @@ class XiForm:
     def __init__(self, n, terms):
         self.n, self.terms = n, terms
 
-    def ordered(self) -> dict:
-        """{(k_1..k_n): c} over every distinct ordering of each key."""
-        return {ks: c for key, c in self.terms.items() for ks in _arrangements(key)}
+    def ordered(self, below=()) -> dict:
+        """{(k_1..k_n): c} over the distinct orderings of each key; given below,
+        only those with each k_i < below[i]."""
+        return {ks: c for key, c in self.terms.items()
+                for ks in _arrangements(key, below)}
 
     def tensor(self) -> TensorSum:
         """The same multidifferential as a TensorSum of xi(k) factors."""
@@ -328,8 +330,8 @@ def _xi_extract(k: int, mu_i: int) -> int:
 def extract_C(omega, mu) -> Fraction:
     """C_{g,n}(mu) = residues at infinity of prod x(z_i)^{mu_i} omega.
 
-    omega is a stable XiForm (each ordering of each key extracted per
-    factor by the closed form _xi_extract), omega01() (a TensorSum,
+    omega is a stable XiForm (its orderings with each k_i < mu_i extracted per
+    factor by the closed form _xi_extract, 0 for the rest), omega01() (a TensorSum,
     extracted through RF1 by _extract_one), or the OMEGA02 sentinel
     (Bergman kernel, whose double-pole part extracts to zero).
     """
@@ -343,7 +345,7 @@ def extract_C(omega, mu) -> Fraction:
     if omega.n != len(mu):
         raise DomainError(f"omega has {omega.n} slots, mu has {len(mu)}")
     if isinstance(omega, XiForm):
-        one, terms = _xi_extract, omega.ordered()
+        one, terms = _xi_extract, omega.ordered(mu)
     else:
         one, terms = _extract_one, omega.terms
     total = Fraction(0)

@@ -8,18 +8,20 @@ left-folding compose().
 Transpositions are pairs (s, t) with s < t; monotonicity is always on t.
 Exponential in d; intended for d <= ~6 and guarded by an explicit limit.
 
-Every oracle runs on one engine, _walk: aggregated states (permutation,
-last t, orbit labels) advanced through blocks of free, weakly monotone and
-strictly monotone transpositions, one right multiplication per step.  Orbits
-are label tuples (each point labelled by the least point of its orbit).  The
-walk runs on integer codes: each permutation and each label tuple is coded by
-the order it was first met (_Interned), so a step is two list lookups.
-The commutator tables of a base genus g >= 1 live in the commutators module.
+Every oracle runs on one engine, _walk, block by block through _steps:
+aggregated states (permutation, last t, orbit labels) advanced through blocks
+of free, weakly monotone and strictly monotone transpositions, one right
+multiplication per step.  Orbits are label tuples (each point labelled by the
+least point of its orbit).  The walk runs on integer codes: each permutation
+and each label tuple is coded by the order it was first met (_Interned), so a
+step is two list lookups.  The slots of one triply_mixed_slots call share one
+walk; no walk or count is cached across calls.  The commutator tables of a
+base genus g >= 1 live in the commutators module.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations as iter_permutations
+from itertools import islice, permutations as iter_permutations
 from math import factorial
 
 from .errors import DomainError, ResourceLimitError
@@ -232,97 +234,118 @@ def _tally(items):
     return out
 
 
-def _walk(d: int, states, blocks):
-    """Advance aggregated walk states through blocks of transpositions.
-
-    states maps coded (perm, last t, orbit labels) to a count (see _codes);
-    blocks is a sequence of (length, mode), mode FREE, WEAK or STRICT.  A step
-    right-multiplies by a transposition (s, t): it swaps the entries at s and
-    t and joins the orbits of s and t.  A weak step needs t >= last t and a
-    strict one t > last t; the condition restarts at each block that takes a
-    step, and a free block keeps last t at 0.  A walk that needs no orbits
-    starts from the one-orbit labels, which every join keeps.
-    """
+def _steps(d: int, states, mode):
+    """The coded states after 0, 1, 2, ... steps of one block, endlessly.  A
+    step right-multiplies by a transposition (s, t): it swaps the entries at s
+    and t and joins their orbits.  A weak step needs t >= last t and a strict
+    one t > last t; the block restarts last t at 0, and a free one keeps it."""
     perms, labels = _codes(d)
     pairs = perms.pairs  # ordered by t
+    ts = [0 if mode == FREE else t for _, t in pairs]
+    states = _tally(((p, 0, lab), c) for (p, _, lab), c in states.items())
+    while True:
+        yield states
+        nxt = {}
+        for (p, last, lab), c in states.items():
+            lo = last + (mode == STRICT)
+            swapped = perms.rows[p] or perms.row(p)
+            merged = labels.rows[lab] or labels.row(lab)
+            # the pairs with t >= lo are a suffix of pairs
+            for j in range(lo * (lo - 1) // 2, len(pairs)):
+                key = (swapped[j], ts[j], merged[j])
+                nxt[key] = nxt.get(key, 0) + c
+        states = nxt
+
+
+def _walk(d: int, states, blocks):
+    """Advance states, coded (perm, last t, orbit labels) -> count, through
+    blocks (length, mode), mode FREE, WEAK or STRICT, each walked by _steps; a
+    block of length 0 keeps last t.  A walk that needs no orbits starts from
+    the one-orbit labels, which every join keeps."""
     for length, mode in blocks:
-        if not length:
-            continue
-        ts = [0 if mode == FREE else t for _, t in pairs]
-        states = _tally(((p, 0, lab), c) for (p, _, lab), c in states.items())
-        for _ in range(length):
-            nxt = {}
-            for (p, last, lab), c in states.items():
-                lo = last + (mode == STRICT)
-                swapped = perms.rows[p] or perms.row(p)
-                merged = labels.rows[lab] or labels.row(lab)
-                # the pairs with t >= lo are a suffix of pairs
-                for j in range(lo * (lo - 1) // 2, len(pairs)):
-                    key = (swapped[j], ts[j], merged[j])
-                    nxt[key] = nxt.get(key, 0) + c
-            states = nxt
+        if length:
+            states = next(islice(_steps(d, states, mode), length, None))
     return states
 
 
-def _tau_walk(d: int, b: int, strict: bool, orbits):
-    """Coded end states of b weakly (or strictly) monotone transpositions walked
-    from the identity and the given orbit labels: each permutation is
-    tau_1...tau_b."""
+def _profiled(d: int, profiles, orbits):
+    """Coded states of the products of the padded profiles, each running over
+    its full conjugacy class, walked from the identity and orbit labels."""
     perms, labels = _codes(d)
-    start = {(perms.code(identity(d)), 0, labels.code(orbits)): 1}
-    return _walk(d, start, ((b, STRICT if strict else WEAK),))
-
-
-def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
-    """Exact (1/d!) * number of triply mixed factorizations of the given type.
-
-    Transitivity is enforced iff spec.connected; the labeled variant multiplies
-    by Aut of the profiles as given.  Every call re-enumerates its walk: no
-    Hurwitz count and no character value is cached.  The memos hold only
-    permutation and set-partition combinatorics: the permutations of each
-    degree and of each cycle type, the codes of the permutations and label
-    tuples met so far with their step rows, the cycles of a permutation as a
-    label tuple, whether two coded labels join to one orbit, and the
-    commutator tables of each degree and genus.  The profiles run over their
-    full conjugacy classes, so this stays an independent check of the
-    specialized enumerators below.
-    """
-    if spec.degree > oracle_limit:
-        raise ResourceLimitError(
-            f"degree {spec.degree} above oracle limit {oracle_limit}"
-        )
-    d = spec.degree
-    g = spec.base_genus
-    perms, labels = _codes(d)
-    ident = perms.code(identity(d))
-    start = orbit_labels(d) if spec.connected else (0,) * d
-    states = {(ident, 0, labels.code(start)): 1}
-    for prof in spec.padded_profiles():
+    states = {(perms.code(identity(d)), 0, labels.code(orbits)): 1}
+    for prof in profiles:
         cls = [(s, labels.code(_labels_of(s))) for s in perms_of_type(d, prof)]
         states = _tally(
             ((perms.code(compose(perms.items[p], s)), 0, _join(labels, lab, cyc)), c)
             for (p, _, lab), c in states.items()
             for s, cyc in cls
         )
-    states = _walk(d, states, ((spec.k, FREE), (spec.l, WEAK), (spec.m, STRICT)))
-    # aggregate by (product, orbits) so each leaf reads the commutator table once
-    leaves = _tally(((p, lab), c) for (p, _, lab), c in states.items())
+    return states
 
-    if g == 0:
-        total = sum(c for (p, lab), c in leaves.items()
-                    if p == ident and not any(labels.items[lab]))
-    else:
+
+def _tau_walk(d: int, b: int, strict: bool, orbits):
+    """Coded end states tau_1...tau_b of b weakly (or strictly) monotone steps."""
+    return _walk(d, _profiled(d, (), orbits), ((b, STRICT if strict else WEAK),))
+
+
+def _totals(d: int, g: int, states):
+    """(disconnected, connected) d!-scaled counts of end states closed by g commutators
+    (the identity at g = 0), the first tallied by product before any row is read."""
+    perms, labels = _codes(d)
+    if g:
         from .commutators import commutator_codes
+    table = (commutator_codes(d, g) if g else
+             {perms.code(identity(d)): {labels.code(orbit_labels(d)): 1}})
+    leaves = _tally(((p, q), c) for (p, _, q), c in states.items())
+    prods = _tally((p, c) for (p, _), c in leaves.items())
+    return (sum(c * sum(table.get(p, {}).values()) for p, c in prods.items()),
+            sum(c * sum(n for o, n in table.get(p, {}).items() if _transitive(d, q, o))
+                for (p, q), c in leaves.items()))
 
-        comm_table = commutator_codes(d, g)
-        total = sum(mult * sum(c for p, c in comm_table.get(prod, {}).items()
-                               if _transitive(d, q, p))
-                    for (prod, q), mult in leaves.items())
 
-    if spec.labeled:
-        for p in spec.profiles:
-            total *= aut_count(p)
+def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
+    """Exact (1/d!) * number of triply mixed factorizations of the given type.
+
+    Transitivity is enforced iff spec.connected; the labeled variant multiplies
+    by Aut of the profiles as given.  Every call re-enumerates its walk (the
+    slots of one triply_mixed_slots call share one): no walk, Hurwitz count or
+    character value is cached across calls.  The memos hold only permutation
+    and set-partition combinatorics: the permutations of each degree and of
+    each cycle type, the codes of the permutations and label tuples met so far
+    with their step rows, the cycles of a permutation as a label tuple, whether
+    two coded labels join to one orbit, and the commutator tables of each
+    degree and genus.  The profiles run over their full conjugacy classes, so
+    this stays an independent check of the specialized enumerators below.
+    """
+    d = spec.degree
+    if d > oracle_limit:
+        raise ResourceLimitError(f"degree {d} above oracle limit {oracle_limit}")
+    states = _profiled(d, spec.padded_profiles(),
+                       orbit_labels(d) if spec.connected else (0,) * d)
+    states = _walk(d, states, ((spec.k, FREE), (spec.l, WEAK), (spec.m, STRICT)))
+    total = _totals(d, spec.base_genus, states)[spec.connected]
+    for p in spec.profiles if spec.labeled else ():
+        total *= aut_count(p)
     return Fraction(total, factorial(d))
+
+
+def triply_mixed_slots(g, d, profiles, bs, oracle_limit=DEFAULT_ORACLE_LIMIT):
+    """{(k, l, m): (disconnected, connected)} unlabeled count_triply_mixed at
+    base genus g, degree d and these profiles for each k + l + m in bs, from
+    one walk: the profiles are applied once, each free layer branches into a
+    weak walk and each weak layer into a strict one."""
+    if d > oracle_limit:
+        raise ResourceLimitError(f"degree {d} above oracle limit {oracle_limit}")
+    top, slots = max(bs, default=-1), {}
+    start = _profiled(d, [pad_to(check_partition(p), d) for p in profiles],
+                      orbit_labels(d))
+    for k, free in zip(range(top + 1), _steps(d, start, FREE)):
+        for l, weak in zip(range(top + 1 - k), _steps(d, free, WEAK)):
+            for m, end in zip(range(top + 1 - k - l), _steps(d, weak, STRICT)):
+                if k + l + m in bs:
+                    slots[k, l, m] = tuple(Fraction(t, factorial(d))
+                                           for t in _totals(d, g, end))
+    return slots
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,17 @@ def _series_plus_one(fn):
     return shifted
 
 
+def _each_series_plus_one(fn):
+    shifted = _series_plus_one(lambda s: s)
+    return lambda *args, **kwargs: {key: shifted(s) for key, s in
+                                    fn(*args, **kwargs).items()}
+
+
+def _connected_plus_one(fn):
+    return lambda *args, **kwargs: {klm: (disc, conn + 1) for klm, (disc, conn)
+                                    in fn(*args, **kwargs).items()}
+
+
 # suite, extra verify arguments, the route made wrong and how, and the first
 # counterexample verify then prints: int values (N slots), rat_str values,
 # one value that must be 0, three routes, and lists
@@ -168,6 +179,16 @@ WRONG_ROUTE = [
      {"inputs": {"g": 0, "gp": 0, "d": 1, "profiles": [], "k": 0, "l": 0,
                  "m": 0, "connected": False},
       "oracle": "1", "characters": "2"}),
+    ("oracle-vs-characters", ["--dmax", "2"], "characters", "connected_series",
+     _each_series_plus_one, "checked: 134",
+     {"inputs": {"g": 0, "gp": 0, "d": 1, "profiles": [], "k": 0, "l": 0,
+                 "m": 0, "connected": True},
+      "oracle": "1", "characters": "2"}),
+    ("oracle-vs-characters", ["--dmax", "2"], "symgroup", "triply_mixed_slots",
+     _connected_plus_one, "checked: 134",
+     {"inputs": {"g": 0, "gp": 0, "d": 1, "profiles": [], "k": 0, "l": 0,
+                 "m": 0, "connected": True},
+      "oracle": "2", "characters": "1"}),
     ("quantum-curve", [], "quantum_curve", "residual_max_abs", _plus_one,
      "checked: 6", {"inputs": {"variant": "monotone", "g": 0},
                     "max_abs_residual": "1"}),
@@ -182,8 +203,16 @@ WRONG_ROUTE = [
 ]
 
 
+def _row_ids(rows):
+    """Each row's suite, with the planted function after a suite's first row."""
+    ids = []
+    for suite, _, _, name, *_ in rows:
+        ids.append(f"{suite}-{name}" if suite in ids else suite)
+    return ids
+
+
 @pytest.mark.parametrize("suite,extra,module,name,wrong,count,counterexample",
-                         WRONG_ROUTE, ids=[case[0] for case in WRONG_ROUTE])
+                         WRONG_ROUTE, ids=_row_ids(WRONG_ROUTE))
 def test_verify_prints_the_first_counterexample(
         suite, extra, module, name, wrong, count, counterexample,
         monkeypatch, capsys):
@@ -198,6 +227,23 @@ def test_verify_prints_the_first_counterexample(
     assert capsys.readouterr().out.splitlines() == [
         f"{count}, failures: 1",
         json.dumps({"first_counterexample": counterexample})]
+
+
+@pytest.mark.parametrize("dmax,count,digest", [
+    (5, 382, "4a2691e9730110ebfbc7d92b93471ccab2133da74e345e955bbb97795f217dc4"),
+    (6, 450, "cafcea19470bb3aba31d393030971dc3da99699e69a27cb0a6972e732e1c4021"),
+], ids=["dmax-5", "dmax-6"])
+def test_oracle_vs_characters_case_sequence_is_pinned(dmax, count, digest):
+    # the sha256 of the JSON list of case inputs, computed when every case
+    # walked its own oracle spec and took its own potential log: sharing them
+    # kept the cases and their order, so the same counterexample prints first
+    from mixedhurwitz import cli
+
+    cases = list(cli.SUITES["oracle-vs-characters"](dmax, False, 6))
+    inputs = json.dumps([inputs for inputs, _ in cases]).encode()
+    assert len(cases) == count
+    assert hashlib.sha256(inputs).hexdigest() == digest
+    assert all(v["oracle"] == v["characters"] for _, v in cases)
 
 
 def test_exit_codes():

@@ -302,6 +302,69 @@ def test_double_argv_exits_0_2_or_3_without_a_traceback(argv):
         assert out.getvalue() == ""
 
 
+VERIFY_VALUES = ["0", "-1", "1", "3", HUGE, "", "x"]
+
+
+class _SerialPool:
+    """ProcessPoolExecutor in this process: verify's --jobs pool, with no
+    worker started, refusing more workers than verify has suites."""
+
+    def __init__(self, max_workers):
+        assert max_workers <= len(cli.SUITES), max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@st.composite
+def verify_argvs(draw):
+    """verify argv: the suite and --deep from pools; --dmax and --jobs valid,
+    edge, malformed or left out; --oracle-dmax always given and at most 3, so
+    every accepted argv stays cheap."""
+    def value(pool):
+        return draw(st.one_of(st.sampled_from(["1", "3"]), st.sampled_from(pool)))
+
+    argv = ["--cache-dir=", "--oracle-dmax",
+            value([v for v in VERIFY_VALUES if v != HUGE])]
+    if draw(st.booleans()):
+        argv += ["--jobs", value(VERIFY_VALUES)]
+    argv += ["verify", "--suite", draw(st.sampled_from([*cli.SUITES, "all", ""]))]
+    if draw(st.booleans()):
+        argv += ["--dmax", value(VERIFY_VALUES)]
+    return argv + draw(st.sampled_from([[], ["--deep"]]))
+
+
+@settings(PROPERTY, max_examples=100)
+@example(["--cache-dir=", "--oracle-dmax", "3", "--jobs", HUGE, "verify",
+          "--suite", "all", "--dmax", HUGE, "--deep"])
+@given(verify_argvs())
+def test_verify_argv_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", _SerialPool), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse refuses a malformed flag
+            code = e.code
+    assert time.monotonic() - start < 3, argv
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    # exit 1 is a counterexample, and at these degrees every route agrees
+    assert code != 1, out.getvalue()
+    if code == 0:
+        assert out.getvalue().startswith("checked: ")
+        assert out.getvalue().endswith(", failures: 0\n")
+    else:
+        assert out.getvalue() == ""
+
+
 @st.composite
 def double_cases(draw):
     """(variant, g, mu, nu) with |mu| = |nu| <= 6 and b = 2g-2+l(mu)+l(nu) <= 4."""

@@ -1,11 +1,13 @@
 import hashlib
+import random
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 
+from mixedhurwitz import spectral
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import compositions
 from mixedhurwitz.ratfun import RF1, MultiPoly, Poly1, TensorSum
@@ -157,6 +159,28 @@ def test_recursion_matches_cut_and_join_at_the_omega_budget():
         assert extract_C(ceo_omega(8, 2), mu) == cut_and_join_C(8, 2, mu), mu
     mu = (1,) * 11
     assert extract_C(ceo_omega(0, 11), mu) == cut_and_join_C(0, 11, mu)
+
+
+def test_pruned_extraction_matches_every_ordering(monkeypatch):
+    # extract_C expands only the orderings with each k_i < mu_i; every other
+    # ordering extracts to 0.  Checked on each level omega_{6,2} and
+    # omega_{9,1} build, at random mu, against the sum over ordered().
+    monkeypatch.setattr(spectral, "_omega_cache", {})
+    ceo_omega(6, 2), ceo_omega(9, 1)
+    levels = sorted(spectral._omega_cache)
+    assert len(levels) == 53
+    rng, nonzero = random.Random(0), 0
+    for g, n in levels:
+        om = ceo_omega(g, n)
+        ordered = om.ordered()
+        mu = tuple(rng.randint(1, 4) for _ in range(n))
+        # rows[i][k] = _xi_extract(k, mu_i) for every k up to 3g-3+n
+        rows = [[_xi_extract(k, m) for k in range(3 * g - 2 + n)] for m in mu]
+        want = sum(c * prod(map(list.__getitem__, rows, ks))
+                   for ks, c in ordered.items())
+        assert extract_C(om, mu) == want, (g, n, mu)
+        nonzero += want != 0
+    assert nonzero == 49  # so the check is not vacuous
 
 
 def test_spectral_data():

@@ -32,6 +32,7 @@ from mixedhurwitz.symgroup import (
     oracle_N_slots,
     orbit_labels,
     source_genus_for,
+    triply_mixed_slots,
 )
 
 
@@ -63,6 +64,8 @@ def test_every_oracle_refuses_degree_above_limit():
         count_monotone_of_fixed_target((d,), d - 1)
     with pytest.raises(ResourceLimitError):
         oracle_N("monotone", 1, (d,), (d,), d, 1)  # b = 2
+    with pytest.raises(ResourceLimitError):  # verify exits 3 on it
+        triply_mixed_slots(1, d, (), range(4))
     # b <= 1 is a direct count in polynomial time and runs at any degree: of
     # the transpositions (s, d-1), one splits the d-cycle into d-1 and a
     # fixed point s
@@ -124,6 +127,29 @@ def test_monotone_double_count_matches_triply_mixed():
                     gp, mu, nu, strict, connected) == count_triply_mixed(spec), \
                     (mu, nu, gp, strict, connected)
     assert cases == 436
+
+
+def test_slot_engine_matches_count_triply_mixed():
+    # the oracle-vs-characters menu at d <= 5, every slot with b <= 3 whose
+    # source genus exists, against one count_triply_mixed walk per spec
+    checked = 0
+    for g, profiles, d in product((0, 1), [(), ((2,),), ((3,),), ((2,), (2,))],
+                                  range(1, 6)):
+        if any(sum(p) > d for p in profiles):
+            continue
+        slots = triply_mixed_slots(g, d, profiles, range(4))
+        assert len(slots) == 20  # every (k, l, m) with k + l + m <= 3
+        for (k, l, m), values in slots.items():
+            try:
+                gp = source_genus_for(g, d, profiles, k + l + m)
+            except DomainError:
+                continue
+            checked += 1
+            assert values == tuple(
+                count_triply_mixed(HurwitzSpec(g, gp, d, profiles, k, l, m,
+                                               connected))
+                for connected in (False, True)), (g, d, profiles, k, l, m)
+    assert checked == 191  # the specs of verify's 382 cases at --dmax 5
 
 
 def test_monotone_fixed_target_examples():
