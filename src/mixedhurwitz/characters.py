@@ -7,8 +7,6 @@ inserts and the lambda-sums are plain reductions over independent terms, so
 concurrent use is safe.
 """
 
-import json
-import os
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -27,17 +25,20 @@ from .partitions import (
     strip_ones,
 )
 from .series import QSeries
-from .util import CACHE_ENV
 
 # The largest number of partitions of one degree a lambda-sum runs over
 # (p(45) = 89134 runs, p(46) = 105558 is refused); above it the character
 # route raises ResourceLimitError instead of running unbounded.
 PARTITION_LIMIT = 100_000
+# The largest base genus and k + l + m it takes: the integers (d!/dim)^(2g-2)
+# f2^k h_l e_m and the subsectors a potential log solves grow with them.
+SECTOR_LIMIT = 60
 
 # ---------------------------------------------------------------------------
 # Murnaghan-Nakayama characters
 
 _char_cache = {}
+_load_table = None  # degree -> True if its cached table loaded; set by tablecache
 
 
 def character(lam, nu) -> int:
@@ -56,7 +57,7 @@ def _mn(lam, nu) -> int:
         return hook_dim(lam)
     key = (lam, nu)
     hit = _char_cache.get(key)
-    if hit is None and _table_dir is not None and _load_table_once(sum(lam)):
+    if hit is None and _load_table is not None and _load_table(sum(lam)):
         hit = _char_cache.get(key)
     if hit is not None:
         return hit
@@ -81,94 +82,6 @@ def _mn(lam, nu) -> int:
     return total
 
 
-def character_table(d: int):
-    """Full table {(lam, nu): chi} for all partitions of d."""
-    parts = enumerate_partitions(d)
-    return {(lam, nu): character(lam, nu) for lam in parts for nu in parts}
-
-
-# ---------------------------------------------------------------------------
-# character-table disk cache (versioned JSON)
-
-
-def default_cache_dir():
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
-    return os.path.join(base, "mixedhurwitz")
-
-
-def cache_file(d: int, cache_dir=None):
-    return os.path.join(cache_dir or default_cache_dir(), f"chartable-{d}.json")
-
-
-def save_character_table(d: int, cache_dir=None) -> str:
-    path = cache_file(d, cache_dir)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    entries = [
-        {"lambda": list(lam), "nu": list(nu), "chi": str(v)}
-        for (lam, nu), v in sorted(character_table(d).items())
-    ]
-    doc = {"version": 1, "degree": d, "entries": entries}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    return path
-
-
-def load_character_table(d: int, cache_dir=None) -> bool:
-    """Populate the in-memory cache from disk; returns True when found.
-
-    A file that does not parse as a whole raises DomainError and leaves the
-    in-memory cache as it was.
-    """
-    path = cache_file(d, cache_dir)
-    if not os.path.exists(path):
-        return False
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError:  # not JSON: truncated, or not text at all
-            doc = None
-    if not isinstance(doc, dict) or doc.get("version") != 1 \
-            or doc.get("degree") != d or not isinstance(doc.get("entries"), list):
-        raise DomainError(f"unrecognized cache file {path}")
-    table = {}
-    for e in doc["entries"]:
-        try:
-            key = (check_partition(e["lambda"]),
-                   check_partition(sorted(e["nu"], reverse=True)))
-            table[key] = int(str(e["chi"]))  # str first: 2.5 is refused, not cut
-        except (KeyError, TypeError, ValueError, DomainError):
-            raise DomainError(f"unrecognized cache file {path}: "
-                              f"bad entry {e!r}") from None
-    _char_cache.update(table)
-    return True
-
-
-_table_dir = None  # where _mn looks for cached tables; set by use_cache_dir
-_tables_tried = set()
-
-
-def use_cache_dir(cache_dir):
-    """Read cached character tables from cache_dir (None: none), each degree
-    the first time a character of that degree is needed."""
-    global _table_dir
-    _table_dir = cache_dir
-    _tables_tried.clear()
-
-
-def _load_table_once(d) -> bool:
-    """Load degree d's table from _table_dir unless tried before; True if it loaded."""
-    if d in _tables_tried:
-        return False
-    _tables_tried.add(d)
-    try:
-        return load_character_table(d, _table_dir)
-    except DomainError:  # a corrupt file is passed over; `cache clear` removes it
-        return False
-
-
 # ---------------------------------------------------------------------------
 # central characters
 
@@ -181,24 +94,8 @@ def central_character_f(nu, lam) -> Fraction:
     nu, lam = check_partition(nu), check_partition(lam)
     if any(x == 1 for x in nu):
         raise DomainError(f"nu must not contain 1-parts: {nu}")
-    return central_character_extended(nu, lam)
-
-
-def central_character_extended(nu, lam) -> Fraction:
-    """binom(|lam|,|nu|) |C_nu| chi^lam(nu padded)/dim lam for arbitrary nu.
-
-    For 1-free nu the prefactor equals the padded class size; with 1-parts it
-    is the verbatim binomial extension (e.g. nu=(1) gives |lam|).
-    """
-    nu, lam = check_partition(nu), check_partition(lam)
-    n, dd = sum(nu), sum(lam)
-    if n > dd:
-        raise DomainError(f"|nu|={n} exceeds |lam|={dd}")
-    if not nu:
-        return Fraction(1)
-    pref = comb(dd, n) * class_size(nu, n)
-    chi = character(lam, pad_to(nu, dd))
-    return Fraction(pref * chi, hook_dim(lam))
+    d = sum(lam)
+    return Fraction(class_size(nu, d) * character(lam, pad_to(nu, d)), hook_dim(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +104,9 @@ def central_character_extended(nu, lam) -> Fraction:
 # A column holds one value per partition of d, in enumerate_partitions order.
 # Each is built on first read and kept for the process; "dim" is built only
 # when a sector reads it (dim lam enters with power 2 - 2g - #profiles, so a
-# base genus 1 sector without profiles never does).  Profile characters are
-# not copied into columns: _mn memoises them in _char_cache.
+# base genus 1 sector without profiles never does).  The chi^lam(nu) columns
+# and the weight and product columns of sector_family live only while their
+# degree runs.
 
 _lambda_columns = {}
 
@@ -257,10 +155,8 @@ def hurwitz_by_characters(spec) -> Fraction:
     if spec.connected:
         raise DomainError("character formula computes the disconnected number; "
                           "use connected_series for connected ones")
-    value = sector_value(
-        spec.base_genus, spec.k, spec.l, spec.m,
-        tuple(strip_ones(p) for p in spec.profiles), spec.degree,
-    )
+    value = sector_value(spec.base_genus, spec.k, spec.l, spec.m,
+                         tuple(strip_ones(p) for p in spec.profiles), spec.degree)
     if spec.labeled:
         from .partitions import aut_count
 
@@ -270,45 +166,81 @@ def hurwitz_by_characters(spec) -> Fraction:
 
 
 def sector_value(g: int, k: int, l: int, m: int, profiles, d: int) -> Fraction:
-    """Lambda-sum for one (k,l,m,profiles,d) sector at base genus g.
+    """Lambda-sum for one (k,l,m,profiles,d) sector at base genus g: a family of one."""
+    (col,) = sector_family(g, [(k, l, m, profiles)], d, low=d).values()
+    return col[d]
 
-    profiles must be 1-free.  The d = 0 convention: 1 for the empty sector,
-    0 otherwise.
-    """
+
+def _checked_key(g, key):
+    """key with partition profiles; refuses a negative genus or count, a
+    profile with 1-parts, and a genus or k + l + m above SECTOR_LIMIT."""
+    k, l, m, profiles = key
     profiles = tuple(check_partition(p) for p in profiles)
-    if any(1 in p for p in profiles):
-        raise DomainError(f"profiles must not contain 1-parts: {profiles}")
-    if d == 0:
-        return Fraction(1) if (k == l == m == 0 and not any(profiles)) else Fraction(0)
-    if any(sum(p) > d for p in profiles) or (k and d < 2):
-        return Fraction(0)  # binomial prefactor vanishes when |nu| > d
-    check_partition_budget(d)
-    # term(lam) = (dim/d!)^(2-2g) prod_nu (|C_nu| chi^lam(nu) / dim) f2^k h_l e_m:
-    # sum the integer part times dim^(2-2g-#nu), then scale once
-    lams = enumerate_partitions(d)
-    xs = [1] * len(lams)
-    if k:
-        xs = [f ** k for f in _lambda_column(d, "f2")]
-    if l:
-        xs = list(map(mul, xs, _lambda_column(d, ("complete_homogeneous", l))))
-    if m:
-        xs = list(map(mul, xs, _lambda_column(d, ("elementary", m))))
-    classes = [pad_to(p, d) for p in profiles if p]
-    for nu in classes:
-        xs = [x * _mn(lam, nu) if x else 0 for x, lam in zip(xs, lams)]
-    dim_power = 2 - 2 * g - len(classes)
-    if dim_power:
-        dims = _lambda_column(d, "dim")
-    if dim_power > 0:
-        total = sum(x * dim ** dim_power for x, dim in zip(xs, dims))
-    elif dim_power < 0:  # dim divides d!: x / dim^n = x (d!/dim)^n / d!^n
-        fd = factorial(d)
-        total = Fraction(sum(x * (fd // dim) ** -dim_power
-                             for x, dim in zip(xs, dims) if x), fd ** -dim_power)
-    else:
-        total = sum(xs)
-    scale = Fraction(prod(class_size(p, d) for p in profiles if p))
-    return total * scale / Fraction(factorial(d)) ** (2 - 2 * g)
+    if min(g, k, l, m) < 0 or any(1 in p for p in profiles):
+        raise DomainError(f"sector {(k, l, m, profiles)} at base genus {g}: genus "
+                          "and counts must be >= 0 and profiles free of 1-parts")
+    if max(g, k + l + m) > SECTOR_LIMIT:
+        raise ResourceLimitError(f"base genus {g} or k+l+m = {k + l + m} is above "
+                                 f"the character route's limit {SECTOR_LIMIT}")
+    return k, l, m, profiles
+
+
+def sector_family(g: int, keys, dmax: int, low: int = 0):
+    """Lambda-sums at base genus g: {key: [value at degree d, d <= dmax]} for
+    each key (k, l, m, profiles), profiles 1-free; degrees below low stay 0.
+
+    term(lam) = (dim/d!)^(2-2g) prod_nu (|C_nu| chi^lam(nu) / dim) f2^k h_l e_m.
+    Per degree: one integer weight column prod_nu chi^lam(nu) dim^(2-2g-#nu)
+    per profile tuple, whose character products share their prefixes; times
+    h_l e_m once per (l, m, profiles) and then f2 once per step of k.  The
+    class sizes and the powers of d! scale each sum once.  The d = 0
+    convention: 1 for the empty sector, 0 otherwise.
+    """
+    groups = {}  # (l, m, profiles) -> the k wanted with them
+    for k, *rest in (_checked_key(g, key) for key in keys):
+        groups.setdefault(tuple(rest), set()).add(k)
+    check_partition_budget(dmax)
+    out = {(k, *rest): [Fraction(0)] * (dmax + 1) for rest, ks in groups.items()
+           for k in ks}
+    for d in range(low, dmax + 1):
+        # the binomial prefactor vanishes when |nu| > d
+        live = [(rest, ks) for rest, ks in groups.items()
+                if all(sum(p) <= d for p in rest[2])]
+        if j := max((max(l, m) for (l, m, _), _ in live), default=0):
+            _lambda_column(d, ("elementary", j))  # one walk: every h_i, e_i, i <= j
+        lams, fd, f2 = enumerate_partitions(d), factorial(d), _lambda_column(d, "f2")
+        chis, weights = {}, {}  # by class prefix; by profile tuple
+        for (l, m, profiles), ks in live:
+            if profiles not in weights:
+                xs, classes = [1] * len(lams), ()
+                # prod chi^lam(nu) over a prefix of the classes, largest first:
+                # a class after it is read only where the prefix is nonzero
+                for nu in sorted((pad_to(p, d) for p in profiles if p), reverse=True):
+                    classes += (nu,)
+                    if classes not in chis:
+                        chis[classes] = [x and x * _mn(lam, nu)
+                                         for x, lam in zip(xs, lams)]
+                    xs = chis[classes]
+                n = 2 - 2 * g - len(classes)  # the power of dim
+                if n:  # for n < 0, dim divides d!: x dim^n = x (d!/dim)^-n / d!^-n
+                    xs = [x and x * (dim ** n if n > 0 else (fd // dim) ** -n)
+                          for x, dim in zip(xs, _lambda_column(d, "dim"))]
+                e = 2 * g - 2 + min(n, 0)  # the power of d! the sum is scaled by
+                scale = prod(class_size(p, d) for p in profiles if p)
+                weights[profiles] = xs, scale * fd ** max(e, 0), fd ** max(-e, 0)
+            xs, num, den = weights[profiles]
+            for kind, j in (("complete_homogeneous", l), ("elementary", m)):
+                if j:
+                    xs = list(map(mul, xs, _lambda_column(d, (kind, j))))
+            k0 = 0
+            for k in sorted(ks):
+                if k > k0:
+                    xs = (list(map(mul, xs, f2)) if k == k0 + 1
+                          else [x * f ** (k - k0) for x, f in zip(xs, f2)])
+                    k0 = k
+                out[k, l, m, profiles][d] = Fraction(sum(xs) * num, den)
+        chis = weights = xs = None  # no column outlives its degree
+    return out
 
 
 def check_partition_budget(d: int):
@@ -472,26 +404,21 @@ def connected_series(family):
     """Connected q-series from a family of disconnected ones.
 
     family maps (k, l, m, profiles) -> QSeries in q (coefficient of q^d = the
-    disconnected number of degree d).  Profiles are tuples of 1-free
-    partitions.  The returned map has the same keys with connected series.
-    Raises DomainError when a needed subsector key/degree is missing.
+    disconnected number of degree d), profiles tuples of 1-free partitions;
+    returns the same keys with connected series up to the lowest high end.
+    Raises DomainError when a subkey of a key is missing.
     """
-    family = {
-        (k, l, m, tuple(tuple(p) for p in profiles)): series
-        for (k, l, m, profiles), series in family.items()
-    }
-    if not family:
-        return {}
-    qmax = min(s.high for s in family.values())
-    targets = [key + (d,) for key in family for d in range(qmax + 1)]
-    disconnected = {key + (d,): series.coefficient(d)
-                    for key, series in family.items() for d in range(1, qmax + 1)}
-    conn = potential_log(disconnected, targets)
-    out = {}
-    for (k, l, m, profiles), series in family.items():
-        coeffs = [conn[(k, l, m, profiles, d)] for d in range(qmax + 1)]
-        out[(k, l, m, profiles)] = QSeries(coeffs, 0, series.var)
-    return out
+    family = {(k, l, m, tuple(map(tuple, profiles))): series
+              for (k, l, m, profiles), series in family.items()}
+    for key in family:
+        if missing := set(_subkeys(key)) - family.keys():
+            raise DomainError(f"missing disconnected series for key {min(missing)}")
+    qmax = min((series.high for series in family.values()), default=0)
+    conn, w = _euler_solve({key: series.coefficients(0, qmax)
+                            for key, series in family.items()},
+                           dict.fromkeys(family, qmax), log=True)
+    return {key: QSeries([Fraction(x, wd) for x, wd in zip(col, w)], 0, family[key].var)
+            for key, col in conn.items()}
 
 
 def connected_hurwitz_qseries(g: int, k: int, l: int, m: int, profiles, qmax: int,
@@ -501,12 +428,13 @@ def connected_hurwitz_qseries(g: int, k: int, l: int, m: int, profiles, qmax: in
     connected=False sums the sector itself by the character formula; the
     connected series takes the potential log of every subsector's.
     """
-    profiles = tuple(tuple(strip_ones(check_partition(p))) for p in profiles)
     check_partition_budget(qmax)
-    top = (k, l, m, profiles)
-    family = {key: QSeries([sector_value(g, *key, d) for d in range(qmax + 1)], 0, "q")
-              for key in (set(_subkeys(top)) if connected else (top,))}
-    return connected_series(family)[top] if connected else family[top]
+    top = _checked_key(g, (k, l, m, [strip_ones(check_partition(p)) for p in profiles]))
+    family = sector_family(g, _subkeys(top) if connected else [top], qmax)
+    if not connected:
+        return QSeries(family[top])
+    conn, w = _euler_solve(family, dict.fromkeys(family, qmax), log=True)
+    return QSeries([Fraction(x, wd) for x, wd in zip(conn[top], w)])
 
 
 # ---------------------------------------------------------------------------

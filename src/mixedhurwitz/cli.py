@@ -196,9 +196,8 @@ def cmd_compute(args):
 
 
 def _qseries_for(args):
-    from .characters import (check_partition_budget, connected_hurwitz_qseries,
-                             sector_value)
-    from .partitions import partition_count, strip_ones
+    from .characters import connected_hurwitz_qseries
+    from .partitions import partition_count
     from .series import QSeries
 
     if args.qmax < 0:
@@ -209,17 +208,13 @@ def _qseries_for(args):
             sum(p) - len(p) for p in profiles):
         raise DomainError(f"--source-genus {args.source_genus} does not fit "
                           f"base genus 1 with k+l+m = {b} and these profiles")
-    stripped = tuple(strip_ones(p) for p in profiles)
-    if args.bracket:
-        check_partition_budget(args.qmax)
-        num = QSeries([
-            sector_value(args.base_genus, args.k, args.l, args.m, stripped, d)
-            for d in range(args.qmax + 1)
-        ])
-        return num / QSeries([partition_count(d) for d in range(args.qmax + 1)])
-    return connected_hurwitz_qseries(args.base_genus, args.k, args.l, args.m,
-                                     profiles, args.qmax,
-                                     not getattr(args, "disconnected", False))
+    connected = not (args.bracket or getattr(args, "disconnected", False))
+    series = connected_hurwitz_qseries(args.base_genus, args.k, args.l, args.m,
+                                       profiles, args.qmax, connected)
+    if not args.bracket:
+        return series
+    # the bracket: the disconnected series over the partition function
+    return series / QSeries([partition_count(d) for d in range(args.qmax + 1)])
 
 
 def cmd_qseries(args):
@@ -309,7 +304,7 @@ def _splits(b):
 
 def _suite_oracle_vs_characters(dmax, oracle_limit):
     from .characters import (check_partition_budget, connected_series,
-                             hurwitz_by_characters, sector_value, subsectors)
+                             hurwitz_by_characters, sector_family, subsectors)
     from .series import QSeries
     from .symgroup import HurwitzSpec, source_genus_for, triply_mixed_slots
 
@@ -330,8 +325,8 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
             # one oracle walk per degree and one potential log for all cases
             keys = {s[:4] for bs in cases.values() for b in bs for klm in _splits(b)
                     for s in subsectors((*klm, profiles, 0))}
-            series = connected_series({key: QSeries(
-                [sector_value(g, *key, d) for d in range(dmax + 1)]) for key in keys})
+            series = connected_series({key: QSeries(col) for key, col in
+                                       sector_family(g, keys, dmax).items()})
             for d, bs in cases.items():
                 slots = triply_mixed_slots(g, d, profiles, bs, oracle_limit)
                 for b, gp in bs.items():
@@ -419,7 +414,7 @@ def _suite_tropical(dmax=5):
 
 
 def _suite_golden_series():
-    from .characters import connected_hurwitz_qseries, sector_value
+    from .characters import connected_hurwitz_qseries, sector_family
     from .partitions import partition_count
     from .series import QSeries
 
@@ -433,9 +428,9 @@ def _suite_golden_series():
         got = [ser.coefficient(d) for d in range(lo, lo + len(expect))]
         yield {"k": k, "l": l, "m": m}, {"got": got, "expected": expect}
     # the mu=(3) series is the q-bracket of the sector functional
-    num = QSeries([sector_value(1, 2, 0, 0, ((3,),), d) for d in range(7)])
+    (num,) = sector_family(1, [(2, 0, 0, ((3,),))], 6).values()
     den = QSeries([partition_count(d) for d in range(7)])
-    got = [(num / den).coefficient(d) for d in range(3, 7)]
+    got = [(QSeries(num) / den).coefficient(d) for d in range(3, 7)]
     yield ({"profiles": [[3]], "k": 2},
            {"got": got, "expected": [36, 540, 3606, 15726]})
 
@@ -482,6 +477,8 @@ def run_suite(name, dmax, deep, oracle_dmax):
 
 
 def cmd_verify(args):
+    if args.dmax < 0:
+        raise DomainError(f"--dmax must be >= 0, got {args.dmax}")
     selected = list(SUITES) if args.suite == "all" else [args.suite]
     n = len(selected)
     if args.jobs > 1 and n > 1:
@@ -507,7 +504,7 @@ def cmd_verify(args):
 
 
 def cmd_cache(args):
-    from .characters import default_cache_dir, save_character_table
+    from .tablecache import default_cache_dir, save_character_table
 
     cache_dir = args.cache_dir or default_cache_dir()
     if args.cache_command == "build":
@@ -549,14 +546,14 @@ COMMANDS = {
 def apply_cache_dir(cache_dir):
     """Point the character route at cache_dir, or at no cache for None.
 
-    A fresh characters module reads no cache, so with no directory it is
-    only reset when an earlier call in this process has loaded it.
+    Only the cache module sets a cache, so with no directory it is only
+    reset when an earlier call in this process has loaded that module.
     """
     if cache_dir:
-        from .characters import use_cache_dir
+        from .tablecache import use_cache_dir
         use_cache_dir(cache_dir)
-    elif (characters := sys.modules.get(f"{__package__}.characters")):
-        characters.use_cache_dir(None)
+    elif (tablecache := sys.modules.get(f"{__package__}.tablecache")):
+        tablecache.use_cache_dir(None)
 
 
 def resolve_global_flags(args):

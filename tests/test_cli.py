@@ -397,6 +397,20 @@ def test_cache_clear_removes_corrupt_file(tmp_path):
     (["--oracle-dmax", "-1", *ORACLE_COMPUTE], "must be >= 0, got -1"),
     (["fit", "--source-genus", "3", "--k", "4", "--qmax", "27",
       "--weight", "1000000", "--bracket"], "need at least"),
+    (["qseries", "--base-genus", "0", "--source-genus", "0", "--k", "-1",
+      "--qmax", "3"], "counts must be >= 0"),
+    (["qseries", "--base-genus", "1", "--source-genus", "0", "--k", "-2",
+      "--qmax", "4", "--bracket"], "counts must be >= 0"),
+    (["qseries", "--base-genus", "1", "--source-genus", "0", "--k", "-2",
+      "--qmax", "4", "--disconnected"], "counts must be >= 0"),
+    (["fit", "--base-genus", "1", "--source-genus", "0", "--k", "-2",
+      "--qmax", "4", "--weight", "2", "--bracket"], "counts must be >= 0"),
+    (["qseries", "--base-genus", "-1", "--source-genus", "0", "--qmax", "3"],
+     "genus and counts must be >= 0"),
+    (["--oracle-dmax", "0", "verify", "--suite", "tropical", "--dmax", "-1"],
+     "--dmax must be >= 0, got -1"),
+    (["verify", "--suite", "golden-series", "--dmax", "-5"],
+     "--dmax must be >= 0, got -5"),
 ])
 def test_malformed_input_is_a_domain_error(args, reason):
     p = run(*args, check=False)
@@ -408,6 +422,7 @@ def test_later_main_call_reads_no_earlier_cache_dir(
         tmp_path, monkeypatch, capsys):
     from mixedhurwitz import characters, cli
     from mixedhurwitz.partitions import enumerate_partitions
+    from mixedhurwitz.tablecache import use_cache_dir
 
     # a well-formed degree-3 table whose values are all wrong
     entries = [{"lambda": list(lam), "nu": list(nu), "chi": "7"}
@@ -432,7 +447,7 @@ def test_later_main_call_reads_no_earlier_cache_dir(
         assert cli.main(["--cache-dir", str(tmp_path), *compute]) == 0
         assert json.loads(capsys.readouterr().out) != {"value": "1/3"}
     finally:
-        characters.use_cache_dir(None)
+        use_cache_dir(None)
 
 
 def all_loaded_modules(*argv):

@@ -16,16 +16,17 @@ from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mixedhurwitz import cli, double_recursion, spectral
+from mixedhurwitz import characters, cli, double_recursion, spectral
 from mixedhurwitz.characters import (
     connected_hurwitz_qseries,
     potential_log,
+    sector_family,
     sector_value,
     subsectors,
 )
 from mixedhurwitz.double_recursion import N_value, _exp_at, double_hurwitz
 from mixedhurwitz.errors import DomainError
-from mixedhurwitz.partitions import enumerate_partitions
+from mixedhurwitz.partitions import enumerate_partitions, partition_count
 from mixedhurwitz.quasimodular import (
     FitFailure,
     QuasimodularPoly,
@@ -54,6 +55,7 @@ from mixedhurwitz.tropical import (
     enumerate_elliptic_covers,
     tropical_elliptic_sum,
 )
+from test_characters import reference_sector_value
 from test_tropical import _check_cover_invariants
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -180,6 +182,39 @@ def test_connected_characters_match_oracle(spec):
     got = connected_hurwitz_qseries(spec.base_genus, spec.k, spec.l, spec.m,
                                     spec.profiles, spec.degree)
     assert got.coefficient(spec.degree) == count_triply_mixed(spec, oracle_limit=4)
+
+
+free_partitions = st.lists(st.integers(2, 5), max_size=3).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@st.composite
+def sector_key_families(draw):
+    """(g, keys, dmax, low): up to 8 subkeys of a random key with k <= 3,
+    l, m <= 2 and up to 3 random 1-free profiles, so that keys share profile
+    prefixes, at g <= 2 and 6 <= dmax <= 12."""
+    top = (draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+           tuple(draw(st.lists(free_partitions, max_size=3))), 0)
+    subkeys = sorted({s[:4] for s in subsectors(top)})
+    keys = draw(st.lists(st.sampled_from(subkeys), min_size=1, max_size=8, unique=True))
+    dmax = draw(st.integers(6, 12))
+    return draw(st.integers(0, 2)), keys, dmax, draw(st.integers(0, dmax))
+
+
+@PROPERTY
+@example((0, sorted({s[:4] for s in subsectors((4, 2, 0, ((2, 2), (3,)), 0))}), 12, 0))
+@example((2, [(2, 1, 1, ((3, 2), (2, 2), (4,))), (0, 0, 0, ((), (2,), (4,)))], 12, 0))
+@example((1, [(3, 0, 0, ((2,), (2,), (2,))), (1, 2, 0, ((2,), (), ()))], 12, 5))
+@given(sector_key_families())
+def test_sector_family_matches_the_per_lambda_reference(case):
+    g, keys, dmax, low = case
+    got = sector_family(g, keys, dmax, low)
+    assert sorted(got) == sorted(keys)
+    for key in keys:
+        want = [reference_sector_value(g, *key, d) if d >= low else 0
+                for d in range(dmax + 1)]
+        assert got[key] == want, (g, key)
+        assert all(type(v) is Fraction for v in got[key])
 
 
 @st.composite
@@ -361,6 +396,84 @@ def test_verify_argv_exits_0_1_or_2_without_a_traceback(argv):
     if code == 0:
         assert out.getvalue().startswith("checked: ")
         assert out.getvalue().endswith(", failures: 0\n")
+    else:
+        assert out.getvalue() == ""
+
+
+CHARACTER_ROUTE = ["--cache-dir=", "--oracle-dmax", "3"]
+CHARACTER_VALUES = ["0", "-1", HUGE, "", "x"]
+BAD_CHARACTER = {**dict.fromkeys(["--base-genus", "--source-genus", "--degree", "--k",
+                                  "--l", "--m", "--qmax", "--weight"], CHARACTER_VALUES),
+                 "--profiles": BAD_PARTS + [";;", "2;;2", "1;1", "3;" * 40]}
+
+
+@st.composite
+def character_argvs(draw):
+    """qseries, fit or compute argv: a sector with d <= 9, k + l + m <= 3 and
+    the source genus it implies where there is one, each flag mangled now and
+    then.  A fit has d >= 6 coefficients past the first, enough for weight 2."""
+    command = draw(st.sampled_from(["qseries", "fit", "compute"]))
+    g, b = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    d = draw(st.integers(6 if command == "fit" else 1, 9))
+    k = draw(st.integers(0, b))
+    l = draw(st.integers(0, b - k))
+    profs = draw(profiles)
+    try:
+        gp = source_genus_for(g, d, profs, b)
+    except DomainError:  # b of the wrong parity, or too few for the profiles
+        gp = 0
+    flags = {"--base-genus": str(g), "--source-genus": str(gp),
+             "--profiles": ";".join(",".join(map(str, p)) for p in profs),
+             "--k": str(k), "--l": str(l), "--m": str(b - k - l)}
+    if command == "compute":
+        flags["--degree"] = str(d)
+        extra = [[], ["--connected"], ["--labeled"], ["--method", "oracle"]]
+    else:
+        flags["--qmax"] = str(d)
+        extra = [[], ["--bracket"], ["--disconnected"]][:3 if command == "qseries" else 2]
+    if command == "fit":
+        flags["--weight"] = str(draw(st.sampled_from([0, 2])))
+    argv = _mangled(draw, CHARACTER_ROUTE + [command], flags, BAD_CHARACTER)
+    return argv + draw(st.sampled_from(extra))
+
+
+@settings(PROPERTY, max_examples=150)
+@example(CHARACTER_ROUTE + ["qseries", "--base-genus", "0", "--source-genus", "0",
+                            "--k", "-1", "--qmax", "3"])
+@example(CHARACTER_ROUTE + ["qseries", "--base-genus", "1", "--source-genus", "0",
+                            "--k", "-2", "--qmax", "4", "--bracket"])
+@example(CHARACTER_ROUTE + ["qseries", "--base-genus", "1", "--source-genus", "0",
+                            "--k", "-2", "--qmax", "4", "--disconnected"])
+@example(CHARACTER_ROUTE + ["fit", "--base-genus", "1", "--source-genus", "0",
+                            "--k", "-2", "--qmax", "4", "--weight", "2", "--bracket"])
+@example(CHARACTER_ROUTE + ["qseries", "--base-genus", "-1", "--source-genus", "0",
+                            "--qmax", "3"])
+@example(CHARACTER_ROUTE + ["qseries", "--base-genus", HUGE, "--source-genus", "0",
+                            "--qmax", "3"])
+@example(CHARACTER_ROUTE + ["qseries", "--base-genus", "0", "--source-genus", "0",
+                            "--k", HUGE, "--qmax", "3"])
+@example(CHARACTER_ROUTE + ["compute", "--base-genus", "1", "--source-genus", "1",
+                            "--degree", HUGE])
+@example(CHARACTER_ROUTE + ["fit", "--source-genus", "1", "--qmax", "9",
+                            "--weight", HUGE])
+@example(CHARACTER_ROUTE + ["fit", "--source-genus", "2", "--k", "2", "--qmax", "9",
+                            "--weight", "2", "--bracket"])
+@given(character_argvs())
+def test_character_argv_exits_0_2_or_3_without_a_traceback(argv):
+    # a small budget keeps every accepted argv cheap, so a slow one ran past it
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with mock.patch.object(characters, "PARTITION_LIMIT", partition_count(9)), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse refuses a malformed flag
+            code = e.code
+    assert time.monotonic() - start < 2, argv
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert isinstance(json.loads(out.getvalue()), dict)
     else:
         assert out.getvalue() == ""
 

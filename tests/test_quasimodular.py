@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mixedhurwitz.errors import DomainError
-from mixedhurwitz.characters import central_character_extended, sector_value
+from mixedhurwitz.characters import sector_value
 from mixedhurwitz.partitions import (
     contents,
     enumerate_partitions,
@@ -25,6 +25,7 @@ from mixedhurwitz.quasimodular import (
     q_bracket,
 )
 from mixedhurwitz.series import QSeries
+from test_characters import central_character_extended
 
 
 def test_eisenstein_expansions():

@@ -1,10 +1,13 @@
+import ast
 import hashlib
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import mixedhurwitz
 from mixedhurwitz.commutators import (
     commutator_pair_table,
     commutator_tuple_table,
@@ -285,3 +288,28 @@ def test_disconnected_assembles_from_connected():
     gp = source_genus_for(1, 3, (), 2)
     assert disc == count_triply_mixed(
         HurwitzSpec(1, gp, 3, (), 2, 0, 0, connected=False))
+
+
+def _imported_modules(module):
+    """The first dotted part of every name the source of a mixedhurwitz
+    module imports, at any depth, with the package prefix dropped."""
+    source = (Path(mixedhurwitz.__file__).parent / f"{module}.py").read_text()
+    assert "import_module" not in source and "__import__" not in source
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names |= {base} | {f"{base}.{alias.name}".lstrip(".")
+                               for alias in node.names}
+    return {name.removeprefix("mixedhurwitz.").split(".")[0] for name in names}
+
+
+@pytest.mark.parametrize("module", ["symgroup", "commutators"])
+def test_the_oracle_imports_no_character_route(module):
+    # route independence: the oracle never reads a character column, a
+    # cached character table or a q-series
+    imported = _imported_modules(module)
+    assert "partitions" in imported  # the walk sees the relative imports
+    assert not imported & {"characters", "series", "quasimodular", "tablecache"}
