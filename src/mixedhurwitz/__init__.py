@@ -20,7 +20,7 @@ _EXPORTS = {
     "characters": "character central_character_f hurwitz_by_characters "
                   "connected_series connected_hurwitz_qseries "
                   "commutator_count_by_characters",
-    "series": "QSeries BiSeries series_log_exp coefficient_extract",
+    "series": "QSeries BiSeries",
     "quasimodular": "eisenstein q_bracket Q_k_eval completion_coefficients "
                     "fit_quasimodular QuasimodularPoly",
     "quantum_curve": "partition_function apply_operator residual_max_abs",

@@ -1,5 +1,6 @@
 """Irreducible characters of symmetric groups and the central-character route
-to triply mixed Hurwitz numbers.
+to triply mixed Hurwitz numbers.  Connected numbers come from the disconnected
+ones by the potential log, which runs on the exponential formula of series.
 
 All arithmetic is exact rational; no floating point anywhere.  The in-memory
 character cache and the per-degree lambda columns only receive idempotent
@@ -9,8 +10,7 @@ concurrent use is safe.
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import comb, factorial, lcm, prod
+from math import factorial, prod
 from operator import mul
 
 from .errors import DomainError, ResourceLimitError
@@ -24,7 +24,7 @@ from .partitions import (
     partition_count,
     strip_ones,
 )
-from .series import QSeries
+from .series import QSeries, _euler_solve, _subkeys
 
 # The largest number of partitions of one degree a lambda-sum runs over
 # (p(45) = 89134 runs, p(46) = 105558 is refused); above it the character
@@ -260,116 +260,7 @@ def _first_degree_over(limit):
 
 
 # ---------------------------------------------------------------------------
-# the potential: disconnected <-> connected bookkeeping
-#
-# A sector is (k, l, m, profiles, d) with profiles a tuple of 1-free
-# partitions, one per profile slot.  The k transpositions carry divided-power
-# grading (their positions interleave freely when components merge), the
-# monotone and strict blocks merge in exactly one way, so l, m, the profile
-# content and the degree are plain additive gradings.
-
-
-@cache
-def _multiset_splits(parts):
-    """(sub, parts - sub) for every sub-multiset sub of the partition parts."""
-    out = [((), ())]
-    for v in sorted(set(parts), reverse=True):
-        c = parts.count(v)
-        out = [(a + (v,) * i, b + (v,) * (c - i)) for a, b in out for i in range(c + 1)]
-    return out
-
-
-@cache
-def _profile_splits(profiles):
-    """(part, profiles - part) for every sub-profile part of profiles."""
-    out = [((), ())]
-    for p in profiles:
-        out = [(a + (s,), b + (r,)) for a, b in out for s, r in _multiset_splits(p)]
-    return out
-
-
-def _euler_terms(key):
-    """(C(k, k1), key1, key - key1) for every subkey key1 of key."""
-    k, l, m, profiles = key
-    return [(comb(k, k1), (k1, l1, m1, prof1), (k - k1, l - l1, m - m1, prof2))
-            for k1, l1, m1 in product(range(k + 1), range(l + 1), range(m + 1))
-            for prof1, prof2 in _profile_splits(profiles)]
-
-
-def _subkeys(key):
-    """All (k', l', m', profiles') componentwise inside (k, l, m, profiles)."""
-    return [key1 for _, key1, _ in _euler_terms(key)]
-
-
-def subsectors(sector):
-    """All (k',l',m',profiles',d') componentwise inside the given sector."""
-    for key in _subkeys(sector[:4]):
-        for d1 in range(sector[4] + 1):
-            yield key + (d1,)
-
-
-@cache
-def _binomial_row(n):
-    return tuple(comb(n, j) for j in range(n + 1))
-
-
-def _euler_sum(terms, d, conn, disc):
-    """Sum of C(k, k1) C(d-1, d1-1) conn[s1] disc[s2] over s1 + s2 = (key, d)
-    with 1 <= d1 < d, terms = _euler_terms(key).  conn and disc are pairs
-    (columns, lows): columns maps (k, l, m, profiles) to per-degree lists of
-    integers, and lows maps it to a degree >= 1 below which the column is 0.
-
-    With D the degree operator, D log(1 + P) = DP / (1 + P) gives, sector by
-    sector, d P_s = d L_s + sum C(k, k1) d1 L_s1 P_s2.  Scale each degree-d
-    value by w_d = d! c^d: then w_d = C(d, d1) w_d1 w_d2, and the identity
-    times w_d / d is the division-free P~_s = L~_s + this sum with conn = L~
-    and disc = P~.  Taken in increasing degree, it yields the log L from P
-    and the exp P from L (_euler_solve).
-    """
-    (a, a_low), (b, b_low) = conn, disc
-    row = _binomial_row(d - 1)  # row[d1 - 1] = C(d - 1, d1 - 1)
-    total = 0
-    for c, key1, key2 in terms:
-        lo, hi = a_low[key1], d - b_low[key2]  # the d1 where both can be nonzero
-        if lo <= hi:
-            total += c * sum(map(mul, map(mul, row[lo - 1:hi], a[key1][lo:hi + 1]),
-                                 b[key2][d - lo:d - hi - 1:-1]))
-    return total
-
-
-def _euler_solve(columns, tops, log):
-    """The log (log=True) or the exp of a family of sector values.
-
-    columns maps (k, l, m, profiles) to a list of exact values by degree,
-    index 0 unused; tops maps each key to the highest degree to solve, and
-    every subkey of a key is in both with at least its degree.  Returns the
-    solved columns as integers scaled by w_d = d! c^d, c the lcm of all
-    input denominators, together with the list w.
-    """
-    dmax = max(tops.values(), default=0)
-    c = lcm(*(v.denominator for col in columns.values() for v in col))
-    w = [1]
-    for d in range(1, dmax + 1):
-        w.append(w[-1] * d * c)
-    given = {key: [v.numerator * (wd // v.denominator) for v, wd in zip(col, w)]
-             for key, col in columns.items()}
-    out = {key: [0] * (dmax + 1) for key in columns}
-    # the lowest nonzero degree of each column; dmax + 1 while it has none
-    given_low = {key: next((d for d in range(1, dmax + 1) if col[d]), dmax + 1)
-                 for key, col in given.items()}
-    out_low = dict.fromkeys(columns, dmax + 1)
-    conn, disc = (out, out_low), (given, given_low)
-    if not log:
-        conn, disc = disc, conn
-    sign = -1 if log else 1
-    # a proper subkey has fewer transpositions or profile parts: solved first
-    for key in sorted(tops, key=lambda key: sum(key[:3]) + sum(map(len, key[3]))):
-        terms, col = _euler_terms(key), out[key]
-        for d in range(1, tops[key] + 1):
-            col[d] = given[key][d] + sign * _euler_sum(terms, d, conn, disc)
-            if col[d] and out_low[key] > d:
-                out_low[key] = d
-    return out, w
+# connected sector values: the potential log of the disconnected ones
 
 
 def potential_log(disconnected, targets):

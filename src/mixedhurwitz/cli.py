@@ -303,10 +303,9 @@ def _splits(b):
 
 
 def _suite_oracle_vs_characters(dmax, oracle_limit):
-    from .characters import (check_partition_budget, connected_series,
-                             hurwitz_by_characters, sector_family, subsectors)
-    from .series import QSeries
-    from .symgroup import HurwitzSpec, source_genus_for, triply_mixed_slots
+    from .characters import check_partition_budget, connected_series, sector_family
+    from .series import QSeries, subsectors
+    from .symgroup import source_genus_for, triply_mixed_slots
 
     check_partition_budget(dmax)
     for g in (0, 1):
@@ -322,21 +321,21 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
                         continue
                     if gp <= 3:
                         cases.setdefault(d, {})[b] = gp
-            # one oracle walk per degree and one potential log for all cases
+            # one oracle walk per degree; one lambda-sum family holds every
+            # disconnected value, and one potential log of it every connected one
             keys = {s[:4] for bs in cases.values() for b in bs for klm in _splits(b)
                     for s in subsectors((*klm, profiles, 0))}
-            series = connected_series({key: QSeries(col) for key, col in
-                                       sector_family(g, keys, dmax).items()})
+            family = sector_family(g, keys, dmax)
+            series = connected_series({key: QSeries(col)
+                                       for key, col in family.items()})
             for d, bs in cases.items():
                 slots = triply_mixed_slots(g, d, profiles, bs, oracle_limit)
                 for b, gp in bs.items():
                     for k, l, m in _splits(b):
+                        key = k, l, m, profiles
                         for connected in (False, True):
-                            if connected:
-                                chars = series[k, l, m, profiles].coefficient(d)
-                            else:
-                                chars = hurwitz_by_characters(HurwitzSpec(
-                                    g, gp, d, profiles, k, l, m, connected))
+                            chars = (series[key].coefficient(d) if connected
+                                     else family[key][d])
                             yield ({"g": g, "gp": gp, "d": d,
                                     "profiles": [list(p) for p in profiles],
                                     "k": k, "l": l, "m": m, "connected": connected},
@@ -504,10 +503,15 @@ def cmd_verify(args):
 
 
 def cmd_cache(args):
-    from .tablecache import default_cache_dir, save_character_table
+    from .tablecache import TABLE_DEGREE_LIMIT, default_cache_dir, save_character_table
 
     cache_dir = args.cache_dir or default_cache_dir()
     if args.cache_command == "build":
+        if args.dmax < 0:
+            raise DomainError(f"--dmax must be >= 0, got {args.dmax}")
+        if args.dmax > TABLE_DEGREE_LIMIT:
+            raise ResourceLimitError(f"--dmax {args.dmax} is past the cache's "
+                                     f"limit {TABLE_DEGREE_LIMIT}")
         paths = [save_character_table(d, cache_dir) for d in range(1, args.dmax + 1)]
         doc = {"built": paths}
     elif args.cache_command == "info":

@@ -14,7 +14,8 @@ from math import factorial
 
 from .errors import DomainError, ResourceLimitError
 from .partitions import aut_count, check_partition, class_size, splits, strip_ones
-from .characters import _euler_solve, commutator_count_by_characters, subsectors
+from .characters import commutator_count_by_characters
+from .series import _euler_solve, subsectors
 
 # Theta(0) = 1 by convention.
 

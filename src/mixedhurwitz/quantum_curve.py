@@ -11,11 +11,17 @@ atom acts first.
 from fractions import Fraction
 from math import factorial
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .partitions import stirling
 from .series import BiSeries
 
 VARIANTS = ("monotone", "strict")
+# The largest base genus and the largest d_max and b_max a residual takes:
+# the operator words grow with the genus, the window with all three.  At the
+# bounds, (12, 40, 40), one residual takes about 1.6 s (2-vCPU host, Python
+# 3.11); genus 30 at the default window took 12.9 s.
+GENUS_LIMIT = 12
+WINDOW_LIMIT = 40
 
 
 def monotone_sequence_count(d: int, b: int) -> int:
@@ -158,6 +164,10 @@ def residual_max_abs(variant: str, g: int, d_max: int, b_max: int) -> Fraction:
     """Largest |coefficient| of the residual restricted to d <= d_max, b <= b_max."""
     if d_max < 0 or b_max < 0:
         raise DomainError(f"the window d <= {d_max}, b <= {b_max} holds no cell")
+    if g > GENUS_LIMIT or max(d_max, b_max) > WINDOW_LIMIT:
+        raise ResourceLimitError(f"genus {g}, d <= {d_max}, b <= {b_max} is past the "
+                                 f"quantum curve's limits: genus <= {GENUS_LIMIT}, "
+                                 f"d and b <= {WINDOW_LIMIT}")
     res = quantum_curve_residual(variant, g, d_max, b_max)
     skew = res.skew
     worst = Fraction(0)

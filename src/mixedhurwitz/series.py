@@ -4,10 +4,16 @@ Every series carries its valid window; extracting a coefficient outside the
 window raises WindowError rather than returning a silent zero.  Truncation is
 propagated pessimistically through arithmetic.  A product of two QSeries is
 one integer convolution over the product of their common denominators.
+
+_euler_solve is the package's one exponential formula: the log or the exp of
+a family of sector columns, for characters, double_recursion and QSeries.log
+and QSeries.exp (a QSeries is the family of the empty sector).
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from functools import cache
+from itertools import product
+from math import comb, factorial, lcm
 from operator import mul
 
 from .errors import DomainError, WindowError
@@ -150,42 +156,22 @@ class QSeries:
         s.low += k
         return s
 
-    def derivative(self):
-        vals = [(self.low + i) * c for i, c in enumerate(self.coeffs)]
-        return QSeries(vals, self.low - 1, self.var)
-
     def log(self):
         """Formal log; requires constant term exactly 1."""
         if self.low != 0 or not self.coeffs or self.coeffs[0] != 1:
             raise DomainError("log requires constant term 1")
-        # log(1+u) with u = self - 1: integrate self'/self
-        d = self.derivative()
-        integrand = d * self.inverse()
-        out = [Fraction(0)] * (self.high + 1)
-        for i, c in enumerate(integrand.coeffs):
-            e = integrand.low + i
-            if e + 1 <= self.high and e + 1 >= 1:
-                out[e + 1] = c / (e + 1)
-        return QSeries(out, 0, self.var)
+        out, w = _euler_solve({_EMPTY: self.coeffs}, {_EMPTY: self.high}, log=True)
+        return QSeries([0, *map(Fraction, out[_EMPTY][1:], w[1:])], 0, self.var)
 
     def exp(self):
         """Formal exp; requires constant term 0 (valuation >= 1)."""
-        if self.low < 1 and any(c != 0 for c in self.coeffs[: max(0, 1 - self.low)]):
+        if self.low < 0 or self.low == 0 and any(self.coeffs[:1]):
             raise DomainError("exp requires constant term 0")
-        if self.low < 0:
-            raise DomainError("exp requires constant term 0")
-        hi = self.high
-        if hi < 0:
+        if self.high < 0:
             raise WindowError("series window too small for exp")
-        # E' = f' E, solved coefficientwise
-        out = [Fraction(0)] * (hi + 1)
-        out[0] = Fraction(1)
-        for n in range(1, hi + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                acc += j * self.coefficient(j) * out[n - j]
-            out[n] = acc / n
-        return QSeries(out, 0, self.var)
+        out, w = _euler_solve({_EMPTY: self.coefficients(0, self.high)},
+                              {_EMPTY: self.high}, log=False)
+        return QSeries([1, *map(Fraction, out[_EMPTY][1:], w[1:])], 0, self.var)
 
     def compose_scale(self, a):
         """Substitute var -> a*var for an exact rational a."""
@@ -218,15 +204,120 @@ def _over_common_denominator(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def series_log_exp(s, kind: str):
-    """log or exp of a QSeries or BiSeries (mutually inverse to truncation)."""
-    if kind not in ("log", "exp"):
-        raise DomainError(f"unknown kind {kind}")
-    return s.log() if kind == "log" else s.exp()
+# ---------------------------------------------------------------------------
+# the exponential formula on sector families: the potential log and its exp
+#
+# A sector is (k, l, m, profiles, d) with profiles a tuple of 1-free
+# partitions, one per profile slot.  The k transpositions carry divided-power
+# grading (their positions interleave freely when components merge), the
+# monotone and strict blocks merge in exactly one way, so l, m, the profile
+# content and the degree are plain additive gradings.
 
 
-def coefficient_extract(s: QSeries, exponent: int) -> Fraction:
-    return s.coefficient(exponent)
+@cache
+def _multiset_splits(parts):
+    """(sub, parts - sub) for every sub-multiset sub of the partition parts."""
+    out = [((), ())]
+    for v in sorted(set(parts), reverse=True):
+        c = parts.count(v)
+        out = [(a + (v,) * i, b + (v,) * (c - i)) for a, b in out for i in range(c + 1)]
+    return out
+
+
+@cache
+def _profile_splits(profiles):
+    """(part, profiles - part) for every sub-profile part of profiles."""
+    out = [((), ())]
+    for p in profiles:
+        out = [(a + (s,), b + (r,)) for a, b in out for s, r in _multiset_splits(p)]
+    return out
+
+
+def _euler_terms(key):
+    """(C(k, k1), key1, key - key1) for every subkey key1 of key."""
+    k, l, m, profiles = key
+    return [(comb(k, k1), (k1, l1, m1, prof1), (k - k1, l - l1, m - m1, prof2))
+            for k1, l1, m1 in product(range(k + 1), range(l + 1), range(m + 1))
+            for prof1, prof2 in _profile_splits(profiles)]
+
+
+def _subkeys(key):
+    """All (k', l', m', profiles') componentwise inside (k, l, m, profiles)."""
+    return [key1 for _, key1, _ in _euler_terms(key)]
+
+
+def subsectors(sector):
+    """All (k',l',m',profiles',d') componentwise inside the given sector."""
+    for key in _subkeys(sector[:4]):
+        for d1 in range(sector[4] + 1):
+            yield key + (d1,)
+
+
+@cache
+def _binomial_row(n):
+    return tuple(comb(n, j) for j in range(n + 1))
+
+
+def _euler_sum(terms, d, conn, disc):
+    """Sum of C(k, k1) C(d-1, d1-1) conn[s1] disc[s2] over s1 + s2 = (key, d)
+    with 1 <= d1 < d, terms = _euler_terms(key).  conn and disc are pairs
+    (columns, lows): columns maps (k, l, m, profiles) to per-degree lists of
+    integers, and lows maps it to a degree >= 1 below which the column is 0.
+
+    With D the degree operator, D log(1 + P) = DP / (1 + P) gives, sector by
+    sector, d P_s = d L_s + sum C(k, k1) d1 L_s1 P_s2.  Scale each degree-d
+    value by w_d = d! c^d: then w_d = C(d, d1) w_d1 w_d2, and the identity
+    times w_d / d is the division-free P~_s = L~_s + this sum with conn = L~
+    and disc = P~.  Taken in increasing degree, it yields the log L from P
+    and the exp P from L (_euler_solve).
+    """
+    (a, a_low), (b, b_low) = conn, disc
+    row = _binomial_row(d - 1)  # row[d1 - 1] = C(d - 1, d1 - 1)
+    total = 0
+    for c, key1, key2 in terms:
+        lo, hi = a_low[key1], d - b_low[key2]  # the d1 where both can be nonzero
+        if lo <= hi:
+            total += c * sum(map(mul, map(mul, row[lo - 1:hi], a[key1][lo:hi + 1]),
+                                 b[key2][d - lo:d - hi - 1:-1]))
+    return total
+
+
+def _euler_solve(columns, tops, log):
+    """The log (log=True) or the exp of a family of sector values.
+
+    columns maps (k, l, m, profiles) to a list of exact values by degree,
+    index 0 unused; tops maps each key to the highest degree to solve, and
+    every subkey of a key is in both with at least its degree.  Returns the
+    solved columns as integers scaled by w_d = d! c^d, c the lcm of all
+    input denominators, together with the list w.
+    """
+    dmax = max(tops.values(), default=0)
+    c = lcm(*(v.denominator for col in columns.values() for v in col))
+    w = [1]
+    for d in range(1, dmax + 1):
+        w.append(w[-1] * d * c)
+    given = {key: [v.numerator * (wd // v.denominator) for v, wd in zip(col, w)]
+             for key, col in columns.items()}
+    out = {key: [0] * (dmax + 1) for key in columns}
+    # the lowest nonzero degree of each column; dmax + 1 while it has none
+    given_low = {key: next((d for d in range(1, dmax + 1) if col[d]), dmax + 1)
+                 for key, col in given.items()}
+    out_low = dict.fromkeys(columns, dmax + 1)
+    conn, disc = (out, out_low), (given, given_low)
+    if not log:
+        conn, disc = disc, conn
+    sign = -1 if log else 1
+    # a proper subkey has fewer transpositions or profile parts: solved first
+    for key in sorted(tops, key=lambda key: sum(key[:3]) + sum(map(len, key[3]))):
+        terms, col = _euler_terms(key), out[key]
+        for d in range(1, tops[key] + 1):
+            col[d] = given[key][d] + sign * _euler_sum(terms, d, conn, disc)
+            if col[d] and out_low[key] > d:
+                out_low[key] = d
+    return out, w
+
+
+_EMPTY = (0, 0, 0, ())  # a QSeries is this sector's family over the degree
 
 
 # ---------------------------------------------------------------------------
@@ -335,63 +426,4 @@ class BiSeries:
             v = self.data.get((d, e), Fraction(0)) + other.data.get((d, e), Fraction(0))
             if v:
                 out.data[(d, e)] = v
-        return out
-
-    def is_zero(self):
-        return all(v == 0 for v in self.data.values())
-
-    def _mul_truncated(self, other):
-        out = BiSeries(min(self.dhi, other.dhi), self.blo + other.blo,
-                       min(self.bhi + other.blo, other.bhi + self.blo),
-                       self.skew)
-        for (d1, e1), v1 in self.data.items():
-            for (d2, e2), v2 in other.data.items():
-                d, e = d1 + d2, e1 + e2
-                if out.in_window(d, e):
-                    out.data[(d, e)] = out.data.get((d, e), Fraction(0)) + v1 * v2
-        return BiSeries(out.dhi, out.blo, out.bhi, out.skew,
-                        {k: v for k, v in out.data.items() if v})
-
-    def log(self):
-        """Formal log; constant cell must be exactly 1 and every other cell
-        must have positive x-degree (true for the partition functions)."""
-        if self.data.get((0, 0), Fraction(0)) != 1:
-            raise DomainError("log requires constant coefficient 1")
-        if any(d == 0 for (d, e) in self.data if (d, e) != (0, 0)):
-            raise DomainError("log needs positive x-degree off the constant")
-        u = BiSeries(self.dhi, self.blo, self.bhi, self.skew,
-                     {k: v for k, v in self.data.items() if k != (0, 0)})
-        out = BiSeries(self.dhi, self.blo, self.bhi, self.skew)
-        power = u
-        sign = Fraction(1)
-        for r in range(1, self.dhi + 1):
-            for k, v in power.data.items():
-                if out.in_window(*k):
-                    out.data[k] = out.data.get(k, Fraction(0)) + sign * v / r
-            power = power._mul_truncated(u)
-            sign = -sign
-            if not power.data:
-                break
-        out.data = {k: v for k, v in out.data.items() if v}
-        return out
-
-    def exp(self):
-        """Formal exp; requires zero constant cell and positive x-degrees."""
-        if self.data.get((0, 0), Fraction(0)) != 0:
-            raise DomainError("exp requires vanishing constant coefficient")
-        if any(d == 0 and v != 0 for (d, e), v in self.data.items()):
-            raise DomainError("exp needs positive x-degree everywhere")
-        out = BiSeries(self.dhi, self.blo, self.bhi, self.skew)
-        out.data[(0, 0)] = Fraction(1)
-        power = BiSeries(self.dhi, self.blo, self.bhi, self.skew, self.data)
-        fact = 1
-        for r in range(1, self.dhi + 1):
-            for k, v in power.data.items():
-                if out.in_window(*k):
-                    out.data[k] = out.data.get(k, Fraction(0)) + v / fact
-            power = power._mul_truncated(self)
-            fact *= r + 1
-            if not power.data:
-                break
-        out.data = {k: v for k, v in out.data.items() if v}
         return out

@@ -210,26 +210,32 @@ def tropical_double_sum(variant: str, g: int, mu, nu) -> Fraction:
 # ---------------------------------------------------------------------------
 # elliptic covers
 
-# search nodes one enumeration may visit
-DEFAULT_MAX_NODES = 500_000
+# Search nodes one enumeration may visit, and the largest degree and genus it
+# takes.  The walk over the compositions of 2g - 2 costs time the node budget
+# does not count (genus 10^5 at degree 1 took 10 s with 2,000 nodes), and at
+# genus 7 every degree runs out of nodes (about 3 s to find out); at genus 6
+# degree 1 finishes in 1.9 s (2-vCPU host, Python 3.11).
+NODE_LIMIT = 500_000
+DEGREE_LIMIT = 24
+GENUS_LIMIT = 6
 
 
-def enumerate_elliptic_covers(g: int, d: int, max_degree: int = 24,
-                              max_nodes: int = DEFAULT_MAX_NODES):
+def enumerate_elliptic_covers(g: int, d: int):
     """All connected monotone elliptic tropical covers of type (g, d).
 
     Vertices sit over the first n marked points (n <= 2g-2), no vertices over
     the base point; edges are rightward paths with crossing counts; every
     vertex has lam_i >= 1 and Sum lam_i = 2g-2.  The graph and weight searches
-    together visit at most max_nodes nodes, else ResourceLimitError.
+    together visit at most NODE_LIMIT nodes, else ResourceLimitError.
     """
     if g < 2:
         raise DomainError("elliptic enumeration needs g >= 2")
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
-    if d > max_degree:
-        raise ResourceLimitError(f"degree {d} outside configured bound")
-    budget = [max_nodes]
+    if d > DEGREE_LIMIT or g > GENUS_LIMIT:
+        raise ResourceLimitError(f"genus {g}, degree {d} is past the tropical route's "
+                                 f"limits: genus <= {GENUS_LIMIT}, degree <= {DEGREE_LIMIT}")
+    budget = [NODE_LIMIT]
     out = []
     for n in range(1, 2 * g - 1):
         for lam in compositions(2 * g - 2, n):

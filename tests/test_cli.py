@@ -161,6 +161,11 @@ def _each_series_plus_one(fn):
                                     fn(*args, **kwargs).items()}
 
 
+def _each_value_plus_one(fn):
+    return lambda *args, **kwargs: {key: [v + 1 for v in col] for key, col in
+                                    fn(*args, **kwargs).items()}
+
+
 def _connected_plus_one(fn):
     return lambda *args, **kwargs: {klm: (disc, conn + 1) for klm, (disc, conn)
                                     in fn(*args, **kwargs).items()}
@@ -174,8 +179,8 @@ WRONG_ROUTE = [
      "checked: 150", {"inputs": {"variant": "monotone", "g": 0, "mu": [1],
                                  "nu": [1], "l": 1, "i": 1},
                       "oracle": 1, "recursion": 2}),
-    ("oracle-vs-characters", ["--dmax", "2"], "characters",
-     "hurwitz_by_characters", _plus_one, "checked: 134",
+    ("oracle-vs-characters", ["--dmax", "2"], "characters", "sector_family",
+     _each_value_plus_one, "checked: 134",
      {"inputs": {"g": 0, "gp": 0, "d": 1, "profiles": [], "k": 0, "l": 0,
                  "m": 0, "connected": False},
       "oracle": "1", "characters": "2"}),
@@ -411,6 +416,7 @@ def test_cache_clear_removes_corrupt_file(tmp_path):
      "--dmax must be >= 0, got -1"),
     (["verify", "--suite", "golden-series", "--dmax", "-5"],
      "--dmax must be >= 0, got -5"),
+    (["cache", "build", "--dmax", "-3"], "--dmax must be >= 0, got -3"),
 ])
 def test_malformed_input_is_a_domain_error(args, reason):
     p = run(*args, check=False)

@@ -6,7 +6,7 @@ reproduces without a stored example database.
 
 import io
 import json
-import time
+import signal
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -16,13 +16,20 @@ from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mixedhurwitz import characters, cli, double_recursion, spectral
+from mixedhurwitz import (
+    characters,
+    cli,
+    double_recursion,
+    quantum_curve,
+    spectral,
+    tablecache,
+    tropical,
+)
 from mixedhurwitz.characters import (
     connected_hurwitz_qseries,
     potential_log,
     sector_family,
     sector_value,
-    subsectors,
 )
 from mixedhurwitz.double_recursion import N_value, _exp_at, double_hurwitz
 from mixedhurwitz.errors import DomainError
@@ -34,7 +41,7 @@ from mixedhurwitz.quasimodular import (
     fit_quasimodular,
     monomial_basis,
 )
-from mixedhurwitz.series import QSeries
+from mixedhurwitz.series import QSeries, subsectors
 from mixedhurwitz.spectral import ceo_omega, cut_and_join_C, extract_C
 from mixedhurwitz.symgroup import (
     FREE,
@@ -259,6 +266,28 @@ def _mangled(draw, argv, flags, bad):
     return argv
 
 
+def _main(argv, seconds=2):
+    """cli.main(argv) in this process: (exit code, stdout, stderr).  Raises
+    TimeoutError when the call runs past seconds, so a run without its budget
+    fails instead of hanging the suite."""
+    def stop(signum, frame):
+        raise TimeoutError(f"{argv} ran past {seconds} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:  # argparse refuses a malformed flag
+                code = e.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
 @st.composite
 def toprec_argvs(draw):
     """toprec argv: valid (g, n, mu), each flag mangled now and then."""
@@ -278,24 +307,17 @@ def toprec_argvs(draw):
 @given(toprec_argvs())
 def test_toprec_argv_exits_0_2_or_3_without_a_traceback(argv):
     # small budgets keep every accepted argv cheap, so a slow one ran past them
-    out, err = io.StringIO(), io.StringIO()
-    start = time.monotonic()
     with mock.patch.multiple(spectral, OMEGA_CHI_LIMIT=4, OMEGA_TERM_LIMIT=200,
-                             CUT_AND_JOIN_LIMIT=9), \
-            redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as e:  # argparse refuses a malformed flag
-            code = e.code
-    assert time.monotonic() - start < 2, argv
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+                             CUT_AND_JOIN_LIMIT=9):
+        code, out, err = _main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
     if code == 0:
-        doc = json.loads(out.getvalue())
+        doc = json.loads(out)
         assert doc["C"] == doc["checks"]["cut_and_join"]
         assert doc["checks"]["oracle"] in (None, doc["C"])
     else:
-        assert out.getvalue() == ""
+        assert out == ""
 
 
 @st.composite
@@ -320,21 +342,14 @@ def double_argvs(draw):
 @given(double_argvs())
 def test_double_argv_exits_0_2_or_3_without_a_traceback(argv):
     # a small budget keeps every accepted argv cheap, so a slow one ran past it
-    out, err = io.StringIO(), io.StringIO()
-    start = time.monotonic()
-    with mock.patch.object(double_recursion, "DOUBLE_LIMIT", 8), \
-            redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as e:  # argparse refuses a malformed flag
-            code = e.code
-    assert time.monotonic() - start < 2, argv
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    with mock.patch.object(double_recursion, "DOUBLE_LIMIT", 8):
+        code, out, err = _main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
     if code == 0:
-        assert Fraction(json.loads(out.getvalue())["value"]) >= 0
+        assert Fraction(json.loads(out)["value"]) >= 0
     else:
-        assert out.getvalue() == ""
+        assert out == ""
 
 
 VERIFY_VALUES = ["0", "-1", "1", "3", HUGE, "", "x"]
@@ -380,24 +395,17 @@ def verify_argvs(draw):
           "--suite", "all", "--dmax", HUGE, "--deep"])
 @given(verify_argvs())
 def test_verify_argv_exits_0_1_or_2_without_a_traceback(argv):
-    out, err = io.StringIO(), io.StringIO()
-    start = time.monotonic()
-    with mock.patch("concurrent.futures.ProcessPoolExecutor", _SerialPool), \
-            redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as e:  # argparse refuses a malformed flag
-            code = e.code
-    assert time.monotonic() - start < 3, argv
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", _SerialPool):
+        code, out, err = _main(argv, seconds=3)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
     # exit 1 is a counterexample, and at these degrees every route agrees
-    assert code != 1, out.getvalue()
+    assert code != 1, out
     if code == 0:
-        assert out.getvalue().startswith("checked: ")
-        assert out.getvalue().endswith(", failures: 0\n")
+        assert out.startswith("checked: ")
+        assert out.endswith(", failures: 0\n")
     else:
-        assert out.getvalue() == ""
+        assert out == ""
 
 
 CHARACTER_ROUTE = ["--cache-dir=", "--oracle-dmax", "3"]
@@ -461,21 +469,124 @@ def character_argvs(draw):
 @given(character_argvs())
 def test_character_argv_exits_0_2_or_3_without_a_traceback(argv):
     # a small budget keeps every accepted argv cheap, so a slow one ran past it
-    out, err = io.StringIO(), io.StringIO()
-    start = time.monotonic()
-    with mock.patch.object(characters, "PARTITION_LIMIT", partition_count(9)), \
-            redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as e:  # argparse refuses a malformed flag
-            code = e.code
-    assert time.monotonic() - start < 2, argv
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    with mock.patch.object(characters, "PARTITION_LIMIT", partition_count(9)):
+        code, out, err = _main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
     if code == 0:
-        assert isinstance(json.loads(out.getvalue()), dict)
+        assert isinstance(json.loads(out), dict)
     else:
-        assert out.getvalue() == ""
+        assert out == ""
+
+
+TROPICAL = ["--cache-dir=", "tropical"]
+BAD_TROPICAL = {"--genus": BAD_COUNTS, "--degree": BAD_COUNTS,
+                "--variant": ["weak", "", "MONOTONE"]}
+
+
+@st.composite
+def tropical_argvs(draw):
+    """tropical argv: valid (genus, degree, variant) with genus <= 4 and
+    degree <= 4, each flag mangled now and then."""
+    flags = {"--genus": str(draw(st.integers(2, 4))),
+             "--degree": str(draw(st.integers(1, 4))),
+             "--variant": draw(st.sampled_from(["monotone", "strict"]))}
+    argv = _mangled(draw, TROPICAL, flags, BAD_TROPICAL)
+    return argv + draw(st.sampled_from([[], ["--list"]]))
+
+
+def _tropical(genus):
+    return TROPICAL + ["--genus", genus, "--degree", "1", "--variant", "monotone"]
+
+
+@settings(PROPERTY, max_examples=100)
+@example(_tropical("100000"))  # 10 s without the genus bound
+@example(_tropical("9"))
+@example(_tropical("1000"))
+@example(_tropical(str(10**9)))
+@given(tropical_argvs())
+def test_tropical_argv_exits_0_2_or_3_without_a_traceback(argv):
+    # small budgets keep every accepted argv cheap, so a slow one ran past them
+    with mock.patch.multiple(tropical, NODE_LIMIT=3000, DEGREE_LIMIT=5, GENUS_LIMIT=4):
+        code, out, err = _main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        doc = json.loads(out)
+        if "covers" in doc:
+            assert sum(Fraction(c["multiplicity"]) for c in doc["covers"]) == \
+                Fraction(doc["total"])
+    else:
+        assert out == ""
+
+
+QC = ["--cache-dir=", "qc", "verify"]
+BAD_QC = {"--variant": ["weak", "", "MONOTONE"], "--genus": BAD_COUNTS,
+          "--dmax": BAD_COUNTS, "--bmax": BAD_COUNTS}
+
+
+@st.composite
+def qc_argvs(draw):
+    """qc verify argv: valid (variant, genus, dmax, bmax) with genus <= 3 and
+    dmax, bmax <= 10, each flag mangled now and then."""
+    flags = {"--variant": draw(st.sampled_from(["monotone", "strict"])),
+             "--genus": str(draw(st.integers(0, 3))),
+             "--dmax": str(draw(st.integers(0, 10))),
+             "--bmax": str(draw(st.integers(0, 10)))}
+    return _mangled(draw, QC, flags, BAD_QC)
+
+
+@settings(PROPERTY, max_examples=100)
+@example(QC + ["--variant", "strict", "--genus", "30"])  # 13 s without the bound
+@example(QC + ["--variant", "strict", "--genus", "8"])
+@example(QC + ["--variant", "strict", "--genus", str(10**6)])
+@example(QC + ["--variant", "strict", "--genus", "1", "--dmax", str(10**6)])
+@example(QC + ["--variant", "strict", "--genus", "1", "--bmax", str(10**6)])
+@given(qc_argvs())
+def test_qc_argv_exits_0_2_or_3_without_a_traceback(argv):
+    # small budgets keep every accepted argv cheap, so a slow one ran past them
+    with mock.patch.multiple(quantum_curve, GENUS_LIMIT=3, WINDOW_LIMIT=10):
+        code, out, err = _main(argv)
+    # exit 1 would be a nonzero residual: the operators annihilate every Z
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    assert out == ("0\n" if code == 0 else "")
+
+
+@st.composite
+def cache_argvs(draw):
+    """cache argv: a subcommand, valid or not, and now and then a --dmax,
+    valid (<= 3), malformed, edge or huge."""
+    argv = ["cache"] + draw(st.sampled_from([["build"], ["info"], ["clear"], [],
+                                             ["x"]]))
+    if draw(st.booleans()):
+        argv += ["--dmax", draw(st.one_of(st.sampled_from(["0", "2", "3"]),
+                                          st.sampled_from(BAD_COUNTS)))]
+    return argv
+
+
+@settings(PROPERTY, max_examples=60)
+@example(["cache", "build", "--dmax", "-3"])
+@example(["cache", "build", "--dmax", HUGE])
+@given(cache_argvs())
+def test_cache_argv_exits_0_2_or_3_without_a_traceback(tmp_path_factory, argv):
+    # always a fresh directory of its own: the default one is the user's
+    cache_dir = tmp_path_factory.mktemp("cache")
+    try:
+        with mock.patch.object(tablecache, "TABLE_DEGREE_LIMIT", 4):
+            code, out, err = _main(["--cache-dir", str(cache_dir), *argv])
+    finally:
+        tablecache.use_cache_dir(None)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        doc = json.loads(out)
+        if "built" in doc:
+            dmax = int(argv[argv.index("--dmax") + 1])
+            assert dmax >= 0 and doc["built"] == [
+                str(cache_dir / f"chartable-{d}.json") for d in range(1, dmax + 1)]
+    else:
+        assert out == ""
 
 
 @st.composite

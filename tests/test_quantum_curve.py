@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mixedhurwitz.errors import DomainError
+from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.quantum_curve import (
     annihilator_words,
     apply_word,
@@ -80,3 +80,11 @@ def test_operator_words():
 @pytest.mark.parametrize("g", [0, 1, 2])
 def test_annihilation(variant, g):
     assert residual_max_abs(variant, g, 8, 8) == 0
+
+
+def test_residual_refuses_past_its_limits_before_any_work():
+    for g, d_max, b_max in [(13, 8, 8), (10**6, 8, 8), (0, 10**6, 8),
+                            (0, 8, 10**6), (0, 41, 0)]:
+        with pytest.raises(ResourceLimitError):
+            residual_max_abs("monotone", g, d_max, b_max)
+    assert residual_max_abs("strict", 0, 40, 40) == 0  # the window's edge runs

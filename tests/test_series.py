@@ -7,9 +7,7 @@ from mixedhurwitz.errors import DomainError, WindowError
 from mixedhurwitz.series import (
     BiSeries,
     QSeries,
-    coefficient_extract,
     exp_az,
-    series_log_exp,
     sinh_normalized,
     sinh_reciprocal,
     two_sinh_half,
@@ -18,10 +16,10 @@ from mixedhurwitz.series import (
 
 def test_log_exp_examples():
     s = QSeries([1, 1, 0, 0, 0])
-    assert series_log_exp(s, "log").coefficients(0, 4) == [
+    assert s.log().coefficients(0, 4) == [
         0, 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4)]
     s2 = QSeries([1, 2, 3])
-    assert series_log_exp(series_log_exp(s2, "log"), "exp") == s2
+    assert s2.log().exp() == s2
     # log of prod (1-q^n)^{-1}
     p = QSeries([1, 0, 0, 0, 0])
     for n in range(1, 5):
@@ -34,7 +32,54 @@ def test_log_exp_preconditions():
     with pytest.raises(DomainError):
         QSeries([2, 1, 1]).log()
     with pytest.raises(DomainError):
+        QSeries([1, 1], -1).log()
+    with pytest.raises(DomainError):
         QSeries([1, 1]).exp()
+    with pytest.raises(DomainError):
+        QSeries([1, 1], -1).exp()
+    with pytest.raises(DomainError):
+        QSeries.zero(-2).exp()
+    with pytest.raises(WindowError):
+        QSeries.zero(-1).exp()
+    # a zero constant term that a scalar product left in place
+    assert (QSeries([1, 2]) * 0).exp().coefficients(0, 1) == [1, 0]
+
+
+def _reference_log(s):
+    """[z^0..z^high] of log s, the integral of s'/s by the ring operations."""
+    ds = QSeries([(s.low + i) * c for i, c in enumerate(s.coeffs)], s.low - 1)
+    integrand = ds * s.inverse()
+    return [0] + [integrand.coefficient(e - 1) / e for e in range(1, s.high + 1)]
+
+
+def _reference_exp(f):
+    """[z^0..z^high] of exp f, solving E' = f'E coefficient by coefficient."""
+    out = [Fraction(1)]
+    for n in range(1, f.high + 1):
+        out.append(sum(j * f.coefficient(j) * out[n - j] for j in range(1, n + 1)) / n)
+    return out
+
+
+def test_log_and_exp_match_the_coefficientwise_reference():
+    rng = random.Random(31)
+
+    def rand_coeffs(n):
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+
+    for _ in range(300):
+        s = QSeries([1, *rand_coeffs(rng.randint(0, 8))], 0, "z")
+        log = s.log()
+        assert (log.var, log.high) == ("z", s.high)
+        assert log.coefficients(0, s.high) == _reference_log(s)
+        assert log.exp() == s
+        f = QSeries(rand_coeffs(rng.randint(0, 8)), rng.randint(0, 3), "z")
+        if f.low == 0:
+            f = f.shift(1)
+        exp = f.exp()
+        assert (exp.var, exp.high) == ("z", f.high)
+        assert exp.coefficients(0, f.high) == _reference_exp(f)
+        assert exp.log() == f
 
 
 def test_sinh_expansions():
@@ -46,7 +91,6 @@ def test_sinh_expansions():
     assert r.low == -1 and r.coefficient(-1) == 1
     assert r.coefficient(1) == Fraction(-1, 24)
     assert r.coefficient(3) == Fraction(7, 5760)
-    assert coefficient_extract(r, -1) == 1
     # product is 1 exactly
     one = r * two_sinh_half(8)
     assert one.coefficient(0) == 1 and one.coefficient(2) == 0
@@ -157,16 +201,3 @@ def test_biseries_window_and_atoms():
 def test_exp_az():
     e = exp_az(Fraction(1, 2), 4)
     assert e.coefficient(2) == Fraction(1, 8)
-
-
-def test_biseries_log_exp_round_trip():
-    from mixedhurwitz.quantum_curve import partition_function
-
-    for g in (0, 1):
-        Z = partition_function("monotone", g, 5, 5)
-        F = series_log_exp(Z, "log")
-        back = series_log_exp(F, "exp")
-        for d, e in Z.cells():
-            assert back.coefficient(d, e) == Z.coefficient(d, e), (g, d, e)
-    with pytest.raises(DomainError):
-        series_log_exp(QSeries([1, 1]), "nope")

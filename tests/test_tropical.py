@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mixedhurwitz import tropical
 from mixedhurwitz.characters import connected_hurwitz_qseries
 from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.partitions import enumerate_partitions
@@ -99,6 +100,9 @@ def test_elliptic_bounds():
         enumerate_elliptic_covers(1, 2)
     with pytest.raises(ResourceLimitError):
         enumerate_elliptic_covers(2, 99)
+    for g in (7, 10**9):  # refused before the compositions of 2g - 2
+        with pytest.raises(ResourceLimitError):
+            enumerate_elliptic_covers(g, 1)
 
 
 def test_line_cover_invariants():
@@ -149,11 +153,13 @@ def test_elliptic_degree_below_one_is_a_domain_error():
             enumerate_elliptic_covers(2, d)
 
 
-def test_elliptic_node_budget_at_limit_plus_one():
+def test_elliptic_node_budget_at_limit_plus_one(monkeypatch):
     # the g = 2, d = 3 search visits 108 graph and weight nodes
-    assert len(enumerate_elliptic_covers(2, 3, max_nodes=108)) == 8
+    monkeypatch.setattr(tropical, "NODE_LIMIT", 108)
+    assert len(enumerate_elliptic_covers(2, 3)) == 8
+    monkeypatch.setattr(tropical, "NODE_LIMIT", 107)
     with pytest.raises(ResourceLimitError):
-        enumerate_elliptic_covers(2, 3, max_nodes=107)
+        enumerate_elliptic_covers(2, 3)
 
 
 @pytest.mark.parametrize("variant,kl", [("monotone", (0, 2, 0)),
