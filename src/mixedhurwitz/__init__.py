@@ -24,7 +24,8 @@ _EXPORTS = {
     "quasimodular": "eisenstein q_bracket Q_k_eval completion_coefficients "
                     "fit_quasimodular QuasimodularPoly",
     "quantum_curve": "partition_function apply_operator residual_max_abs",
-    "spectral": "spectral_data ceo_omega extract_C cut_and_join_C closed_form_C",
+    "spectral": "ceo_omega extract_C cut_and_join_C closed_form_C",
+    "ratfun": "spectral_data",
     "double_recursion": "N_value double_hurwitz base_g_assembly",
     "tropical": "gw_vertex_multiplicity enumerate_elliptic_covers "
                 "tropical_elliptic_sum per_type_series tropical_double_sum",

@@ -7,7 +7,6 @@ memo tables only ever receive idempotent inserts, so everything here is safe
 to call concurrently.
 """
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -62,14 +61,6 @@ def enumerate_partitions(d: int):
         _block_start[n] = tuple(starts)
         _partitions[n] = tuple(out)
     return _partitions[d]
-
-
-def partitions_upto(d: int):
-    """All partitions of every size 0..d (reverse lex within each size)."""
-    out = []
-    for n in range(d + 1):
-        out.extend(enumerate_partitions(n))
-    return out
 
 
 def compositions(total: int, parts: int):
@@ -233,13 +224,6 @@ def partition_count(n: int) -> int:
             k += 1
         _pcounts[m] = total
     return _pcounts.get(n, 0)
-
-
-def falling_factorial(x, k: int):
-    out = Fraction(1)
-    for i in range(k):
-        out *= x - i
-    return out
 
 
 # ---------------------------------------------------------------------------

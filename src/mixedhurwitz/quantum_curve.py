@@ -56,48 +56,6 @@ def partition_function(variant: str, g: int, d_max: int, b_max: int) -> BiSeries
     return Z
 
 
-def product_form(variant: str, g: int, d_max: int, b_max: int) -> BiSeries:
-    """The same series assembled from the per-degree hbar products.
-
-    Monotone: prod_{j=1..d-1} 1/(1-j*hbar); strict: prod_{j=1..d-1} (1+j*hbar).
-    """
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant}")
-    chi = 2 - 2 * g
-    skew = 1 - chi
-    Z = BiSeries(d_max, 0, b_max, skew)
-    Z.set(0, 0, 1)
-    for d in range(1, d_max + 1):
-        # hbar-polynomial for this degree
-        if variant == "strict":
-            poly = [Fraction(1)]
-            for j in range(1, d):
-                # multiply by (1 + j hbar)
-                poly = [
-                    (poly[i] if i < len(poly) else 0)
-                    + (j * poly[i - 1] if i - 1 >= 0 and i - 1 < len(poly) else 0)
-                    for i in range(len(poly) + 1)
-                ]
-        else:
-            poly = [Fraction(1)] + [Fraction(0)] * b_max
-            for j in range(1, d):
-                # multiply by 1/(1-j hbar) = sum_k (j hbar)^k, truncated
-                new = [Fraction(0)] * (b_max + 1)
-                for i in range(b_max + 1):
-                    if poly[i] == 0:
-                        continue
-                    jk = Fraction(1)
-                    for k in range(0, b_max + 1 - i):
-                        new[i + k] += poly[i] * jk
-                        jk *= j
-                poly = new
-        weight = Fraction(factorial(d)) ** (1 - chi)
-        for b, c in enumerate(poly[: b_max + 1]):
-            if c:
-                Z.set(d, b + d * skew, c * weight)
-    return Z
-
-
 # ---------------------------------------------------------------------------
 # operator words
 

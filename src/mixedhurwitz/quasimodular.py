@@ -128,12 +128,6 @@ class QuasimodularPoly:
                 return coef
         return Fraction(0)
 
-    def weight_component(self, w: int):
-        return tuple(
-            (mono, coef) for mono, coef in self.terms
-            if 2 * mono[0] + 4 * mono[1] + 6 * mono[2] == w
-        )
-
     def expand(self, order: int) -> QSeries:
         P = eisenstein(2, order)
         Q = eisenstein(4, order)

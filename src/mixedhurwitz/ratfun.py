@@ -1,15 +1,22 @@
 """Exact univariate rational functions, sparse multivariate polynomials, and
-Laurent coefficients at zero, for the spectral recursion and its checks.
+Laurent coefficients at zero, and the spectral curve written in them: the
+reference that the checks of spectral's closed forms run against.
 
 Multidifferentials are stored as sums of products of univariate rational
 functions (one factor per variable), which keeps every operation -- the
 reciprocal substitution, coefficient extraction at infinity -- univariate.
+
+The recursion in spectral works on ints and index tuples, so no CLI path
+imports this module; it stays in the package because the benchmark's tracer
+(perfbench/traced_cli.py) hooks TensorSum and Poly1 methods by name.
 """
 
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import comb, lcm
 
-from .errors import DomainError, WindowError
+from .errors import DomainError
+from .spectral import check_mu, extract_terms
 
 
 # ---------------------------------------------------------------------------
@@ -449,3 +456,146 @@ class TensorSum:
 
     def __repr__(self):
         return f"TensorSum(n={self.n}, {len(self.terms)} terms)"
+
+
+# ---------------------------------------------------------------------------
+# the spectral curve x = (z-1)^2/z, y = z/(z-1)^3 and its initial data
+
+
+def curve_x() -> RF1:
+    return RF1(Poly1([1, -2, 1]), Poly1([0, 1]))  # (z-1)^2/z
+
+
+def curve_y() -> RF1:
+    return RF1(Poly1([0, 1]), Poly1([-1, 3, -3, 1]))  # z/(z-1)^3
+
+
+def curve_dx() -> RF1:
+    return RF1(Poly1([-1, 0, 1]), Poly1([0, 0, 1]))  # (z^2-1)/z^2
+
+
+def kernel_z_part() -> RF1:
+    """z(z-1)^3 / (2(z+1)): the part of the recursion kernel depending on z only."""
+    num = Poly1([0, 1]) * Poly1([-1, 1]) * Poly1([-1, 1]) * Poly1([-1, 1])
+    den = Poly1([2, 2])
+    return RF1(num, den)
+
+
+def spectral_data():
+    """(x, y, kernel z-part, sigma) with sigma the reciprocal involution."""
+    return curve_x(), curve_y(), kernel_z_part(), "reciprocal"
+
+
+def omega01() -> TensorSum:
+    """omega_{0,1} = y dx, stripped: (z+1)/(z(z-1)^2)."""
+    f = curve_y() * curve_dx()
+    t = TensorSum(1)
+    t.add_term(1, (f,))
+    return t
+
+
+# omega_{0,2} = B = dz1 dz2/(z1-z2)^2 is kept symbolic (not a TensorSum);
+# extract_rf1_C treats it through _extract_bergman.
+OMEGA02 = "bergman"
+
+
+def b_self_sigma() -> RF1:
+    """omega_{0,2}(z, sigma(z)) with the chain factor: -1/((z-1)^2 (z+1)^2)."""
+    den = Poly1([-1, 1]) * Poly1([-1, 1]) * Poly1([1, 1]) * Poly1([1, 1])
+    return RF1(Poly1([-1]), den)
+
+
+# ---------------------------------------------------------------------------
+# the xi basis of spectral as rational functions
+#
+# xi_coefficients writes a one-variable function in the basis through its
+# principal part {j: c}, meaning sum c (1+w)^-j, and _xi_split, which
+# refuses anything outside it.
+
+
+@cache
+def xi(k: int) -> RF1:
+    """The basis coefficient z^k/(1+z)^(2k+2)."""
+    den = Poly1([comb(2 * k + 2, i) for i in range(2 * k + 3)])
+    return RF1(Poly1([0] * k + [1]), den, reduce=False)
+
+
+def xi_tensor(form) -> TensorSum:
+    """A stable omega (a spectral.XiForm) as a TensorSum of xi(k) factors."""
+    return TensorSum(form.n, {tuple(xi(k) for k in ks): c
+                              for ks, c in form.ordered().items()})
+
+
+def _xi_split(pp) -> dict:
+    """A principal part {j: c} at w = -1 in the basis, as {k: c}.
+
+    Peels off the top pole order 2k+2 with
+    xi_k = sum_i C(k,i) (-1)^(k-i) (1+w)^(i-2k-2); raises DomainError when
+    the top order is odd or not a pole, i.e. the input is outside the span.
+    """
+    pp = {j: c for j, c in pp.items() if c}
+    out = {}
+    while pp:
+        top = max(pp)
+        if top < 2 or top % 2:
+            raise DomainError(f"(1+z)^({-top}) term: not in the xi basis")
+        k = top // 2 - 1
+        c = out[k] = pp[top] * (-1) ** k
+        for i in range(k + 1):
+            j = top - i
+            v = pp.get(j, 0) - c * comb(k, i) * (-1) ** (k - i)
+            if v:
+                pp[j] = v
+            else:
+                pp.pop(j, None)
+    return out
+
+
+def xi_coefficients(f: RF1) -> dict:
+    """A one-variable coefficient in the xi basis, {k: c}.
+
+    Raises DomainError when f has a pole off z = -1 or is not in the span.
+    """
+    num, den = f.num.taylor_shift(-1), f.den.taylor_shift(-1)  # in w = 1 + z
+    top = den.degree()
+    if den.valuation() != top:
+        raise DomainError(f"{f} has a pole off z = -1")
+    return _xi_split({top - i: c for i, c in enumerate(num.c)})
+
+
+# ---------------------------------------------------------------------------
+# extraction at infinity through RF1
+
+
+def _z_power(m) -> Poly1:
+    """(v - 1)^m in v: z^m in t = z + 1, and (1 - u)^m for even m."""
+    return Poly1([comb(m, i) * (-1) ** (m - i) for i in range(m + 1)])
+
+
+@cache
+def _extract_one(f: RF1, mu_i: int) -> Fraction:
+    """Res_{z->inf} x(z)^mu f(z) dz via u = 1/z: the coefficient of u^(mu+1)
+    in (1-u)^(2 mu) f(1/u)."""
+    g = f.subs_reciprocal()
+    return laurent_at_zero(g.num * _z_power(2 * mu_i), g.den, mu_i + 1)
+
+
+def _extract_bergman(mu1: int, mu2: int) -> Fraction:
+    """Iterated extraction of 1/(z1-z2)^2 (= omega_{0,2} with dz's stripped).
+
+    The inner residue in z1 is [u^(mu1+1)] of (1-u)^(2 mu1) u^2/(1 - u z2)^2,
+    i.e. sum_k row[mu1-1-k] (k+1) z2^k with row the coefficients of (1-u)^(2 mu1).
+    """
+    row = _z_power(2 * mu1).c
+    inner = Poly1([row[mu1 - 1 - k] * (k + 1) for k in range(mu1)])
+    return _extract_one(RF1(inner), mu2)
+
+
+def extract_rf1_C(omega, mu) -> Fraction:
+    """C(mu) as spectral.extract_C defines it, with every factor extracted
+    through RF1: omega is a TensorSum (omega01(), or xi_tensor of a stable
+    omega), or the OMEGA02 sentinel (the Bergman kernel)."""
+    if omega == OMEGA02:
+        return _extract_bergman(*check_mu(2, mu))
+    mu = check_mu(omega.n, mu)
+    return extract_terms(omega.terms, mu, _extract_one)

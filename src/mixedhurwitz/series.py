@@ -17,14 +17,16 @@ from math import comb, factorial, lcm
 from operator import mul
 
 from .errors import DomainError, WindowError
-from .util import rat_str, rat_from_str
+from .util import rat_str
 
 
 class QSeries:
     """Univariate truncated Laurent series with exact rational coefficients.
 
     coeffs[i] is the coefficient of var**(low+i); the series is known exactly
-    for exponents low..high (inclusive) and implicitly zero below low.
+    for exponents low..high (inclusive) and implicitly zero below low.  Every
+    series is canonical: coeffs is empty or coeffs[0] != 0, so a nonzero
+    series has valuation low.
     """
 
     __slots__ = ("var", "low", "coeffs")
@@ -58,10 +60,15 @@ class QSeries:
     def one(cls, high, var="q"):
         return cls([1] + [0] * high, 0, var)
 
-    def copy(self):
+    def _with(self, coeffs, low):
+        """A series on var from coefficients that are already Fractions."""
         s = QSeries.__new__(QSeries)
-        s.var, s.low, s.coeffs = self.var, self.low, list(self.coeffs)
+        s.var, s.low, s.coeffs = self.var, low, coeffs
+        s._normalize()
         return s
+
+    def copy(self):
+        return self._with(list(self.coeffs), self.low)
 
     def coefficient(self, exponent: int) -> Fraction:
         """Exact coefficient; raises WindowError outside the valid window."""
@@ -98,9 +105,7 @@ class QSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        s = self.copy()
-        s.coeffs = [-c for c in s.coeffs]
-        return s
+        return self._with([-c for c in self.coeffs], self.low)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -109,9 +114,7 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            s = self.copy()
-            s.coeffs = [c * other for c in s.coeffs]
-            return s
+            return self._with([c * other for c in self.coeffs], self.low)
         if not self.coeffs or not other.coeffs:
             hi = min(self.high + other.low, other.high + self.low)
             return QSeries.zero(hi, self.var)
@@ -131,7 +134,7 @@ class QSeries:
 
     def inverse(self):
         """Multiplicative inverse; lowest coefficient must be invertible (nonzero)."""
-        if not self.coeffs or self.coeffs[0] == 0:
+        if not self.coeffs:
             raise DomainError("cannot invert a series with vanishing lowest coefficient")
         n = len(self.coeffs)
         a0 = self.coeffs[0]
@@ -165,7 +168,7 @@ class QSeries:
 
     def exp(self):
         """Formal exp; requires constant term 0 (valuation >= 1)."""
-        if self.low < 0 or self.low == 0 and any(self.coeffs[:1]):
+        if self.low < (1 if self.coeffs else 0):
             raise DomainError("exp requires constant term 0")
         if self.high < 0:
             raise WindowError("series window too small for exp")
@@ -184,10 +187,6 @@ class QSeries:
             "low": self.low,
             "coeffs": [rat_str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls([rat_from_str(c) for c in doc["coeffs"]], doc["low"], doc["var"])
 
     def __repr__(self):
         terms = []

@@ -13,9 +13,10 @@ terms and a three-diagonal S_a for the Bergman terms.  Extraction at infinity
 of xi_k is a closed-form binomial sum.  ceo_omega and cut_and_join_C raise
 ResourceLimitError past module bounds.
 
-RF1 and TensorSum carry the initial data (omega_{0,1}; omega_{0,2} is the
-symbolic Bergman kernel), and XiForm.tensor() writes a stable omega as a
-TensorSum of xi(k) factors for the rational-function checks.
+The module works on ints and index tuples only and imports no
+rational-function code.  The curve, the unstable omega_{0,1} and omega_{0,2}
+and the xi basis as rational functions live in ratfun: the reference the
+tests check these closed forms against, which no CLI path imports.
 
 Conventions: x = (z-1)^2/z (the normalization fixed by x(1/z) = x(z));
 extraction at infinity uses u = 1/z, where x = (1-u)^2/u.
@@ -28,49 +29,7 @@ from math import comb
 
 from .errors import DomainError, ResourceLimitError
 from .partitions import check_partition, splits
-from .ratfun import RF1, Poly1, TensorSum, laurent_at_zero
 from .util import DEFAULT_ORACLE_LIMIT
-
-# ---------------------------------------------------------------------------
-# spectral data
-
-
-def curve_x() -> RF1:
-    return RF1(Poly1([1, -2, 1]), Poly1([0, 1]))  # (z-1)^2/z
-
-
-def curve_y() -> RF1:
-    return RF1(Poly1([0, 1]), Poly1([-1, 3, -3, 1]))  # z/(z-1)^3
-
-
-def curve_dx() -> RF1:
-    return RF1(Poly1([-1, 0, 1]), Poly1([0, 0, 1]))  # (z^2-1)/z^2
-
-
-def kernel_z_part() -> RF1:
-    """z(z-1)^3 / (2(z+1)): the part of the recursion kernel depending on z only."""
-    num = Poly1([0, 1]) * Poly1([-1, 1]) * Poly1([-1, 1]) * Poly1([-1, 1])
-    den = Poly1([2, 2])
-    return RF1(num, den)
-
-
-def spectral_data():
-    """(x, y, kernel z-part, sigma) with sigma the reciprocal involution."""
-    return curve_x(), curve_y(), kernel_z_part(), "reciprocal"
-
-
-def omega01() -> TensorSum:
-    """omega_{0,1} = y dx, stripped: (z+1)/(z(z-1)^2)."""
-    f = curve_y() * curve_dx()
-    t = TensorSum(1)
-    t.add_term(1, (f,))
-    return t
-
-
-# omega_{0,2} = B = dz1 dz2/(z1-z2)^2 is kept symbolic (not a TensorSum);
-# the recursion and the extraction treat it through dedicated code paths.
-OMEGA02 = "bergman"
-
 
 # ---------------------------------------------------------------------------
 # the xi basis
@@ -79,16 +38,8 @@ OMEGA02 = "bergman"
 # xi_{k_1}(z_1) ... xi_{k_n}(z_n), xi_k(z) = z^k/(1+z)^(2k+2): in each
 # variable its coefficient has poles at z = -1 only, and its numerator over
 # (1+z)^(2K+2) is palindromic of degree 2K, which is exactly the span of
-# xi_0..xi_K.  The sigma-pullback of xi_k is -xi_k.  xi_coefficients writes
-# a one-variable function in the basis through its principal part {j: c},
-# meaning sum c (1+w)^-j, and _xi_split, which refuses anything outside it.
-
-
-@cache
-def xi(k: int) -> RF1:
-    """The basis coefficient z^k/(1+z)^(2k+2)."""
-    den = Poly1([comb(2 * k + 2, i) for i in range(2 * k + 3)])
-    return RF1(Poly1([0] * k + [1]), den, reduce=False)
+# xi_0..xi_K.  The sigma-pullback of xi_k is -xi_k.  ratfun writes xi_k as a
+# rational function and a one-variable function in the basis.
 
 
 def _arrangements(key, below=()):
@@ -117,67 +68,15 @@ class XiForm:
         return {ks: c for key, c in self.terms.items()
                 for ks in _arrangements(key, below)}
 
-    def tensor(self) -> TensorSum:
-        """The same multidifferential as a TensorSum of xi(k) factors."""
-        return TensorSum(self.n, {tuple(xi(k) for k in ks): c
-                                  for ks, c in self.ordered().items()})
-
-
-def _xi_split(pp) -> dict:
-    """A principal part {j: c} at w = -1 in the basis, as {k: c}.
-
-    Peels off the top pole order 2k+2 with
-    xi_k = sum_i C(k,i) (-1)^(k-i) (1+w)^(i-2k-2); raises DomainError when
-    the top order is odd or not a pole, i.e. the input is outside the span.
-    """
-    pp = {j: c for j, c in pp.items() if c}
-    out = {}
-    while pp:
-        top = max(pp)
-        if top < 2 or top % 2:
-            raise DomainError(f"(1+z)^({-top}) term: not in the xi basis")
-        k = top // 2 - 1
-        c = out[k] = pp[top] * (-1) ** k
-        for i in range(k + 1):
-            j = top - i
-            v = pp.get(j, 0) - c * comb(k, i) * (-1) ** (k - i)
-            if v:
-                pp[j] = v
-            else:
-                pp.pop(j, None)
-    return out
-
-
-def xi_coefficients(f: RF1) -> dict:
-    """A one-variable coefficient in the xi basis, {k: c}.
-
-    Raises DomainError when f has a pole off z = -1 or is not in the span.
-    """
-    num, den = f.num.taylor_shift(-1), f.den.taylor_shift(-1)  # in w = 1 + z
-    top = den.degree()
-    if den.valuation() != top:
-        raise DomainError(f"{f} has a pole off z = -1")
-    return _xi_split({top - i: c for i, c in enumerate(num.c)})
-
-
-def b_self_sigma() -> RF1:
-    """omega_{0,2}(z, sigma(z)) with the chain factor: -1/((z-1)^2 (z+1)^2)."""
-    den = Poly1([-1, 1]) * Poly1([-1, 1]) * Poly1([1, 1]) * Poly1([1, 1])
-    return RF1(Poly1([-1]), den)
-
 
 # ---------------------------------------------------------------------------
 # residues at z = -1, in closed form
 #
-# The kernel is K(z1, z) = kernel_z_part(z) / ((z1 - z)(z1 z - 1)).  Each
+# The kernel is K(z1, z) = k(z) / ((z1 - z)(z1 z - 1)), with
+# k(z) = z(z-1)^3 / (2(z+1)) (ratfun.kernel_z_part).  Each
 # integrand below decays like z^-3 or faster, so by the residue theorem its
 # residue at z = -1 is minus the sum of its residues at the other poles:
 # z = z1 and 1/z1 from K, and z = w and 1/w from a Bergman kernel.
-
-
-def _z_power(m) -> Poly1:
-    """(v - 1)^m in v: z^m in t = z + 1, and (1 - u)^m for even m."""
-    return Poly1([comb(m, i) * (-1) ** (m - i) for i in range(m + 1)])
 
 
 def _pair_table(m) -> dict:
@@ -309,17 +208,10 @@ def _recursion(g, n) -> dict:
 
 
 @cache
-def _extract_one(f: RF1, mu_i: int) -> Fraction:
-    """Res_{z->inf} x(z)^mu f(z) dz via u = 1/z: the coefficient of u^(mu+1)
-    in (1-u)^(2 mu) f(1/u)."""
-    g = f.subs_reciprocal()
-    return laurent_at_zero(g.num * _z_power(2 * mu_i), g.den, mu_i + 1)
-
-
-@cache
 def _xi_extract(k: int, mu_i: int) -> int:
-    """_extract_one(xi(k), mu_i) in closed form: xi_k(1/u) = u^(k+2)/(1+u)^(2k+2),
-    so it is [u^n] of (1-u)^(2 mu) (1+u)^-(2k+2) with n = mu-1-k."""
+    """ratfun._extract_one(xi(k), mu_i) in closed form: as
+    xi_k(1/u) = u^(k+2)/(1+u)^(2k+2), it is [u^n] of (1-u)^(2 mu) (1+u)^-(2k+2)
+    with n = mu-1-k."""
     n = mu_i - 1 - k
     if n < 0:
         return 0
@@ -327,27 +219,18 @@ def _xi_extract(k: int, mu_i: int) -> int:
                            for j in range(n + 1))
 
 
-def extract_C(omega, mu) -> Fraction:
-    """C_{g,n}(mu) = residues at infinity of prod x(z_i)^{mu_i} omega.
-
-    omega is a stable XiForm (its orderings with each k_i < mu_i extracted per
-    factor by the closed form _xi_extract, 0 for the rest), omega01() (a TensorSum,
-    extracted through RF1 by _extract_one), or the OMEGA02 sentinel
-    (Bergman kernel, whose double-pole part extracts to zero).
-    """
+def check_mu(n, mu) -> tuple:
+    """mu as a tuple of n parts, each >= 1, else DomainError."""
     mu = tuple(mu)
     if any(m < 1 for m in mu):
         raise DomainError("all mu_i must be >= 1")
-    if omega == OMEGA02:
-        if len(mu) != 2:
-            raise DomainError("Bergman kernel has two slots")
-        return _extract_bergman(mu[0], mu[1])
-    if omega.n != len(mu):
-        raise DomainError(f"omega has {omega.n} slots, mu has {len(mu)}")
-    if isinstance(omega, XiForm):
-        one, terms = _xi_extract, omega.ordered(mu)
-    else:
-        one, terms = _extract_one, omega.terms
+    if n != len(mu):
+        raise DomainError(f"omega has {n} slots, mu has {len(mu)}")
+    return mu
+
+
+def extract_terms(terms, mu, one) -> Fraction:
+    """The sum over {(f_1..f_n): c} of c * one(f_1, mu_1) ... one(f_n, mu_n)."""
     total = Fraction(0)
     for factors, coef in terms.items():
         prod = coef
@@ -359,15 +242,14 @@ def extract_C(omega, mu) -> Fraction:
     return total
 
 
-def _extract_bergman(mu1: int, mu2: int) -> Fraction:
-    """Iterated extraction of 1/(z1-z2)^2 (= omega_{0,2} with dz's stripped).
+def extract_C(omega: XiForm, mu) -> Fraction:
+    """C_{g,n}(mu) = residues at infinity of prod x(z_i)^{mu_i} omega.
 
-    The inner residue in z1 is [u^(mu1+1)] of (1-u)^(2 mu1) u^2/(1 - u z2)^2,
-    i.e. sum_k row[mu1-1-k] (k+1) z2^k with row the coefficients of (1-u)^(2 mu1).
+    omega is a stable XiForm: its orderings with each k_i < mu_i extract per
+    factor by the closed form _xi_extract, and every other ordering to 0.
     """
-    row = _z_power(2 * mu1).c
-    inner = Poly1([row[mu1 - 1 - k] * (k + 1) for k in range(mu1)])
-    return _extract_one(RF1(inner), mu2)
+    mu = check_mu(omega.n, mu)
+    return extract_terms(omega.ordered(mu), mu, _xi_extract)
 
 
 # ---------------------------------------------------------------------------

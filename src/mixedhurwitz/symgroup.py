@@ -86,14 +86,6 @@ def transposition(d: int, s: int, t: int):
 
 
 @cache
-def all_transpositions(d: int):
-    """All (s, t, perm) with s < t."""
-    return tuple(
-        (s, t, transposition(d, s, t)) for t in range(1, d) for s in range(t)
-    )
-
-
-@cache
 def all_perms(d: int):
     return tuple(iter_permutations(range(d)))
 
@@ -350,18 +342,6 @@ def triply_mixed_slots(g, d, profiles, bs, oracle_limit=DEFAULT_ORACLE_LIMIT):
 
 # ---------------------------------------------------------------------------
 # specialized counts (cross-checks of count_triply_mixed and the other routes)
-
-
-def classical_hurwitz_count(
-    base_genus, source_genus, d, profiles, connected=True, limit=DEFAULT_ORACLE_LIMIT
-):
-    """Classical Hurwitz numbers (no transposition blocks beyond the profiles)."""
-    spec = HurwitzSpec(
-        base_genus, source_genus, d, tuple(profiles), 0, 0, 0, connected
-    )
-    if spec.b != 0:
-        raise DomainError("classical count here means zero extra transpositions")
-    return count_triply_mixed(spec, limit)
 
 
 def monotone_double_count(source_genus, mu, nu, strict, connected=True,

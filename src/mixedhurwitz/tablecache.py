@@ -5,7 +5,7 @@ import json
 import os
 
 from . import characters
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .partitions import check_partition, enumerate_partitions
 from .util import CACHE_ENV
 
@@ -79,3 +79,30 @@ def use_cache_dir(cache_dir):
             return False
 
     characters._load_table = load_once if cache_dir else None
+
+
+def cache_command(command, cache_dir, dmax=None) -> dict:
+    """The document of `cache build --dmax <dmax>`, `cache info` or
+    `cache clear` on cache_dir (None: the default directory)."""
+    cache_dir = cache_dir or default_cache_dir()
+    if command == "build":
+        if dmax < 0:
+            raise DomainError(f"--dmax must be >= 0, got {dmax}")
+        if dmax > TABLE_DEGREE_LIMIT:
+            raise ResourceLimitError(f"--dmax {dmax} is past the cache's "
+                                     f"limit {TABLE_DEGREE_LIMIT}")
+        return {"built": [save_character_table(d, cache_dir) for d in range(1, dmax + 1)]}
+    if command == "info":
+        files = []
+        if os.path.isdir(cache_dir):
+            files = sorted(f for f in os.listdir(cache_dir) if f.startswith("chartable-"))
+        return {"cache_dir": cache_dir, "files": files}
+    if command == "clear":
+        removed = []
+        if os.path.isdir(cache_dir):
+            for f in sorted(os.listdir(cache_dir)):
+                if f.startswith("chartable-") and f.endswith(".json"):
+                    os.remove(os.path.join(cache_dir, f))
+                    removed.append(f)
+        return {"removed": removed}
+    raise DomainError("unknown cache command")

@@ -210,14 +210,16 @@ def tropical_double_sum(variant: str, g: int, mu, nu) -> Fraction:
 # ---------------------------------------------------------------------------
 # elliptic covers
 
-# Search nodes one enumeration may visit, and the largest degree and genus it
-# takes.  The walk over the compositions of 2g - 2 costs time the node budget
-# does not count (genus 10^5 at degree 1 took 10 s with 2,000 nodes), and at
-# genus 7 every degree runs out of nodes (about 3 s to find out); at genus 6
-# degree 1 finishes in 1.9 s (2-vCPU host, Python 3.11).
+# Search nodes one enumeration may visit, and the largest degree it takes at
+# each genus; any other genus is refused.  Every degree up to 24 past a
+# genus's entry runs out of nodes after 1.2-4.3 s of search (and at genus 7
+# every degree does), so the table refuses them before any work.  At the
+# entries, (2, 24) takes 0.8 s, (3, 6) 2.3 s, (4, 2) 0.3 s, (5, 1) 0.2 s and
+# (6, 1) 2.8 s (2-vCPU host, Python 3.11).  The walk over the compositions of
+# 2g - 2 costs time the node budget does not count: genus 10^5 at degree 1
+# took 10 s with 2,000 nodes.
 NODE_LIMIT = 500_000
-DEGREE_LIMIT = 24
-GENUS_LIMIT = 6
+MAX_DEGREE = {2: 24, 3: 6, 4: 2, 5: 1, 6: 1}
 
 
 def enumerate_elliptic_covers(g: int, d: int):
@@ -225,16 +227,17 @@ def enumerate_elliptic_covers(g: int, d: int):
 
     Vertices sit over the first n marked points (n <= 2g-2), no vertices over
     the base point; edges are rightward paths with crossing counts; every
-    vertex has lam_i >= 1 and Sum lam_i = 2g-2.  The graph and weight searches
-    together visit at most NODE_LIMIT nodes, else ResourceLimitError.
+    vertex has lam_i >= 1 and Sum lam_i = 2g-2.  A degree past MAX_DEGREE at
+    this genus is a ResourceLimitError before any search, and so is a search
+    past NODE_LIMIT nodes.
     """
     if g < 2:
         raise DomainError("elliptic enumeration needs g >= 2")
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
-    if d > DEGREE_LIMIT or g > GENUS_LIMIT:
+    if d > MAX_DEGREE.get(g, 0):
         raise ResourceLimitError(f"genus {g}, degree {d} is past the tropical route's "
-                                 f"limits: genus <= {GENUS_LIMIT}, degree <= {DEGREE_LIMIT}")
+                                 f"largest degree per genus {MAX_DEGREE}")
     budget = [NODE_LIMIT]
     out = []
     for n in range(1, 2 * g - 1):
@@ -411,11 +414,3 @@ def per_type_series(ctype, variant: str, g: int, d_max: int) -> QSeries:
     """Generating series of covers of one combinatorial type."""
     return type_series(variant, g, d_max).get(
         ctype, QSeries([Fraction(0)] * (d_max + 1), 0, "q"))
-
-
-def all_types(g: int, d_max: int):
-    seen = set()
-    for d in range(1, d_max + 1):
-        for cover in enumerate_elliptic_covers(g, d):
-            seen.add(combinatorial_type(cover))
-    return sorted(seen)

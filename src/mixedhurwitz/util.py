@@ -1,4 +1,4 @@
-"""Small shared helpers: exact rational <-> string, and the settings the CLI
+"""Small shared helpers: exact rational -> string, and the settings the CLI
 resolves before it loads a route."""
 
 from fractions import Fraction
@@ -16,7 +16,3 @@ def rat_str(x) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)

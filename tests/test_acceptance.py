@@ -9,11 +9,9 @@ import time
 from fractions import Fraction
 
 from mixedhurwitz.characters import connected_hurwitz_qseries, sector_value
-from mixedhurwitz.cli import run_suite
 from mixedhurwitz.double_recursion import base_g_assembly
 from mixedhurwitz.partitions import (
     enumerate_partitions,
-    falling_factorial,
     hook_dim,
     stirling,
 )
@@ -22,10 +20,12 @@ from mixedhurwitz.quasimodular import (
     fit_quasimodular,
     partition_gf,
 )
+from mixedhurwitz.ratfun import RF1, Poly1, TensorSum, xi_tensor
 from mixedhurwitz.series import QSeries
 from mixedhurwitz.spectral import ceo_omega
-from mixedhurwitz.ratfun import RF1, Poly1, TensorSum
+from mixedhurwitz.suites import run_suite
 from mixedhurwitz.util import DEFAULT_ORACLE_LIMIT
+from references import falling_factorial, weight_component
 
 
 def _report(num, name, t0):
@@ -103,7 +103,7 @@ def test_criterion_4_top_weight_equality():
         scale = Fraction(2) ** (l + m + (1 if l == 0 else 0)
                                 + (1 if m == 0 else 0) - 2)
         comps[(k, l, m)] = {
-            mono: coef * scale for mono, coef in fit.weight_component(6)
+            mono: coef * scale for mono, coef in weight_component(fit, 6)
         }
     ref = comps[(2, 0, 0)]
     assert comps[(0, 2, 0)] == ref
@@ -130,7 +130,7 @@ def test_criterion_7_topological_recursion():
     unit = RF1(Poly1([1]), Poly1([1, 1]) * Poly1([1, 1]))
     target = TensorSum(3)
     target.add_term(8, (unit, unit, unit))
-    assert ceo_omega(0, 3).tensor().equals(target)
+    assert xi_tensor(ceo_omega(0, 3)).equals(target)
     _report(7, "extraction == cut-and-join == oracle on 30 correlators; "
                "omega_03 closed form", t0)
 
@@ -196,8 +196,7 @@ def test_criterion_10_property_suites():
         assert sum(hook_dim(l) ** 2 for l in enumerate_partitions(d)) == \
             factorial(d)
     # W_{0,2} rational-function identity (cross-multiplied, exact)
-    from mixedhurwitz.ratfun import MultiPoly
-    from mixedhurwitz.spectral import curve_dx, curve_x
+    from mixedhurwitz.ratfun import MultiPoly, curve_dx, curve_x
 
     x, dx = curve_x(), curve_dx()
 

@@ -143,7 +143,8 @@ def test_jucys_murphy_group_algebra():
     # omega^lam(f(Xi_d)) = f(cont_lam) for f in {h1, h2, e1, e2}, d <= 4:
     # build the central elements as explicit group-algebra sums over the
     # monotone/strict transposition sequences and apply characters.
-    from mixedhurwitz.symgroup import all_transpositions, compose, identity
+    from mixedhurwitz.symgroup import compose, identity
+    from references import all_transpositions
 
     for d in (2, 3, 4):
         trans = all_transpositions(d)

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import json
+import tokenize
 import os
 import runpy
 import subprocess
@@ -242,9 +244,9 @@ def test_oracle_vs_characters_case_sequence_is_pinned(dmax, count, digest):
     # the sha256 of the JSON list of case inputs, computed when every case
     # walked its own oracle spec and took its own potential log: sharing them
     # kept the cases and their order, so the same counterexample prints first
-    from mixedhurwitz import cli
+    from mixedhurwitz import suites
 
-    cases = list(cli.SUITES["oracle-vs-characters"](dmax, False, 6))
+    cases = list(suites.SUITES["oracle-vs-characters"](dmax, False, 6))
     inputs = json.dumps([inputs for inputs, _ in cases]).encode()
     assert len(cases) == count
     assert hashlib.sha256(inputs).hexdigest() == digest
@@ -480,6 +482,67 @@ def test_toprec_without_oracle_loads_only_its_route():
     assert "spectral" in loaded
     assert not loaded & {"characters", "symgroup", "series", "quasimodular",
                          "quantum_curve", "double_recursion", "tropical"}
+
+
+
+@pytest.mark.parametrize("skip", [[], ["--skip-oracle"]], ids=["oracle", "skip-oracle"])
+def test_toprec_loads_neither_ratfun_nor_suites(skip):
+    loaded = loaded_modules("toprec", "--g", "1", "--n", "2", "--mu", "2,3", *skip)
+    assert "spectral" in loaded
+    assert not loaded & {"ratfun", "suites"}
+
+
+def test_only_verify_loads_suites(tmp_path):
+    # every subcommand in one process: suites stays unloaded until verify
+    argvs = [
+        ["compute", "--base-genus", "1", "--source-genus", "2", "--degree", "2",
+         "--k", "2", "--connected"],
+        ["compute", "--base-genus", "1", "--source-genus", "2", "--degree", "2",
+         "--k", "2", "--method", "oracle"],
+        ["qseries", "--base-genus", "1", "--source-genus", "2", "--k", "2",
+         "--qmax", "4"],
+        ["fit", "--source-genus", "2", "--k", "2", "--qmax", "12", "--weight", "6",
+         "--bracket"],
+        ["toprec", "--g", "1", "--n", "1", "--mu", "2"],
+        ["double", "--variant", "monotone", "--genus", "1", "--mu", "2,1",
+         "--nu", "3"],
+        ["tropical", "--genus", "2", "--degree", "2", "--variant", "strict"],
+        ["qc", "verify", "--variant", "monotone", "--genus", "1"],
+        ["--cache-dir", str(tmp_path), "cache", "info"],
+        ["verify", "--suite", "golden-series"],
+    ]
+    code = ("import json, sys; from mixedhurwitz import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    print('suites' if 'mixedhurwitz.suites' in sys.modules else '-',"
+            " file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["-"] * (len(argvs) - 1) + ["suites"]
+
+
+def test_verify_choices_are_the_suites_in_order():
+    from mixedhurwitz import cli, suites
+
+    assert tuple(suites.SUITES) == cli.SUITE_NAMES
+
+
+def test_spectral_imports_no_rational_function_code():
+    # every import statement, inside functions too: modules and imported names
+    tree = ast.parse((ROOT / "src" / "mixedhurwitz" / "spectral.py").read_text())
+    imported = [name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None) or ""]
+                + [alias.name for alias in node.names]]
+    assert imported and not [m for m in imported if "ratfun" in m]
+
+
+def test_cli_module_stays_under_4096_tokens():
+    # every launch compiles cli.py, and compile()'s memory peak steps up at
+    # 4096 tokens: code that one subcommand runs lives in that one's module
+    with open(ROOT / "src" / "mixedhurwitz" / "cli.py", "rb") as fh:
+        assert len(list(tokenize.tokenize(fh.readline))) < 4096
 
 
 def test_qseries_loads_no_other_route():

@@ -16,13 +16,13 @@ from mixedhurwitz.partitions import (
     class_size,
     contents,
     enumerate_partitions,
-    falling_factorial,
     hook_dim,
     partition_count,
     stirling,
     sym_eval,
 )
 from mixedhurwitz.symgroup import all_perms, cycle_type
+from references import falling_factorial
 
 
 def test_enumerate_partitions_order():

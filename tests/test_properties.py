@@ -22,6 +22,7 @@ from mixedhurwitz import (
     double_recursion,
     quantum_curve,
     spectral,
+    suites,
     tablecache,
     tropical,
 )
@@ -360,7 +361,7 @@ class _SerialPool:
     worker started, refusing more workers than verify has suites."""
 
     def __init__(self, max_workers):
-        assert max_workers <= len(cli.SUITES), max_workers
+        assert max_workers <= len(suites.SUITES), max_workers
 
     def __enter__(self):
         return self
@@ -384,7 +385,7 @@ def verify_argvs(draw):
             value([v for v in VERIFY_VALUES if v != HUGE])]
     if draw(st.booleans()):
         argv += ["--jobs", value(VERIFY_VALUES)]
-    argv += ["verify", "--suite", draw(st.sampled_from([*cli.SUITES, "all", ""]))]
+    argv += ["verify", "--suite", draw(st.sampled_from([*suites.SUITES, "all", ""]))]
     if draw(st.booleans()):
         argv += ["--dmax", value(VERIFY_VALUES)]
     return argv + draw(st.sampled_from([[], ["--deep"]]))
@@ -507,7 +508,8 @@ def _tropical(genus):
 @given(tropical_argvs())
 def test_tropical_argv_exits_0_2_or_3_without_a_traceback(argv):
     # small budgets keep every accepted argv cheap, so a slow one ran past them
-    with mock.patch.multiple(tropical, NODE_LIMIT=3000, DEGREE_LIMIT=5, GENUS_LIMIT=4):
+    with mock.patch.multiple(tropical, NODE_LIMIT=3000,
+                             MAX_DEGREE={g: 5 for g in (2, 3, 4)}):
         code, out, err = _main(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err

@@ -8,12 +8,11 @@ from mixedhurwitz.quantum_curve import (
     apply_word,
     monotone_sequence_count,
     partition_function,
-    product_form,
     residual_max_abs,
     strict_sequence_count,
 )
 from mixedhurwitz.series import BiSeries
-from mixedhurwitz.symgroup import all_transpositions, compose, identity
+from references import all_transpositions, product_form
 
 
 def brute_sequences(d, b, strict):

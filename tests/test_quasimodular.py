@@ -9,7 +9,6 @@ from mixedhurwitz.partitions import (
     contents,
     enumerate_partitions,
     partition_count,
-    partitions_upto,
     sym_eval,
 )
 from mixedhurwitz.quasimodular import (
@@ -25,6 +24,7 @@ from mixedhurwitz.quasimodular import (
     q_bracket,
 )
 from mixedhurwitz.series import QSeries
+from references import partitions_upto
 from test_characters import central_character_extended
 
 

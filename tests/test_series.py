@@ -12,6 +12,7 @@ from mixedhurwitz.series import (
     sinh_reciprocal,
     two_sinh_half,
 )
+from references import qseries_from_json
 
 
 def test_log_exp_examples():
@@ -43,6 +44,32 @@ def test_log_exp_preconditions():
         QSeries.zero(-1).exp()
     # a zero constant term that a scalar product left in place
     assert (QSeries([1, 2]) * 0).exp().coefficients(0, 1) == [1, 0]
+
+
+
+def test_every_constructor_path_is_canonical():
+    # coeffs is empty or starts with a nonzero coefficient, so the low of a
+    # nonzero series is its valuation
+    a = QSeries([0, 0, 3, 1, 0, 2], -1)
+    zero = QSeries([1, 2]) * 0
+    unit = QSeries([1, 1, 2, 0])
+    positive = QSeries([0, 2, 1, 0])
+    made = {
+        "init": a, "empty": QSeries([]), "zero": QSeries.zero(3),
+        "one": QSeries.one(3), "copy": a.copy(), "neg": -a,
+        "scalar-mul": a * Fraction(1, 2), "mul-by-0": a * 0, "rmul-by-0": 0 * a,
+        "zero-copy": zero.copy(), "zero-neg": -zero, "zero-shift": zero.shift(1),
+        "mul": a * a, "mul-zero": a * zero, "add": a + a, "sub": a - a,
+        "add-int": a + 0, "sub-int": a - 1, "inverse": unit.inverse(),
+        "div": unit / unit, "scalar-div": a / 2, "shift": a.shift(2),
+        "compose-scale": positive.compose_scale(0), "log": unit.log(),
+        "exp": positive.exp(), "zero-exp": zero.exp(),
+        "json": qseries_from_json(a.to_json()),
+    }
+    for name, s in made.items():
+        assert not s.coeffs or s.coeffs[0] != 0, (name, s.low, s.coeffs)
+    # the scalar zero keeps the window and moves low past it
+    assert (zero.low, zero.high, zero.coeffs) == (2, 1, [])
 
 
 def _reference_log(s):
@@ -184,7 +211,7 @@ def test_json_round_trip():
     s = QSeries([1, Fraction(-24), Fraction(1, 2)], -1, "q")
     doc = s.to_json()
     assert doc == {"var": "q", "low": -1, "coeffs": ["1", "-24", "1/2"]}
-    assert QSeries.from_json(doc) == s
+    assert qseries_from_json(doc) == s
 
 
 def test_biseries_window_and_atoms():

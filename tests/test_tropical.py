@@ -1,15 +1,16 @@
+import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from mixedhurwitz import tropical
+from mixedhurwitz import cli, tropical
 from mixedhurwitz.characters import connected_hurwitz_qseries
 from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.partitions import enumerate_partitions
 from mixedhurwitz.symgroup import monotone_double_count
 from mixedhurwitz.tropical import (
     TropicalCover,
-    all_types,
     combinatorial_type,
     enumerate_elliptic_covers,
     enumerate_line_covers,
@@ -19,6 +20,7 @@ from mixedhurwitz.tropical import (
     tropical_elliptic_sum,
     type_series,
 )
+from references import all_types
 
 
 def test_vertex_multiplicity_examples():
@@ -187,3 +189,31 @@ def test_type_series_keys_are_all_types():
     # a type with no cover is the zero series
     assert per_type_series(((), (9,)), "monotone", 2, 5).coefficients(0, 5) \
         == [Fraction(0)] * 6
+
+
+def _tropical_main(genus, degree):
+    return cli.main(["tropical", "--genus", str(genus), "--degree", str(degree),
+                     "--variant", "monotone"])
+
+
+# each entry of MAX_DEGREE and the monotone total there
+@pytest.mark.parametrize("genus,degree,total", [
+    (2, 24, "64175"), (3, 6, "25653/2"), (4, 2, "2"), (5, 1, "0"), (6, 1, "0"),
+], ids=["g2", "g3", "g4", "g5", "g6"])
+def test_tropical_runs_at_each_max_degree(genus, degree, total, capsys):
+    assert tropical.MAX_DEGREE[genus] == degree
+    assert _tropical_main(genus, degree) == 0
+    assert json.loads(capsys.readouterr().out) == {"total": total}
+
+
+@pytest.mark.parametrize("genus,degree", [
+    (2, 25), (3, 7), (4, 3), (5, 2), (6, 2), (7, 1), (10**9, 1),
+], ids=["g2", "g3", "g4", "g5", "g6", "g7", "g-huge"])
+def test_tropical_refuses_one_degree_past_max_at_once(genus, degree, capsys):
+    # without the table each of these but genus 2 at degree 25 runs out of
+    # nodes, after 1-4 s of search
+    start = time.monotonic()
+    assert _tropical_main(genus, degree) == 3
+    assert time.monotonic() - start < 0.3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("resource limit:")
