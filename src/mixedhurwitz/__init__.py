@@ -20,10 +20,10 @@ _EXPORTS = {
     "characters": "character central_character_f hurwitz_by_characters "
                   "connected_series connected_hurwitz_qseries "
                   "commutator_count_by_characters",
-    "series": "QSeries BiSeries",
+    "series": "QSeries",
     "quasimodular": "eisenstein q_bracket Q_k_eval completion_coefficients "
                     "fit_quasimodular QuasimodularPoly",
-    "quantum_curve": "partition_function apply_operator residual_max_abs",
+    "quantum_curve": "partition_coefficient word_coefficient residual_max_abs",
     "spectral": "ceo_omega extract_C cut_and_join_C closed_form_C",
     "ratfun": "spectral_data",
     "double_recursion": "N_value double_hurwitz base_g_assembly",

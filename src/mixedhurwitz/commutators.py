@@ -103,11 +103,6 @@ def commutator_tuple_table(d: int, g: int):
             for k, orbs in commutator_codes(d, g).items()}
 
 
-def commutator_pair_table(d: int):
-    """commutator_tuple_table for a single commutator [alpha, beta]."""
-    return commutator_tuple_table(d, 1)
-
-
 def count_commutator_type(g: int, nu, d: int,
                           limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     """Number of 2g-tuples in S_d^2g whose commutator product has padded type nu."""

@@ -17,13 +17,6 @@ from .partitions import aut_count, check_partition, class_size, splits, strip_on
 from .characters import commutator_count_by_characters
 from .series import _euler_solve, subsectors
 
-# Theta(0) = 1 by convention.
-
-
-def _theta(t: int) -> int:
-    return 1 if t >= 0 else 0
-
-
 _n_cache = {}
 
 
@@ -63,7 +56,7 @@ def _N(variant, g, dist, rest, nu, l) -> int:
     total = 0
 
     # cut: the last transposition merged the distinguished cycle with another
-    if _theta(dist + l - nu[-1] - 1):
+    if dist + l > nu[-1]:
         for j, mj in enumerate(rest):
             sub_rest = rest[:j] + rest[j + 1:]
             for p in range(1, p_hi + 1):

@@ -1,4 +1,4 @@
-"""Truncated formal power/Laurent series over exact rationals.
+"""Truncated univariate power/Laurent series over exact rationals.
 
 Every series carries its valid window; extracting a coefficient outside the
 window raises WindowError rather than returning a silent zero.  Truncation is
@@ -343,86 +343,3 @@ def sinh_normalized(order: int, var="z") -> QSeries:
 def sinh_reciprocal(order: int, var="z") -> QSeries:
     """1/(2 sinh(z/2)) as an exact Laurent series, valuation -1."""
     return two_sinh_half(order + 2, var).inverse()
-
-
-# ---------------------------------------------------------------------------
-# bivariate series on the (degree, hbar) grid
-
-
-class BiSeries:
-    """Truncated series in (x, hbar) stored on the (d, e) grid, e = hbar power.
-
-    The valid region is a parallelogram: 0 <= d <= dhi and blo <= e - d*skew
-    <= bhi.  The skew lets one grid serve every genus: partition functions put
-    their coefficients at e = b + d*skew.
-    """
-
-    __slots__ = ("data", "dhi", "blo", "bhi", "skew")
-
-    def __init__(self, dhi, blo, bhi, skew, data=None):
-        if dhi < 0 or bhi < blo:
-            raise WindowError("window collapse")
-        self.dhi = dhi
-        self.blo = blo
-        self.bhi = bhi
-        self.skew = skew
-        self.data = dict(data or {})
-
-    def in_window(self, d, e):
-        if not (0 <= d <= self.dhi):
-            return False
-        return self.blo <= e - d * self.skew <= self.bhi
-
-    def coefficient(self, d, e):
-        if not self.in_window(d, e):
-            raise WindowError(f"(x^{d}, hbar^{e}) outside valid window")
-        return self.data.get((d, e), Fraction(0))
-
-    def set(self, d, e, value):
-        if not self.in_window(d, e):
-            raise WindowError(f"(x^{d}, hbar^{e}) outside valid window")
-        value = Fraction(value)
-        if value:
-            self.data[(d, e)] = value
-        else:
-            self.data.pop((d, e), None)
-
-    def cells(self):
-        for d in range(self.dhi + 1):
-            for b in range(self.blo, self.bhi + 1):
-                yield d, b + d * self.skew
-
-    def apply_y(self):
-        """hat-y = -hbar d/dx: out(d, e) = -(d+1) * in(d+1, e-1)."""
-        out = BiSeries(self.dhi - 1, self.blo + 1 + self.skew,
-                       self.bhi + 1 + self.skew, self.skew)
-        for d, e in out.cells():
-            src = self.data.get((d + 1, e - 1))
-            if src:
-                out.data[(d, e)] = -(d + 1) * src
-        return out
-
-    def apply_x(self):
-        """hat-x = multiply by x: out(d, e) = in(d-1, e)."""
-        out = BiSeries(self.dhi + 1, self.blo - self.skew,
-                       self.bhi - self.skew, self.skew)
-        for d, e in out.cells():
-            if d == 0:
-                continue
-            src = self.data.get((d - 1, e))
-            if src:
-                out.data[(d, e)] = src
-        return out
-
-    def __add__(self, other):
-        if self.skew != other.skew:
-            raise DomainError("mismatched grids")
-        dhi = min(self.dhi, other.dhi)
-        blo = max(self.blo, other.blo)
-        bhi = min(self.bhi, other.bhi)
-        out = BiSeries(dhi, blo, bhi, self.skew)
-        for d, e in out.cells():
-            v = self.data.get((d, e), Fraction(0)) + other.data.get((d, e), Fraction(0))
-            if v:
-                out.data[(d, e)] = v
-        return out

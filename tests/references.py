@@ -7,12 +7,11 @@ from functools import cache
 from math import factorial
 
 from mixedhurwitz.errors import DomainError
-from mixedhurwitz.partitions import HurwitzSpec, enumerate_partitions
+from mixedhurwitz.partitions import enumerate_partitions
 from mixedhurwitz.quantum_curve import VARIANTS
-from mixedhurwitz.series import BiSeries, QSeries
-from mixedhurwitz.symgroup import count_triply_mixed, transposition
+from mixedhurwitz.series import QSeries
+from mixedhurwitz.symgroup import transposition
 from mixedhurwitz.tropical import combinatorial_type, enumerate_elliptic_covers
-from mixedhurwitz.util import DEFAULT_ORACLE_LIMIT
 
 
 @cache
@@ -21,18 +20,6 @@ def all_transpositions(d: int):
     return tuple(
         (s, t, transposition(d, s, t)) for t in range(1, d) for s in range(t)
     )
-
-
-def classical_hurwitz_count(
-    base_genus, source_genus, d, profiles, connected=True, limit=DEFAULT_ORACLE_LIMIT
-):
-    """Classical Hurwitz numbers (no transposition blocks beyond the profiles)."""
-    spec = HurwitzSpec(
-        base_genus, source_genus, d, tuple(profiles), 0, 0, 0, connected
-    )
-    if spec.b != 0:
-        raise DomainError("classical count here means zero extra transpositions")
-    return count_triply_mixed(spec, limit)
 
 
 def partitions_upto(d: int):
@@ -72,18 +59,16 @@ def all_types(g: int, d_max: int):
     return sorted(seen)
 
 
-def product_form(variant: str, g: int, d_max: int, b_max: int) -> BiSeries:
-    """quantum_curve.partition_function assembled from the per-degree hbar
+def product_form(variant: str, g: int, d_max: int, b_max: int) -> dict:
+    """{(d, b): Z(d, b)} for d <= d_max, b <= b_max: the cells of
+    quantum_curve.partition_coefficient assembled from the per-degree hbar
     products.
 
     Monotone: prod_{j=1..d-1} 1/(1-j*hbar); strict: prod_{j=1..d-1} (1+j*hbar).
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant}")
-    chi = 2 - 2 * g
-    skew = 1 - chi
-    Z = BiSeries(d_max, 0, b_max, skew)
-    Z.set(0, 0, 1)
+    Z = {(0, b): Fraction(1 if b == 0 else 0) for b in range(b_max + 1)}
     for d in range(1, d_max + 1):
         # hbar-polynomial for this degree
         if variant == "strict":
@@ -108,8 +93,8 @@ def product_form(variant: str, g: int, d_max: int, b_max: int) -> BiSeries:
                         new[i + k] += poly[i] * jk
                         jk *= j
                 poly = new
-        weight = Fraction(factorial(d)) ** (1 - chi)
+        poly += [0] * (b_max + 1 - len(poly))
+        weight = Fraction(factorial(d)) ** (2 * g - 1)
         for b, c in enumerate(poly[: b_max + 1]):
-            if c:
-                Z.set(d, b + d * skew, c * weight)
+            Z[d, b] = c * weight
     return Z

@@ -492,6 +492,12 @@ def test_toprec_loads_neither_ratfun_nor_suites(skip):
     assert not loaded & {"ratfun", "suites"}
 
 
+def test_qc_verify_loads_no_series():
+    loaded = loaded_modules("qc", "verify", "--variant", "strict", "--genus", "2")
+    assert "quantum_curve" in loaded
+    assert "series" not in loaded
+
+
 def test_only_verify_loads_suites(tmp_path):
     # every subcommand in one process: suites stays unloaded until verify
     argvs = [

@@ -539,7 +539,7 @@ def qc_argvs(draw):
 
 
 @settings(PROPERTY, max_examples=100)
-@example(QC + ["--variant", "strict", "--genus", "30"])  # 13 s without the bound
+@example(QC + ["--variant", "strict", "--genus", "30"])  # past GENUS_LIMIT
 @example(QC + ["--variant", "strict", "--genus", "8"])
 @example(QC + ["--variant", "strict", "--genus", str(10**6)])
 @example(QC + ["--variant", "strict", "--genus", "1", "--dmax", str(10**6)])

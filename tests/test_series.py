@@ -5,13 +5,13 @@ import pytest
 
 from mixedhurwitz.errors import DomainError, WindowError
 from mixedhurwitz.series import (
-    BiSeries,
     QSeries,
     exp_az,
     sinh_normalized,
     sinh_reciprocal,
     two_sinh_half,
 )
+from mixedhurwitz.quantum_curve import partition_coefficient, word_coefficient
 from references import qseries_from_json
 
 
@@ -215,14 +215,15 @@ def test_json_round_trip():
 
 
 def test_biseries_window_and_atoms():
-    Z = BiSeries(3, 0, 3, 0)
-    Z.set(2, 0, 1)
-    img = Z.apply_y()
-    assert img.coefficient(1, 1) == -2
-    x_img = Z.apply_x()
-    assert x_img.coefficient(3, 0) == 1
-    with pytest.raises(WindowError):
-        img.coefficient(3, 0)
+    # the two-variable series is gone: the atoms act on the exact Z of
+    # quantum_curve cell by cell, so no cell lies outside a window
+    assert partition_coefficient("monotone", 1, 2, 0) == 2
+    assert word_coefficient("y", "monotone", 1, 1, 2) == -4  # -2 Z(2, 0)
+    assert word_coefficient("x", "monotone", 1, 3, 0) == 2   # Z(2, 1)
+    # y-hat lowers the hbar power below every cell of Z: an exact 0, where the
+    # windowed image raised WindowError
+    assert word_coefficient("y", "monotone", 1, 3, 0) == 0
+    assert word_coefficient("y", "monotone", 1, 30, 30) != 0
 
 
 def test_exp_az():

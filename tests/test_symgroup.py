@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import mixedhurwitz
+from mixedhurwitz.characters import hurwitz_by_characters
 from mixedhurwitz.commutators import (
-    commutator_pair_table,
     commutator_tuple_table,
     count_commutator_type,
 )
@@ -36,7 +36,6 @@ from mixedhurwitz.symgroup import (
     source_genus_for,
     triply_mixed_slots,
 )
-from references import classical_hurwitz_count
 
 
 def test_spec_validation():
@@ -95,21 +94,22 @@ def test_labeled_is_aut_times_unlabeled():
         assert lab == expected
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_specializations_match_dedicated_enumerators(d):
-    # l = m = 0 reproduces classical counts (k = m = 0 and k = l = 0: see
+    # l = m = 0 with k = b free transpositions against the character sum
+    # (k = m = 0 and k = l = 0: see
     # test_monotone_double_count_matches_triply_mixed)
-    for gp in range(0, 3):
-        for profiles in [((2,),), ((d,),)] if d > 1 else [((1,),)]:
-            try:
-                b = HurwitzSpec(0, gp, d, profiles, 0, 0, 0).b
-            except DomainError:
+    parts = enumerate_partitions(d)
+    cases = 0
+    for gp in range(0, 4):
+        for profiles in [(p,) for p in parts] + list(product(parts, repeat=2)):
+            b = 2 * gp - 2 + 2 * d + sum(len(p) - d for p in profiles)
+            if not 0 <= b <= 3:
                 continue
-            if b != 0:
-                continue
-            assert count_triply_mixed(
-                HurwitzSpec(0, gp, d, profiles, 0, 0, 0)
-            ) == classical_hurwitz_count(0, gp, d, profiles)
+            cases += 1
+            spec = HurwitzSpec(0, gp, d, profiles, b, 0, 0, connected=False)
+            assert count_triply_mixed(spec) == hurwitz_by_characters(spec), spec
+    assert cases
 
 
 def test_monotone_double_count_matches_triply_mixed():
@@ -215,13 +215,13 @@ def _naive_commutator_table(d, g):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_commutator_pair_table_matches_plain_products(d):
-    assert commutator_pair_table(d) == _naive_commutator_table(d, 1)
+    assert commutator_tuple_table(d, 1) == _naive_commutator_table(d, 1)
 
 
 def test_commutator_pair_table_at_degree_6():
     from mixedhurwitz.characters import commutator_count_by_characters
 
-    table = commutator_pair_table(6)
+    table = commutator_tuple_table(6, 1)
     for kappa, by_orbit in table.items():
         nu = cycle_type(kappa)
         assert sum(by_orbit.values()) * class_size(nu, 6) == \
