@@ -2,10 +2,11 @@
 to triply mixed Hurwitz numbers.  Connected numbers come from the disconnected
 ones by the potential log, which runs on the exponential formula of series.
 
-All arithmetic is exact rational; no floating point anywhere.  The in-memory
-character cache and the per-degree lambda columns only receive idempotent
-inserts and the lambda-sums are plain reductions over independent terms, so
-concurrent use is safe.
+All arithmetic is exact rational; no floating point anywhere.  A character
+is computed only when a sector reads it and memoised in process; nothing is
+read from disk.  The character memo and the per-degree lambda columns only
+receive idempotent inserts and the lambda-sums are plain reductions over
+independent terms, so concurrent use is safe.
 """
 
 from fractions import Fraction
@@ -38,7 +39,6 @@ SECTOR_LIMIT = 60
 # Murnaghan-Nakayama characters
 
 _char_cache = {}
-_load_table = None  # degree -> True if its cached table loaded; set by tablecache
 
 
 def character(lam, nu) -> int:
@@ -57,8 +57,6 @@ def _mn(lam, nu) -> int:
         return hook_dim(lam)
     key = (lam, nu)
     hit = _char_cache.get(key)
-    if hit is None and _load_table is not None and _load_table(sum(lam)):
-        hit = _char_cache.get(key)
     if hit is not None:
         return hit
     t = nu[0]

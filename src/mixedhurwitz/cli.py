@@ -2,7 +2,8 @@
 
 Each subcommand imports only the modules of the route it runs, so a launch
 compiles only the code its subcommand can reach: the verify suites live in
-suites and the cache lifecycle in tablecache.
+suites.  No subcommand reads or writes files: --cache-dir is accepted only
+empty, as perfbench/workloads.py passes it, and sets nothing.
 
 Exit codes: 0 success, 1 verification failure (with a machine-readable first
 counterexample), 2 domain errors, 3 resource-limit errors.  Identical
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .util import CACHE_ENV, DEFAULT_ORACLE_LIMIT, rat_str
+from .util import DEFAULT_ORACLE_LIMIT, rat_str
 
 ORACLE_LIMIT_ENV = "MIXEDHURWITZ_ORACLE_DMAX"
 
@@ -54,16 +55,24 @@ def parse_profiles(text: str):
     return tuple(parse_partition(p) for p in text.split(";") if p.strip())
 
 
+def _text(value) -> str:
+    """A CSV or plain field: a string as it is, any other value (a number,
+    bool, None, list or dict) as its JSON text."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def emit(doc, fmt: str, csv_rows=None):
     if fmt == "json":
         sys.stdout.write(json.dumps(doc) + "\n")
     elif fmt == "csv":
-        rows = csv_rows or [[k, v] for k, v in doc.items()]
-        for row in rows:
-            sys.stdout.write(",".join(str(x) for x in row) + "\n")
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        for row in csv_rows or doc.items():
+            writer.writerow(map(_text, row))
     else:
         for k, v in doc.items():
-            sys.stdout.write(f"{k}: {v}\n")
+            sys.stdout.write(f"{k}: {_text(v)}\n")
 
 
 def build_parser():
@@ -71,7 +80,7 @@ def build_parser():
     common.add_argument("--format", choices=("json", "csv", "plain"),
                         default=argparse.SUPPRESS)
     common.add_argument("--cache-dir", default=argparse.SUPPRESS,
-                        help=f"character-table cache directory (or ${CACHE_ENV})")
+                        help="accepted empty only: the disk cache was removed")
     common.add_argument("--oracle-dmax", type=int, default=argparse.SUPPRESS,
                         help="largest degree the brute-force oracle may attempt")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
@@ -160,13 +169,6 @@ def build_parser():
     v.add_argument("--dmax", type=int, default=4)
     v.add_argument("--deep", action="store_true",
                    help="extend the suite ranges beyond the desk-scale defaults")
-
-    ca = sub.add_parser("cache", help="character-table cache lifecycle")
-    casub = ca.add_subparsers(dest="cache_command", required=True)
-    cb = casub.add_parser("build")
-    cb.add_argument("--dmax", type=int, required=True)
-    casub.add_parser("info")
-    casub.add_parser("clear")
     return p
 
 
@@ -303,14 +305,6 @@ def cmd_verify(args):
     return verify(args.suite, args.dmax, args.deep, args.oracle_dmax, args.jobs)
 
 
-def cmd_cache(args):
-    from .tablecache import cache_command
-
-    emit(cache_command(args.cache_command, args.cache_dir, getattr(args, "dmax", None)),
-         args.format)
-    return 0
-
-
 COMMANDS = {
     "compute": cmd_compute,
     "qseries": cmd_qseries,
@@ -320,33 +314,20 @@ COMMANDS = {
     "tropical": cmd_tropical,
     "qc": cmd_qc,
     "verify": cmd_verify,
-    "cache": cmd_cache,
 }
-
-
-def apply_cache_dir(cache_dir):
-    """Point the character route at cache_dir, or at no cache for None.
-
-    Only the cache module sets a cache, so with no directory it is only
-    reset when an earlier call in this process has loaded that module.
-    """
-    if cache_dir:
-        from .tablecache import use_cache_dir
-        use_cache_dir(cache_dir)
-    elif (tablecache := sys.modules.get(f"{__package__}.tablecache")):
-        tablecache.use_cache_dir(None)
 
 
 def resolve_global_flags(args):
     """Set each global flag left out of argv: the environment, then the default.
 
-    An empty environment value counts as unset.  An empty ``--cache-dir=``
-    is a given flag, so it beats the environment and reads no cached tables.
+    An empty environment value counts as unset.  ``--cache-dir`` takes only
+    the empty value and sets nothing.
     """
+    if getattr(args, "cache_dir", ""):
+        raise DomainError(f"--cache-dir {args.cache_dir!r}: the character-table "
+                          "disk cache was removed; only --cache-dir= is accepted")
     if not hasattr(args, "format"):
         args.format = "json"
-    if not hasattr(args, "cache_dir"):
-        args.cache_dir = os.environ.get(CACHE_ENV) or None
     if not hasattr(args, "oracle_dmax"):
         env = os.environ.get(ORACLE_LIMIT_ENV, "").strip()
         try:
@@ -367,7 +348,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         resolve_global_flags(args)
-        apply_cache_dir(args.cache_dir)
         return COMMANDS[args.command](args)
     except DomainError as e:
         sys.stderr.write(f"domain error: {e}\n")

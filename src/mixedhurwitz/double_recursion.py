@@ -13,9 +13,10 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError, ResourceLimitError
-from .partitions import aut_count, check_partition, class_size, splits, strip_ones
+from .partitions import aut_count, check_partition, class_size, strip_ones
 from .characters import commutator_count_by_characters
 from .series import _euler_solve, subsectors
+from .util import splits
 
 _n_cache = {}
 

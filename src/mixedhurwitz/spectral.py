@@ -28,8 +28,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import DomainError, ResourceLimitError
-from .partitions import check_partition, splits
-from .util import DEFAULT_ORACLE_LIMIT
+from .util import DEFAULT_ORACLE_LIMIT, splits
 
 # ---------------------------------------------------------------------------
 # the xi basis
@@ -298,26 +297,32 @@ def cut_and_join_C(g: int, n: int, mu) -> Fraction:
 
 
 def closed_form_C(level, mu) -> Fraction:
-    """The (0,1), (0,2), (0,3) closed forms."""
+    """The genus-0 closed form of Goulden, Guay-Paquet and Novak
+    (arXiv:1204.2618), for level (0, n) and d = |mu|:
+
+        (-1)^(n+d) prod_i mu_i C(2 mu_i, mu_i) (2d+1)^(n-3),
+
+    with the rising factorial r^(k) = r (r+1) ... (r+k-1) and
+    r^(-k) = 1 / ((r-1) ... (r-k)).
+    """
     mu = tuple(mu)
-    if level == (0, 1):
-        (m,) = mu
-        return Fraction((-1) ** (m - 1), m) * comb(2 * m - 2, m - 1)
-    if level == (0, 2):
-        m1, m2 = mu
-        return (Fraction((-1) ** (m1 + m2)) * 2 * m1 * m2 * comb(2 * m1 - 1, m1)
-                * comb(2 * m2 - 1, m2)) / (m1 + m2)
-    if level == (0, 3):
-        sign = (-1) ** (sum(mu) - 1)
-        out = Fraction(8 * sign)
-        for m in mu:
-            out *= m * comb(2 * m - 1, m)
-        return out
-    raise DomainError(f"no closed form for level {level}")
+    g, n = level
+    if g != 0 or n < 1 or len(mu) != n or any(m < 1 for m in mu):
+        raise DomainError(f"no closed form for level {level} at mu = {mu}")
+    d = sum(mu)
+    out = Fraction((-1) ** (n + d))
+    for m in mu:
+        out *= m * comb(2 * m, m)
+    for j in range(n - 3):
+        out *= 2 * d + 1 + j
+    for j in range(1, 4 - n):
+        out /= 2 * d + 1 - j
+    return out
 
 
 def oracle_C(g: int, n: int, mu, limit=DEFAULT_ORACLE_LIMIT) -> Fraction:
     """(-1)^(n+|mu|) times the brute-force monotone factorization count."""
+    from .partitions import check_partition
     from .symgroup import count_monotone_of_fixed_target
 
     mu = tuple(sorted(mu, reverse=True))

@@ -1,14 +1,12 @@
-import json
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import mul
 
 import pytest
 
-from mixedhurwitz import characters, tablecache
+from mixedhurwitz import characters
 from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.characters import (
-    _char_cache,
     _lambda_column,
     _mn,
     central_character_f,
@@ -31,7 +29,6 @@ from mixedhurwitz.partitions import (
 )
 from mixedhurwitz.commutators import count_commutator_type
 from mixedhurwitz.series import QSeries
-from mixedhurwitz.tablecache import load_character_table, save_character_table
 from mixedhurwitz.symgroup import (
     HurwitzSpec,
     all_perms,
@@ -229,63 +226,6 @@ def test_commutator_counts_match_oracle(d, g):
     for nu in enumerate_partitions(d):
         assert commutator_count_by_characters(g, nu, d) == \
             count_commutator_type(g, nu, d)
-
-
-def test_character_cache_round_trip(tmp_path):
-    path = save_character_table(4, str(tmp_path))
-    with open(path) as fh:
-        doc = json.load(fh)
-    assert doc["version"] == 1 and doc["degree"] == 4
-    assert all(isinstance(e["chi"], str) for e in doc["entries"])
-    assert load_character_table(4, str(tmp_path))
-    assert not load_character_table(9, str(tmp_path))
-
-
-def _entries(*entries):
-    return json.dumps({"version": 1, "degree": 3, "entries": list(entries)})
-
-
-@pytest.mark.parametrize("text", [
-    '{"version": 1, "degr', "[]", "\udcff",
-    '{"version": 1, "degree": 3}',
-    _entries({"lambda": [3], "nu": [3]}),
-    _entries({"lambda": [3], "nu": [3], "chi": "1/2"}),
-    _entries({"lambda": [3], "nu": [3], "chi": 2.5}),
-    _entries({"lambda": [3], "nu": [3], "chi": "7"}, {"lambda": [2, 1], "nu": [3]}),
-])
-def test_unreadable_cache_file_is_a_domain_error(tmp_path, text):
-    (tmp_path / "chartable-3.json").write_text(text, errors="surrogateescape")
-    before = dict(_char_cache)
-    with pytest.raises(DomainError, match="unrecognized cache file"):
-        load_character_table(3, str(tmp_path))
-    assert _char_cache == before  # nothing of a rejected file is kept
-
-
-def test_cached_tables_load_lazily_once(tmp_path, monkeypatch):
-    save_character_table(3, str(tmp_path))
-    save_character_table(5, str(tmp_path))
-    (tmp_path / "chartable-4.json").write_text('{"version": 1, "degr')
-    loads, load = [], tablecache.load_character_table
-
-    def counting_load(d, cache_dir=None):
-        loads.append(d)
-        return load(d, cache_dir)
-
-    monkeypatch.setattr(tablecache, "load_character_table", counting_load)
-    monkeypatch.setattr(characters, "_char_cache", {})
-    monkeypatch.setattr(characters, "_load_table", None)
-    tablecache.use_cache_dir(str(tmp_path))
-    assert loads == []                        # nothing is read up front
-    assert character((2, 1), (3,)) == -1
-    assert character((2, 1), (2, 1)) == 0
-    assert loads == [3]                       # once per degree
-    assert character((3, 1), (4,)) == -1      # the corrupt file is passed over
-    assert character((2, 2), (2, 2)) == 2
-    assert loads == [3, 4, 2]                 # 2: a smaller degree, no file
-    n_before = len(characters._char_cache)
-    assert character((3, 2), (5,)) == 0
-    assert loads == [3, 4, 2, 5]
-    assert len(characters._char_cache) - n_before == 7 * 7  # the whole table
 
 
 def test_sector_value_degree_zero_convention():

@@ -1,4 +1,5 @@
 import ast
+import csv
 import hashlib
 import json
 import tokenize
@@ -320,20 +321,6 @@ def test_byte_identical_documents():
     assert run(*args).stdout == run(*args).stdout
 
 
-def test_cache_lifecycle(tmp_path):
-    d = str(tmp_path)
-    p = run("--cache-dir", d, "cache", "build", "--dmax", "3")
-    built = json.loads(p.stdout)["built"]
-    assert len(built) == 3
-    p = run("--cache-dir", d, "cache", "info")
-    assert json.loads(p.stdout)["files"] == [
-        "chartable-1.json", "chartable-2.json", "chartable-3.json"]
-    p = run("--cache-dir", d, "cache", "clear")
-    assert len(json.loads(p.stdout)["removed"]) == 3
-    p = run("--cache-dir", d, "cache", "info")
-    assert json.loads(p.stdout)["files"] == []
-
-
 ORACLE_COMPUTE = ["compute", "--base-genus", "1", "--source-genus", "2",
                   "--degree", "2", "--k", "2", "--connected", "--method", "oracle"]
 
@@ -363,18 +350,61 @@ def test_no_global_flag_matches_explicit_defaults():
     assert run(*args).stdout == run(*explicit, *args).stdout
 
 
-def test_cache_clear_removes_corrupt_file(tmp_path):
-    d = str(tmp_path)
-    run("--cache-dir", d, "cache", "build", "--dmax", "2")
-    (tmp_path / "chartable-1.json").write_text('{"version": 1, "degree": 1}')
-    (tmp_path / "chartable-2.json").write_text('{"version": 1, "deg')
-    p = run("--cache-dir", d, "compute", "--base-genus", "1",
-            "--source-genus", "2", "--degree", "3", "--l", "2", "--connected")
-    assert json.loads(p.stdout) == {"value": "13"}
-    p = run("--cache-dir", d, "cache", "clear")
-    assert json.loads(p.stdout)["removed"] == [
-        "chartable-1.json", "chartable-2.json"]
-    assert list(tmp_path.iterdir()) == []
+TOPREC = ["toprec", "--g", "1", "--n", "1", "--mu", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cache", "info"],
+    ["--cache-dir", "tables", *TOPREC],
+    [*TOPREC, "--cache-dir", "tables"],
+], ids=["cache-subcommand", "dir-before", "dir-after"])
+def test_the_disk_cache_is_gone(argv):
+    p = run(*argv, check=False)
+    assert p.returncode == 2, p.stderr
+    assert "Traceback" not in p.stderr and p.stdout == ""
+    if argv[0] != "cache":
+        assert p.stderr.startswith("domain error:") and "removed" in p.stderr
+
+
+def test_empty_cache_dir_still_runs():
+    expected = run(*TOPREC).stdout
+    assert run("--cache-dir=", *TOPREC).stdout == expected
+    assert run(*TOPREC, "--cache-dir=").stdout == expected
+
+
+def test_cache_dir_environment_is_not_read(tmp_path):
+    from mixedhurwitz.partitions import enumerate_partitions
+
+    # a well-formed degree-3 table of the removed cache whose values are all wrong
+    entries = [{"lambda": list(lam), "nu": list(nu), "chi": "7"}
+               for lam in enumerate_partitions(3)
+               for nu in enumerate_partitions(3)]
+    (tmp_path / "chartable-3.json").write_text(
+        json.dumps({"version": 1, "degree": 3, "entries": entries}))
+    p = run("compute", "--base-genus", "0", "--source-genus", "0",
+            "--degree", "3", "--profiles", "3;3",
+            env={"MIXEDHURWITZ_CACHE_DIR": str(tmp_path)})
+    assert json.loads(p.stdout) == {"value": "1/3"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["toprec", "--g", "1", "--n", "1", "--mu", "2", "--skip-oracle"],
+    ["fit", "--source-genus", "2", "--k", "2", "--qmax", "12", "--weight", "6",
+     "--bracket"],
+    ["fit", "--source-genus", "2", "--k", "2", "--qmax", "12", "--weight", "2",
+     "--bracket"],
+    ["tropical", "--genus", "2", "--degree", "2", "--variant", "strict", "--list"],
+], ids=["toprec", "fit", "fit-failure", "tropical-list"])
+def test_csv_and_plain_write_nested_values_as_json(argv):
+    doc = json.loads(run(*argv).stdout)
+    rows = list(csv.reader(run("--format", "csv", *argv).stdout.splitlines()))
+    assert [len(row) for row in rows] == [2] * len(doc)
+    for key, field in rows:
+        value = doc[key]
+        assert (field if isinstance(value, str) else json.loads(field)) == value
+    plain = run("--format", "plain", *argv).stdout.splitlines()
+    assert plain == [f"{k}: {v if isinstance(v, str) else json.dumps(v)}"
+                     for k, v in doc.items()]
 
 
 @pytest.mark.parametrize("args,reason", [
@@ -418,44 +448,11 @@ def test_cache_clear_removes_corrupt_file(tmp_path):
      "--dmax must be >= 0, got -1"),
     (["verify", "--suite", "golden-series", "--dmax", "-5"],
      "--dmax must be >= 0, got -5"),
-    (["cache", "build", "--dmax", "-3"], "--dmax must be >= 0, got -3"),
 ])
 def test_malformed_input_is_a_domain_error(args, reason):
     p = run(*args, check=False)
     assert p.returncode == 2, p.stderr
     assert p.stderr.startswith("domain error:") and reason in p.stderr, p.stderr
-
-
-def test_later_main_call_reads_no_earlier_cache_dir(
-        tmp_path, monkeypatch, capsys):
-    from mixedhurwitz import characters, cli
-    from mixedhurwitz.partitions import enumerate_partitions
-    from mixedhurwitz.tablecache import use_cache_dir
-
-    # a well-formed degree-3 table whose values are all wrong
-    entries = [{"lambda": list(lam), "nu": list(nu), "chi": "7"}
-               for lam in enumerate_partitions(3)
-               for nu in enumerate_partitions(3)]
-    (tmp_path / "chartable-3.json").write_text(
-        json.dumps({"version": 1, "degree": 3, "entries": entries}))
-    monkeypatch.setattr(characters, "_char_cache", {})
-    monkeypatch.delenv("MIXEDHURWITZ_CACHE_DIR", raising=False)
-    compute = ["compute", "--base-genus", "0", "--source-genus", "0",
-               "--degree", "3", "--profiles", "3;3"]
-    try:
-        assert cli.main(["--cache-dir", str(tmp_path), "cache", "info"]) == 0
-        capsys.readouterr()
-        # neither an empty flag nor no flag reads the directory given before
-        for flag in (["--cache-dir="], []):
-            characters._char_cache.clear()
-            assert cli.main([*flag, *compute]) == 0
-            assert json.loads(capsys.readouterr().out) == {"value": "1/3"}
-        # the table is read when its directory is given
-        characters._char_cache.clear()
-        assert cli.main(["--cache-dir", str(tmp_path), *compute]) == 0
-        assert json.loads(capsys.readouterr().out) != {"value": "1/3"}
-    finally:
-        use_cache_dir(None)
 
 
 def all_loaded_modules(*argv):
@@ -481,7 +478,8 @@ def test_toprec_without_oracle_loads_only_its_route():
                             "--skip-oracle")
     assert "spectral" in loaded
     assert not loaded & {"characters", "symgroup", "series", "quasimodular",
-                         "quantum_curve", "double_recursion", "tropical"}
+                         "quantum_curve", "double_recursion", "tropical",
+                         "partitions"}
 
 
 
@@ -498,7 +496,7 @@ def test_qc_verify_loads_no_series():
     assert "series" not in loaded
 
 
-def test_only_verify_loads_suites(tmp_path):
+def test_only_verify_loads_suites():
     # every subcommand in one process: suites stays unloaded until verify
     argvs = [
         ["compute", "--base-genus", "1", "--source-genus", "2", "--degree", "2",
@@ -514,7 +512,6 @@ def test_only_verify_loads_suites(tmp_path):
          "--nu", "3"],
         ["tropical", "--genus", "2", "--degree", "2", "--variant", "strict"],
         ["qc", "verify", "--variant", "monotone", "--genus", "1"],
-        ["--cache-dir", str(tmp_path), "cache", "info"],
         ["verify", "--suite", "golden-series"],
     ]
     code = ("import json, sys; from mixedhurwitz import cli\n"

@@ -1,6 +1,8 @@
-"""The lazy package namespace."""
+"""The lazy package namespace and the module list README documents."""
 
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +27,14 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError):
         mixedhurwitz.no_such_name
     assert not hasattr(mixedhurwitz, "no_such_name")
+
+
+def test_readme_layout_names_every_module():
+    # the first column of each row of README's Layout table; a row for a path
+    # outside the package (tests/references.py) names no module
+    root = Path(__file__).resolve().parents[1]
+    layout = (root / "README.md").read_text().split("## Layout", 1)[1]
+    rows = re.findall(r"^\|([^|]*)\|", layout.split("\n## ", 1)[0], re.M)
+    documented = {name for cell in rows for name in re.findall(r"`([^`/]+)`", cell)}
+    package = {p.stem for p in (root / "src" / "mixedhurwitz").glob("*.py")}
+    assert documented == package - {"__init__"}

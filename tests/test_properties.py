@@ -23,7 +23,6 @@ from mixedhurwitz import (
     quantum_curve,
     spectral,
     suites,
-    tablecache,
     tropical,
 )
 from mixedhurwitz.characters import (
@@ -553,42 +552,6 @@ def test_qc_argv_exits_0_2_or_3_without_a_traceback(argv):
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     assert out == ("0\n" if code == 0 else "")
-
-
-@st.composite
-def cache_argvs(draw):
-    """cache argv: a subcommand, valid or not, and now and then a --dmax,
-    valid (<= 3), malformed, edge or huge."""
-    argv = ["cache"] + draw(st.sampled_from([["build"], ["info"], ["clear"], [],
-                                             ["x"]]))
-    if draw(st.booleans()):
-        argv += ["--dmax", draw(st.one_of(st.sampled_from(["0", "2", "3"]),
-                                          st.sampled_from(BAD_COUNTS)))]
-    return argv
-
-
-@settings(PROPERTY, max_examples=60)
-@example(["cache", "build", "--dmax", "-3"])
-@example(["cache", "build", "--dmax", HUGE])
-@given(cache_argvs())
-def test_cache_argv_exits_0_2_or_3_without_a_traceback(tmp_path_factory, argv):
-    # always a fresh directory of its own: the default one is the user's
-    cache_dir = tmp_path_factory.mktemp("cache")
-    try:
-        with mock.patch.object(tablecache, "TABLE_DEGREE_LIMIT", 4):
-            code, out, err = _main(["--cache-dir", str(cache_dir), *argv])
-    finally:
-        tablecache.use_cache_dir(None)
-    assert code in (0, 2, 3), (argv, code, err)
-    assert "Traceback" not in err
-    if code == 0:
-        doc = json.loads(out)
-        if "built" in doc:
-            dmax = int(argv[argv.index("--dmax") + 1])
-            assert dmax >= 0 and doc["built"] == [
-                str(cache_dir / f"chartable-{d}.json") for d in range(1, dmax + 1)]
-    else:
-        assert out == ""
 
 
 @st.composite

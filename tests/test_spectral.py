@@ -9,7 +9,7 @@ import pytest
 
 from mixedhurwitz import spectral
 from mixedhurwitz.errors import DomainError
-from mixedhurwitz.partitions import compositions
+from mixedhurwitz.partitions import compositions, enumerate_partitions
 from mixedhurwitz.ratfun import (
     OMEGA02,
     RF1,
@@ -335,6 +335,18 @@ def test_closed_form_examples():
     assert closed_form_C((0, 1), (3,)) == 2
     assert closed_form_C((0, 2), (1, 2)) == -4
     assert closed_form_C((0, 3), (1, 1, 2)) == -48
+    for level, mu in [((1, 1), (2,)), ((0, 2), (3,)), ((0, 1), (0,))]:
+        with pytest.raises(DomainError, match="no closed form"):
+            closed_form_C(level, mu)
+
+
+def test_genus_zero_closed_form_matches_cut_and_join():
+    # every sorted mu with n <= 7 parts and b = n - 2 + |mu| <= 20
+    cases = [mu for d in range(1, 22) for mu in enumerate_partitions(d)
+             if len(mu) <= 7 and len(mu) - 2 + d <= 20]
+    assert len(cases) == 954
+    for mu in cases:
+        assert closed_form_C((0, len(mu)), mu) == cut_and_join_C(0, len(mu), mu), mu
 
 
 def test_xi_basis_is_sigma_odd_with_poles_at_minus_one_only():

