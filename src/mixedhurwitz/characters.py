@@ -17,6 +17,7 @@ from operator import mul
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
     _block_start,
+    aut_count,
     check_partition,
     class_size,
     enumerate_partitions,
@@ -148,7 +149,7 @@ def _lambda_column(d: int, key):
 
 
 def hurwitz_by_characters(spec) -> Fraction:
-    """Disconnected triply mixed Hurwitz number, for a symgroup.HurwitzSpec,
+    """Disconnected triply mixed Hurwitz number, for a partitions.HurwitzSpec,
     as a sum over partitions of d."""
     if spec.connected:
         raise DomainError("character formula computes the disconnected number; "
@@ -156,8 +157,6 @@ def hurwitz_by_characters(spec) -> Fraction:
     value = sector_value(spec.base_genus, spec.k, spec.l, spec.m,
                          tuple(strip_ones(p) for p in spec.profiles), spec.degree)
     if spec.labeled:
-        from .partitions import aut_count
-
         for p in spec.profiles:
             value *= aut_count(p)
     return value

@@ -13,14 +13,11 @@ order and rationals as canonical "num/den" strings.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .util import DEFAULT_ORACLE_LIMIT, rat_str
-
-ORACLE_LIMIT_ENV = "MIXEDHURWITZ_ORACLE_DMAX"
+from .util import DEFAULT_ORACLE_LIMIT, ORACLE_SIZE_LIMIT, rat_str
 
 # the suites of `verify`, in the order --suite all runs them: the keys of
 # suites.SUITES, which only verify imports
@@ -206,15 +203,16 @@ def cmd_compute(args):
 
 def _qseries_for(args):
     from .characters import connected_hurwitz_qseries
-    from .partitions import partition_count
+    from .partitions import partition_count, transposition_count
     from .series import QSeries
 
     if args.qmax < 0:
         raise DomainError("--qmax must be >= 0")
     profiles = parse_profiles(args.profiles)
     b = args.k + args.l + args.m
-    if args.base_genus == 1 and 2 * args.source_genus - 2 != b + sum(
-            sum(p) - len(p) for p in profiles):
+    # at base genus 1 the degree drops out of the Riemann-Hurwitz count
+    if args.base_genus == 1 and transposition_count(1, args.source_genus, 0,
+                                                    profiles) != b:
         raise DomainError(f"--source-genus {args.source_genus} does not fit "
                           f"base genus 1 with k+l+m = {b} and these profiles")
     connected = not (args.bracket or getattr(args, "disconnected", False))
@@ -318,10 +316,9 @@ COMMANDS = {
 
 
 def resolve_global_flags(args):
-    """Set each global flag left out of argv: the environment, then the default.
+    """Set each global flag left out of argv to its default, and check them.
 
-    An empty environment value counts as unset.  ``--cache-dir`` takes only
-    the empty value and sets nothing.
+    ``--cache-dir`` takes only the empty value and sets nothing.
     """
     if getattr(args, "cache_dir", ""):
         raise DomainError(f"--cache-dir {args.cache_dir!r}: the character-table "
@@ -329,17 +326,14 @@ def resolve_global_flags(args):
     if not hasattr(args, "format"):
         args.format = "json"
     if not hasattr(args, "oracle_dmax"):
-        env = os.environ.get(ORACLE_LIMIT_ENV, "").strip()
-        try:
-            args.oracle_dmax = int(env) if env else DEFAULT_ORACLE_LIMIT
-        except ValueError:
-            raise DomainError(
-                f"{ORACLE_LIMIT_ENV} must be an integer, got {env!r}") from None
+        args.oracle_dmax = DEFAULT_ORACLE_LIMIT
     if not hasattr(args, "jobs"):
         args.jobs = 1
     if args.oracle_dmax < 0:
-        raise DomainError(f"--oracle-dmax (or {ORACLE_LIMIT_ENV}) must be >= 0, "
-                          f"got {args.oracle_dmax}")
+        raise DomainError(f"--oracle-dmax must be >= 0, got {args.oracle_dmax}")
+    if args.oracle_dmax > max(ORACLE_SIZE_LIMIT):
+        raise ResourceLimitError(f"--oracle-dmax {args.oracle_dmax} above the "
+                                 f"oracle ceiling {max(ORACLE_SIZE_LIMIT)}")
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
 

@@ -10,13 +10,14 @@ this module only when a count needs handles, so the oracles that never do
 from functools import cache
 from itertools import product
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .partitions import check_partition, pad_to, strip_ones
 from .symgroup import (
     _codes,
     _cycles,
     _join,
     all_perms,
+    check_oracle_size,
     compose,
     cycle_type,
     inverse,
@@ -111,8 +112,7 @@ def count_commutator_type(g: int, nu, d: int,
     nu = check_partition(nu)
     if sum(nu) > d:
         raise DomainError("|nu| > d")
-    if d > limit:
-        raise ResourceLimitError(f"degree {d} above oracle limit {limit}")
+    check_oracle_size(d, limit, g)
     target = pad_to(strip_ones(nu), d)
     perms = _codes(d)[0]
     return sum(sum(orbs.values()) for k, orbs in commutator_codes(d, g).items()

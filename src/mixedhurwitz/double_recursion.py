@@ -13,7 +13,14 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError, ResourceLimitError
-from .partitions import aut_count, check_partition, class_size, strip_ones
+from .partitions import (
+    aut_count,
+    check_partition,
+    class_size,
+    enumerate_partitions,
+    strip_ones,
+    transposition_count,
+)
 from .characters import commutator_count_by_characters
 from .series import _euler_solve, subsectors
 from .util import splits
@@ -228,12 +235,9 @@ def base_g_assembly(variant: str, base_genus: int, source_genus: int, mu, d: int
     if sum(mu) > d:
         raise DomainError("|mu| > d")
     mu_full = mu + (1,) * (d - sum(mu))
-    corr = len(mu_full) - d
-    b = 2 * source_genus - 2 - d * (2 * base_genus - 2) + corr
+    b = transposition_count(base_genus, source_genus, d, (mu_full,))
     if b < 0:
         raise DomainError("negative transposition count")
-    from .partitions import enumerate_partitions
-
     total = Fraction(0)
     for nu in enumerate_partitions(d):
         h = disconnected_double(variant, mu_full, nu, b)

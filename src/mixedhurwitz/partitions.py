@@ -1,5 +1,6 @@
 """Partitions, conjugacy-class combinatorics, contents, symmetric-polynomial
-evaluation and Stirling numbers.
+evaluation and Stirling numbers; the Riemann-Hurwitz count and HurwitzSpec,
+the validated spec of one triply mixed enumeration.
 
 Partitions are plain tuples of positive ints, weakly decreasing.  Compositions
 are tuples of positive ints in arbitrary order.  All functions are pure and
@@ -7,6 +8,7 @@ memo tables only ever receive idempotent inserts, so everything here is safe
 to call concurrently.
 """
 
+from collections import namedtuple
 from functools import cache
 from math import factorial
 
@@ -221,74 +223,67 @@ def partition_count(n: int) -> int:
 # Hurwitz spec
 
 
-class HurwitzSpec:
+def transposition_count(base_genus: int, source_genus: int, degree: int,
+                        profiles) -> int:
+    """Riemann-Hurwitz: the number b = 2g'-2 - d(2g-2) - sum_i (|mu^i| - l(mu^i))
+    of simple branch points a degree-d cover of a genus-g base by a genus-g'
+    source has besides the profiles mu^i; negative when no such cover exists."""
+    return (2 * source_genus - 2 - degree * (2 * base_genus - 2)
+            - sum(sum(p) - len(p) for p in profiles))
+
+
+def source_genus_for(base_genus: int, degree: int, profiles, b: int) -> int:
+    """Source genus implied by b transpositions; errors if not a nonneg integer."""
+    two_gp = b - transposition_count(base_genus, 0, degree,
+                                     [check_partition(p) for p in profiles])
+    if two_gp % 2 != 0 or two_gp < 0:
+        raise DomainError(
+            f"no valid source genus for b={b}, degree={degree}, profiles={profiles}"
+        )
+    return two_gp // 2
+
+
+class HurwitzSpec(namedtuple("HurwitzSpec", "base_genus source_genus degree "
+                             "profiles k l m connected labeled")):
     """One triply mixed enumeration.
 
-    Profiles are kept exactly as given (1-parts included if the caller wrote
-    them); the class condition is up to 1-padding, so only their 1-free parts
-    matter for the count.  k unconstrained transpositions, l weakly monotone,
-    m strictly monotone; k+l+m must equal
-    b = 2g'-2 - d(2g-2) + sum_i (l(mu^i) - |mu^i|).
+    Profiles are kept as given (1-parts included if the caller wrote them);
+    the class condition is up to 1-padding, so only their 1-free parts matter
+    for the count.  k unconstrained transpositions, l weakly monotone, m
+    strictly monotone; k+l+m must equal b, the transposition_count of the
+    genera, degree and profiles.
 
-    Frozen: equal fields give equal, equally hashed specs, and a field cannot
-    be assigned after construction.
+    A validated named tuple: the class, _make and _replace all check the
+    fields, so no spec is built unchecked.
     """
 
-    __slots__ = ("base_genus", "source_genus", "degree", "profiles", "k", "l",
-                 "m", "connected", "labeled")
+    __slots__ = ()
 
-    def __init__(self, base_genus: int, source_genus: int, degree: int,
-                 profiles: tuple = (), k: int = 0, l: int = 0, m: int = 0,
-                 connected: bool = True, labeled: bool = False):
-        for name, value in zip(self.__slots__, (base_genus, source_genus, degree,
-                                                profiles, k, l, m, connected,
-                                                labeled)):
-            object.__setattr__(self, name, value)
-        if min(self.base_genus, self.source_genus, self.k, self.l, self.m) < 0:
+    def __new__(cls, base_genus: int, source_genus: int, degree: int,
+                profiles: tuple = (), k: int = 0, l: int = 0, m: int = 0,
+                connected: bool = True, labeled: bool = False):
+        if min(base_genus, source_genus, k, l, m) < 0:
             raise DomainError("genera and k, l, m must be nonnegative")
-        if self.degree < 1:
+        if degree < 1:
             raise DomainError("degree must be positive")
-        object.__setattr__(
-            self, "profiles", tuple(check_partition(p) for p in self.profiles)
-        )
-        for p in self.profiles:
-            if sum(p) > self.degree:
-                raise DomainError(f"profile {p} exceeds degree {self.degree}")
-        if self.k + self.l + self.m != self.b:
-            raise DomainError(
-                f"k+l+m = {self.k + self.l + self.m} but b = {self.b} for this spec"
-            )
+        profiles = tuple(check_partition(p) for p in profiles)
+        for p in profiles:
+            if sum(p) > degree:
+                raise DomainError(f"profile {p} exceeds degree {degree}")
+        self = super().__new__(cls, base_genus, source_genus, degree, profiles,
+                               k, l, m, connected, labeled)
+        if k + l + m != self.b:
+            raise DomainError(f"k+l+m = {k + l + m} but b = {self.b} for this spec")
+        return self
 
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        body = ", ".join(f"{name}={value!r}"
-                         for name, value in zip(self.__slots__, self._fields()))
-        return f"HurwitzSpec({body})"
-
-    def __reduce__(self):
-        return HurwitzSpec, self._fields()
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def b(self) -> int:
-        g, gp, d = self.base_genus, self.source_genus, self.degree
-        corr = sum(len(p) - sum(p) for p in self.profiles)
-        b = 2 * gp - 2 - d * (2 * g - 2) + corr
+        b = transposition_count(self.base_genus, self.source_genus, self.degree,
+                                self.profiles)
         if b < 0:
             raise DomainError(f"negative transposition count b = {b}")
         return b

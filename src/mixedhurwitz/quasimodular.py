@@ -9,6 +9,7 @@ so c_1 = 0, c_2 = -1/24, c_3 = 0, c_4 = 7/5760.  That normalization makes
 tests.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
@@ -111,16 +112,13 @@ def completion_coefficients(nu, k_max: int):
 # quasimodular fitting
 
 
-class QuasimodularPoly:
+class QuasimodularPoly(namedtuple("QuasimodularPoly", "weight_bound terms")):
     """Polynomial in P, Q, R with exact coefficients and a mixed-weight bound.
 
     terms: ((a, b, c), Fraction) pairs sorted by (weight, (a, b, c)).
     """
 
-    __slots__ = ("weight_bound", "terms")
-
-    def __init__(self, weight_bound: int, terms: tuple):
-        self.weight_bound, self.terms = weight_bound, terms
+    __slots__ = ()
 
     def coefficient(self, a, b, c) -> Fraction:
         for (mono, coef) in self.terms:
@@ -158,13 +156,10 @@ class QuasimodularPoly:
         }
 
 
-class FitFailure:
+class FitFailure(namedtuple("FitFailure", "residual_index")):
     """Inconsistent linear system: the q-exponent where the residual first appears."""
 
-    __slots__ = ("residual_index",)
-
-    def __init__(self, residual_index: int):
-        self.residual_index = residual_index
+    __slots__ = ()
 
     def to_json(self):
         return {"fit_failed": True, "residual_index": self.residual_index}

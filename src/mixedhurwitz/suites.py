@@ -20,8 +20,9 @@ def _splits(b):
 
 def _suite_oracle_vs_characters(dmax, oracle_limit):
     from .characters import check_partition_budget, connected_series, sector_family
+    from .partitions import source_genus_for
     from .series import QSeries, subsectors
-    from .symgroup import source_genus_for, triply_mixed_slots
+    from .symgroup import triply_mixed_slots
 
     check_partition_budget(dmax)
     for g in (0, 1):

@@ -6,7 +6,8 @@ A product written sigma_1 ... sigma_n tau_1 ... tau_b is therefore evaluated by
 left-folding compose().
 
 Transpositions are pairs (s, t) with s < t; monotonicity is always on t.
-Exponential in d; intended for d <= ~6 and guarded by an explicit limit.
+Exponential in d; every oracle first calls check_oracle_size, which refuses a
+degree above the caller's limit and any size past util.ORACLE_SIZE_LIMIT.
 
 Every oracle runs on one engine, _walk, block by block through _steps:
 aggregated states (permutation, last t, orbit labels) advanced through blocks
@@ -32,8 +33,9 @@ from .partitions import (
     class_size,
     pad_to,
     sort_composition,
+    source_genus_for,  # noqa: F401  re-exported beside the oracles
 )
-from .util import DEFAULT_ORACLE_LIMIT
+from .util import DEFAULT_ORACLE_LIMIT, ORACLE_SIZE_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +203,24 @@ def _transitive(d: int, a: int, b: int) -> bool:
     return not any(labels.items[_join(labels, a, b)])
 
 
-def source_genus_for(base_genus: int, degree: int, profiles, b: int) -> int:
-    """Source genus implied by b transpositions; errors if not a nonneg integer."""
-    corr = sum(len(check_partition(p)) - sum(p) for p in profiles)
-    num = b + degree * (2 * base_genus - 2) - corr + 2
-    if num % 2 != 0 or num < 0:
-        raise DomainError(
-            f"no valid source genus for b={b}, degree={degree}, profiles={profiles}"
-        )
-    return num // 2
+def check_oracle_size(d: int, limit: int, base_genus: int = 0, b: int = 0,
+                      profiles: int = 0):
+    """The one precondition of every oracle: refuse, before any work, a degree
+    above the caller's limit or the largest degree of util.ORACLE_SIZE_LIMIT,
+    and a base genus, transposition count b = k + l + m or number of profiles
+    past that table's row for the degree."""
+    limit = min(limit, max(ORACLE_SIZE_LIMIT))
+    if d > limit:
+        raise ResourceLimitError(f"degree {d} above oracle limit {limit}")
+    genus_max, b_max, handles_b_max, profiles_max = ORACLE_SIZE_LIMIT[d]
+    if base_genus:
+        b_max = handles_b_max
+    for name, value, bound in (("base genus", base_genus, genus_max),
+                               ("k + l + m", b, b_max),
+                               ("profiles", profiles, profiles_max)):
+        if value > bound:
+            raise ResourceLimitError(f"oracle: {name} {value} above {bound} "
+                                     f"at degree {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +321,8 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
     this stays an independent check of the specialized enumerators below.
     """
     d = spec.degree
-    if d > oracle_limit:
-        raise ResourceLimitError(f"degree {d} above oracle limit {oracle_limit}")
+    check_oracle_size(d, oracle_limit, spec.base_genus, spec.k + spec.l + spec.m,
+                      len(spec.profiles))
     states = _profiled(d, spec.padded_profiles(),
                        orbit_labels(d) if spec.connected else (0,) * d)
     states = _walk(d, states, ((spec.k, FREE), (spec.l, WEAK), (spec.m, STRICT)))
@@ -326,9 +337,8 @@ def triply_mixed_slots(g, d, profiles, bs, oracle_limit=DEFAULT_ORACLE_LIMIT):
     base genus g, degree d and these profiles for each k + l + m in bs, from
     one walk: the profiles are applied once, each free layer branches into a
     weak walk and each weak layer into a strict one."""
-    if d > oracle_limit:
-        raise ResourceLimitError(f"degree {d} above oracle limit {oracle_limit}")
     top, slots = max(bs, default=-1), {}
+    check_oracle_size(d, oracle_limit, g, top, len(profiles))
     start = _profiled(d, [pad_to(check_partition(p), d) for p in profiles],
                       orbit_labels(d))
     for k, free in zip(range(top + 1), _steps(d, start, FREE)):
@@ -362,9 +372,8 @@ def monotone_double_count(source_genus, mu, nu, strict, connected=True,
     if sum(mu) != sum(nu):
         raise DomainError("|mu| must equal |nu|")
     d = sum(mu)
-    if d > limit:
-        raise ResourceLimitError(f"degree {d} above oracle limit {limit}")
     b = 2 * source_genus - 2 + len(mu) + len(nu)
+    check_oracle_size(d, limit, b=b)
     if b < 0:
         return Fraction(0)
     s1 = canonical_of_type(mu, d)
@@ -393,8 +402,7 @@ def count_monotone_of_fixed_target(mu, b: int, strict: bool = False,
     d = sum(mu)
     if d < 1:
         raise DomainError("mu must be nonempty")
-    if d > limit:
-        raise ResourceLimitError(f"degree {d} above oracle limit {limit}")
+    check_oracle_size(d, limit, b=b)
     n = len(mu)
     # b = 2g-2+n+|mu| for some integer g >= 0
     g2 = b - (n + d - 2)
@@ -434,8 +442,8 @@ def oracle_N_slots(variant: str, g: int, mu, nu,
         raise DomainError("infeasible genus")
     if b == 0:
         return {(d, 1): 1} if mu == nu and len(nu) == 1 else {}
-    if b >= 2 and d > limit:
-        raise ResourceLimitError(f"degree {d} above oracle limit {limit}")
+    if b >= 2:
+        check_oracle_size(d, limit, b=b)
     sigma1 = canonical_of_type(nu, d)
     s1_inv, offset = inverse(sigma1), sum(nu[:-1])  # first point of the last block
     # tau_b...tau_1 sigma_1 = sigma_2 iff sigma_1^-1 tau_1...tau_b = sigma_2^-1,

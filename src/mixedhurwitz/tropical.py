@@ -16,7 +16,7 @@ and of internal edge weights, with (-1)^(1+val(v)) factors in the strict
 case.  A vertex-free strand of weight w contributes a deck factor w to |Aut|.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -76,7 +76,7 @@ def _vertex_weight(xs, vertex_genus, lam_i):
 # tropical covers as decorated graphs
 
 
-class TropicalCover:
+class TropicalCover(namedtuple("TropicalCover", "vertices edges aut degree")):
     """One isomorphism class of covers.
 
     vertices: tuple of (genus, lam_i) in marked-point order.
@@ -87,20 +87,7 @@ class TropicalCover:
     aut: |Aut| of the cover;  degree: the covering degree.
     """
 
-    __slots__ = ("vertices", "edges", "aut", "degree")
-
-    def __init__(self, vertices: tuple, edges: tuple, aut: int, degree: int):
-        self.vertices, self.edges = vertices, edges
-        self.aut, self.degree = aut, degree
-
-    def _key(self):
-        return (self.vertices, self.edges, self.aut, self.degree)
-
-    def __eq__(self, other):
-        return isinstance(other, TropicalCover) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    __slots__ = ()
 
     def x_sides(self, i):
         """(incoming weights, outgoing weights) at vertex i: x^-, x^+."""

@@ -1,9 +1,25 @@
 """Small shared helpers: exact rational -> string, subset splits, and the
-settings the CLI resolves before it loads a route."""
+settings the CLI resolves before it loads a route: the default oracle limit
+and the oracle size table."""
 
 from fractions import Fraction
 
 DEFAULT_ORACLE_LIMIT = 6  # largest degree a brute-force oracle attempts
+
+# ORACLE_SIZE_LIMIT[d] = (largest base genus, largest k + l + m at base genus
+# 0, largest k + l + m at a higher base genus, most profiles) a brute-force
+# oracle takes on at degree d; a degree without a row is refused whatever the
+# caller's limit, and so is an --oracle-dmax past the largest.  60 is
+# characters.SECTOR_LIMIT, so both routes take the same sectors where the
+# oracle can.  Timed as fresh connected launches on a 2-vCPU host: each base
+# genus past 1 adds a fold of the commutator table, about 4 s at degree 6
+# (genus 12 takes 44 s) and over 60 s at degree 7; at degree 8 the genus-1
+# totals dominate (k = 4 takes 36 s, k = 6 55 s and 0.9 GB), k + l + m = 20
+# at genus 0 up to 37 s, and the two profiles 8;8 115 s.  The costliest
+# admitted call, degree 6 at genus 8 with 20 profiles (5) and l = 60, takes
+# 41 s; degree 7 at genus 1 with profiles 6;6 and l = 60 takes 19 s.
+ORACLE_SIZE_LIMIT = {**dict.fromkeys(range(6), (60, 60, 60, 60)),
+                     6: (8, 60, 60, 20), 7: (1, 60, 60, 2), 8: (1, 20, 4, 1)}
 
 
 def rat_str(x) -> str:

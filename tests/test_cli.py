@@ -228,7 +228,6 @@ def test_verify_prints_the_first_counterexample(
 
     from mixedhurwitz import cli
 
-    monkeypatch.delenv("MIXEDHURWITZ_ORACLE_DMAX", raising=False)
     mod = importlib.import_module(f"mixedhurwitz.{module}")
     monkeypatch.setattr(mod, name, wrong(getattr(mod, name)))
     assert cli.main(["verify", "--suite", suite, *extra]) == 1
@@ -280,7 +279,6 @@ def test_verify_counterexample_outranks_an_empty_suite(monkeypatch, capsys):
     # finds a counterexample: it is printed and verify exits 1, not 2
     from mixedhurwitz import cli, tropical
 
-    monkeypatch.delenv("MIXEDHURWITZ_ORACLE_DMAX", raising=False)
     monkeypatch.setattr(tropical, "tropical_elliptic_sum",
                         _plus_one(tropical.tropical_elliptic_sum))
     assert cli.main(["--oracle-dmax", "0", "verify", "--suite", "all"]) == 1
@@ -326,21 +324,41 @@ ORACLE_COMPUTE = ["compute", "--base-genus", "1", "--source-genus", "2",
 
 
 def test_oracle_dmax_precedence():
-    low = {"MIXEDHURWITZ_ORACLE_DMAX": "1"}
-    assert run(*ORACLE_COMPUTE, env=low, check=False).returncode == 3
-    p = run("--oracle-dmax", "2", *ORACLE_COMPUTE, env=low)
-    assert json.loads(p.stdout) == {"value": "2"}      # the flag beats the env
+    # only the flag sets the oracle limit: the environment is not read
+    p = run(*ORACLE_COMPUTE, env={"MIXEDHURWITZ_ORACLE_DMAX": "1"})
+    assert json.loads(p.stdout) == {"value": "2"}
     # a global flag given after the subcommand is honoured too
     p = run(*ORACLE_COMPUTE, "--oracle-dmax", "1", check=False)
     assert p.returncode == 3, p.stderr
 
 
-def test_malformed_oracle_dmax_env_is_a_domain_error():
-    for value in ("abc", "-1"):
-        p = run(*ORACLE_COMPUTE, env={"MIXEDHURWITZ_ORACLE_DMAX": value},
-                check=False)
-        assert p.returncode == 2, value
-        assert p.stderr.startswith("domain error:"), p.stderr
+ORACLE = ["--method", "oracle"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--base-genus", "2000", "--source-genus", "3999", "--degree", "2",
+     *ORACLE],
+    ["compute", "--base-genus", "300", "--source-genus", "1795", "--degree", "6",
+     *ORACLE],
+    ["--oracle-dmax", "7", "compute", "--base-genus", "2", "--source-genus", "8",
+     "--degree", "7", *ORACLE],
+    ["compute", "--base-genus", "0", "--source-genus", "1000", "--degree", "6",
+     "--k", "2010", *ORACLE],
+    ["--oracle-dmax", "9", "compute", "--base-genus", "0", "--source-genus", "0",
+     "--degree", "9", "--profiles", "9", "--l", "8", *ORACLE],
+    ["--oracle-dmax", "11", "compute", "--base-genus", "0", "--source-genus", "0",
+     "--degree", "11", "--profiles", "11", "--l", "10", *ORACLE],
+    ["--oracle-dmax", "999", "verify", "--suite", "all"],
+], ids=["base-genus-2000", "base-genus-300", "degree-7-genus-2", "k-2010",
+        "oracle-dmax-9", "oracle-dmax-11", "oracle-dmax-999-verify"])
+def test_oracle_refuses_past_its_bounds_at_once(argv):
+    start = time.monotonic()
+    p = subprocess.run(BASE + argv, capture_output=True, text=True,
+                       env=child_env(), timeout=10)
+    assert time.monotonic() - start < 1
+    assert p.returncode == 3, p.stderr
+    assert p.stderr.startswith("resource limit:") and "Traceback" not in p.stderr
+    assert p.stdout == ""
 
 
 def test_no_global_flag_matches_explicit_defaults():

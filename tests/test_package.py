@@ -1,5 +1,6 @@
 """The lazy package namespace and the module list README documents."""
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -38,3 +39,21 @@ def test_readme_layout_names_every_module():
     documented = {name for cell in rows for name in re.findall(r"`([^`/]+)`", cell)}
     package = {p.stem for p in (root / "src" / "mixedhurwitz").glob("*.py")}
     assert documented == package - {"__init__"}
+
+
+def test_readme_names_every_refusal_bound():
+    # a module-level name that ends in _LIMIT or starts with MAX_ is a bound a
+    # route refuses work past; README names each as `module.NAME`
+    # (DEFAULT_ORACLE_LIMIT is the default of a caller's limit, not a bound)
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    bounds = set()
+    for path in (root / "src" / "mixedhurwitz").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                name = getattr(target, "id", "")
+                if ((name.endswith("_LIMIT") or name.startswith("MAX_"))
+                        and name != "DEFAULT_ORACLE_LIMIT"):
+                    bounds.add(f"{path.stem}.{name}")
+    assert len(bounds) >= 10
+    assert sorted(b for b in bounds if f"`{b}`" not in readme) == []

@@ -18,8 +18,10 @@ from mixedhurwitz.partitions import (
     enumerate_partitions,
     hook_dim,
     partition_count,
+    source_genus_for,
     stirling,
     sym_eval,
+    transposition_count,
 )
 from mixedhurwitz.symgroup import all_perms, cycle_type
 from references import falling_factorial
@@ -79,6 +81,24 @@ def test_hurwitz_spec_is_a_frozen_value():
     with pytest.raises(DomainError):
         HurwitzSpec(0, -1, 2)  # negative genus
     assert symgroup.HurwitzSpec is mixedhurwitz.HurwitzSpec is HurwitzSpec
+
+
+def test_replace_and_make_validate_the_spec():
+    s = HurwitzSpec(0, 0, 3, ((2, 1), (3,)), 1)
+    with pytest.raises(DomainError):
+        s._replace(k=5)  # k+l+m != b
+    with pytest.raises(DomainError):
+        HurwitzSpec._make((0, -1, 3, (), 0, 0, 0, True, False))  # negative genus
+    assert s._replace(k=0, l=1) == HurwitzSpec(0, 0, 3, ((2, 1), (3,)), 0, 1)
+    assert s._replace(profiles=[[2, 1], [3]]).profiles == ((2, 1), (3,))
+
+
+def test_source_genus_for_inverts_the_transposition_count():
+    for g, d, profiles in [(0, 3, ((2, 1), (3,))), (1, 4, ((2, 2),)), (2, 2, ())]:
+        b = transposition_count(g, 5, d, profiles)
+        assert source_genus_for(g, d, profiles, b) == 5
+        assert HurwitzSpec(g, 5, d, profiles, b).b == b
+    assert symgroup.source_genus_for is source_genus_for
 
 
 def test_class_size_examples():

@@ -466,6 +466,18 @@ def character_argvs(draw):
                             "--weight", HUGE])
 @example(CHARACTER_ROUTE + ["fit", "--source-genus", "2", "--k", "2", "--qmax", "9",
                             "--weight", "2", "--bracket"])
+@example(["compute", "--base-genus", "2000", "--source-genus", "3999", "--degree", "2",
+          "--method", "oracle"])
+@example(["compute", "--base-genus", "300", "--source-genus", "1795", "--degree", "6",
+          "--method", "oracle"])
+@example(["--oracle-dmax", "7", "compute", "--base-genus", "2", "--source-genus", "8",
+          "--degree", "7", "--method", "oracle"])
+@example(["compute", "--base-genus", "0", "--source-genus", "1000", "--degree", "6",
+          "--k", "2010", "--method", "oracle"])
+@example(["--oracle-dmax", "9", "compute", "--base-genus", "0", "--source-genus", "0",
+          "--degree", "9", "--profiles", "9", "--l", "8", "--method", "oracle"])
+@example(["--oracle-dmax", "11", "compute", "--base-genus", "0", "--source-genus", "0",
+          "--degree", "11", "--profiles", "11", "--l", "10", "--method", "oracle"])
 @given(character_argvs())
 def test_character_argv_exits_0_2_or_3_without_a_traceback(argv):
     # a small budget keeps every accepted argv cheap, so a slow one ran past it

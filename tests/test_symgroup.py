@@ -36,6 +36,7 @@ from mixedhurwitz.symgroup import (
     source_genus_for,
     triply_mixed_slots,
 )
+from mixedhurwitz.util import ORACLE_SIZE_LIMIT
 
 
 def test_spec_validation():
@@ -72,6 +73,45 @@ def test_every_oracle_refuses_degree_above_limit():
     # the transpositions (s, d-1), one splits the d-cycle into d-1 and a
     # fixed point s
     assert oracle_N("monotone", 0, (d - 1, 1), (d,), d, 1) == 1
+    # an explicit limit above the ceiling still refuses past the ceiling
+    top = max(ORACLE_SIZE_LIMIT) + 1
+    with pytest.raises(ResourceLimitError):
+        count_triply_mixed(HurwitzSpec(0, 0, top, ((top,),), 0, top - 1, 0),
+                           oracle_limit=top)
+    with pytest.raises(ResourceLimitError):
+        triply_mixed_slots(0, top, (), range(4), top)
+    with pytest.raises(ResourceLimitError):
+        monotone_double_count(0, (top,), (top,), strict=False, limit=top)
+    with pytest.raises(ResourceLimitError):
+        count_monotone_of_fixed_target((top,), top - 1, limit=top)
+    with pytest.raises(ResourceLimitError):
+        oracle_N("monotone", 1, (top,), (top,), top, 1, limit=top)
+    with pytest.raises(ResourceLimitError):
+        count_commutator_type(1, (top,), top, limit=top)
+
+
+def test_every_oracle_refuses_past_its_size_row():
+    # the base genus, the transposition count b = k + l + m (with and without
+    # handles) and the number of profiles are bounded per degree, before any
+    # work
+    d = max(ORACLE_SIZE_LIMIT)
+    genus, b, handles_b, profiles = ORACLE_SIZE_LIMIT[d]
+    with pytest.raises(ResourceLimitError):
+        triply_mixed_slots(0, d, [(1,)] * (profiles + 1), [0], d)
+    with pytest.raises(ResourceLimitError):
+        triply_mixed_slots(1, d, (), [handles_b + 1], d)
+    with pytest.raises(ResourceLimitError):
+        count_triply_mixed(HurwitzSpec(genus + 1, 1 + d * genus, d), oracle_limit=d)
+    with pytest.raises(ResourceLimitError):
+        count_commutator_type(genus + 1, (), d, limit=d)
+    with pytest.raises(ResourceLimitError):
+        triply_mixed_slots(0, d, (), [b + 1], d)
+    with pytest.raises(ResourceLimitError):  # source genus g: b = 2g - 2 + 2
+        monotone_double_count(b // 2 + 1, (d,), (d,), strict=True, limit=d)
+    with pytest.raises(ResourceLimitError):
+        count_monotone_of_fixed_target((d,), b + 1 + (b + d) % 2, limit=d)
+    with pytest.raises(ResourceLimitError):
+        oracle_N_slots("strict", b // 2 + 1, (d,), (d,), d)
 
 
 def test_labeled_is_aut_times_unlabeled():
