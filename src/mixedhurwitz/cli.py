@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .util import DEFAULT_ORACLE_LIMIT, ORACLE_SIZE_LIMIT, rat_str
+from .util import DEFAULT_ORACLE_LIMIT, ORACLE_SIZE_LIMIT, VARIANTS, rat_str
 
 # the suites of `verify`, in the order --suite all runs them: the keys of
 # suites.SUITES, which only verify imports
@@ -142,7 +142,7 @@ def build_parser():
     t.add_argument("--skip-oracle", action="store_true")
 
     d = sub.add_parser("double", help="monotone/strict double Hurwitz number")
-    d.add_argument("--variant", choices=("monotone", "strict"), required=True)
+    d.add_argument("--variant", choices=VARIANTS, required=True)
     d.add_argument("--mu", required=True)
     d.add_argument("--nu", required=True)
     d.add_argument("--genus", type=int, required=True, help="source genus")
@@ -150,13 +150,13 @@ def build_parser():
     tr = sub.add_parser("tropical", help="elliptic tropical cover sums")
     tr.add_argument("--genus", type=int, required=True)
     tr.add_argument("--degree", type=int, required=True)
-    tr.add_argument("--variant", choices=("monotone", "strict"), required=True)
+    tr.add_argument("--variant", choices=VARIANTS, required=True)
     tr.add_argument("--list", action="store_true", dest="list_covers")
 
     qc = sub.add_parser("qc", help="quantum-curve operations")
     qcsub = qc.add_subparsers(dest="qc_command", required=True)
     qv = qcsub.add_parser("verify", help="apply the annihilating operator")
-    qv.add_argument("--variant", choices=("monotone", "strict"), required=True)
+    qv.add_argument("--variant", choices=VARIANTS, required=True)
     qv.add_argument("--genus", type=int, required=True)
     qv.add_argument("--dmax", type=int, default=8)
     qv.add_argument("--bmax", type=int, default=8)

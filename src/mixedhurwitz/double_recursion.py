@@ -7,6 +7,9 @@ parts sorted, nu, counter l).  The recursion strictly decreases the
 transposition count b = 2g-2+l(mu)+l(nu); b in {0,1} is anchored on a
 closed form (genus 0, at most one transposition), the recursion runs for
 b >= 2.  double_hurwitz raises ResourceLimitError past a module bound.
+
+The character and exponential-formula code is imported inside the functions
+that use it, so a launch that only runs the recursion compiles neither.
 """
 
 from fractions import Fraction
@@ -15,23 +18,21 @@ from math import factorial
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
     aut_count,
+    check_double,
     check_partition,
     class_size,
     enumerate_partitions,
     strip_ones,
     transposition_count,
 )
-from .characters import commutator_count_by_characters
-from .series import _euler_solve, subsectors
-from .util import splits
+from .util import check_variant, splits
 
 _n_cache = {}
 
 
 def N_value(variant: str, g: int, dist: int, rest, nu, l: int) -> int:
     """Refined count N^{variant; l, i}_g(dist | rest, nu), content-keyed."""
-    if variant not in ("monotone", "strict"):
-        raise DomainError(f"unknown variant {variant}")
+    check_variant(variant)
     nu = check_partition(nu)
     rest = tuple(sorted(rest, reverse=True))
     if dist < 1:
@@ -132,11 +133,8 @@ def _anchor(b, rest, nu, l) -> int:
 
 def N_aggregate(variant: str, g: int, mu, nu) -> int:
     """Sum of N_value over all (l, i) slots."""
-    if variant not in ("monotone", "strict"):
-        raise DomainError(f"unknown variant {variant}")
-    mu, nu = check_partition(mu), check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise DomainError("|mu| must equal |nu|")
+    check_variant(variant)
+    mu, nu, _ = check_double(mu, nu)
     return _aggregate(variant, g, mu, nu)
 
 
@@ -166,11 +164,8 @@ def double_hurwitz(variant: str, g: int, mu, nu) -> Fraction:
     """
     if g < 0:
         raise DomainError(f"genus {g} must be >= 0")
-    mu, nu = check_partition(mu), check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise DomainError("|mu| must equal |nu|")
-    d = sum(mu)
-    size = 2 * g - 2 + len(mu) + len(nu) + d
+    mu, nu, d = check_double(mu, nu)
+    size = transposition_count(0, g, d, (mu, nu)) + d
     if size > DOUBLE_LIMIT:
         raise ResourceLimitError(f"double: b + |mu| = {size} above the limit "
                                  f"{DOUBLE_LIMIT}")
@@ -181,10 +176,9 @@ def double_hurwitz(variant: str, g: int, mu, nu) -> Fraction:
 def disconnected_double(variant: str, mu, nu, b: int) -> Fraction:
     """Disconnected double Hurwitz number with b transpositions, by the
     exponential formula over connected pieces."""
-    mu, nu = check_partition(mu), check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise DomainError("|mu| must equal |nu|")
-    d = sum(mu)
+    from .series import subsectors
+
+    mu, nu, d = check_double(mu, nu)
     mu1, nu1 = strip_ones(mu), strip_ones(nu)
     kl = (0, b, 0) if variant == "monotone" else (0, 0, b)
     target = (kl[0], kl[1], kl[2], (mu1, nu1), d)
@@ -203,7 +197,7 @@ def _connected_sector(variant, pmu, pnu, b, d) -> Fraction:
         return Fraction(0)
     mu_full = tuple(sorted(pmu, reverse=True)) + (1,) * (d - sum(pmu))
     nu_full = tuple(sorted(pnu, reverse=True)) + (1,) * (d - sum(pnu))
-    two_g = b + 2 - len(mu_full) - len(nu_full)
+    two_g = b - transposition_count(0, 0, d, (mu_full, nu_full))
     if two_g < 0 or two_g % 2:
         return Fraction(0)
     return double_hurwitz(variant, two_g // 2, mu_full, nu_full)
@@ -214,6 +208,8 @@ def _exp_at(connected, target) -> Fraction:
 
     connected holds every subsector of target of degree >= 1.
     """
+    from .series import _euler_solve
+
     d = target[4]
     columns = {}
     for s, v in connected.items():
@@ -229,6 +225,8 @@ def base_g_assembly(variant: str, base_genus: int, source_genus: int, mu, d: int
     commutator counts A_g from the character formula and h^bullet assembled
     from the N-recursion's connected double numbers.
     """
+    from .characters import commutator_count_by_characters
+
     if base_genus < 1:
         raise DomainError("base genus must be >= 1 here")
     mu = check_partition(mu)

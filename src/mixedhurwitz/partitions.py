@@ -1,6 +1,6 @@
 """Partitions, conjugacy-class combinatorics, contents, symmetric-polynomial
-evaluation and Stirling numbers; the Riemann-Hurwitz count and HurwitzSpec,
-the validated spec of one triply mixed enumeration.
+evaluation and Stirling numbers; the double-count check, the Riemann-Hurwitz
+count and HurwitzSpec, the validated spec of one triply mixed enumeration.
 
 Partitions are plain tuples of positive ints, weakly decreasing.  Compositions
 are tuples of positive ints in arbitrary order.  All functions are pure and
@@ -29,10 +29,12 @@ def check_partition(p) -> Partition:
     return t
 
 
-def sort_composition(c) -> Partition:
-    """Partition obtained by sorting a composition."""
-    t = tuple(sorted(c, reverse=True))
-    return check_partition(t)
+def check_double(mu, nu):
+    """(mu, nu, d) for the profiles of a double count, two partitions of size d."""
+    mu, nu = check_partition(mu), check_partition(nu)
+    if sum(mu) != sum(nu):
+        raise DomainError("|mu| must equal |nu|")
+    return mu, nu, sum(mu)
 
 
 # _partitions[n] is enumerate_partitions(n); _block_start[n][m] is the index

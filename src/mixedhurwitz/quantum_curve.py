@@ -14,8 +14,8 @@ from math import factorial
 
 from .errors import DomainError, ResourceLimitError
 from .partitions import stirling
+from .util import check_variant
 
-VARIANTS = ("monotone", "strict")
 # The largest base genus and the largest d_max and b_max a residual takes:
 # the operator words grow with the genus, the cell count with d_max and b_max.
 # At the bounds, (12, 40, 40), one residual takes about 0.05 s in process and
@@ -38,8 +38,7 @@ def strict_sequence_count(d: int, b: int) -> int:
 
 def partition_coefficient(variant: str, g: int, d: int, b: int) -> Fraction:
     """Z(d, b), the coefficient of x^d hbar^(b + d(2g-1)); 0 off the grid."""
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant}")
+    check_variant(variant)
     if g < 0:
         raise DomainError("need g >= 0")
     if d < 0 or b < 0:
@@ -80,11 +79,10 @@ def annihilator_words(variant: str, g: int):
 
     Monotone: x y^2 + y + (y x)^(2g); strict: y + (y x)^(2g) - x y (y x)^(2g).
     """
+    check_variant(variant)
     if variant == "monotone":
         return ["xyy", "y", "yx" * (2 * g)]
-    if variant == "strict":
-        return ["y", "yx" * (2 * g), "-xy" + "yx" * (2 * g)]
-    raise DomainError(f"unknown variant {variant}")
+    return ["y", "yx" * (2 * g), "-xy" + "yx" * (2 * g)]
 
 
 def residual_max_abs(variant: str, g: int, d_max: int, b_max: int) -> Fraction:

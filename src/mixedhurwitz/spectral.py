@@ -322,10 +322,10 @@ def closed_form_C(level, mu) -> Fraction:
 
 def oracle_C(g: int, n: int, mu, limit=DEFAULT_ORACLE_LIMIT) -> Fraction:
     """(-1)^(n+|mu|) times the brute-force monotone factorization count."""
-    from .partitions import check_partition
+    from .partitions import check_partition, transposition_count
     from .symgroup import count_monotone_of_fixed_target
 
-    mu = tuple(sorted(mu, reverse=True))
-    b = 2 * g - 2 + n + sum(mu)
-    m = count_monotone_of_fixed_target(check_partition(mu), b, strict=False, limit=limit)
+    mu = check_partition(sorted(mu, reverse=True))
+    b = transposition_count(0, g, sum(mu), (mu,))
+    m = count_monotone_of_fixed_target(mu, b, strict=False, limit=limit)
     return Fraction((-1) ** (n + sum(mu)) * m)

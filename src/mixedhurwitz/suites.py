@@ -10,7 +10,7 @@ import json
 import sys
 
 from .errors import DomainError
-from .util import rat_str
+from .util import VARIANTS, rat_str
 
 
 def _splits(b):
@@ -62,7 +62,7 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
 
 def _suite_n_recursion(dmax, oracle_limit):
     from .double_recursion import N_value, double_hurwitz
-    from .partitions import enumerate_partitions
+    from .partitions import enumerate_partitions, transposition_count
     from .symgroup import monotone_double_count, oracle_N_slots
 
     for d in range(1, dmax + 1):
@@ -70,10 +70,10 @@ def _suite_n_recursion(dmax, oracle_limit):
         for mu in parts:
             for nu in parts:
                 for g in range(0, 3):
-                    b = 2 * g - 2 + len(mu) + len(nu)
+                    b = transposition_count(0, g, d, (mu, nu))
                     if b < 0 or b > 3:
                         continue
-                    for variant in ("monotone", "strict"):
+                    for variant in VARIANTS:
                         inputs = {"variant": variant, "g": g,
                                   "mu": list(mu), "nu": list(nu)}
                         slots = oracle_N_slots(variant, g, mu, nu, oracle_limit)
@@ -94,7 +94,7 @@ def _suite_n_recursion(dmax, oracle_limit):
 def _suite_quantum_curve(dmax=8, bmax=8):
     from .quantum_curve import residual_max_abs
 
-    for variant in ("monotone", "strict"):
+    for variant in VARIANTS:
         for g in (0, 1, 2):
             yield ({"variant": variant, "g": g},
                    {"max_abs_residual": residual_max_abs(variant, g, dmax, bmax)})
@@ -120,7 +120,7 @@ def _suite_tropical(dmax=5):
     from .characters import connected_hurwitz_qseries
     from .tropical import tropical_elliptic_sum
 
-    for variant in ("monotone", "strict"):
+    for variant in VARIANTS:
         kl = (0, 2, 0) if variant == "monotone" else (0, 0, 2)
         series = connected_hurwitz_qseries(1, kl[0], kl[1], kl[2], (), dmax)
         for d in range(1, dmax + 1):

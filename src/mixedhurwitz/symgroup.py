@@ -17,7 +17,8 @@ least point of its orbit).  The walk runs on integer codes: each permutation
 and each label tuple is coded by the order it was first met (_Interned), so a
 step is two list lookups.  The slots of one triply_mixed_slots call share one
 walk; no walk or count is cached across calls.  The commutator tables of a
-base genus g >= 1 live in the commutators module.
+base genus g >= 1 live in the commutators module.  The fixed-target count of
+the cut-and-join side is the monotone double count at nu = 1^d.
 """
 
 from fractions import Fraction
@@ -29,13 +30,15 @@ from .errors import DomainError, ResourceLimitError
 from .partitions import (
     HurwitzSpec,
     aut_count,
+    check_double,
     check_partition,
     class_size,
     pad_to,
-    sort_composition,
-    source_genus_for,  # noqa: F401  re-exported beside the oracles
+    source_genus_for,
+    transposition_count,
+    z_weight,
 )
-from .util import DEFAULT_ORACLE_LIMIT, ORACLE_SIZE_LIMIT
+from .util import DEFAULT_ORACLE_LIMIT, ORACLE_SIZE_LIMIT, check_variant
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +371,8 @@ def monotone_double_count(source_genus, mu, nu, strict, connected=True,
     walked once from the identity, and each end state p fixes
     sigma_2 = sigma_1^-1 p^-1, which must have type nu.
     """
-    mu, nu = sort_composition(mu), sort_composition(nu)
-    if sum(mu) != sum(nu):
-        raise DomainError("|mu| must equal |nu|")
-    d = sum(mu)
-    b = 2 * source_genus - 2 + len(mu) + len(nu)
+    mu, nu, d = check_double(mu, nu)
+    b = transposition_count(0, source_genus, d, (mu, nu))
     check_oracle_size(d, limit, b=b)
     if b < 0:
         return Fraction(0)
@@ -395,24 +395,18 @@ def count_monotone_of_fixed_target(mu, b: int, strict: bool = False,
     """Monotone (or strictly monotone) transposition sequences with product a
     fixed permutation of full cycle type mu, transitive together with it.
 
-    mu contains all its parts (1-parts included); the fixed permutation is the
-    canonical block permutation, whose cycle labels are positional.
+    mu contains all its parts (1-parts included).  This is |Z(mu)| = d!/|C_mu|
+    times the double count at nu = 1^d: there sigma_2 = id and the tau block
+    multiplies to sigma_1^-1, which is conjugate to sigma_1, and both counts
+    are class functions (conjugation invariance, no characters).
     """
     mu = check_partition(mu)
     d = sum(mu)
     if d < 1:
         raise DomainError("mu must be nonempty")
-    check_oracle_size(d, limit, b=b)
-    n = len(mu)
-    # b = 2g-2+n+|mu| for some integer g >= 0
-    g2 = b - (n + d - 2)
-    if b < 0 or g2 < 0 or g2 % 2 != 0:
-        raise DomainError(f"b={b} infeasible for mu={mu}")
-    perms, labels = _codes(d)
-    target = perms.code(canonical_of_type(mu, d))
-    ends = _tau_walk(d, b, strict, orbit_labels(d, (perms.items[target],)))
-    return sum(c for (p, _, lab), c in ends.items()
-               if p == target and not any(labels.items[lab]))
+    g = source_genus_for(0, d, (mu,), b)
+    return int(z_weight(mu) * monotone_double_count(g, mu, (1,) * d, strict,
+                                                    limit=limit))
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +425,9 @@ def oracle_N_slots(variant: str, g: int, mu, nu,
     labeled i.  b = 2g-2+len(mu)+len(nu); for b=0 the count is 1 exactly when
     mu = nu is a single cycle, at the slot (l = last part, i = 1).
     """
-    mu, nu = check_partition(mu), check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise DomainError("|mu| must equal |nu|")
-    if variant not in ("monotone", "strict"):
-        raise DomainError(f"unknown variant {variant}")
-    d = sum(nu)
-    b = 2 * g - 2 + len(mu) + len(nu)
+    mu, nu, d = check_double(mu, nu)
+    check_variant(variant)
+    b = transposition_count(0, g, d, (mu, nu))
     if g < 0 or b < 0:
         raise DomainError("infeasible genus")
     if b == 0:
@@ -470,7 +460,7 @@ def oracle_N_slots(variant: str, g: int, mu, nu,
 def oracle_N(variant: str, g: int, mu, nu, l: int, i: int,
              limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     """The (l, i) slot of oracle_N_slots."""
-    mu, nu = check_partition(mu), check_partition(nu)
+    mu, nu, _ = check_double(mu, nu)
     if not (1 <= i <= len(mu)):
         raise DomainError(f"index i={i} out of range for mu={mu}")
     if not nu or not (1 <= l <= nu[-1]):

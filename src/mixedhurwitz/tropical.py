@@ -24,9 +24,11 @@ from math import factorial
 from operator import le
 
 from .errors import DomainError, ResourceLimitError
-from .partitions import check_partition, compositions, enumerate_partitions
+from .partitions import (check_double, compositions, enumerate_partitions,
+                         transposition_count)
 from .series import QSeries, sinh_normalized
 from .quasimodular import c_coefficient
+from .util import check_variant
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +140,8 @@ def enumerate_line_covers(g: int, mu, nu):
 
     b = 0 is the one composition of 0 into n = 0 parts: strands only.
     """
-    mu, nu = check_partition(mu), check_partition(nu)
-    if sum(mu) != sum(nu):
-        raise DomainError("|mu| must equal |nu|")
-    b = 2 * g - 2 + len(mu) + len(nu)
+    mu, nu, d = check_double(mu, nu)
+    b = transposition_count(0, g, d, (mu, nu))
     return [cover for n in range(b + 1) for lam in compositions(b, n)
             for cover in _line_covers_for(lam, mu, nu)]
 
@@ -186,8 +186,7 @@ def _line_covers_for(lam, mu, nu):
 
 def tropical_double_sum(variant: str, g: int, mu, nu) -> Fraction:
     """Disconnected (strictly) monotone double Hurwitz number as a tropical sum."""
-    if variant not in ("monotone", "strict"):
-        raise DomainError(f"unknown variant {variant}")
+    check_variant(variant)
     total = Fraction(0)
     for cover in enumerate_line_covers(g, mu, nu):
         total += cover.multiplicity(variant)
@@ -366,8 +365,7 @@ def _balanced_weights(shapes, n, d, budget):
 
 def tropical_elliptic_sum(variant: str, g: int, d: int) -> Fraction:
     """H^d for the (strictly) monotone elliptic correspondence."""
-    if variant not in ("monotone", "strict"):
-        raise DomainError(f"unknown variant {variant}")
+    check_variant(variant)
     total = Fraction(0)
     for cover in enumerate_elliptic_covers(g, d):
         total += cover.multiplicity(variant)
@@ -388,6 +386,7 @@ def combinatorial_type(cover: TropicalCover):
 def type_series(variant: str, g: int, d_max: int) -> dict:
     """{combinatorial type: generating series of its covers} up to q^d_max,
     sorted by type, from one cover enumeration per degree."""
+    check_variant(variant)
     coeffs = {}
     for d in range(1, d_max + 1):
         for cover in enumerate_elliptic_covers(g, d):

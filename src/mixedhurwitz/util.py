@@ -1,9 +1,12 @@
-"""Small shared helpers: exact rational -> string, subset splits, and the
-settings the CLI resolves before it loads a route: the default oracle limit
-and the oracle size table."""
+"""Small shared helpers: exact rational -> string, subset splits, the
+monotone variants and their check, and the settings the CLI resolves before
+it loads a route: the default oracle limit and the oracle size table."""
 
 from fractions import Fraction
 
+from .errors import DomainError
+
+VARIANTS = ("monotone", "strict")  # weakly or strictly monotone transpositions
 DEFAULT_ORACLE_LIMIT = 6  # largest degree a brute-force oracle attempts
 
 # ORACLE_SIZE_LIMIT[d] = (largest base genus, largest k + l + m at base genus
@@ -40,3 +43,9 @@ def splits(items):
     for mask in range(1 << len(items)):
         yield (tuple(x for k, x in enumerate(items) if mask >> k & 1),
                tuple(x for k, x in enumerate(items) if not mask >> k & 1))
+
+
+def check_variant(variant: str):
+    """Refuse a variant outside VARIANTS."""
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown variant {variant}")

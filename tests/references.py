@@ -8,10 +8,10 @@ from math import factorial
 
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import enumerate_partitions
-from mixedhurwitz.quantum_curve import VARIANTS
 from mixedhurwitz.series import QSeries
 from mixedhurwitz.symgroup import transposition
 from mixedhurwitz.tropical import combinatorial_type, enumerate_elliptic_covers
+from mixedhurwitz.util import VARIANTS
 
 
 @cache

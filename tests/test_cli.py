@@ -602,7 +602,10 @@ def test_double_loads_no_oracle_code():
     loaded = all_loaded_modules("double", "--variant", "monotone", "--genus",
                                 "1", "--mu", "2,1", "--nu", "3")
     assert "mixedhurwitz.double_recursion" in loaded
-    assert not loaded & {"mixedhurwitz.symgroup", "dataclasses"}
+    # the character route and the exponential formula serve only the
+    # disconnected and base-genus numbers
+    assert not loaded & {"mixedhurwitz.symgroup", "mixedhurwitz.characters",
+                         "mixedhurwitz.series", "dataclasses"}
 
 
 def test_character_route_refuses_a_degree_past_its_partition_budget():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,10 @@ from mixedhurwitz.double_recursion import (
     double_hurwitz,
 )
 from mixedhurwitz.partitions import enumerate_partitions
-from mixedhurwitz.symgroup import monotone_double_count, oracle_N
+from mixedhurwitz.quantum_curve import annihilator_words, partition_coefficient
+from mixedhurwitz.symgroup import monotone_double_count, oracle_N, oracle_N_slots
+from mixedhurwitz.tropical import (enumerate_line_covers, tropical_double_sum,
+                                   tropical_elliptic_sum, type_series)
 
 
 def test_N_examples():
@@ -110,3 +114,51 @@ def test_anchors_match_the_direct_count():
                                 oracle_N(variant, 0, mu, nu, l, i + 1, 8), \
                                 (variant, mu, nu, i, l)
     assert slots == 508
+
+
+# every double-number entry point, called on the profiles (mu, nu)
+DOUBLE_ENTRIES = {
+    "N_aggregate": lambda mu, nu: N_aggregate("monotone", 0, mu, nu),
+    "double_hurwitz": lambda mu, nu: double_hurwitz("monotone", 0, mu, nu),
+    "disconnected_double": lambda mu, nu: disconnected_double("monotone", mu, nu, 1),
+    "monotone_double_count": lambda mu, nu: monotone_double_count(0, mu, nu, False),
+    "oracle_N_slots": lambda mu, nu: oracle_N_slots("monotone", 0, mu, nu),
+    "oracle_N": lambda mu, nu: oracle_N("monotone", 0, mu, nu, 1, 1),
+    "enumerate_line_covers": lambda mu, nu: enumerate_line_covers(0, mu, nu),
+    "tropical_double_sum": lambda mu, nu: tropical_double_sum("monotone", 0, mu, nu),
+}
+
+
+@pytest.mark.parametrize("entry", DOUBLE_ENTRIES)
+@pytest.mark.parametrize("mu,nu,message", [
+    ((1, 2), (3,), "weakly decreasing"),  # a composition is not sorted for you
+    ((2,), (1,), "|mu| must equal |nu|"),
+], ids=["unsorted", "sizes"])
+def test_every_double_entry_refuses_malformed_profiles(entry, mu, nu, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        DOUBLE_ENTRIES[entry](mu, nu)
+
+
+# every entry point that takes a variant, called with a valid rest
+VARIANT_ENTRIES = {
+    "N_value": lambda v: N_value(v, 0, 1, (), (1,), 1),
+    "N_aggregate": lambda v: N_aggregate(v, 0, (1,), (1,)),
+    "double_hurwitz": lambda v: double_hurwitz(v, 0, (1,), (1,)),
+    "disconnected_double": lambda v: disconnected_double(v, (2,), (2,), 1),
+    "base_g_assembly": lambda v: base_g_assembly(v, 1, 1, (), 1),
+    "oracle_N_slots": lambda v: oracle_N_slots(v, 0, (1,), (1,)),
+    "oracle_N": lambda v: oracle_N(v, 0, (1,), (1,), 1, 1),
+    "tropical_double_sum": lambda v: tropical_double_sum(v, 0, (1,), (1,)),
+    "tropical_elliptic_sum": lambda v: tropical_elliptic_sum(v, 2, 1),
+    "type_series": lambda v: type_series(v, 2, 1),
+    "partition_coefficient": lambda v: partition_coefficient(v, 0, 1, 0),
+    "annihilator_words": lambda v: annihilator_words(v, 1),
+}
+
+
+@pytest.mark.parametrize("entry", VARIANT_ENTRIES)
+def test_every_variant_entry_refuses_an_unknown_variant(entry):
+    for variant in ("monotone", "strict"):
+        VARIANT_ENTRIES[entry](variant)
+    with pytest.raises(DomainError, match="unknown variant weak"):
+        VARIANT_ENTRIES[entry]("weak")

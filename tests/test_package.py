@@ -57,3 +57,20 @@ def test_readme_names_every_refusal_bound():
                     bounds.add(f"{path.stem}.{name}")
     assert len(bounds) >= 10
     assert sorted(b for b in bounds if f"`{b}`" not in readme) == []
+
+
+def test_every_imported_name_is_read():
+    # no linter runs on this package: a name that an import binds, in a
+    # function too, and that its module never reads is left over from a move
+    root = Path(__file__).resolve().parents[1] / "src" / "mixedhurwitz"
+    unread = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names]
+        unread += [f"{path.stem}: {name}" for name in bound if name not in read]
+    assert unread == []

@@ -6,7 +6,6 @@ from mixedhurwitz import quantum_curve
 from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.quantum_curve import (
     GENUS_LIMIT,
-    VARIANTS,
     annihilator_words,
     monotone_sequence_count,
     partition_coefficient,
@@ -14,6 +13,7 @@ from mixedhurwitz.quantum_curve import (
     strict_sequence_count,
     word_coefficient,
 )
+from mixedhurwitz.util import VARIANTS
 from references import all_transpositions, product_form
 
 
