@@ -1,6 +1,7 @@
 """Irreducible characters of symmetric groups and the central-character route
 to triply mixed Hurwitz numbers.  Connected numbers come from the disconnected
-ones by the potential log, which runs on the exponential formula of series.
+ones by the potential log: one call of the exponential formula of series,
+exact sector columns in and exact connected columns out.
 
 All arithmetic is exact rational; no floating point anywhere.  A character
 is computed only when a sector reads it and memoised in process; nothing is
@@ -264,9 +265,7 @@ def potential_log(disconnected, targets):
     """Connected sector values from disconnected ones: log(1 + P).
 
     disconnected maps sector -> value for every subsector of every target
-    (degree-0 sectors are implied); returns {target: connected value}.  The
-    log runs on integers, each degree-d value scaled by w_d = d! c^d with c
-    the lcm of the input denominators, and each target is divided back once.
+    (degree-0 sectors are implied); returns {target: connected value}.
     """
     top = {}  # the subsectors of (key, d) include those of (key, d') for d' < d
     for t in targets:
@@ -275,17 +274,16 @@ def potential_log(disconnected, targets):
     for key, d in top.items():
         for sub in _subkeys(key):
             tops[sub] = max(d, tops.get(sub, 0))
-    dmax = max(tops.values(), default=0)
     columns = {}
     for key, top in tops.items():
-        col = columns[key] = [0] * (dmax + 1)  # the constant term of 1+P is the 1
+        col = columns[key] = [0]  # the constant term of 1+P is the 1
         for d in range(1, top + 1):
             s = key + (d,)
             if s not in disconnected:
                 raise DomainError(f"missing disconnected value for sector {s}")
-            col[d] = Fraction(disconnected[s])
-    conn, w = _euler_solve(columns, tops, log=True)
-    return {t: Fraction(conn[t[:4]][t[4]], w[t[4]]) for t in targets}
+            col.append(Fraction(disconnected[s]))
+    conn = _euler_solve(columns, log=True)
+    return {t: conn[t[:4]][t[4]] for t in targets}
 
 
 def connected_series(family):
@@ -298,15 +296,10 @@ def connected_series(family):
     """
     family = {(k, l, m, tuple(map(tuple, profiles))): series
               for (k, l, m, profiles), series in family.items()}
-    for key in family:
-        if missing := set(_subkeys(key)) - family.keys():
-            raise DomainError(f"missing disconnected series for key {min(missing)}")
     qmax = min((series.high for series in family.values()), default=0)
-    conn, w = _euler_solve({key: series.coefficients(0, qmax)
-                            for key, series in family.items()},
-                           dict.fromkeys(family, qmax), log=True)
-    return {key: QSeries([Fraction(x, wd) for x, wd in zip(col, w)], 0, family[key].var)
-            for key, col in conn.items()}
+    conn = _euler_solve({key: series.coefficients(0, qmax)
+                         for key, series in family.items()}, log=True)
+    return {key: QSeries(col, 0, family[key].var) for key, col in conn.items()}
 
 
 def connected_hurwitz_qseries(g: int, k: int, l: int, m: int, profiles, qmax: int,
@@ -319,10 +312,7 @@ def connected_hurwitz_qseries(g: int, k: int, l: int, m: int, profiles, qmax: in
     check_partition_budget(qmax)
     top = _checked_key(g, (k, l, m, [strip_ones(check_partition(p)) for p in profiles]))
     family = sector_family(g, _subkeys(top) if connected else [top], qmax)
-    if not connected:
-        return QSeries(family[top])
-    conn, w = _euler_solve(family, dict.fromkeys(family, qmax), log=True)
-    return QSeries([Fraction(x, wd) for x, wd in zip(conn[top], w)])
+    return QSeries(_euler_solve(family, log=True)[top] if connected else family[top])
 
 
 # ---------------------------------------------------------------------------

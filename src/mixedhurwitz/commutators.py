@@ -94,16 +94,6 @@ def commutator_codes(d: int, g: int):
     return table
 
 
-def commutator_tuple_table(d: int, g: int):
-    """Aggregate 2g-tuples in S_d^2g by (commutator product, orbit labels).
-
-    Returns {kappa: {orbit_labels: count}} with kappa = [a_1,b_1]...[a_g,b_g].
-    """
-    perms, labels = _codes(d)
-    return {perms.items[k]: {labels.items[p]: c for p, c in orbs.items()}
-            for k, orbs in commutator_codes(d, g).items()}
-
-
 def count_commutator_type(g: int, nu, d: int,
                           limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     """Number of 2g-tuples in S_d^2g whose commutator product has padded type nu."""

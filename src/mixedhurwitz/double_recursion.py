@@ -162,6 +162,7 @@ def double_hurwitz(variant: str, g: int, mu, nu) -> Fraction:
     h = (|C_nu| / d!) * sum_{l,i} N / Aut(mu): the unlabeled normalization,
     matching the g = 0 base specialization of the triply mixed counts.
     """
+    check_variant(variant)
     if g < 0:
         raise DomainError(f"genus {g} must be >= 0")
     mu, nu, d = check_double(mu, nu)
@@ -176,24 +177,22 @@ def double_hurwitz(variant: str, g: int, mu, nu) -> Fraction:
 def disconnected_double(variant: str, mu, nu, b: int) -> Fraction:
     """Disconnected double Hurwitz number with b transpositions, by the
     exponential formula over connected pieces."""
-    from .series import subsectors
+    from .series import _euler_solve, _subkeys
 
+    check_variant(variant)
     mu, nu, d = check_double(mu, nu)
-    mu1, nu1 = strip_ones(mu), strip_ones(nu)
-    kl = (0, b, 0) if variant == "monotone" else (0, 0, b)
-    target = (kl[0], kl[1], kl[2], (mu1, nu1), d)
-    connected = {}
-    for s in subsectors(target):
-        k1, l1, m1, (pmu, pnu), d1 = s
-        if d1 == 0:
-            continue
-        connected[s] = _connected_sector(variant, pmu, pnu, l1 + m1, d1)
-    return _exp_at(connected, target)
+    klm = (0, b, 0) if variant == "monotone" else (0, 0, b)
+    target = (*klm, (strip_ones(mu), strip_ones(nu)))
+    connected = {(k1, l1, m1, (pmu, pnu)):
+                 [0] + [_connected_sector(variant, pmu, pnu, l1 + m1, d1)
+                        for d1 in range(1, d + 1)]
+                 for k1, l1, m1, (pmu, pnu) in _subkeys(target)}
+    return _euler_solve(connected, log=False)[target][d]
 
 
 def _connected_sector(variant, pmu, pnu, b, d) -> Fraction:
-    """Connected double number for 1-free profile parts on degree d."""
-    if d == 0 or sum(pmu) > d or sum(pnu) > d:
+    """Connected double number for 1-free profile parts on degree d >= 1."""
+    if sum(pmu) > d or sum(pnu) > d:
         return Fraction(0)
     mu_full = tuple(sorted(pmu, reverse=True)) + (1,) * (d - sum(pmu))
     nu_full = tuple(sorted(pnu, reverse=True)) + (1,) * (d - sum(pnu))
@@ -201,21 +200,6 @@ def _connected_sector(variant, pmu, pnu, b, d) -> Fraction:
     if two_g < 0 or two_g % 2:
         return Fraction(0)
     return double_hurwitz(variant, two_g // 2, mu_full, nu_full)
-
-
-def _exp_at(connected, target) -> Fraction:
-    """Disconnected value at `target` from connected sector values (exp).
-
-    connected holds every subsector of target of degree >= 1.
-    """
-    from .series import _euler_solve
-
-    d = target[4]
-    columns = {}
-    for s, v in connected.items():
-        columns.setdefault(s[:4], [0] * (d + 1))[s[4]] = v
-    disc, w = _euler_solve(columns, dict.fromkeys(columns, d), log=False)
-    return Fraction(disc[target[:4]][d], w[d]) if target[:4] in disc else Fraction(0)
 
 
 def base_g_assembly(variant: str, base_genus: int, source_genus: int, mu, d: int) -> Fraction:
@@ -227,6 +211,7 @@ def base_g_assembly(variant: str, base_genus: int, source_genus: int, mu, d: int
     """
     from .characters import commutator_count_by_characters
 
+    check_variant(variant)
     if base_genus < 1:
         raise DomainError("base genus must be >= 1 here")
     mu = check_partition(mu)

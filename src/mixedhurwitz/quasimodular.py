@@ -126,22 +126,6 @@ class QuasimodularPoly(namedtuple("QuasimodularPoly", "weight_bound terms")):
                 return coef
         return Fraction(0)
 
-    def expand(self, order: int) -> QSeries:
-        P = eisenstein(2, order)
-        Q = eisenstein(4, order)
-        R = eisenstein(6, order)
-        out = QSeries.zero(order, "q")
-        for (a, b, c), coef in self.terms:
-            term = QSeries([coef] + [0] * order, 0, "q")
-            for _ in range(a):
-                term = term * P
-            for _ in range(b):
-                term = term * Q
-            for _ in range(c):
-                term = term * R
-            out = out + term
-        return out
-
     def is_zero(self) -> bool:
         return all(coef == 0 for _, coef in self.terms)
 

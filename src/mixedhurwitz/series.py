@@ -5,9 +5,11 @@ window raises WindowError rather than returning a silent zero.  Truncation is
 propagated pessimistically through arithmetic.  A product of two QSeries is
 one integer convolution over the product of their common denominators.
 
-_euler_solve is the package's one exponential formula: the log or the exp of
-a family of sector columns, for characters, double_recursion and QSeries.log
-and QSeries.exp (a QSeries is the family of the empty sector).
+_euler_solve is the package's one exponential formula: exact sector columns
+in, their log or exp out as exact columns of the same keys and lengths.
+characters, double_recursion, QSeries.log and QSeries.exp (a QSeries is the
+family of the empty sector) each make one call; the integer scaling it
+solves in stays inside it.
 """
 
 from fractions import Fraction
@@ -163,8 +165,7 @@ class QSeries:
         """Formal log; requires constant term exactly 1."""
         if self.low != 0 or not self.coeffs or self.coeffs[0] != 1:
             raise DomainError("log requires constant term 1")
-        out, w = _euler_solve({_EMPTY: self.coeffs}, {_EMPTY: self.high}, log=True)
-        return QSeries([0, *map(Fraction, out[_EMPTY][1:], w[1:])], 0, self.var)
+        return self._with(_euler_solve({_EMPTY: self.coeffs}, log=True)[_EMPTY], 0)
 
     def exp(self):
         """Formal exp; requires constant term 0 (valuation >= 1)."""
@@ -172,9 +173,9 @@ class QSeries:
             raise DomainError("exp requires constant term 0")
         if self.high < 0:
             raise WindowError("series window too small for exp")
-        out, w = _euler_solve({_EMPTY: self.coefficients(0, self.high)},
-                              {_EMPTY: self.high}, log=False)
-        return QSeries([1, *map(Fraction, out[_EMPTY][1:], w[1:])], 0, self.var)
+        col = _euler_solve({_EMPTY: self.coefficients(0, self.high)}, log=False)[_EMPTY]
+        col[0] = Fraction(1)
+        return self._with(col, 0)
 
     def compose_scale(self, a):
         """Substitute var -> a*var for an exact rational a."""
@@ -245,13 +246,6 @@ def _subkeys(key):
     return [key1 for _, key1, _ in _euler_terms(key)]
 
 
-def subsectors(sector):
-    """All (k',l',m',profiles',d') componentwise inside the given sector."""
-    for key in _subkeys(sector[:4]):
-        for d1 in range(sector[4] + 1):
-            yield key + (d1,)
-
-
 @cache
 def _binomial_row(n):
     return tuple(comb(n, j) for j in range(n + 1))
@@ -281,25 +275,26 @@ def _euler_sum(terms, d, conn, disc):
     return total
 
 
-def _euler_solve(columns, tops, log):
-    """The log (log=True) or the exp of a family of sector values.
+def _euler_solve(columns, log):
+    """The log (log=True) or the exp of a family of sector columns.
 
     columns maps (k, l, m, profiles) to a list of exact values by degree,
-    index 0 unused; tops maps each key to the highest degree to solve, and
-    every subkey of a key is in both with at least its degree.  Returns the
-    solved columns as integers scaled by w_d = d! c^d, c the lcm of all
-    input denominators, together with the list w.
+    index 0 unused; each key is solved through the last degree of its own
+    column.  Returns the solved columns, same keys and lengths, as Fractions
+    with index 0 = 0.  Raises DomainError when a subkey of a key has no
+    column or a shorter one.  The solve runs on integers: each degree-d
+    value scaled by w_d = d! c^d, c the lcm of all input denominators.
     """
-    dmax = max(tops.values(), default=0)
+    dmax = max(map(len, columns.values()), default=1) - 1
     c = lcm(*(v.denominator for col in columns.values() for v in col))
     w = [1]
     for d in range(1, dmax + 1):
         w.append(w[-1] * d * c)
     given = {key: [v.numerator * (wd // v.denominator) for v, wd in zip(col, w)]
              for key, col in columns.items()}
-    out = {key: [0] * (dmax + 1) for key in columns}
+    out = {key: [0] * len(col) for key, col in columns.items()}
     # the lowest nonzero degree of each column; dmax + 1 while it has none
-    given_low = {key: next((d for d in range(1, dmax + 1) if col[d]), dmax + 1)
+    given_low = {key: next((d for d in range(1, len(col)) if col[d]), dmax + 1)
                  for key, col in given.items()}
     out_low = dict.fromkeys(columns, dmax + 1)
     conn, disc = (out, out_low), (given, given_low)
@@ -307,13 +302,17 @@ def _euler_solve(columns, tops, log):
         conn, disc = disc, conn
     sign = -1 if log else 1
     # a proper subkey has fewer transpositions or profile parts: solved first
-    for key in sorted(tops, key=lambda key: sum(key[:3]) + sum(map(len, key[3]))):
+    for key in sorted(columns, key=lambda key: sum(key[:3]) + sum(map(len, key[3]))):
         terms, col = _euler_terms(key), out[key]
-        for d in range(1, tops[key] + 1):
+        for _, key1, _ in terms:
+            if len(columns.get(key1, ())) < len(col):
+                raise DomainError(f"subkey {key1} of {key} has no column "
+                                  f"through degree {len(col) - 1}")
+        for d in range(1, len(col)):
             col[d] = given[key][d] + sign * _euler_sum(terms, d, conn, disc)
             if col[d] and out_low[key] > d:
                 out_low[key] = d
-    return out, w
+    return {key: list(map(Fraction, col, w)) for key, col in out.items()}
 
 
 _EMPTY = (0, 0, 0, ())  # a QSeries is this sector's family over the degree

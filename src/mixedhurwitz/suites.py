@@ -21,7 +21,7 @@ def _splits(b):
 def _suite_oracle_vs_characters(dmax, oracle_limit):
     from .characters import check_partition_budget, connected_series, sector_family
     from .partitions import source_genus_for
-    from .series import QSeries, subsectors
+    from .series import QSeries, _subkeys
     from .symgroup import triply_mixed_slots
 
     check_partition_budget(dmax)
@@ -40,8 +40,8 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
                         cases.setdefault(d, {})[b] = gp
             # one oracle walk per degree; one lambda-sum family holds every
             # disconnected value, and one potential log of it every connected one
-            keys = {s[:4] for bs in cases.values() for b in bs for klm in _splits(b)
-                    for s in subsectors((*klm, profiles, 0))}
+            keys = {key for bs in cases.values() for b in bs for klm in _splits(b)
+                    for key in _subkeys((*klm, profiles))}
             family = sector_family(g, keys, dmax)
             series = connected_series({key: QSeries(col)
                                        for key, col in family.items()})

@@ -102,6 +102,7 @@ class TropicalCover(namedtuple("TropicalCover", "vertices edges aut degree")):
         return tuple(sorted(xm)), tuple(sorted(xp))
 
     def multiplicity(self, variant: str) -> Fraction:
+        check_variant(variant)
         n = len(self.vertices)
         mult = Fraction(1, self.aut) / factorial(n)
         for i, (gv, lam) in enumerate(self.vertices):

@@ -1,15 +1,19 @@
-"""Reference helpers that only the tests use: small enumerations, the JSON
-reader of a QSeries and the product form of the quantum-curve partition
-function, kept out of the package so that no CLI launch compiles them."""
+"""Reference helpers that only the tests use: small enumerations, sector
+subsectors and the exp at one sector, the commutator table by permutation,
+the expansion of a quasimodular polynomial, the JSON reader of a QSeries and
+the product form of the quantum-curve partition function, kept out of the
+package so that no CLI launch compiles them."""
 
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from mixedhurwitz.commutators import commutator_codes
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import enumerate_partitions
-from mixedhurwitz.series import QSeries
-from mixedhurwitz.symgroup import transposition
+from mixedhurwitz.quasimodular import eisenstein
+from mixedhurwitz.series import QSeries, _euler_solve, _subkeys
+from mixedhurwitz.symgroup import _codes, transposition
 from mixedhurwitz.tropical import combinatorial_type, enumerate_elliptic_covers
 from mixedhurwitz.util import VARIANTS
 
@@ -34,6 +38,49 @@ def falling_factorial(x, k: int):
     out = Fraction(1)
     for i in range(k):
         out *= x - i
+    return out
+
+
+def subsectors(sector):
+    """All (k',l',m',profiles',d') componentwise inside the given sector."""
+    for key in _subkeys(sector[:4]):
+        for d1 in range(sector[4] + 1):
+            yield key + (d1,)
+
+
+def exp_at(connected, target) -> Fraction:
+    """Disconnected value at target from connected sector values (exp).
+
+    connected holds every subsector of target of degree >= 1.
+    """
+    d = target[4]
+    columns = {}
+    for s, v in connected.items():
+        columns.setdefault(s[:4], [0] * (d + 1))[s[4]] = v
+    return _euler_solve(columns, log=False)[target[:4]][d]
+
+
+def commutator_tuple_table(d: int, g: int):
+    """Aggregate 2g-tuples in S_d^2g by (commutator product, orbit labels).
+
+    Returns {kappa: {orbit_labels: count}} with kappa = [a_1,b_1]...[a_g,b_g]:
+    commutators.commutator_codes with its codes read back as permutations.
+    """
+    perms, labels = _codes(d)
+    return {perms.items[k]: {labels.items[p]: c for p, c in orbs.items()}
+            for k, orbs in commutator_codes(d, g).items()}
+
+
+def expand_quasimodular(poly, order: int) -> QSeries:
+    """The q-series through q^order of a QuasimodularPoly in P, Q, R."""
+    P, Q, R = (eisenstein(k, order) for k in (2, 4, 6))
+    out = QSeries.zero(order, "q")
+    for (a, b, c), coef in poly.terms:
+        term = QSeries([coef] + [0] * order, 0, "q")
+        for factor, n in ((P, a), (Q, b), (R, c)):
+            for _ in range(n):
+                term = term * factor
+        out = out + term
     return out
 
 

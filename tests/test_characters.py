@@ -29,12 +29,7 @@ from mixedhurwitz.partitions import (
 )
 from mixedhurwitz.commutators import count_commutator_type
 from mixedhurwitz.series import QSeries
-from mixedhurwitz.symgroup import (
-    HurwitzSpec,
-    all_perms,
-    cycle_type,
-    perms_of_type,
-)
+from mixedhurwitz.symgroup import HurwitzSpec, cycle_type
 
 
 def central_character_extended(nu, lam) -> Fraction:
@@ -140,7 +135,7 @@ def test_jucys_murphy_group_algebra():
     # omega^lam(f(Xi_d)) = f(cont_lam) for f in {h1, h2, e1, e2}, d <= 4:
     # build the central elements as explicit group-algebra sums over the
     # monotone/strict transposition sequences and apply characters.
-    from mixedhurwitz.symgroup import compose, identity
+    from mixedhurwitz.symgroup import compose
     from references import all_transpositions
 
     for d in (2, 3, 4):

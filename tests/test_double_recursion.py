@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mixedhurwitz.errors import DomainError
+from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.characters import sector_value
 from mixedhurwitz.double_recursion import (
     N_aggregate,
@@ -15,8 +15,9 @@ from mixedhurwitz.double_recursion import (
 from mixedhurwitz.partitions import enumerate_partitions
 from mixedhurwitz.quantum_curve import annihilator_words, partition_coefficient
 from mixedhurwitz.symgroup import monotone_double_count, oracle_N, oracle_N_slots
-from mixedhurwitz.tropical import (enumerate_line_covers, tropical_double_sum,
-                                   tropical_elliptic_sum, type_series)
+from mixedhurwitz.tropical import (enumerate_elliptic_covers, enumerate_line_covers,
+                                   tropical_double_sum, tropical_elliptic_sum,
+                                   type_series)
 
 
 def test_N_examples():
@@ -153,6 +154,8 @@ VARIANT_ENTRIES = {
     "type_series": lambda v: type_series(v, 2, 1),
     "partition_coefficient": lambda v: partition_coefficient(v, 0, 1, 0),
     "annihilator_words": lambda v: annihilator_words(v, 1),
+    "TropicalCover.multiplicity":
+        lambda v: enumerate_elliptic_covers(2, 2)[0].multiplicity(v),
 }
 
 
@@ -162,3 +165,17 @@ def test_every_variant_entry_refuses_an_unknown_variant(entry):
         VARIANT_ENTRIES[entry](variant)
     with pytest.raises(DomainError, match="unknown variant weak"):
         VARIANT_ENTRIES[entry]("weak")
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: double_hurwitz(v, 30, (1,), (1,)),
+    lambda v: disconnected_double(v, (1,), (1,), 60),
+    lambda v: base_g_assembly(v, 1, 30, (), 1),
+], ids=["double_hurwitz", "disconnected_double", "base_g_assembly"])
+def test_an_unknown_variant_is_refused_before_the_double_budget(call):
+    # b + |mu| is far past DOUBLE_LIMIT: a valid variant meets the budget,
+    # an unknown one its own refusal first
+    with pytest.raises(ResourceLimitError):
+        call("monotone")
+    with pytest.raises(DomainError, match="unknown variant weak"):
+        call("weak")

@@ -31,7 +31,7 @@ from mixedhurwitz.characters import (
     sector_family,
     sector_value,
 )
-from mixedhurwitz.double_recursion import N_value, _exp_at, double_hurwitz
+from mixedhurwitz.double_recursion import N_value, double_hurwitz
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import enumerate_partitions, partition_count
 from mixedhurwitz.quasimodular import (
@@ -41,7 +41,7 @@ from mixedhurwitz.quasimodular import (
     fit_quasimodular,
     monomial_basis,
 )
-from mixedhurwitz.series import QSeries, subsectors
+from mixedhurwitz.series import QSeries
 from mixedhurwitz.spectral import ceo_omega, cut_and_join_C, extract_C
 from mixedhurwitz.symgroup import (
     FREE,
@@ -62,6 +62,7 @@ from mixedhurwitz.tropical import (
     enumerate_elliptic_covers,
     tropical_elliptic_sum,
 )
+from references import exp_at, expand_quasimodular, subsectors
 from test_characters import reference_sector_value
 from test_tropical import _check_cover_invariants
 
@@ -89,7 +90,7 @@ def sector_families(draw):
 def test_exp_inverts_potential_log(family):
     target, disconnected = family
     connected = potential_log(disconnected, list(disconnected))
-    assert _exp_at(connected, target) == disconnected[target]
+    assert exp_at(connected, target) == disconnected[target]
 
 
 @cache
@@ -163,7 +164,7 @@ def test_log_and_exp_match_a_fraction_reference(family):
     got = potential_log(values, list(values))
     assert got == logs
     assert all(type(v) is Fraction for v in got.values())
-    exp = _exp_at(values, target)
+    exp = exp_at(values, target)
     assert type(exp) is Fraction
     assert exp == _reference_log_exp(values, log=False)[target]
 
@@ -724,7 +725,8 @@ def fit_systems(draw):
                                      max_size=order + 1))), weight, margin
     terms = tuple((m, draw(coef)) for m in monomial_basis(weight)
                   if draw(st.booleans()))
-    coeffs = QuasimodularPoly(weight, terms).expand(order).coefficients(0, order)
+    coeffs = expand_quasimodular(QuasimodularPoly(weight, terms),
+                                 order).coefficients(0, order)
     if kind == "perturbed":
         coeffs[draw(st.integers(0, order))] += draw(coef.filter(bool))
     return QSeries(coeffs), weight, margin

@@ -5,12 +5,7 @@ import pytest
 
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.characters import sector_value
-from mixedhurwitz.partitions import (
-    contents,
-    enumerate_partitions,
-    partition_count,
-    sym_eval,
-)
+from mixedhurwitz.partitions import contents, enumerate_partitions, sym_eval
 from mixedhurwitz.quasimodular import (
     FitFailure,
     Q_k_eval,
@@ -24,7 +19,7 @@ from mixedhurwitz.quasimodular import (
     q_bracket,
 )
 from mixedhurwitz.series import QSeries
-from references import partitions_upto
+from references import expand_quasimodular, partitions_upto
 from test_characters import central_character_extended
 
 
@@ -101,7 +96,7 @@ def test_fit_appendix_series():
     assert fit.coefficient(1, 1, 0) == -3 * D
     assert fit.coefficient(0, 0, 1) == -2 * D
     # round trip: expanding the fitted polynomial reproduces the series
-    assert fit.expand(12) == ser
+    assert expand_quasimodular(fit, 12) == ser
 
 
 def test_fit_zero_and_failure():
@@ -123,7 +118,7 @@ def test_f_nu_brackets_are_quasimodular():
         bound = sum(nu) + len(nu)
         fit = fit_quasimodular(br, bound)
         assert not isinstance(fit, FitFailure), nu
-        assert fit.expand(20) == br
+        assert expand_quasimodular(fit, 20) == br
 
 
 def test_top_weight_of_content_sums():

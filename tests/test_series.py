@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mixedhurwitz.errors import DomainError, WindowError
 from mixedhurwitz.series import (
     QSeries,
+    _euler_solve,
     exp_az,
     sinh_normalized,
     sinh_reciprocal,
@@ -107,6 +109,43 @@ def test_log_and_exp_match_the_coefficientwise_reference():
         assert (exp.var, exp.high) == ("z", f.high)
         assert exp.coefficients(0, f.high) == _reference_exp(f)
         assert exp.log() == f
+
+
+# sector columns by degree, index 0 unused, on one profile slot: each key's
+# column at most as long as those of its subkeys
+UNEQUAL = {
+    (0, 0, 0, ((),)): [0, Fraction(1, 2), -3, Fraction(2, 7), 5, 1],
+    (1, 0, 0, ((),)): [0, 1, Fraction(-1, 3), 4, 0],
+    (0, 0, 0, ((2,),)): [0, 0, 2, Fraction(5, 6)],
+    (1, 0, 0, ((2,),)): [0, 0, 1, 3],
+}
+
+
+@pytest.mark.parametrize("log", [True, False], ids=["log", "exp"])
+def test_euler_solve_round_trips_columns_of_unequal_lengths(log):
+    out = _euler_solve(UNEQUAL, log)
+    assert {key: len(col) for key, col in out.items()} == \
+        {key: len(col) for key, col in UNEQUAL.items()}
+    assert all(type(v) is Fraction for col in out.values() for v in col)
+    assert _euler_solve(out, not log) == UNEQUAL
+    # a key's column reads its subkeys only through its own last degree
+    for key, col in UNEQUAL.items():
+        cut = {k: c[:len(col)] for k, c in UNEQUAL.items()}
+        assert _euler_solve(cut, log)[key] == out[key]
+
+
+@pytest.mark.parametrize("log", [True, False], ids=["log", "exp"])
+@pytest.mark.parametrize("subkey,column", [
+    ((1, 0, 0, ((),)), None),
+    ((0, 0, 0, ((2,),)), [0, 0, 2]),
+], ids=["missing", "short"])
+def test_euler_solve_refuses_a_missing_or_short_subkey_column(log, subkey, column):
+    family = {**UNEQUAL, subkey: column}
+    if column is None:
+        del family[subkey]
+    with pytest.raises(DomainError, match=re.escape(
+            f"subkey {subkey} of {(1, 0, 0, ((2,),))} has no column through degree 3")):
+        _euler_solve(family, log)
 
 
 def test_sinh_expansions():

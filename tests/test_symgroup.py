@@ -9,10 +9,7 @@ import pytest
 
 import mixedhurwitz
 from mixedhurwitz.characters import hurwitz_by_characters
-from mixedhurwitz.commutators import (
-    commutator_tuple_table,
-    count_commutator_type,
-)
+from mixedhurwitz.commutators import count_commutator_type
 from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.partitions import aut_count, class_size, enumerate_partitions
 from mixedhurwitz.symgroup import (
@@ -37,6 +34,7 @@ from mixedhurwitz.symgroup import (
     triply_mixed_slots,
 )
 from mixedhurwitz.util import ORACLE_SIZE_LIMIT
+from references import commutator_tuple_table
 
 
 def test_spec_validation():
