@@ -334,11 +334,6 @@ def two_sinh_half(order: int, var="z") -> QSeries:
     return exp_az(Fraction(1, 2), order, var) - exp_az(Fraction(-1, 2), order, var)
 
 
-def sinh_normalized(order: int, var="z") -> QSeries:
-    """sinh(z/2)/(z/2): constant term 1, even series."""
-    return two_sinh_half(order + 1, var).shift(-1)
-
-
 def sinh_reciprocal(order: int, var="z") -> QSeries:
     """1/(2 sinh(z/2)) as an exact Laurent series, valuation -1."""
     return two_sinh_half(order + 2, var).inverse()

@@ -116,17 +116,20 @@ def _suite_toprec(mu_max):
                         "oracle": oracle_C(g, n, mu)})
 
 
-def _suite_tropical(dmax=5):
+def _suite_tropical(windows):
+    """The genus-g elliptic sums against the character series with 2g - 2
+    completed cycles, d = 1..dmax for each (g, dmax) window."""
     from .characters import connected_hurwitz_qseries
     from .tropical import tropical_elliptic_sum
 
-    for variant in VARIANTS:
-        kl = (0, 2, 0) if variant == "monotone" else (0, 0, 2)
-        series = connected_hurwitz_qseries(1, kl[0], kl[1], kl[2], (), dmax)
-        for d in range(1, dmax + 1):
-            yield ({"variant": variant, "g": 2, "d": d},
-                   {"tropical": tropical_elliptic_sum(variant, 2, d),
-                    "characters": series.coefficient(d)})
+    for g, dmax in windows:
+        for variant in VARIANTS:
+            kl = (0, 2 * g - 2, 0) if variant == "monotone" else (0, 0, 2 * g - 2)
+            series = connected_hurwitz_qseries(1, kl[0], kl[1], kl[2], (), dmax)
+            for d in range(1, dmax + 1):
+                yield ({"variant": variant, "g": g, "d": d},
+                       {"tropical": tropical_elliptic_sum(variant, g, d),
+                        "characters": series.coefficient(d)})
 
 
 def _suite_golden_series():
@@ -161,8 +164,9 @@ SUITES = {
     "quantum-curve": lambda dmax, deep, oracle_dmax: _suite_quantum_curve(),
     "toprec": lambda dmax, deep, oracle_dmax:
         _suite_toprec(min(4, oracle_dmax)),
+    # --deep adds genus 3, where a vertex's local invariant reaches 4
     "tropical": lambda dmax, deep, oracle_dmax:
-        _suite_tropical(dmax=min(5 + (2 if deep else 0), 7)),
+        _suite_tropical(((2, 7), (3, 3)) if deep else ((2, 5),)),
     "golden-series": lambda dmax, deep, oracle_dmax: _suite_golden_series(),
 }
 

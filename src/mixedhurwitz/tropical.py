@@ -26,8 +26,6 @@ from operator import le
 from .errors import DomainError, ResourceLimitError
 from .partitions import (check_double, compositions, enumerate_partitions,
                          transposition_count)
-from .series import QSeries, sinh_normalized
-from .quasimodular import c_coefficient
 from .util import check_variant
 
 
@@ -35,26 +33,14 @@ from .util import check_variant
 # vertex multiplicity
 
 
-@cache
-def _s_series(order: int):
-    return sinh_normalized(order)
-
-
-def _s_product_coeff(x_all, order: int) -> Fraction:
-    """[z^order] of prod_i S(x_i z) / S(z)."""
-    n = max(order, 0) + 2
-    prod = QSeries([1] + [0] * n, 0, "z")
-    for x in x_all:
-        prod = prod * _s_series(n).compose_scale(x)
-    prod = prod / _s_series(n)
-    return prod.coefficient(order)
-
-
 def gw_vertex_multiplicity(x_plus, x_minus, vertex_genus: int, lam_i: int) -> Fraction:
-    """Local vertex weight (lam_i-1)! sum_{g1+g2=g(v)} c_{2g2} [z^{2g1}] prod S(x z)/S(z).
+    """Local vertex weight (lam_i-1)! [z^{2g(v)}] prod_e S(x_e z) / S(z)^2,
+    with S(z) = sinh(z/2)/(z/2) and the product over the edges at the vertex.
 
-    The symmetry factors of the two edge multisets cancel between the vertex
-    normalization and the one-point invariants, so they do not appear.
+    This is sum_{g1+g2=g(v)} c_{2g2} [z^{2g1}] prod S(x z)/S(z), since
+    c_k = [z^k] 1/S(z).  The symmetry factors of the two edge multisets
+    cancel between the vertex normalization and the one-point invariants, so
+    they do not appear.
     """
     xs = tuple(x_plus) + tuple(x_minus)
     if lam_i != 2 * vertex_genus - 2 + len(xs):
@@ -67,11 +53,31 @@ def gw_vertex_multiplicity(x_plus, x_minus, vertex_genus: int, lam_i: int) -> Fr
 @cache
 def _vertex_weight(xs, vertex_genus, lam_i):
     """gw_vertex_multiplicity on the sorted weights of all edges at the vertex."""
-    total = Fraction(0)
-    for g1 in range(vertex_genus + 1):
-        g2 = vertex_genus - g1
-        total += c_coefficient(2 * g2) * _s_product_coeff(xs, 2 * g1)
-    return factorial(lam_i - 1) * total
+    series = _inverse_s_squared(vertex_genus)
+    for x in xs:
+        series = _times_s(series, x)
+    return factorial(lam_i - 1) * series[vertex_genus]
+
+
+# the even series below are coefficient lists in u = z^2, through u^order
+
+
+def _times_s(series, x):
+    """series * S(x z), where S(x z) = sum_j x^{2j} u^j / (4^j (2j+1)!)."""
+    s = [Fraction(x ** (2 * j), 4**j * factorial(2 * j + 1))
+         for j in range(len(series))]
+    return [sum(series[i] * s[m - i] for i in range(m + 1))
+            for m in range(len(series))]
+
+
+@cache
+def _inverse_s_squared(order):
+    """1 / S(z)^2, solved term by term from S(z)^2 * inverse = 1."""
+    s2 = _times_s(_times_s([Fraction(1)] + [Fraction(0)] * order, 1), 1)
+    inv = [Fraction(1)]
+    for m in range(1, order + 1):
+        inv.append(-sum(s2[j] * inv[m - j] for j in range(1, m + 1)))
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +204,16 @@ def tropical_double_sum(variant: str, g: int, mu, nu) -> Fraction:
 # elliptic covers
 
 # Search nodes one enumeration may visit, and the largest degree it takes at
-# each genus; any other genus is refused.  Every degree up to 24 past a
-# genus's entry runs out of nodes after 1.2-4.3 s of search (and at genus 7
-# every degree does), so the table refuses them before any work.  At the
-# entries, (2, 24) takes 0.8 s, (3, 6) 2.3 s, (4, 2) 0.3 s, (5, 1) 0.2 s and
-# (6, 1) 2.8 s (2-vCPU host, Python 3.11).  The walk over the compositions of
-# 2g - 2 costs time the node budget does not count: genus 10^5 at degree 1
-# took 10 s with 2,000 nodes.
+# each genus; any other genus is refused.  At the entries, (2, 24) takes
+# 0.4 s, (3, 6) 0.7-1.3 s, (4, 2) 0.1 s, (5, 1) 0.03 s and (6, 1) 0.2-0.3 s
+# with the multiplicities (2-vCPU host, Python 3.11).  One degree past them,
+# (2, 25) finishes in 0.5 s, (3, 7) in 3.2 s, (4, 3) in 1.3 s, (5, 2) in
+# 1.5 s and (7, 1) in 1.9 s, and (6, 2) runs out of nodes after 5.2 s; genus
+# 2 finishes up to degree 41 (1.9 s).  The table refuses all of them before
+# any work: an entry is widened only with a check against the character
+# route.  The walk over the compositions of 2g - 2 costs time the node
+# budget does not count: genus 10^5 at degree 1 took 10 s with 2,000 nodes,
+# and (8, 1) takes 10 s.
 NODE_LIMIT = 500_000
 MAX_DEGREE = {2: 24, 3: 6, 4: 2, 5: 1, 6: 1}
 
@@ -264,8 +273,13 @@ def _elliptic_graphs(lam, d, budget):
     """Edge-shape multisets (a, t, k) over one lambda composition.
 
     A vertex has valence <= lam_i + 2 of lam_i's parity, and with every weight
-    at least 1 no arc may be passed more than d times.  Yields the shapes as a
-    sorted list, equal shapes adjacent; the graph may be disconnected.
+    at least 1 no arc may be passed more than d times.  Positive weights
+    balance a vertex only if it has an edge out and an edge in (a loop is
+    both), so only such multisets are yielded.  The shapes are sorted by
+    source: once one with source a is chosen, every vertex below a has all
+    its edges out, and a branch that leaves one of them without any ends
+    there.  Yields the shapes as a sorted list, equal shapes adjacent; the
+    graph may be disconnected.
     """
     n = len(lam)
     shapes = [(a, t, k) for a in range(n) for t in range(n)
@@ -274,19 +288,31 @@ def _elliptic_graphs(lam, d, budget):
     demand = [tuple((a == v) + (t == v) for v in range(n))
               + _arc_crossings(a, t, k, n) for (a, t, k) in shapes]
     room = [l + 2 for l in lam] + [d] * n
+    outs, ins = [0] * n, [0] * n
     chosen = []
 
     def rec(cands):
+        # the first vertex without an edge out; each candidate's branch
+        # restores outs, so this holds for the whole loop
+        idle = outs.index(0) if 0 in outs else n
         for j, s in enumerate(cands):
+            a, t, _ = shapes[s]
+            if idle < a:
+                # no later candidate can give it one: their sources are >= a
+                return
             _spend(budget)
             for i, x in enumerate(demand[s]):
                 room[i] -= x
+            outs[a] += 1
+            ins[t] += 1
             chosen.append(shapes[s])
-            if all(r % 2 == 0 for r in room[:n]):
+            if all(r % 2 == 0 for r in room[:n]) and all(outs) and all(ins):
                 yield list(chosen)
             yield from rec([c for c in cands[j:]
                             if all(map(le, demand[c], room))])
             chosen.pop()
+            outs[a] -= 1
+            ins[t] -= 1
             for i, x in enumerate(demand[s]):
                 room[i] += x
 
@@ -387,6 +413,8 @@ def combinatorial_type(cover: TropicalCover):
 def type_series(variant: str, g: int, d_max: int) -> dict:
     """{combinatorial type: generating series of its covers} up to q^d_max,
     sorted by type, from one cover enumeration per degree."""
+    from .series import QSeries
+
     check_variant(variant)
     coeffs = {}
     for d in range(1, d_max + 1):
@@ -397,7 +425,9 @@ def type_series(variant: str, g: int, d_max: int) -> dict:
     return {t: QSeries(c, 0, "q") for t, c in sorted(coeffs.items())}
 
 
-def per_type_series(ctype, variant: str, g: int, d_max: int) -> QSeries:
-    """Generating series of covers of one combinatorial type."""
+def per_type_series(ctype, variant: str, g: int, d_max: int):
+    """Generating series (a QSeries) of covers of one combinatorial type."""
+    from .series import QSeries
+
     return type_series(variant, g, d_max).get(
         ctype, QSeries([Fraction(0)] * (d_max + 1), 0, "q"))

@@ -1,18 +1,22 @@
 """Reference helpers that only the tests use: small enumerations, sector
 subsectors and the exp at one sector, the commutator table by permutation,
-the expansion of a quasimodular polynomial, the JSON reader of a QSeries and
-the product form of the quantum-curve partition function, kept out of the
-package so that no CLI launch compiles them."""
+the expansion of a quasimodular polynomial, the JSON reader of a QSeries,
+the product form of the quantum-curve partition function, and the unpruned
+elliptic graph search and two-factor vertex weight of the tropical route,
+kept out of the package so that no CLI launch compiles them."""
 
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import le
+from unittest import mock
 
+from mixedhurwitz import tropical
 from mixedhurwitz.commutators import commutator_codes
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import enumerate_partitions
-from mixedhurwitz.quasimodular import eisenstein
-from mixedhurwitz.series import QSeries, _euler_solve, _subkeys
+from mixedhurwitz.quasimodular import c_coefficient, eisenstein
+from mixedhurwitz.series import QSeries, _euler_solve, _subkeys, two_sinh_half
 from mixedhurwitz.symgroup import _codes, transposition
 from mixedhurwitz.tropical import combinatorial_type, enumerate_elliptic_covers
 from mixedhurwitz.util import VARIANTS
@@ -145,3 +149,58 @@ def product_form(variant: str, g: int, d_max: int, b_max: int) -> dict:
         for b, c in enumerate(poly[: b_max + 1]):
             Z[d, b] = c * weight
     return Z
+
+
+def sinh_normalized(order: int, var="z") -> QSeries:
+    """sinh(z/2)/(z/2): constant term 1, even series."""
+    return two_sinh_half(order + 1, var).shift(-1)
+
+
+def two_factor_vertex_weight(x_plus, x_minus, vertex_genus: int, lam_i: int) -> Fraction:
+    """(lam_i-1)! sum_{g1+g2=g(v)} c_{2g2} [z^{2g1}] prod S(x z)/S(z), with
+    S = sinh_normalized and c_k from quasimodular.c_coefficient."""
+    order = 2 * vertex_genus
+    s = sinh_normalized(order + 2)
+    prod = QSeries([1] + [0] * (order + 2), 0, "z")
+    for x in tuple(x_plus) + tuple(x_minus):
+        prod = prod * s.compose_scale(x)
+    prod = prod / s
+    total = sum((c_coefficient(2 * (vertex_genus - g1)) * prod.coefficient(2 * g1)
+                 for g1 in range(vertex_genus + 1)), Fraction(0))
+    return factorial(lam_i - 1) * total
+
+
+def unpruned_elliptic_graphs(lam, d, budget):
+    """Every edge-shape multiset over one lambda composition under the
+    valence, parity and arc-count bounds, vertices without an edge in or out
+    included: the search tropical._elliptic_graphs prunes."""
+    n = len(lam)
+    shapes = [(a, t, k) for a in range(n) for t in range(n)
+              for k in range(d + 1) if k or a < t]
+    demand = [tuple((a == v) + (t == v) for v in range(n))
+              + tropical._arc_crossings(a, t, k, n) for (a, t, k) in shapes]
+    room = [l + 2 for l in lam] + [d] * n
+    chosen = []
+
+    def rec(cands):
+        for j, s in enumerate(cands):
+            tropical._spend(budget)
+            for i, x in enumerate(demand[s]):
+                room[i] -= x
+            chosen.append(shapes[s])
+            if all(r % 2 == 0 for r in room[:n]):
+                yield list(chosen)
+            yield from rec([c for c in cands[j:]
+                            if all(map(le, demand[c], room))])
+            chosen.pop()
+            for i, x in enumerate(demand[s]):
+                room[i] += x
+
+    yield from rec([s for s in range(len(shapes))
+                    if all(map(le, demand[s], room))])
+
+
+def unpruned_elliptic_covers(g: int, d: int):
+    """enumerate_elliptic_covers(g, d) with the unpruned graph search."""
+    with mock.patch.object(tropical, "_elliptic_graphs", unpruned_elliptic_graphs):
+        return enumerate_elliptic_covers(g, d)

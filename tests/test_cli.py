@@ -566,6 +566,13 @@ def test_cli_module_stays_under_4096_tokens():
         assert len(list(tokenize.tokenize(fh.readline))) < 4096
 
 
+def test_tropical_loads_only_its_route():
+    loaded = loaded_modules("tropical", "--genus", "2", "--degree", "3",
+                            "--variant", "monotone")
+    assert "tropical" in loaded
+    assert not loaded & {"series", "quasimodular", "characters"}
+
+
 def test_qseries_loads_no_other_route():
     loaded = loaded_modules("qseries", "--base-genus", "1",
                             "--source-genus", "2", "--k", "2", "--qmax", "5")

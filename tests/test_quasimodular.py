@@ -32,6 +32,24 @@ def test_eisenstein_expansions():
         eisenstein(8, 3)
 
 
+def test_eisenstein_satisfies_ramanujans_identities():
+    # q dP/dq = (P^2 - Q)/12, q dQ/dq = (PQ - R)/3, q dR/dq = (PR - Q^2)/2:
+    # one wrong coefficient breaks an identity at its own order
+    order = 40
+    P, Q, R = (eisenstein(k, order).coefficients(0, order) for k in (2, 4, 6))
+
+    def times(a, b):
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+    def theta(a, scale):
+        """scale * q d/dq of a."""
+        return [scale * n * x for n, x in enumerate(a)]
+
+    assert theta(P, 12) == [x - y for x, y in zip(times(P, P), Q)]
+    assert theta(Q, 3) == [x - y for x, y in zip(times(P, Q), R)]
+    assert theta(R, 2) == [x - y for x, y in zip(times(P, R), times(Q, Q))]
+
+
 def test_q_bracket_basics():
     assert q_bracket(lambda lam: 1, 6).coefficients(0, 6) == [1, 0, 0, 0, 0, 0, 0]
     size_bracket = q_bracket(lambda lam: sum(lam), 4)

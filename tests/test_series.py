@@ -9,12 +9,11 @@ from mixedhurwitz.series import (
     QSeries,
     _euler_solve,
     exp_az,
-    sinh_normalized,
     sinh_reciprocal,
     two_sinh_half,
 )
 from mixedhurwitz.quantum_curve import partition_coefficient, word_coefficient
-from references import qseries_from_json
+from references import qseries_from_json, sinh_normalized
 
 
 def test_log_exp_examples():

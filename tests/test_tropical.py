@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -20,7 +21,7 @@ from mixedhurwitz.tropical import (
     tropical_elliptic_sum,
     type_series,
 )
-from references import all_types
+from references import all_types, two_factor_vertex_weight, unpruned_elliptic_covers
 
 
 def test_vertex_multiplicity_examples():
@@ -156,12 +157,38 @@ def test_elliptic_degree_below_one_is_a_domain_error():
 
 
 def test_elliptic_node_budget_at_limit_plus_one(monkeypatch):
-    # the g = 2, d = 3 search visits 108 graph and weight nodes
-    monkeypatch.setattr(tropical, "NODE_LIMIT", 108)
+    # the g = 2, d = 3 search visits 76 graph and weight nodes
+    monkeypatch.setattr(tropical, "NODE_LIMIT", 76)
     assert len(enumerate_elliptic_covers(2, 3)) == 8
-    monkeypatch.setattr(tropical, "NODE_LIMIT", 107)
+    monkeypatch.setattr(tropical, "NODE_LIMIT", 75)
     with pytest.raises(ResourceLimitError):
         enumerate_elliptic_covers(2, 3)
+
+
+# every (genus, degree) at genus <= 3 that MAX_DEGREE admits
+GRID = [(g, d) for g in (2, 3) for d in range(1, tropical.MAX_DEGREE[g] + 1)]
+
+
+@cache
+def _grid_covers(g, d):
+    return enumerate_elliptic_covers(g, d)
+
+
+@pytest.mark.parametrize("g,d", GRID, ids=[f"g{g}d{d}" for g, d in GRID])
+def test_elliptic_covers_match_the_unpruned_search(g, d):
+    # pruning drops only graphs with a vertex lacking an edge in or out,
+    # which carry no cover: the same covers in the same order
+    assert _grid_covers(g, d) == unpruned_elliptic_covers(g, d)
+
+
+def test_vertex_multiplicity_matches_the_two_factor_reference():
+    # (x^+, x^-, vertex genus, lam_i) of every vertex of every cover
+    keys = {(cover.x_sides(i)[1], cover.x_sides(i)[0], gv, lam)
+            for g, d in GRID for cover in _grid_covers(g, d)
+            for i, (gv, lam) in enumerate(cover.vertices)}
+    assert {k[2] for k in keys} == {0, 1, 2} and {k[3] for k in keys} == {1, 2, 3, 4}
+    for key in sorted(keys):
+        assert gw_vertex_multiplicity(*key) == two_factor_vertex_weight(*key), key
 
 
 @pytest.mark.parametrize("variant,kl", [("monotone", (0, 2, 0)),
@@ -210,8 +237,8 @@ def test_tropical_runs_at_each_max_degree(genus, degree, total, capsys):
     (2, 25), (3, 7), (4, 3), (5, 2), (6, 2), (7, 1), (10**9, 1),
 ], ids=["g2", "g3", "g4", "g5", "g6", "g7", "g-huge"])
 def test_tropical_refuses_one_degree_past_max_at_once(genus, degree, capsys):
-    # without the table each of these but genus 2 at degree 25 runs out of
-    # nodes, after 1-4 s of search
+    # without the table, genus 6 at degree 2 runs out of nodes after 5 s of
+    # search, and the others but the huge genus finish in 0.5-3.2 s
     start = time.monotonic()
     assert _tropical_main(genus, degree) == 3
     assert time.monotonic() - start < 0.3
