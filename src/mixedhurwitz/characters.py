@@ -299,7 +299,7 @@ def connected_series(family):
     qmax = min((series.high for series in family.values()), default=0)
     conn = _euler_solve({key: series.coefficients(0, qmax)
                          for key, series in family.items()}, log=True)
-    return {key: QSeries(col, 0, family[key].var) for key, col in conn.items()}
+    return {key: QSeries(col) for key, col in conn.items()}
 
 
 def connected_hurwitz_qseries(g: int, k: int, l: int, m: int, profiles, qmax: int,

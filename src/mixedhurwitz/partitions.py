@@ -181,27 +181,36 @@ def sym_eval(kind: str, degree: int, values) -> int:
     raise DomainError(f"unknown symmetric polynomial kind: {kind}")
 
 
-@cache
 def stirling(kind: str, n: int, k: int) -> int:
     """Stirling numbers by their defining recurrences.
 
     kind "first_unsigned": [n+1,k] = n[n,k] + [n,k-1];
     kind "second":         {n+1,k} = k{n,k} + {n,k-1};
     boundary: [0,0]={0,0}=1 and [n,0]=[0,n]=0 for n>0.
+    Row n is stepped up from the highest memoised row below it.
     """
     if n < 0 or k < 0:
         raise DomainError("Stirling indices must be >= 0")
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0:
-        return 0
-    if k > n:
-        return 0
-    if kind == "first_unsigned":
-        return (n - 1) * stirling(kind, n - 1, k) + stirling(kind, n - 1, k - 1)
-    if kind == "second":
-        return k * stirling(kind, n - 1, k) + stirling(kind, n - 1, k - 1)
-    raise DomainError(f"unknown Stirling kind: {kind}")
+    if n == 0 or k == 0 or k > n:
+        return int(n == k)
+    if kind not in _stirling_rows:
+        raise DomainError(f"unknown Stirling kind: {kind}")
+    rows = _stirling_rows[kind]
+    if n not in rows:
+        m = max(r for r in rows if r < n)
+        row = rows[m]
+        for m in range(m + 1, n + 1):
+            # entry j of row m from entries j and j - 1 of row m - 1
+            weights = [m - 1] * m if kind == "first_unsigned" else range(m)
+            row = [0, *(w * x + y for w, x, y in zip(weights[1:], row[1:], row)),
+                   row[-1]]
+        rows[n] = row
+    return rows[n][k]
+
+
+# _stirling_rows[kind][n] = row n, entries k = 0..n, for each n a caller has
+# asked for; row 0 seeds the recurrence
+_stirling_rows = {"first_unsigned": {0: [1]}, "second": {0: [1]}}
 
 
 # _pcounts[n] = p(n) for n = 0, 1, ..., as far as a caller has asked

@@ -2,22 +2,22 @@
 fitting of q-series into the ring Q[P,Q,R] of level-1 quasimodular forms.
 
 Conventions: P, Q, R are the weight 2, 4, 6 normalized Eisenstein series with
-constant term 1 (P = 1 - 24 sum sigma_1(n) q^n, etc.).  The Laurent expansion
-of 1/(2 sinh(z/2)) is indexed from k = 0: c_0 = 1 is the z^{-1} coefficient,
-so c_1 = 0, c_2 = -1/24, c_3 = 0, c_4 = 7/5760.  That normalization makes
+constant term 1 (P = 1 - 24 sum sigma_1(n) q^n, etc.).  The sinh
+coefficients are c_k = [z^k] 1/S(z) with S(z) = sinh(z/2)/(z/2), so c_0 = 1,
+c_1 = 0, c_2 = -1/24, c_3 = 0, c_4 = 7/5760.  That normalization makes
 <Q_2>_q = -P/24 and is pinned independently by the tropical correspondence
-tests.
+tests.  The c_k, the completion coefficients and the Eisenstein powers of
+the fit run on the truncated-series kernel in util.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, gcd
-from operator import mul
+from math import factorial, gcd, prod
 
 from .errors import DomainError
 from .partitions import check_partition, enumerate_partitions, partition_count
-from .series import QSeries, sinh_reciprocal, two_sinh_half, exp_az
-from .util import rat_str
+from .series import QSeries
+from .util import rat_str, s_product, times
 
 # ---------------------------------------------------------------------------
 # Eisenstein series
@@ -38,7 +38,7 @@ def eisenstein(k: int, order: int) -> QSeries:
     const = -_BERNOULLI[k] / (2 * k) * scale
     assert const == 1
     coeffs = [Fraction(1)] + [Fraction(scale * _sigma(k - 1, n)) for n in range(1, order + 1)]
-    return QSeries(coeffs, 0, "q")
+    return QSeries(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def eisenstein(k: int, order: int) -> QSeries:
 
 
 def partition_gf(order: int) -> QSeries:
-    return QSeries([partition_count(n) for n in range(order + 1)], 0, "q")
+    return QSeries([partition_count(n) for n in range(order + 1)])
 
 
 def q_bracket(f, order: int) -> QSeries:
@@ -54,14 +54,14 @@ def q_bracket(f, order: int) -> QSeries:
     num = []
     for n in range(order + 1):
         num.append(sum((Fraction(f(lam)) for lam in enumerate_partitions(n)), Fraction(0)))
-    return QSeries(num, 0, "q") / partition_gf(order)
+    return QSeries(num) / partition_gf(order)
 
 
 def c_coefficient(k: int) -> Fraction:
-    """c_k = coefficient of z^(k-1) in 1/(2 sinh(z/2)); c_0 = 1."""
+    """c_k = [z^k] 1/S(z), S(z) = sinh(z/2)/(z/2); c_0 = 1."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    return sinh_reciprocal(k + 2).coefficient(k - 1)
+    return s_product(-1, (), k // 2)[k // 2] if k % 2 == 0 else Fraction(0)
 
 
 def Q_k_eval(k: int, lam) -> Fraction:
@@ -87,25 +87,19 @@ def completion_coefficients(nu, k_max: int):
     """q_{k,nu} for k = 0..k_max from the sinh product generating function.
 
     sum_{k>=1} q_{k+1,nu} z^k = (1/|nu|!) (2 sinh(z/2))^(|nu|-1) prod_i 2 sinh(nu_i z/2);
-    for nu = () the right side is the Laurent series 1/(2 sinh(z/2)).
+    for nu = () the right side is 1/(2 sinh(z/2)), so q_{k,()} = c_k.  As
+    2 sinh(x z/2) = x z S(x z), q_{k,nu} is (prod_i nu_i / |nu|!) times
+    [z^(k-|nu|-l(nu))] S(z)^(|nu|-1) prod_i S(nu_i z), an even series in z:
     q_{k,nu} = 0 once |nu| + l(nu) > k.
     """
     nu = check_partition(nu)
     if k_max < 2:
         raise DomainError("k_max must be >= 2")
-    order = k_max + 2
-    if not nu:
-        rhs = sinh_reciprocal(order)
-    else:
-        base = two_sinh_half(order)
-        prod = QSeries([1] + [0] * order, 0, "z")
-        for _ in range(sum(nu) - 1):
-            prod = prod * base
-        for part in nu:
-            scaled = exp_az(Fraction(part, 2), order, "z") - exp_az(Fraction(-part, 2), order, "z")
-            prod = prod * scaled
-        rhs = prod / factorial(sum(nu))
-    return [rhs.coefficient(k - 1) if k - 1 >= rhs.low else Fraction(0) for k in range(k_max + 1)]
+    shift = sum(nu) + len(nu)
+    scale = Fraction(prod(nu), factorial(sum(nu)))
+    series = s_product(sum(nu) - 1, nu, max(0, k_max - shift) // 2)
+    return [scale * series[(k - shift) // 2] if k >= shift and (k - shift) % 2 == 0
+            else Fraction(0) for k in range(k_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +166,6 @@ def basis_size(weight_bound: int) -> int:
     return (2 * n ** 3 + 21 * n ** 2 + 66 * n + 96) // 72
 
 
-def _times(a, b):
-    """The product of two integer q-expansions of the same length."""
-    return [sum(map(mul, a[:e + 1], b[e::-1])) for e in range(len(a))]
-
-
 FIT_SAFETY_MARGIN = 5
 
 
@@ -189,8 +178,6 @@ def fit_quasimodular(s: QSeries, weight_bound: int, margin: int = FIT_SAFETY_MAR
     Returns FitFailure (with the first inconsistent q-exponent) rather than a
     least-squares answer when no exact match exists.
     """
-    if s.low < 0:
-        raise DomainError("cannot fit a Laurent series with negative exponents")
     if weight_bound < 0:
         raise DomainError(f"weight bound {weight_bound} must be >= 0")
     dim = basis_size(weight_bound)
@@ -207,8 +194,8 @@ def fit_quasimodular(s: QSeries, weight_bound: int, margin: int = FIT_SAFETY_MAR
         series = [int(x) for x in eisenstein(k, order).coeffs]
         powers[k] = [[1] + [0] * order]
         for _ in range(weight_bound // k):
-            powers[k].append(_times(powers[k][-1], series))
-    expansions = [_times(_times(powers[2][a], powers[4][b]), powers[6][c])
+            powers[k].append(times(powers[k][-1], series))
+    expansions = [times(times(powers[2][a], powers[4][b]), powers[6][c])
                   for a, b, c in basis]
 
     # one equation per q-exponent 0..order, times the denominator of its

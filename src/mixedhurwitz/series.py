@@ -1,87 +1,60 @@
-"""Truncated univariate power/Laurent series over exact rationals.
+"""Truncated power series in q over exact rationals.
 
-Every series carries its valid window; extracting a coefficient outside the
-window raises WindowError rather than returning a silent zero.  Truncation is
-propagated pessimistically through arithmetic.  A product of two QSeries is
-one integer convolution over the product of their common denominators.
+A QSeries holds the coefficients of q^0..q^high; reading one past high
+raises WindowError rather than returning a silent zero.  Arithmetic keeps
+the smaller window.  Products and inverses run on the truncated-series
+kernel in util; a product of two QSeries is one integer convolution over
+the product of their common denominators.
 
 _euler_solve is the package's one exponential formula: exact sector columns
 in, their log or exp out as exact columns of the same keys and lengths.
-characters, double_recursion, QSeries.log and QSeries.exp (a QSeries is the
-family of the empty sector) each make one call; the integer scaling it
-solves in stays inside it.
+characters, double_recursion, suites, QSeries.log and QSeries.exp (a QSeries
+is the family of the empty sector) call it; the integer scaling it solves in
+stays inside it.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, lcm
-from operator import mul
+from math import comb, lcm
+from operator import add, mul
 
 from .errors import DomainError, WindowError
-from .util import rat_str
+from .util import inverse, rat_str, times
 
 
 class QSeries:
-    """Univariate truncated Laurent series with exact rational coefficients.
+    """Truncated power series in q with exact rational coefficients.
 
-    coeffs[i] is the coefficient of var**(low+i); the series is known exactly
-    for exponents low..high (inclusive) and implicitly zero below low.  Every
-    series is canonical: coeffs is empty or coeffs[0] != 0, so a nonzero
-    series has valuation low.
+    coeffs[e] is the coefficient of q^e, known exactly for e = 0..high.
     """
 
-    __slots__ = ("var", "low", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, low=0, var="q"):
-        self.var = var
-        self.low = low
+    def __init__(self, coeffs):
         self.coeffs = [Fraction(c) for c in coeffs]
-        self._normalize()
-
-    def _normalize(self):
-        # strip leading zeros, moving the valuation up but keeping the window
-        while self.coeffs and self.coeffs[0] == 0:
-            self.coeffs.pop(0)
-            self.low += 1
-        if not self.coeffs:
-            # keep an explicit window marker for the zero series
-            self.coeffs = []
 
     @property
     def high(self):
-        return self.low + len(self.coeffs) - 1
+        return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, high, var="q"):
-        s = cls([], 0, var)
-        s.low = high + 1
-        return s
+    def zero(cls, high):
+        return cls([0] * (high + 1))
 
     @classmethod
-    def one(cls, high, var="q"):
-        return cls([1] + [0] * high, 0, var)
-
-    def _with(self, coeffs, low):
-        """A series on var from coefficients that are already Fractions."""
-        s = QSeries.__new__(QSeries)
-        s.var, s.low, s.coeffs = self.var, low, coeffs
-        s._normalize()
-        return s
-
-    def copy(self):
-        return self._with(list(self.coeffs), self.low)
+    def one(cls, high):
+        return cls([1] + [0] * high)
 
     def coefficient(self, exponent: int) -> Fraction:
-        """Exact coefficient; raises WindowError outside the valid window."""
+        """Exact coefficient; raises WindowError past the window, and is 0
+        below q^0."""
         if exponent > self.high:
-            raise WindowError(
-                f"coefficient of {self.var}^{exponent} outside window "
-                f"(valid through {self.high})"
-            )
-        if exponent < self.low:
+            raise WindowError(f"coefficient of q^{exponent} outside window "
+                              f"(valid through {self.high})")
+        if exponent < 0:
             return Fraction(0)
-        return self.coeffs[exponent - self.low]
+        return self.coeffs[exponent]
 
     def coefficients(self, lo, hi):
         return [self.coefficient(e) for e in range(lo, hi + 1)]
@@ -89,113 +62,65 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        hi = min(self.high, other.high)
-        lo = min(self.low, other.low)
-        return all(self.coefficient(e) == other.coefficient(e) for e in range(lo, hi + 1))
+        n = min(len(self.coeffs), len(other.coeffs))
+        return self.coeffs[:n] == other.coeffs[:n]
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QSeries([other], 0, self.var)
-            other.coeffs += [Fraction(0)] * max(0, self.high)
-        hi = min(self.high, other.high)
-        lo = min(self.low, other.low)
-        if hi < lo:
-            return QSeries.zero(hi, self.var)
-        vals = [self.coefficient(e) + other.coefficient(e) for e in range(lo, hi + 1)]
-        return QSeries(vals, lo, self.var)
+            other = QSeries([other] + [0] * self.high)
+        return QSeries(map(add, self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._with([-c for c in self.coeffs], self.low)
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._with([c * other for c in self.coeffs], self.low)
-        if not self.coeffs or not other.coeffs:
-            hi = min(self.high + other.low, other.high + self.low)
-            return QSeries.zero(hi, self.var)
-        lo = self.low + other.low
-        hi = min(self.high + other.low, other.high + self.low)
-        n = hi - lo + 1
-        # one integer convolution over the product of the common denominators;
-        # both windows hold at least n coefficients
+            return QSeries([c * other for c in self.coeffs])
+        n = min(len(self.coeffs), len(other.coeffs))
+        # one integer convolution over the product of the common denominators
         a, da = _over_common_denominator(self.coeffs[:n])
         b, db = _over_common_denominator(other.coeffs[:n])
-        rb = b[::-1]  # out[e] = sum a[i] b[e - i] = sum a[i] rb[n - 1 - e + i]
         den = da * db
-        return QSeries([Fraction(sum(map(mul, a[:e + 1], rb[n - 1 - e:])), den)
-                        for e in range(n)], lo, self.var)
+        return QSeries([Fraction(c, den) for c in times(a, b)])
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse; lowest coefficient must be invertible (nonzero)."""
-        if not self.coeffs:
-            raise DomainError("cannot invert a series with vanishing lowest coefficient")
-        n = len(self.coeffs)
-        a0 = self.coeffs[0]
-        inv = [Fraction(0)] * n
-        inv[0] = 1 / a0
-        for k in range(1, n):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if j < len(self.coeffs):
-                    acc += self.coeffs[j] * inv[k - j]
-            inv[k] = -acc / a0
-        return QSeries(inv, -self.low, self.var)
+        """Multiplicative inverse; the constant term must be nonzero."""
+        if not self.coeffs or not self.coeffs[0]:
+            raise DomainError("cannot invert a series with constant term 0")
+        return QSeries(inverse(self.coeffs))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
         return self * other.inverse()
 
-    def shift(self, k: int):
-        """Multiply by var**k."""
-        s = self.copy()
-        s.low += k
-        return s
-
     def log(self):
         """Formal log; requires constant term exactly 1."""
-        if self.low != 0 or not self.coeffs or self.coeffs[0] != 1:
+        if not self.coeffs or self.coeffs[0] != 1:
             raise DomainError("log requires constant term 1")
-        return self._with(_euler_solve({_EMPTY: self.coeffs}, log=True)[_EMPTY], 0)
+        return QSeries(_euler_solve({_EMPTY: self.coeffs}, log=True)[_EMPTY])
 
     def exp(self):
-        """Formal exp; requires constant term 0 (valuation >= 1)."""
-        if self.low < (1 if self.coeffs else 0):
+        """Formal exp; requires constant term 0."""
+        if self.coeffs and self.coeffs[0]:
             raise DomainError("exp requires constant term 0")
         if self.high < 0:
             raise WindowError("series window too small for exp")
-        col = _euler_solve({_EMPTY: self.coefficients(0, self.high)}, log=False)[_EMPTY]
+        col = _euler_solve({_EMPTY: self.coeffs}, log=False)[_EMPTY]
         col[0] = Fraction(1)
-        return self._with(col, 0)
-
-    def compose_scale(self, a):
-        """Substitute var -> a*var for an exact rational a."""
-        vals = [c * Fraction(a) ** (self.low + i) for i, c in enumerate(self.coeffs)]
-        return QSeries(vals, self.low, self.var)
-
-    def to_json(self):
-        return {
-            "var": self.var,
-            "low": self.low,
-            "coeffs": [rat_str(c) for c in self.coeffs],
-        }
+        return QSeries(col)
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs[:8]):
-            if c:
-                terms.append(f"{rat_str(c)}*{self.var}^{self.low + i}")
+        terms = [f"{rat_str(c)}*q^{e}" for e, c in enumerate(self.coeffs[:8]) if c]
         body = " + ".join(terms) if terms else "0"
-        return f"QSeries({body} + O({self.var}^{self.high + 1}))"
+        return f"QSeries({body} + O(q^{self.high + 1}))"
 
 
 def _over_common_denominator(values):
@@ -316,24 +241,3 @@ def _euler_solve(columns, log):
 
 
 _EMPTY = (0, 0, 0, ())  # a QSeries is this sector's family over the degree
-
-
-# ---------------------------------------------------------------------------
-# standard expansions
-
-
-def exp_az(a, order: int, var="z") -> QSeries:
-    """Series of exp(a*z) to the given order; a exact rational."""
-    a = Fraction(a)
-    vals = [a**k / factorial(k) for k in range(order + 1)]
-    return QSeries(vals, 0, var)
-
-
-def two_sinh_half(order: int, var="z") -> QSeries:
-    """2*sinh(z/2) = e^{z/2} - e^{-z/2}, a power series with valuation 1."""
-    return exp_az(Fraction(1, 2), order, var) - exp_az(Fraction(-1, 2), order, var)
-
-
-def sinh_reciprocal(order: int, var="z") -> QSeries:
-    """1/(2 sinh(z/2)) as an exact Laurent series, valuation -1."""
-    return two_sinh_half(order + 2, var).inverse()

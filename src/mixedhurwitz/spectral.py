@@ -261,7 +261,6 @@ def extract_C(omega: XiForm, mu) -> Fraction:
 CUT_AND_JOIN_LIMIT = 20
 
 
-@cache
 def cut_and_join_C(g: int, n: int, mu) -> Fraction:
     """C_{g,n}(mu) by the cut-and-join recursion with C_{0,1}(1) = 1."""
     mu = tuple(mu)
@@ -273,26 +272,33 @@ def cut_and_join_C(g: int, n: int, mu) -> Fraction:
     if b > CUT_AND_JOIN_LIMIT:
         raise ResourceLimitError(f"cut-and-join: b = 2g-2+n+|mu| = {b} above "
                                  f"the limit {CUT_AND_JOIN_LIMIT}")
-    if b == 0:  # n >= 1 parts >= 1 leave b = 0 only at (0, 1, (1,))
+    return _cut_and_join(g, mu)
+
+
+@cache
+def _cut_and_join(g, mu):
+    """cut_and_join_C on a checked tuple mu; each term lowers b by one."""
+    if g < 0:
+        return Fraction(0)
+    if 2 * g - 2 + len(mu) + sum(mu) == 0:  # only at (0, (1,))
         return Fraction(1)
     mu1, rest = mu[0], mu[1:]
     total = Fraction(0)
     # join terms
     for j in range(len(rest)):
         merged = (mu1 + rest[j],) + rest[:j] + rest[j + 1:]
-        total += rest[j] * cut_and_join_C(g, n - 1, merged)
+        total += rest[j] * _cut_and_join(g, merged)
     # genus reduction
     for alpha in range(1, mu1):
         beta = mu1 - alpha
-        total += cut_and_join_C(g - 1, n + 1, (alpha, beta) + rest)
+        total += _cut_and_join(g - 1, (alpha, beta) + rest)
     # splitting
     for alpha in range(1, mu1):
         beta = mu1 - alpha
         for g1 in range(0, g + 1):
             g2 = g - g1
             for I, J in splits(rest):
-                total += cut_and_join_C(g1, 1 + len(I), (alpha,) + I) * \
-                    cut_and_join_C(g2, 1 + len(J), (beta,) + J)
+                total += _cut_and_join(g1, (alpha,) + I) * _cut_and_join(g2, (beta,) + J)
     return -total
 
 

@@ -19,9 +19,9 @@ def _splits(b):
 
 
 def _suite_oracle_vs_characters(dmax, oracle_limit):
-    from .characters import check_partition_budget, connected_series, sector_family
+    from .characters import check_partition_budget, sector_family
     from .partitions import source_genus_for
-    from .series import QSeries, _subkeys
+    from .series import _euler_solve, _subkeys
     from .symgroup import triply_mixed_slots
 
     check_partition_budget(dmax)
@@ -43,16 +43,14 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
             keys = {key for bs in cases.values() for b in bs for klm in _splits(b)
                     for key in _subkeys((*klm, profiles))}
             family = sector_family(g, keys, dmax)
-            series = connected_series({key: QSeries(col)
-                                       for key, col in family.items()})
+            conn = _euler_solve(family, log=True)
             for d, bs in cases.items():
                 slots = triply_mixed_slots(g, d, profiles, bs, oracle_limit)
                 for b, gp in bs.items():
                     for k, l, m in _splits(b):
                         key = k, l, m, profiles
                         for connected in (False, True):
-                            chars = (series[key].coefficient(d) if connected
-                                     else family[key][d])
+                            chars = (conn if connected else family)[key][d]
                             yield ({"g": g, "gp": gp, "d": d,
                                     "profiles": [list(p) for p in profiles],
                                     "k": k, "l": l, "m": m, "connected": connected},

@@ -14,6 +14,8 @@ genus-0 points are suppressed into the edges).  Multiplicities follow the
 correspondence weights: 1/|Aut|, 1/l(lam)!, product of vertex multiplicities
 and of internal edge weights, with (-1)^(1+val(v)) factors in the strict
 case.  A vertex-free strand of weight w contributes a deck factor w to |Aut|.
+A vertex multiplicity is one coefficient of a product of
+S(z) = sinh(z/2)/(z/2) series, from the truncated-series kernel in util.
 """
 
 from collections import Counter, namedtuple
@@ -26,7 +28,7 @@ from operator import le
 from .errors import DomainError, ResourceLimitError
 from .partitions import (check_double, compositions, enumerate_partitions,
                          transposition_count)
-from .util import check_variant
+from .util import check_variant, s_product
 
 
 # ---------------------------------------------------------------------------
@@ -40,44 +42,16 @@ def gw_vertex_multiplicity(x_plus, x_minus, vertex_genus: int, lam_i: int) -> Fr
     This is sum_{g1+g2=g(v)} c_{2g2} [z^{2g1}] prod S(x z)/S(z), since
     c_k = [z^k] 1/S(z).  The symmetry factors of the two edge multisets
     cancel between the vertex normalization and the one-point invariants, so
-    they do not appear.
+    they do not appear.  The series is util.s_product, memoised on the
+    sorted edge weights.
     """
     xs = tuple(x_plus) + tuple(x_minus)
     if lam_i != 2 * vertex_genus - 2 + len(xs):
         raise DomainError("lam_i inconsistent with valence and genus")
     if lam_i < 1:
         raise DomainError("local invariant must be >= 1")
-    return _vertex_weight(tuple(sorted(xs)), vertex_genus, lam_i)
-
-
-@cache
-def _vertex_weight(xs, vertex_genus, lam_i):
-    """gw_vertex_multiplicity on the sorted weights of all edges at the vertex."""
-    series = _inverse_s_squared(vertex_genus)
-    for x in xs:
-        series = _times_s(series, x)
+    series = s_product(-2, tuple(sorted(xs)), vertex_genus)
     return factorial(lam_i - 1) * series[vertex_genus]
-
-
-# the even series below are coefficient lists in u = z^2, through u^order
-
-
-def _times_s(series, x):
-    """series * S(x z), where S(x z) = sum_j x^{2j} u^j / (4^j (2j+1)!)."""
-    s = [Fraction(x ** (2 * j), 4**j * factorial(2 * j + 1))
-         for j in range(len(series))]
-    return [sum(series[i] * s[m - i] for i in range(m + 1))
-            for m in range(len(series))]
-
-
-@cache
-def _inverse_s_squared(order):
-    """1 / S(z)^2, solved term by term from S(z)^2 * inverse = 1."""
-    s2 = _times_s(_times_s([Fraction(1)] + [Fraction(0)] * order, 1), 1)
-    inv = [Fraction(1)]
-    for m in range(1, order + 1):
-        inv.append(-sum(s2[j] * inv[m - j] for j in range(1, m + 1)))
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +396,7 @@ def type_series(variant: str, g: int, d_max: int) -> dict:
             row = coeffs.setdefault(combinatorial_type(cover),
                                     [Fraction(0)] * (d_max + 1))
             row[d] += cover.multiplicity(variant)
-    return {t: QSeries(c, 0, "q") for t, c in sorted(coeffs.items())}
+    return {t: QSeries(c) for t, c in sorted(coeffs.items())}
 
 
 def per_type_series(ctype, variant: str, g: int, d_max: int):
@@ -430,4 +404,4 @@ def per_type_series(ctype, variant: str, g: int, d_max: int):
     from .series import QSeries
 
     return type_series(variant, g, d_max).get(
-        ctype, QSeries([Fraction(0)] * (d_max + 1), 0, "q"))
+        ctype, QSeries.zero(d_max))

@@ -1,8 +1,14 @@
 """Small shared helpers: exact rational -> string, subset splits, the
-monotone variants and their check, and the settings the CLI resolves before
-it loads a route: the default oracle limit and the oracle size table."""
+monotone variants and their check, the settings the CLI resolves before it
+loads a route (the default oracle limit and the oracle size table), and the
+package's one truncated-series kernel: products, inverses and the products of
+S(z) = sinh(z/2)/(z/2) that the sinh coefficients and the vertex weights
+read."""
 
 from fractions import Fraction
+from functools import cache
+from math import factorial
+from operator import mul
 
 from .errors import DomainError
 
@@ -49,3 +55,37 @@ def check_variant(variant: str):
     """Refuse a variant outside VARIANTS."""
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant}")
+
+
+# ---------------------------------------------------------------------------
+# truncated series: coefficient lists a[0..n-1], known through the last index
+
+
+def times(a, b):
+    """The product of two series of the same length, to that length."""
+    return [sum(map(mul, a[:e + 1], b[e::-1])) for e in range(len(a))]
+
+
+def inverse(a):
+    """1 / a to the length of a; a[0] must be nonzero."""
+    out = [Fraction(1) / a[0]]
+    for e in range(1, len(a)):
+        out.append(-sum(map(mul, a[1:e + 1], out[::-1])) / a[0])
+    return out
+
+
+@cache
+def s_product(power, xs, order):
+    """S(z)^power prod_x S(x z) through u^order, as a list in u = z^2, for
+    S(z) = sinh(z/2)/(z/2) = sum_j u^j / (4^j (2j+1)!) and a tuple xs.
+
+    Memoised on every prefix of xs, so S(z)^power is built once per order.
+    """
+    x = xs[-1] if xs else 1
+    s = [Fraction(x ** (2 * j), 4**j * factorial(2 * j + 1)) for j in range(order + 1)]
+    if xs:
+        return times(s_product(power, xs[:-1], order), s)
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(abs(power)):
+        out = times(out, s)
+    return inverse(out) if power < 0 else out

@@ -1,13 +1,14 @@
 """Reference helpers that only the tests use: small enumerations, sector
 subsectors and the exp at one sector, the commutator table by permutation,
-the expansion of a quasimodular polynomial, the JSON reader of a QSeries,
-the product form of the quantum-curve partition function, and the unpruned
+the expansion of a quasimodular polynomial, the product form of the
+quantum-curve partition function, the sinh coefficients from the Bernoulli
+numbers, the completion coefficients from the sinh product, and the unpruned
 elliptic graph search and two-factor vertex weight of the tropical route,
 kept out of the package so that no CLI launch compiles them."""
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from operator import le
 from unittest import mock
 
@@ -15,8 +16,8 @@ from mixedhurwitz import tropical
 from mixedhurwitz.commutators import commutator_codes
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import enumerate_partitions
-from mixedhurwitz.quasimodular import c_coefficient, eisenstein
-from mixedhurwitz.series import QSeries, _euler_solve, _subkeys, two_sinh_half
+from mixedhurwitz.quasimodular import eisenstein
+from mixedhurwitz.series import QSeries, _euler_solve, _subkeys
 from mixedhurwitz.symgroup import _codes, transposition
 from mixedhurwitz.tropical import combinatorial_type, enumerate_elliptic_covers
 from mixedhurwitz.util import VARIANTS
@@ -78,19 +79,14 @@ def commutator_tuple_table(d: int, g: int):
 def expand_quasimodular(poly, order: int) -> QSeries:
     """The q-series through q^order of a QuasimodularPoly in P, Q, R."""
     P, Q, R = (eisenstein(k, order) for k in (2, 4, 6))
-    out = QSeries.zero(order, "q")
+    out = QSeries.zero(order)
     for (a, b, c), coef in poly.terms:
-        term = QSeries([coef] + [0] * order, 0, "q")
+        term = QSeries([coef] + [0] * order)
         for factor, n in ((P, a), (Q, b), (R, c)):
             for _ in range(n):
                 term = term * factor
         out = out + term
     return out
-
-
-def qseries_from_json(doc):
-    """The QSeries whose to_json() is doc."""
-    return QSeries([Fraction(c) for c in doc["coeffs"]], doc["low"], doc["var"])
 
 
 def weight_component(fit, w: int):
@@ -151,21 +147,61 @@ def product_form(variant: str, g: int, d_max: int, b_max: int) -> dict:
     return Z
 
 
-def sinh_normalized(order: int, var="z") -> QSeries:
-    """sinh(z/2)/(z/2): constant term 1, even series."""
-    return two_sinh_half(order + 1, var).shift(-1)
+@cache
+def bernoulli(m: int) -> Fraction:
+    """B_m from sum_{j=0..m} C(m+1, j) B_j = 0 for m >= 1, B_0 = 1."""
+    if m == 0:
+        return Fraction(1)
+    return -sum(comb(m + 1, j) * bernoulli(j) for j in range(m)) / (m + 1)
+
+
+def sinh_coefficient(k: int) -> Fraction:
+    """c_k = [z^k] (z/2)/sinh(z/2): c_{2j} = (2^(1-2j) - 1) B_{2j} / (2j)!,
+    and 0 at odd k."""
+    if k % 2:
+        return Fraction(0)
+    return (Fraction(2) ** (1 - k) - 1) * bernoulli(k) / factorial(k)
+
+
+def sinh_scaled(x, order: int) -> QSeries:
+    """S(x z) = sinh(x z/2)/(x z/2) through z^order, in powers of z:
+    [z^k] = x^k / (2^k (k+1)!) at even k."""
+    return QSeries([Fraction(x ** k, 2 ** k * factorial(k + 1)) if k % 2 == 0 else 0
+                    for k in range(order + 1)])
+
+
+def two_sinh(x, order: int) -> QSeries:
+    """2 sinh(x z/2) = e^(x z/2) - e^(-x z/2) through z^order."""
+    half = Fraction(x, 2)
+    return QSeries([(half ** k - (-half) ** k) / factorial(k)
+                    for k in range(order + 1)])
+
+
+def completion_reference(nu, k_max: int):
+    """q_{k,nu} for k = 0..k_max: [z^(k-1)] of
+    (1/|nu|!) (2 sinh(z/2))^(|nu|-1) prod_i 2 sinh(nu_i z/2), and c_k at
+    nu = (), where the right side is 1/(2 sinh(z/2))."""
+    if not nu:
+        return [sinh_coefficient(k) for k in range(k_max + 1)]
+    order = k_max + 2
+    rhs = QSeries.one(order)
+    for _ in range(sum(nu) - 1):
+        rhs = rhs * two_sinh(1, order)
+    for part in nu:
+        rhs = rhs * two_sinh(part, order)
+    rhs = rhs / factorial(sum(nu))
+    return [rhs.coefficient(k - 1) for k in range(k_max + 1)]
 
 
 def two_factor_vertex_weight(x_plus, x_minus, vertex_genus: int, lam_i: int) -> Fraction:
     """(lam_i-1)! sum_{g1+g2=g(v)} c_{2g2} [z^{2g1}] prod S(x z)/S(z), with
-    S = sinh_normalized and c_k from quasimodular.c_coefficient."""
+    S(x z) from sinh_scaled and c_k from sinh_coefficient."""
     order = 2 * vertex_genus
-    s = sinh_normalized(order + 2)
-    prod = QSeries([1] + [0] * (order + 2), 0, "z")
+    prod = QSeries.one(order)
     for x in tuple(x_plus) + tuple(x_minus):
-        prod = prod * s.compose_scale(x)
-    prod = prod / s
-    total = sum((c_coefficient(2 * (vertex_genus - g1)) * prod.coefficient(2 * g1)
+        prod = prod * sinh_scaled(x, order)
+    prod = prod / sinh_scaled(1, order)
+    total = sum((sinh_coefficient(2 * (vertex_genus - g1)) * prod.coefficient(2 * g1)
                  for g1 in range(vertex_genus + 1)), Fraction(0))
     return factorial(lam_i - 1) * total
 

@@ -158,12 +158,6 @@ def _series_plus_one(fn):
     return shifted
 
 
-def _each_series_plus_one(fn):
-    shifted = _series_plus_one(lambda s: s)
-    return lambda *args, **kwargs: {key: shifted(s) for key, s in
-                                    fn(*args, **kwargs).items()}
-
-
 def _each_value_plus_one(fn):
     return lambda *args, **kwargs: {key: [v + 1 for v in col] for key, col in
                                     fn(*args, **kwargs).items()}
@@ -187,8 +181,8 @@ WRONG_ROUTE = [
      {"inputs": {"g": 0, "gp": 0, "d": 1, "profiles": [], "k": 0, "l": 0,
                  "m": 0, "connected": False},
       "oracle": "1", "characters": "2"}),
-    ("oracle-vs-characters", ["--dmax", "2"], "characters", "connected_series",
-     _each_series_plus_one, "checked: 134",
+    ("oracle-vs-characters", ["--dmax", "2"], "series", "_euler_solve",
+     _each_value_plus_one, "checked: 134",
      {"inputs": {"g": 0, "gp": 0, "d": 1, "profiles": [], "k": 0, "l": 0,
                  "m": 0, "connected": True},
       "oracle": "1", "characters": "2"}),
@@ -564,6 +558,22 @@ def test_cli_module_stays_under_4096_tokens():
     # 4096 tokens: code that one subcommand runs lives in that one's module
     with open(ROOT / "src" / "mixedhurwitz" / "cli.py", "rb") as fh:
         assert len(list(tokenize.tokenize(fh.readline))) < 4096
+
+
+def test_util_module_stays_under_4096_tokens_and_imports_only_errors():
+    # every launch compiles util.py too, and it must not pull in a route
+    path = ROOT / "src" / "mixedhurwitz" / "util.py"
+    with open(path, "rb") as fh:
+        assert len(list(tokenize.tokenize(fh.readline))) < 4096
+    tree = ast.parse(path.read_text())
+    package = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert package == {"errors"}
+    assert not {m for m in absolute if m.split(".")[0] == "mixedhurwitz"}
 
 
 def test_tropical_loads_only_its_route():

@@ -1,5 +1,7 @@
 import os
 import pickle
+from functools import cache
+from math import comb, factorial
 import subprocess
 import sys
 from fractions import Fraction
@@ -174,6 +176,52 @@ def test_stirling_examples():
     assert stirling("first_unsigned", 3, 2) == 3
     assert stirling("second", 5, 0) == 0
     assert stirling("first_unsigned", 0, 4) == 0
+
+
+@cache
+def _recursive_stirling(kind, n, k):
+    """The memoised recursion stirling ran on before its rows were built
+    iteratively."""
+    if n < 0 or k < 0:
+        raise DomainError("Stirling indices must be >= 0")
+    if n == 0 and k == 0:
+        return 1
+    if n == 0 or k == 0:
+        return 0
+    if k > n:
+        return 0
+    if kind == "first_unsigned":
+        return (n - 1) * _recursive_stirling(kind, n - 1, k) \
+            + _recursive_stirling(kind, n - 1, k - 1)
+    if kind == "second":
+        return k * _recursive_stirling(kind, n - 1, k) \
+            + _recursive_stirling(kind, n - 1, k - 1)
+    raise DomainError(f"unknown Stirling kind: {kind}")
+
+
+def test_stirling_matches_the_recursion_on_a_small_grid():
+    for kind in ("first_unsigned", "second", "third"):
+        for n in range(-1, 31):
+            for k in range(-1, 33):
+                try:
+                    want = _recursive_stirling(kind, n, k)
+                except DomainError as err:
+                    with pytest.raises(DomainError, match=str(err)):
+                        stirling(kind, n, k)
+                else:
+                    assert stirling(kind, n, k) == want, (kind, n, k)
+
+
+def test_stirling_takes_large_indices():
+    # past the recursion's depth: {n, k} by inclusion-exclusion, and row n
+    # of the first kind sums to n! with alternating sum 0
+    n, k = 1200, 600
+    assert stirling("second", n, k) == sum(
+        (-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)) // factorial(k)
+    row = [stirling("first_unsigned", n, j) for j in range(n + 1)]
+    assert sum(row) == factorial(n)
+    assert sum((-1) ** j * x for j, x in enumerate(row)) == 0
+    assert row[k] == stirling("first_unsigned", n, k) > 0
 
 
 def test_stirling_falling_factorial_identity():

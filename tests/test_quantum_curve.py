@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -58,6 +59,16 @@ def test_partition_function_examples():
         partition_coefficient("weak", 0, 1, 0)
     with pytest.raises(DomainError):
         partition_coefficient("strict", -1, 1, 0)
+
+
+def test_partition_function_takes_a_large_cell():
+    # d + b - 1 = 1199 sits past the recursion depth the Stirling numbers
+    # once needed; {n, k} by inclusion-exclusion
+    n, k = 1199, 599
+    second = sum((-1) ** j * comb(k, j) * (k - j) ** n
+                 for j in range(k + 1)) // factorial(k)
+    assert partition_coefficient("monotone", 0, 600, 600) == \
+        Fraction(second, factorial(600))
 
 
 def test_product_forms_match_double_sums():

@@ -19,7 +19,8 @@ from mixedhurwitz.quasimodular import (
     q_bracket,
 )
 from mixedhurwitz.series import QSeries
-from references import expand_quasimodular, partitions_upto
+from references import (completion_reference, expand_quasimodular, partitions_upto,
+                        sinh_coefficient)
 from test_characters import central_character_extended
 
 
@@ -77,6 +78,20 @@ def test_completion_coefficients_examples():
     assert qs22[6] != 0  # |nu| + l(nu) = 6
     with pytest.raises(DomainError):
         completion_coefficients((1,), 1)
+
+
+def test_c_coefficient_matches_the_bernoulli_reference():
+    assert [c_coefficient(k) for k in range(61)] == \
+        [sinh_coefficient(k) for k in range(61)]
+
+
+def test_completion_coefficients_match_the_sinh_product_reference():
+    for nu in partitions_upto(8):
+        # the reference's window only truncates: one through k_max = 14
+        reference = completion_reference(nu, 14)
+        for k_max in range(2, 15):
+            assert completion_coefficients(nu, k_max) == \
+                reference[:k_max + 1], (nu, k_max)
 
 
 def test_Q_k_equals_completion_sum():

@@ -324,6 +324,9 @@ def test_cut_and_join_values():
     assert cut_and_join_C(0, 2, (1, 2)) == -4
     assert cut_and_join_C(1, 1, (1,)) == 0
     assert cut_and_join_C(1, 1, (2,)) == -1
+    # a list mu is read as the tuple
+    assert cut_and_join_C(0, 2, [1, 2]) == cut_and_join_C(0, 2, (1, 2)) == -4
+    assert cut_and_join_C(2, 2, [3, 1]) == cut_and_join_C(2, 2, (3, 1))
     for n in (1, 2, 3):
         for mu in compositions(4, n):
             level = (0, n)
