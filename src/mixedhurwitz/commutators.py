@@ -1,102 +1,100 @@
-"""Products of commutators in S_d, aggregated by their orbits.
+"""Products of commutators in S_n, counted by orbit blocks.
 
 The handle part [a_1,b_1]...[a_g,b_g] of a factorization over a base of genus
-g >= 1.  Tables are coded as the symgroup walk is (symgroup._codes):
-{kappa: {orbit labels of <a_1, b_1, ..., a_g, b_g>: count}}.  symgroup loads
-this module only when a count needs handles, so the oracles that never do
-(the monotone counts, refined N counts) do not compile it.
+g >= 1.  Take a 2g-tuple whose product is kappa: restricted to each orbit of
+<a_1, b_1, ..., a_g, b_g>, it is a transitive tuple whose product is kappa
+there, so every orbit is a union of kappa-cycles and the tuples of each orbit
+are chosen independently.  A count therefore needs only the cycle lengths of
+kappa, grouped into blocks, and never a table of tuples.  symgroup loads this
+module only when a count needs handles, so the oracles that never do (the
+monotone counts, refined N counts) do not compile it.
 """
 
 from functools import cache
-from itertools import product
 
 from .errors import DomainError
-from .partitions import check_partition, pad_to, strip_ones
-from .symgroup import (
-    _codes,
-    _cycles,
-    _join,
-    all_perms,
-    check_oracle_size,
-    compose,
-    cycle_type,
-    inverse,
-    orbit_labels,
-)
+from .partitions import check_partition, class_size, pad_to, strip_ones, z_weight
+from .symgroup import all_perms, canonical_of_type, check_oracle_size
 from .util import DEFAULT_ORACLE_LIMIT
 
 
-def _conjugators(x, y):
-    """Every beta with beta x beta^-1 = y: none unless x and y share a cycle type.
-
-    beta carries each cycle of x onto an unused cycle of y of the same length,
-    at each of its rotations; these are one coset of the centraliser of x.
-    The search is depth first, so no choice list is ever materialised.
-    """
-    cx, cy = _cycles(x), _cycles(y)
-    beta = list(x)
-
-    def place(k, used):
-        if k == len(cx):
-            yield tuple(beta)
-            return
-        for m, dst in enumerate(cy):
-            if len(dst) == len(cx[k]) and not used >> m & 1:
-                for r in range(len(dst)):
-                    for i, v in enumerate(cx[k]):
-                        beta[v] = dst[(i + r) % len(dst)]
-                    yield from place(k + 1, used | 1 << m)
-
-    if list(map(len, cx)) == list(map(len, cy)):
-        yield from place(0, 0)
+def _product_type(a, b):
+    """The cycle type of a b, without building a b."""
+    seen, out = bytearray(len(a)), []
+    for i in range(len(a)):
+        if not seen[i]:
+            j, length = i, 0
+            while not seen[j]:
+                seen[j], j, length = 1, a[b[j]], length + 1
+            out.append(length)
+    return tuple(sorted(out, reverse=True))
 
 
 @cache
-def commutator_codes(d: int, g: int):
-    """The coded table of products of g commutators in S_d.
+def _class_pairs(tau):
+    """{(type of a, type of a kappa): number of a in S_n} for one kappa of
+    full cycle type tau."""
+    n = sum(tau)
+    kappa, e, out = canonical_of_type(tau, n), tuple(range(n)), {}
+    for a in all_perms(n):
+        key = _product_type(a, e), _product_type(a, kappa)
+        out[key] = out.get(key, 0) + 1
+    return out
 
-    [alpha, beta] = kappa iff beta conjugates alpha^-1 to alpha^-1 kappa, so
-    at g = 1 _conjugators solves one representative kappa per cycle type, and
-    every other gamma kappa gamma^-1 takes its row with each orbit carried by
-    gamma.  Joins are computed, never memoised.
+
+@cache
+def _all_tuples(g: int, tau) -> int:
+    """N_g(tau): the 2g-tuples whose commutator product is one fixed
+    permutation kappa of full cycle type tau.
+
+    [a, b] = kappa iff b conjugates a^-1 to a^-1 kappa, and then the b form a
+    coset of the centraliser of a^-1 (orbit-stabiliser), so N_1 sums |Z(a)|
+    over the a in S_n with a^-1 kappa of the type of a; N_g puts one more
+    commutator on each product kappa_1 of g - 1.  A product of commutators is
+    even, so an odd kappa has none.
+    """
+    if (sum(tau) - len(tau)) % 2:
+        return 0
+    pairs = _class_pairs(tau)  # a runs over S_n as a^-1 and kappa_1^-1 do
+    if g == 1:
+        return sum(c * z_weight(lam) for (lam, mu), c in pairs.items() if lam == mu)
+    return sum(c * _all_tuples(g - 1, lam) * _all_tuples(1, mu)
+               for (lam, mu), c in pairs.items())
+
+
+@cache
+def joined_count(g: int, blocks) -> int:
+    """The 2g-tuples whose commutator product is one fixed permutation kappa,
+    and whose orbits join the blocks of kappa's cycles into one orbit.
+
+    blocks is a sorted tuple of blocks, each the weakly decreasing lengths of
+    its cycles.  One block counts every tuple, N_g of its cycle type; one
+    block per cycle counts the transitive tuples, t_g of the cycle type.  A
+    tuple joins the blocks into parts, each part's tuple joining that part
+    into one orbit, so N_g of all the cycles sums, over the part Y that holds
+    the first block, joined_count(Y) times N_g of the other blocks; the term
+    of Y = all the blocks is the count sought.
     """
     if g < 1:
         raise DomainError("g must be >= 1")
-    perms, labels = _codes(d)
-    table = {}
-    if g > 1:  # one more commutator on each product of g - 1
-        for k1, orbs1 in commutator_codes(d, g - 1).items():
-            for k2, orbs2 in commutator_codes(d, 1).items():
-                kappa = perms.code(compose(perms.items[k1], perms.items[k2]))
-                dest = table.setdefault(kappa, {})
-                for (p1, c1), (p2, c2) in product(orbs1.items(), orbs2.items()):
-                    joined = _join(labels, p1, p2)
-                    dest[joined] = dest.get(joined, 0) + c1 * c2
-        return table
-    reps, cycles = {}, {p: labels.code(orbit_labels(d, (p,))) for p in all_perms(d)}
-    for kappa in all_perms(d):
-        ctype = cycle_type(kappa)
-        if ctype not in reps:
-            row = {}
-            for alpha in all_perms(d):
-                a_inv = inverse(alpha)
-                for beta in _conjugators(a_inv, compose(a_inv, kappa)):
-                    orb = _join(labels, cycles[alpha], cycles[beta])
-                    row[orb] = row.get(orb, 0) + 1
-            reps[ctype] = kappa, row
-        rep, row = reps[ctype]
-        if row:
-            gamma = next(_conjugators(rep, kappa))
-            g_inv = inverse(gamma)
-            table[perms.code(kappa)] = {labels.code(orbit_labels(
-                d, (compose(compose(gamma, labels.items[p]), g_inv),))): c
-                for p, c in row.items()}
-    return table
+
+    def merged(bs):
+        return tuple(sorted((x for b in bs for x in b), reverse=True))
+
+    total = _all_tuples(g, merged(blocks))
+    first, rest = blocks[0], blocks[1:]
+    for mask in range((1 << len(rest)) - 1):  # every part Y but all the blocks
+        inside = [b for i, b in enumerate(rest) if mask >> i & 1]
+        outside = [b for i, b in enumerate(rest) if not mask >> i & 1]
+        total -= (joined_count(g, tuple(sorted([first, *inside])))
+                  * _all_tuples(g, merged(outside)))
+    return total
 
 
 def count_commutator_type(g: int, nu, d: int,
                           limit: int = DEFAULT_ORACLE_LIMIT) -> int:
-    """Number of 2g-tuples in S_d^2g whose commutator product has padded type nu."""
+    """Number of 2g-tuples in S_d^2g whose commutator product has padded type
+    nu: |C_nu| N_g(nu)."""
     if g < 1:
         raise DomainError("g must be >= 1")
     nu = check_partition(nu)
@@ -104,6 +102,4 @@ def count_commutator_type(g: int, nu, d: int,
         raise DomainError("|nu| > d")
     check_oracle_size(d, limit, g)
     target = pad_to(strip_ones(nu), d)
-    perms = _codes(d)[0]
-    return sum(sum(orbs.values()) for k, orbs in commutator_codes(d, g).items()
-               if cycle_type(perms.items[k]) == target)
+    return class_size(target, d) * joined_count(g, (target,))

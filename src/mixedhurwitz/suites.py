@@ -116,17 +116,19 @@ def _suite_toprec(mu_max):
 
 def _suite_tropical(windows):
     """The genus-g elliptic sums against the character series with 2g - 2
-    completed cycles, d = 1..dmax for each (g, dmax) window."""
+    completed cycles, d = 1..dmax for each (g, dmax) window; both variants
+    sum one cover list per (g, d)."""
     from .characters import connected_hurwitz_qseries
-    from .tropical import tropical_elliptic_sum
+    from .tropical import enumerate_elliptic_covers, tropical_elliptic_sum
 
     for g, dmax in windows:
+        covers = {d: enumerate_elliptic_covers(g, d) for d in range(1, dmax + 1)}
         for variant in VARIANTS:
             kl = (0, 2 * g - 2, 0) if variant == "monotone" else (0, 0, 2 * g - 2)
             series = connected_hurwitz_qseries(1, kl[0], kl[1], kl[2], (), dmax)
             for d in range(1, dmax + 1):
                 yield ({"variant": variant, "g": g, "d": d},
-                       {"tropical": tropical_elliptic_sum(variant, g, d),
+                       {"tropical": tropical_elliptic_sum(variant, g, d, covers[d]),
                         "characters": series.coefficient(d)})
 
 

@@ -16,9 +16,11 @@ multiplication per step.  Orbits are label tuples (each point labelled by the
 least point of its orbit).  The walk runs on integer codes: each permutation
 and each label tuple is coded by the order it was first met (_Interned), so a
 step is two list lookups.  The slots of one triply_mixed_slots call share one
-walk; no walk or count is cached across calls.  The commutator tables of a
-base genus g >= 1 live in the commutators module.  The fixed-target count of
-the cut-and-join side is the monotone double count at nu = 1^d.
+walk and close each distinct leaf once; no walk or count is cached across
+calls.  Over a base of genus g >= 1 a leaf is closed by g commutators, counted
+by the commutators module from the leaf's cycles and orbits alone.  The
+fixed-target count of the cut-and-join side is the monotone double count at
+nu = 1^d.
 """
 
 from fractions import Fraction
@@ -199,13 +201,6 @@ def _join(labels, a, b):
     return a
 
 
-@cache
-def _transitive(d: int, a: int, b: int) -> bool:
-    """Whether the labels coded a and b join to a single orbit."""
-    labels = _codes(d)[1]
-    return not any(labels.items[_join(labels, a, b)])
-
-
 def check_oracle_size(d: int, limit: int, base_genus: int = 0, b: int = 0,
                       profiles: int = 0):
     """The one precondition of every oracle: refuse, before any work, a degree
@@ -294,19 +289,35 @@ def _tau_walk(d: int, b: int, strict: bool, orbits):
     return _walk(d, _profiled(d, (), orbits), ((b, STRICT if strict else WEAK),))
 
 
-def _totals(d: int, g: int, states):
-    """(disconnected, connected) d!-scaled counts of end states closed by g commutators
-    (the identity at g = 0), the first tallied by product before any row is read."""
+def _totals(d: int, g: int, states, closed):
+    """(disconnected, connected) d!-scaled counts of end states closed by g
+    commutators (the identity at g = 0).
+
+    A leaf (p, q) is closed by the 2g-tuples whose commutator product is p^-1:
+    all of them, and those whose orbits join q into one orbit.  q's orbits are
+    unions of p's cycles, so commutators.joined_count reads the cycle lengths
+    of p grouped by q.  closed maps each distinct leaf to its pair, computed
+    the first time the leaf is met; the caller holds it for one call.
+    """
     perms, labels = _codes(d)
-    if g:
-        from .commutators import commutator_codes
-    table = (commutator_codes(d, g) if g else
-             {perms.code(identity(d)): {labels.code(orbit_labels(d)): 1}})
     leaves = _tally(((p, q), c) for (p, _, q), c in states.items())
-    prods = _tally((p, c) for (p, _), c in leaves.items())
-    return (sum(c * sum(table.get(p, {}).values()) for p, c in prods.items()),
-            sum(c * sum(n for o, n in table.get(p, {}).items() if _transitive(d, q, o))
-                for (p, q), c in leaves.items()))
+    if not g:
+        e = perms.code(identity(d))
+        ends = [(q, c) for (p, q), c in leaves.items() if p == e]
+        return (sum(c for _, c in ends),
+                sum(c for q, c in ends if not any(labels.items[q])))
+    from .commutators import joined_count
+
+    def close(p, q):
+        cycles, lab, blocks = _cycles(perms.items[p]), labels.items[q], {}
+        for cyc in cycles:
+            blocks.setdefault(lab[cyc[0]], []).append(len(cyc))
+        return (joined_count(g, (tuple(map(len, cycles)),)),
+                joined_count(g, tuple(sorted(map(tuple, blocks.values())))))
+
+    for leaf in leaves.keys() - closed.keys():
+        closed[leaf] = close(*leaf)
+    return tuple(sum(c * closed[leaf][i] for leaf, c in leaves.items()) for i in (0, 1))
 
 
 def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIMIT):
@@ -318,10 +329,10 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
     character value is cached across calls.  The memos hold only permutation
     and set-partition combinatorics: the permutations of each degree and of
     each cycle type, the codes of the permutations and label tuples met so far
-    with their step rows, the cycles of a permutation as a label tuple, whether
-    two coded labels join to one orbit, and the commutator tables of each
-    degree and genus.  The profiles run over their full conjugacy classes, so
-    this stays an independent check of the specialized enumerators below.
+    with their step rows, the cycles of a permutation as a label tuple, and
+    the commutator counts by cycle type and blocks.  The profiles run over
+    their full conjugacy classes, so this stays an independent check of the
+    specialized enumerators below.
     """
     d = spec.degree
     check_oracle_size(d, oracle_limit, spec.base_genus, spec.k + spec.l + spec.m,
@@ -329,7 +340,7 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
     states = _profiled(d, spec.padded_profiles(),
                        orbit_labels(d) if spec.connected else (0,) * d)
     states = _walk(d, states, ((spec.k, FREE), (spec.l, WEAK), (spec.m, STRICT)))
-    total = _totals(d, spec.base_genus, states)[spec.connected]
+    total = _totals(d, spec.base_genus, states, {})[spec.connected]
     for p in spec.profiles if spec.labeled else ():
         total *= aut_count(p)
     return Fraction(total, factorial(d))
@@ -340,7 +351,7 @@ def triply_mixed_slots(g, d, profiles, bs, oracle_limit=DEFAULT_ORACLE_LIMIT):
     base genus g, degree d and these profiles for each k + l + m in bs, from
     one walk: the profiles are applied once, each free layer branches into a
     weak walk and each weak layer into a strict one."""
-    top, slots = max(bs, default=-1), {}
+    top, slots, closed = max(bs, default=-1), {}, {}
     check_oracle_size(d, oracle_limit, g, top, len(profiles))
     start = _profiled(d, [pad_to(check_partition(p), d) for p in profiles],
                       orbit_labels(d))
@@ -349,7 +360,7 @@ def triply_mixed_slots(g, d, profiles, bs, oracle_limit=DEFAULT_ORACLE_LIMIT):
             for m, end in zip(range(top + 1 - k - l), _steps(d, weak, STRICT)):
                 if k + l + m in bs:
                     slots[k, l, m] = tuple(Fraction(t, factorial(d))
-                                           for t in _totals(d, g, end))
+                                           for t in _totals(d, g, end, closed))
     return slots
 
 

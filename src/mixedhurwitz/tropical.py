@@ -364,11 +364,12 @@ def _balanced_weights(shapes, n, d, budget):
     yield from rec(0)
 
 
-def tropical_elliptic_sum(variant: str, g: int, d: int) -> Fraction:
-    """H^d for the (strictly) monotone elliptic correspondence."""
+def tropical_elliptic_sum(variant: str, g: int, d: int, covers=None) -> Fraction:
+    """H^d for the (strictly) monotone elliptic correspondence, summed over
+    covers, the list enumerate_elliptic_covers(g, d) when none is given."""
     check_variant(variant)
     total = Fraction(0)
-    for cover in enumerate_elliptic_covers(g, d):
+    for cover in enumerate_elliptic_covers(g, d) if covers is None else covers:
         total += cover.multiplicity(variant)
     return total
 

@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: small enumerations, sector
-subsectors and the exp at one sector, the commutator table by permutation,
+subsectors and the exp at one sector, the transitive commutator counts and
+the commutator table by permutation built from them,
 the expansion of a quasimodular polynomial, the product form of the
 quantum-curve partition function, the sinh coefficients from the Bernoulli
 numbers, the completion coefficients from the sinh product, and the unpruned
@@ -8,17 +9,17 @@ kept out of the package so that no CLI launch compiles them."""
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import le
 from unittest import mock
 
 from mixedhurwitz import tropical
-from mixedhurwitz.commutators import commutator_codes
+from mixedhurwitz.commutators import joined_count
 from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import enumerate_partitions
 from mixedhurwitz.quasimodular import eisenstein
 from mixedhurwitz.series import QSeries, _euler_solve, _subkeys
-from mixedhurwitz.symgroup import _codes, transposition
+from mixedhurwitz.symgroup import _cycles, all_perms, transposition
 from mixedhurwitz.tropical import combinatorial_type, enumerate_elliptic_covers
 from mixedhurwitz.util import VARIANTS
 
@@ -65,15 +66,48 @@ def exp_at(connected, target) -> Fraction:
     return _euler_solve(columns, log=False)[target[:4]][d]
 
 
+def transitive_count(g: int, tau) -> int:
+    """t_g(tau): the transitive 2g-tuples whose commutator product is one
+    fixed permutation of full cycle type tau, one block per cycle."""
+    return joined_count(g, tuple(sorted((x,) for x in tau)))
+
+
+def _set_partitions(items):
+    """Every set partition of the list items, each a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, *rest = items
+    for part in _set_partitions(rest):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [first, *part[i]], *part[i + 1:]]
+
+
 def commutator_tuple_table(d: int, g: int):
     """Aggregate 2g-tuples in S_d^2g by (commutator product, orbit labels).
 
-    Returns {kappa: {orbit_labels: count}} with kappa = [a_1,b_1]...[a_g,b_g]:
-    commutators.commutator_codes with its codes read back as permutations.
+    Returns {kappa: {orbit_labels: count}} with kappa = [a_1,b_1]...[a_g,b_g],
+    nonzero counts only.  An orbit partition of the tuples over kappa joins
+    kappa's cycles into blocks, and its count is the product over the blocks
+    of t_g of kappa's cycle type there.
     """
-    perms, labels = _codes(d)
-    return {perms.items[k]: {labels.items[p]: c for p, c in orbs.items()}
-            for k, orbs in commutator_codes(d, g).items()}
+    table = {}
+    for kappa in all_perms(d):
+        row = {}
+        for part in _set_partitions(_cycles(kappa)):
+            count = prod(transitive_count(g, sorted(map(len, block), reverse=True))
+                         for block in part)
+            if count:
+                labels = [0] * d
+                for block in part:
+                    for cycle in block:
+                        for x in cycle:
+                            labels[x] = min(c[0] for c in block)
+                row[tuple(labels)] = count
+        if row:
+            table[kappa] = row
+    return table
 
 
 def expand_quasimodular(poly, order: int) -> QSeries:

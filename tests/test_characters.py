@@ -216,7 +216,7 @@ def test_disconnected_series_evaluates_only_its_own_sector(monkeypatch):
         "1190197/10080"]
 
 
-@pytest.mark.parametrize("d,g", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2)])
+@pytest.mark.parametrize("d,g", [(d, g) for g in (1, 2, 3) for d in range(1, 7)])
 def test_commutator_counts_match_oracle(d, g):
     for nu in enumerate_partitions(d):
         assert commutator_count_by_characters(g, nu, d) == \

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mixedhurwitz
-from mixedhurwitz.characters import hurwitz_by_characters
+from mixedhurwitz.characters import connected_hurwitz_qseries, hurwitz_by_characters
 from mixedhurwitz.commutators import count_commutator_type
 from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.partitions import aut_count, class_size, enumerate_partitions
@@ -34,7 +35,7 @@ from mixedhurwitz.symgroup import (
     triply_mixed_slots,
 )
 from mixedhurwitz.util import ORACLE_SIZE_LIMIT
-from references import commutator_tuple_table
+from references import commutator_tuple_table, transitive_count
 
 
 def test_spec_validation():
@@ -237,6 +238,7 @@ def test_commutator_counts():
             assert total == factorial(d) ** (2 * g)
 
 
+@cache
 def _naive_commutator_table(d, g):
     """{kappa: {orbit labels: count}} over every 2g-tuple, by plain products."""
     table = {}
@@ -275,6 +277,26 @@ def test_commutator_pair_table_at_degree_6():
 
 def test_commutator_tuple_table_matches_plain_products():
     assert commutator_tuple_table(3, 2) == _naive_commutator_table(3, 2)
+
+
+@pytest.mark.parametrize("d,g", [*((d, 1) for d in range(1, 6)),
+                                 *((d, 2) for d in range(1, 4))])
+def test_transitive_counts_match_plain_products(d, g):
+    # t_g(type of kappa) is the single-orbit entry of kappa's row, or 0
+    table = _naive_commutator_table(d, g)
+    for kappa in all_perms(d):
+        assert transitive_count(g, cycle_type(kappa)) == \
+            table.get(kappa, {}).get((0,) * d, 0), kappa
+
+
+@pytest.mark.parametrize("connected, value", [(False, 1626), (True, 672)])
+def test_degree_7_handle_count_matches_characters(connected, value):
+    # base genus 1, k = 2 at degree 7: source genus 2
+    spec = HurwitzSpec(1, 2, 7, (), 2, 0, 0, connected=connected)
+    assert count_triply_mixed(spec, oracle_limit=7) == value
+    chars = (connected_hurwitz_qseries(1, 2, 0, 0, (), 7).coefficient(7)
+             if connected else hurwitz_by_characters(spec))
+    assert chars == value
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
