@@ -14,7 +14,6 @@ order and rationals as canonical "num/den" strings.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
 from .util import DEFAULT_ORACLE_LIMIT, ORACLE_SIZE_LIMIT, VARIANTS, rat_str
@@ -81,8 +80,7 @@ def build_parser():
     common.add_argument("--oracle-dmax", type=int, default=argparse.SUPPRESS,
                         help="largest degree the brute-force oracle may attempt")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker processes for verification suites "
-                        "(results are deterministic regardless)")
+                        help="accepted if >= 1; verify runs its suites serially")
     p = argparse.ArgumentParser(
         prog="mixedhurwitz",
         description="Exact triply mixed Hurwitz numbers: character sums, "
@@ -268,10 +266,10 @@ def cmd_double(args):
 
 
 def cmd_tropical(args):
-    from .tropical import enumerate_elliptic_covers
+    from .tropical import enumerate_elliptic_covers, tropical_elliptic_sum
 
     covers = enumerate_elliptic_covers(args.genus, args.degree)
-    total = sum((c.multiplicity(args.variant) for c in covers), Fraction(0))
+    total = tropical_elliptic_sum(args.variant, args.genus, args.degree, covers)
     doc = {"total": rat_str(total)}
     if args.list_covers:
         doc["covers"] = [
@@ -300,7 +298,7 @@ def cmd_qc(args):
 def cmd_verify(args):
     from .suites import verify
 
-    return verify(args.suite, args.dmax, args.deep, args.oracle_dmax, args.jobs)
+    return verify(args.suite, args.dmax, args.deep, args.oracle_dmax)
 
 
 COMMANDS = {

@@ -1,5 +1,5 @@
 """The cross-validation suites of `verify`: only that subcommand imports this
-module, and its --jobs pool pickles run_suite.
+module.
 
 Each suite yields one (inputs, values) pair per case, where values maps each
 route's name to its result in the order a counterexample prints them.  A case
@@ -182,8 +182,7 @@ def _json_value(v):
 def run_suite(name, dmax, deep, oracle_dmax):
     """Run one suite of SUITES at verify's --dmax, --deep and --oracle-dmax.
 
-    Returns (cases checked, first counterexample or None); the serial path
-    and the --jobs pool of verify both call it.
+    Returns (cases checked, first counterexample or None).
     """
     checked, first_fail = 0, None
     for inputs, values in SUITES[name](dmax + (2 if deep else 0), deep, oracle_dmax):
@@ -196,22 +195,13 @@ def run_suite(name, dmax, deep, oracle_dmax):
     return checked, first_fail
 
 
-def verify(suite, dmax, deep, oracle_dmax, jobs):
+def verify(suite, dmax, deep, oracle_dmax):
     """`verify --suite <suite>` (one name of SUITES, or "all") at its --dmax,
-    --deep, --oracle-dmax and --jobs: prints the tally and returns the exit
-    code."""
+    --deep and --oracle-dmax: prints the tally and returns the exit code."""
     if dmax < 0:
         raise DomainError(f"--dmax must be >= 0, got {dmax}")
     selected = list(SUITES) if suite == "all" else [suite]
-    n = len(selected)
-    if jobs > 1 and n > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(min(jobs, n)) as ex:
-            results = list(ex.map(run_suite, selected, [dmax] * n,
-                                  [deep] * n, [oracle_dmax] * n))
-    else:
-        results = [run_suite(name, dmax, deep, oracle_dmax) for name in selected]
+    results = [run_suite(name, dmax, deep, oracle_dmax) for name in selected]
     checked = sum(r[0] for r in results)
     failures = [r[1] for r in results if r[1] is not None]
     # a counterexample outranks an empty suite: it prints and exits 1

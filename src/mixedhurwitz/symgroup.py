@@ -210,9 +210,7 @@ def check_oracle_size(d: int, limit: int, base_genus: int = 0, b: int = 0,
     limit = min(limit, max(ORACLE_SIZE_LIMIT))
     if d > limit:
         raise ResourceLimitError(f"degree {d} above oracle limit {limit}")
-    genus_max, b_max, handles_b_max, profiles_max = ORACLE_SIZE_LIMIT[d]
-    if base_genus:
-        b_max = handles_b_max
+    genus_max, b_max, profiles_max = ORACLE_SIZE_LIMIT[d]
     for name, value, bound in (("base genus", base_genus, genus_max),
                                ("k + l + m", b, b_max),
                                ("profiles", profiles, profiles_max)):

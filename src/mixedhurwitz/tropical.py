@@ -16,6 +16,11 @@ and of internal edge weights, with (-1)^(1+val(v)) factors in the strict
 case.  A vertex-free strand of weight w contributes a deck factor w to |Aut|.
 A vertex multiplicity is one coefficient of a product of
 S(z) = sinh(z/2)/(z/2) series, from the truncated-series kernel in util.
+
+On the circle, the arc loads on either side of a vertex differ by its out-
+minus in-weight and the p_0 arc carries Sum k w, so a connected graph of
+weighted edges is a cover of degree d exactly when every arc carries d: one
+search over weighted edges finds them.
 """
 
 from collections import Counter, namedtuple
@@ -177,17 +182,17 @@ def tropical_double_sum(variant: str, g: int, mu, nu) -> Fraction:
 # ---------------------------------------------------------------------------
 # elliptic covers
 
-# Search nodes one enumeration may visit, and the largest degree it takes at
-# each genus; any other genus is refused.  At the entries, (2, 24) takes
-# 0.4 s, (3, 6) 0.7-1.3 s, (4, 2) 0.1 s, (5, 1) 0.03 s and (6, 1) 0.2-0.3 s
-# with the multiplicities (2-vCPU host, Python 3.11).  One degree past them,
-# (2, 25) finishes in 0.5 s, (3, 7) in 3.2 s, (4, 3) in 1.3 s, (5, 2) in
-# 1.5 s and (7, 1) in 1.9 s, and (6, 2) runs out of nodes after 5.2 s; genus
-# 2 finishes up to degree 41 (1.9 s).  The table refuses all of them before
-# any work: an entry is widened only with a check against the character
-# route.  The walk over the compositions of 2g - 2 costs time the node
-# budget does not count: genus 10^5 at degree 1 took 10 s with 2,000 nodes,
-# and (8, 1) takes 10 s.
+# Search nodes (weighted edges) one enumeration may visit, and the largest
+# degree it takes at each genus; any other genus is refused.  At the entries,
+# (2, 24) takes 0.35 s, (3, 6) 0.35-0.37 s, (4, 2) 0.05 s, (5, 1) 0.03 s and
+# (6, 1) 0.19 s with the monotone total (2-vCPU host, Python 3.11).  One
+# degree past them, (2, 25) finishes in 0.24 s, (3, 7) in 0.73 s, (4, 3) in
+# 0.31 s, (5, 2) in 0.45 s, (7, 1) in 1.3 s and (6, 2) in 5.4 s with 485,304
+# nodes; genus 2 finishes up to degree 37 (1.0 s), and (3, 8) in 1.6 s.  The
+# table refuses all of them before any work: an entry is widened only with a
+# check against the character route.  Building the shapes of each vertex
+# count and walking the compositions of 2g - 2 cost time the node budget does
+# not count: genus 10^5 at degree 1 runs past 60 s.
 NODE_LIMIT = 500_000
 MAX_DEGREE = {2: 24, 3: 6, 4: 2, 5: 1, 6: 1}
 
@@ -212,13 +217,8 @@ def enumerate_elliptic_covers(g: int, d: int):
     out = []
     for n in range(1, 2 * g - 1):
         for lam in compositions(2 * g - 2, n):
-            covers = []
-            for shapes in _elliptic_graphs(lam, d, budget):
-                for edges in _balanced_weights(shapes, n, d, budget):
-                    # lam_i = val(v_i) + 2 g(v_i) - 2
-                    val = Counter(v for e in edges for v in e[:2])
-                    covers.append(_cover([((l + 2 - val[i]) // 2, l)
-                                          for i, l in enumerate(lam)], edges, d))
+            covers = [_cover(vertices, edges, d)
+                      for vertices, edges in _weighted_graphs(lam, d, budget)]
             # the fixed order in which --list prints the covers
             covers.sort(key=lambda c: tuple((-a, -t, -w, -k)
                                             for (a, t, w, k, _) in c.edges))
@@ -243,125 +243,78 @@ def _arc_crossings(a, t, k, n):
     return tuple(k - 1 + (m >= a) + (m < t) for m in range(n))
 
 
-def _elliptic_graphs(lam, d, budget):
-    """Edge-shape multisets (a, t, k) over one lambda composition.
+@cache
+def _shapes(n, d):
+    """The edge shapes (a, t, k) on n vertices at degree d in order of
+    min(a, t), and what one edge of each uses up: valence at each vertex,
+    then the passes of each arc, which its weight multiplies."""
+    shapes = sorted(((a, t, k) for a in range(n) for t in range(n)
+                     for k in range(d + 1) if k or a < t), key=lambda s: min(s[:2]))
+    return shapes, [tuple((a == v) + (t == v) for v in range(n))
+                    + _arc_crossings(a, t, k, n) for (a, t, k) in shapes]
 
-    A vertex has valence <= lam_i + 2 of lam_i's parity, and with every weight
-    at least 1 no arc may be passed more than d times.  Positive weights
-    balance a vertex only if it has an edge out and an edge in (a loop is
-    both), so only such multisets are yielded.  The shapes are sorted by
-    source: once one with source a is chosen, every vertex below a has all
-    its edges out, and a branch that leaves one of them without any ends
-    there.  Yields the shapes as a sorted list, equal shapes adjacent; the
-    graph may be disconnected.
+
+def _weighted_graphs(lam, d, budget):
+    """Connected weighted edge multisets over one lambda composition on which
+    every arc carries exactly d (see the module docstring), each with its
+    vertices (genus, lam_i).  Shapes come in order of min(a, t), each weight
+    at most the load still free on the arcs it crosses, equal shapes with
+    non-increasing weights.  A vertex the order has passed gets no more
+    edges, so it must balance, have an edge and have valence of lam_i's
+    parity; a vertex with no valence left must balance.
     """
     n = len(lam)
-    shapes = [(a, t, k) for a in range(n) for t in range(n)
-              for k in range(d + 1) if k or a < t]
-    # what a shape uses up: valence at each vertex, then passes of each arc
-    demand = [tuple((a == v) + (t == v) for v in range(n))
-              + _arc_crossings(a, t, k, n) for (a, t, k) in shapes]
-    room = [l + 2 for l in lam] + [d] * n
-    outs, ins = [0] * n, [0] * n
-    chosen = []
+    shapes, demand = _shapes(n, d)
+    room = [l + 2 for l in lam] + [d] * n  # valence left, then load left
 
-    def rec(cands):
-        # the first vertex without an edge out; each candidate's branch
-        # restores outs, so this holds for the whole loop
-        idle = outs.index(0) if 0 in outs else n
+    def unfinished(v):
+        # unbalanced (arc v - 1 enters v, arc v leaves it), odd or bare
+        return room[n + (v - 1) % n] != room[n + v] or room[v] % 2 \
+            or room[v] == lam[v] + 2
+
+    def rec(cands, chosen, last, top):
+        # the first vertex that may not be left as it is; every branch
+        # restores room, so this holds for the whole loop
+        passed = next(filter(unfinished, range(n)), n)
         for j, s in enumerate(cands):
-            a, t, _ = shapes[s]
-            if idle < a:
-                # no later candidate can give it one: their sources are >= a
+            a, t, k = shapes[s]
+            if passed < min(a, t):
+                # no later candidate reaches it: their minima are >= min(a, t)
                 return
-            _spend(budget)
-            for i, x in enumerate(demand[s]):
-                room[i] -= x
-            outs[a] += 1
-            ins[t] += 1
-            chosen.append(shapes[s])
-            if all(r % 2 == 0 for r in room[:n]) and all(outs) and all(ins):
-                yield list(chosen)
-            yield from rec([c for c in cands[j:]
-                            if all(map(le, demand[c], room))])
-            chosen.pop()
-            outs[a] -= 1
-            ins[t] -= 1
-            for i, x in enumerate(demand[s]):
-                room[i] += x
+            passes = demand[s][n:]
+            cap = min(r // x for r, x in zip(room[n:], passes) if x)
+            if s == last:
+                cap = min(cap, top)
+            room[a] -= 1
+            room[t] -= 1
+            for w in range(1, cap + 1):  # one more unit of weight per step
+                _spend(budget)
+                for m, x in enumerate(passes, n):
+                    room[m] -= x
+                edges = chosen + [(a, t, w, k, "internal")]
+                if not any(room[n:]):
+                    if not any(map(unfinished, range(n))) and _connected(n, edges):
+                        yield [(r // 2, l) for r, l in zip(room, lam)], edges
+                # a vertex with room 0 is unfinished only if it does not balance
+                elif (room[a] or not unfinished(a)) and (room[t] or not unfinished(t)):
+                    yield from rec([c for c in cands[j:]
+                                    if all(map(le, demand[c], room))], edges, s, w)
+            for m, x in enumerate(passes, n):
+                room[m] += x * cap
+            room[a] += 1
+            room[t] += 1
 
-    yield from rec([s for s in range(len(shapes))
-                    if all(map(le, demand[s], room))])
+    yield from rec(range(len(shapes)), [], None, d)
 
 
-def _balanced_weights(shapes, n, d, budget):
-    """Weights w_e >= 1 balancing every vertex with Sum k_e w_e = d.
-
-    Balancing makes every arc carry the same weight, so the d-sheet condition
-    is the one equation on the p_0 arc.  The edges off a spanning tree take
-    free weights, non-increasing within equal shapes; peeling the tree's
-    leaves then forces its weights.  Yields each solution as a list of
-    edges (a, t, w, k, "internal"), and none for a disconnected graph.
-    """
-    # spanning tree by search from vertex 0: order[i] = (vertex, its tree edge)
-    tree, order, seen = set(), [], {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for e, (a, t, k) in enumerate(shapes):
-            u = t if a == v else a if t == v else None
-            if u is not None and u not in seen:
-                seen.add(u)
-                tree.add(e)
-                order.append((u, e))
-                frontier.append(u)
-    if len(seen) < n:
-        return
-    free = [e for e in range(len(shapes)) if e not in tree]
-    crossings = [_arc_crossings(a, t, k, n) for (a, t, k) in shapes]
-    slack = [d - sum(c[m] for c in crossings) for m in range(n)]
-    w = [0] * len(shapes)
-
-    def forced():
-        net = [0] * n
-        for e in free:
-            a, t, _ = shapes[e]
-            net[a] += w[e]
-            net[t] -= w[e]
-        for (v, e) in reversed(order):
-            a, t, _ = shapes[e]
-            w[e] = -net[v] if a == v else net[v]
-            if w[e] < 1:
-                return False
-            net[a] += w[e]
-            net[t] -= w[e]
-        # the tree holds the first copy of a shape, so it heads the
-        # non-increasing run of that shape's weights
-        for e in tree:
-            if e + 1 < len(shapes) and shapes[e + 1] == shapes[e] \
-                    and w[e + 1] > w[e]:
-                return False
-        return sum(shape[2] * x for shape, x in zip(shapes, w)) == d
-
-    def rec(i):
-        if i == len(free):
-            if forced():
-                yield [(a, t, x, k, "internal") for (a, t, k), x in zip(shapes, w)]
-            return
-        e = free[i]
-        hi = 1 + min(slack[m] // c for m, c in enumerate(crossings[e]) if c)
-        if i and shapes[free[i - 1]] == shapes[e]:
-            hi = min(hi, w[free[i - 1]])
-        for x in range(1, hi + 1):
-            _spend(budget)
-            w[e] = x
-            for m, c in enumerate(crossings[e]):
-                slack[m] -= c * (x - 1)
-            yield from rec(i + 1)
-            for m, c in enumerate(crossings[e]):
-                slack[m] += c * (x - 1)
-
-    yield from rec(0)
+def _connected(n, edges):
+    """Whether the edges join vertices 0..n-1 into one component (quick-find:
+    each vertex holds its component's label, and an edge relabels one side)."""
+    label = list(range(n))
+    for (a, t, *_) in edges:
+        old, new = label[a], label[t]
+        label = [new if x == old else x for x in label]
+    return len(set(label)) == 1
 
 
 def tropical_elliptic_sum(variant: str, g: int, d: int, covers=None) -> Fraction:

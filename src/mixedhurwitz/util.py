@@ -15,19 +15,19 @@ from .errors import DomainError
 VARIANTS = ("monotone", "strict")  # weakly or strictly monotone transpositions
 DEFAULT_ORACLE_LIMIT = 6  # largest degree a brute-force oracle attempts
 
-# ORACLE_SIZE_LIMIT[d] = (largest base genus, largest k + l + m at base genus
-# 0, largest k + l + m at a higher base genus, most profiles) a brute-force
-# oracle takes on at degree d; a degree without a row is refused whatever the
-# caller's limit, and so is an --oracle-dmax past the largest.  60 is
-# characters.SECTOR_LIMIT, so both routes take the same sectors where the
-# oracle can.  Timed as fresh connected launches on a 2-vCPU host, the walk
-# costing far more than the handles: degree 6 at genus 8 with 20 profiles (5)
-# and l = 60 takes 5 s, degree 7 at genus 1 with profiles 6;6 and l = 60 9 s,
-# and degree 8 with k = 20 32 s at genus 1 and 34 s at genus 0.  The
-# costliest admitted call, degree 8 at genus 1 with profile (2) and k = 19,
-# takes 36 s; the two profiles 8;8, refused at degree 8, take 115 s.
-ORACLE_SIZE_LIMIT = {**dict.fromkeys(range(6), (60, 60, 60, 60)),
-                     6: (8, 60, 60, 20), 7: (1, 60, 60, 2), 8: (1, 20, 20, 1)}
+# ORACLE_SIZE_LIMIT[d] = (largest base genus, largest k + l + m, most
+# profiles) a brute-force oracle takes on at degree d; a degree without a row
+# is refused whatever the caller's limit, and so is an --oracle-dmax past the
+# largest.  60 is characters.SECTOR_LIMIT, so both routes take the same
+# sectors where the oracle can.  Timed as fresh connected launches on a
+# 2-vCPU host, the walk costing far more than the handles: degree 6 at genus
+# 8 with 20 profiles (5) and l = 60 takes 5 s, degree 7 at genus 1 with
+# profiles 6;6 and l = 60 9 s, and degree 8 with k = 20 32 s at genus 1 and
+# 34 s at genus 0.  The costliest admitted call, degree 8 at genus 1 with
+# profile (2) and k = 19, takes 36 s; the two profiles 8;8, refused at degree
+# 8, take 115 s.
+ORACLE_SIZE_LIMIT = {**dict.fromkeys(range(6), (60, 60, 60)),
+                     6: (8, 60, 20), 7: (1, 60, 2), 8: (1, 20, 1)}
 
 
 def rat_str(x) -> str:

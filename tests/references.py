@@ -3,20 +3,21 @@ subsectors and the exp at one sector, the transitive commutator counts and
 the commutator table by permutation built from them,
 the expansion of a quasimodular polynomial, the product form of the
 quantum-curve partition function, the sinh coefficients from the Bernoulli
-numbers, the completion coefficients from the sinh product, and the unpruned
-elliptic graph search and two-factor vertex weight of the tropical route,
+numbers, the completion coefficients from the sinh product, and the
+two-stage elliptic cover search (unpruned shapes, then spanning-tree
+weights) and two-factor vertex weight of the tropical route,
 kept out of the package so that no CLI launch compiles them."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
 from operator import le
-from unittest import mock
 
 from mixedhurwitz import tropical
 from mixedhurwitz.commutators import joined_count
 from mixedhurwitz.errors import DomainError
-from mixedhurwitz.partitions import enumerate_partitions
+from mixedhurwitz.partitions import compositions, enumerate_partitions
 from mixedhurwitz.quasimodular import eisenstein
 from mixedhurwitz.series import QSeries, _euler_solve, _subkeys
 from mixedhurwitz.symgroup import _cycles, all_perms, transposition
@@ -240,10 +241,10 @@ def two_factor_vertex_weight(x_plus, x_minus, vertex_genus: int, lam_i: int) -> 
     return factorial(lam_i - 1) * total
 
 
-def unpruned_elliptic_graphs(lam, d, budget):
+def unpruned_elliptic_graphs(lam, d):
     """Every edge-shape multiset over one lambda composition under the
     valence, parity and arc-count bounds, vertices without an edge in or out
-    included: the search tropical._elliptic_graphs prunes."""
+    included: the first stage of the two-stage elliptic search."""
     n = len(lam)
     shapes = [(a, t, k) for a in range(n) for t in range(n)
               for k in range(d + 1) if k or a < t]
@@ -254,7 +255,6 @@ def unpruned_elliptic_graphs(lam, d, budget):
 
     def rec(cands):
         for j, s in enumerate(cands):
-            tropical._spend(budget)
             for i, x in enumerate(demand[s]):
                 room[i] -= x
             chosen.append(shapes[s])
@@ -270,7 +270,91 @@ def unpruned_elliptic_graphs(lam, d, budget):
                     if all(map(le, demand[s], room))])
 
 
+def balanced_weights(shapes, n, d):
+    """Weights w_e >= 1 balancing every vertex with Sum k_e w_e = d: the
+    second stage of the two-stage elliptic search.
+
+    Balancing makes every arc carry the same weight, so the d-sheet condition
+    is the one equation on the p_0 arc.  The edges off a spanning tree take
+    free weights, non-increasing within equal shapes; peeling the tree's
+    leaves then forces its weights.  Yields each solution as a list of
+    edges (a, t, w, k, "internal"), and none for a disconnected graph.
+    """
+    # spanning tree by search from vertex 0: order[i] = (vertex, its tree edge)
+    tree, order, seen = set(), [], {0}
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for e, (a, t, k) in enumerate(shapes):
+            u = t if a == v else a if t == v else None
+            if u is not None and u not in seen:
+                seen.add(u)
+                tree.add(e)
+                order.append((u, e))
+                frontier.append(u)
+    if len(seen) < n:
+        return
+    free = [e for e in range(len(shapes)) if e not in tree]
+    crossings = [tropical._arc_crossings(a, t, k, n) for (a, t, k) in shapes]
+    slack = [d - sum(c[m] for c in crossings) for m in range(n)]
+    w = [0] * len(shapes)
+
+    def forced():
+        net = [0] * n
+        for e in free:
+            a, t, _ = shapes[e]
+            net[a] += w[e]
+            net[t] -= w[e]
+        for (v, e) in reversed(order):
+            a, t, _ = shapes[e]
+            w[e] = -net[v] if a == v else net[v]
+            if w[e] < 1:
+                return False
+            net[a] += w[e]
+            net[t] -= w[e]
+        # the tree holds the first copy of a shape, so it heads the
+        # non-increasing run of that shape's weights
+        for e in tree:
+            if e + 1 < len(shapes) and shapes[e + 1] == shapes[e] \
+                    and w[e + 1] > w[e]:
+                return False
+        return sum(shape[2] * x for shape, x in zip(shapes, w)) == d
+
+    def rec(i):
+        if i == len(free):
+            if forced():
+                yield [(a, t, x, k, "internal") for (a, t, k), x in zip(shapes, w)]
+            return
+        e = free[i]
+        hi = 1 + min(slack[m] // c for m, c in enumerate(crossings[e]) if c)
+        if i and shapes[free[i - 1]] == shapes[e]:
+            hi = min(hi, w[free[i - 1]])
+        for x in range(1, hi + 1):
+            w[e] = x
+            for m, c in enumerate(crossings[e]):
+                slack[m] -= c * (x - 1)
+            yield from rec(i + 1)
+            for m, c in enumerate(crossings[e]):
+                slack[m] += c * (x - 1)
+
+    yield from rec(0)
+
+
 def unpruned_elliptic_covers(g: int, d: int):
-    """enumerate_elliptic_covers(g, d) with the unpruned graph search."""
-    with mock.patch.object(tropical, "_elliptic_graphs", unpruned_elliptic_graphs):
-        return enumerate_elliptic_covers(g, d)
+    """enumerate_elliptic_covers(g, d) by the two-stage search: every
+    edge-shape multiset, then weights forced along a spanning tree, each
+    vertex genus (lam_i + 2 - val_i) / 2, in the order --list prints."""
+    out = []
+    for n in range(1, 2 * g - 1):
+        for lam in compositions(2 * g - 2, n):
+            covers = []
+            for shapes in unpruned_elliptic_graphs(lam, d):
+                for edges in balanced_weights(shapes, n, d):
+                    val = Counter(v for e in edges for v in e[:2])
+                    covers.append(tropical._cover(
+                        [((l + 2 - val[i]) // 2, l) for i, l in enumerate(lam)],
+                        edges, d))
+            covers.sort(key=lambda c: tuple((-a, -t, -w, -k)
+                                            for (a, t, w, k, _) in c.edges))
+            out.extend(covers)
+    return out

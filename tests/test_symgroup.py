@@ -90,15 +90,15 @@ def test_every_oracle_refuses_degree_above_limit():
 
 
 def test_every_oracle_refuses_past_its_size_row():
-    # the base genus, the transposition count b = k + l + m (with and without
-    # handles) and the number of profiles are bounded per degree, before any
+    # the base genus, the transposition count b = k + l + m (at base genus 0
+    # and 1) and the number of profiles are bounded per degree, before any
     # work
     d = max(ORACLE_SIZE_LIMIT)
-    genus, b, handles_b, profiles = ORACLE_SIZE_LIMIT[d]
+    genus, b, profiles = ORACLE_SIZE_LIMIT[d]
     with pytest.raises(ResourceLimitError):
         triply_mixed_slots(0, d, [(1,)] * (profiles + 1), [0], d)
     with pytest.raises(ResourceLimitError):
-        triply_mixed_slots(1, d, (), [handles_b + 1], d)
+        triply_mixed_slots(1, d, (), [b + 1], d)
     with pytest.raises(ResourceLimitError):
         count_triply_mixed(HurwitzSpec(genus + 1, 1 + d * genus, d), oracle_limit=d)
     with pytest.raises(ResourceLimitError):

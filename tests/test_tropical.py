@@ -157,10 +157,10 @@ def test_elliptic_degree_below_one_is_a_domain_error():
 
 
 def test_elliptic_node_budget_at_limit_plus_one(monkeypatch):
-    # the g = 2, d = 3 search visits 76 graph and weight nodes
-    monkeypatch.setattr(tropical, "NODE_LIMIT", 76)
-    assert len(enumerate_elliptic_covers(2, 3)) == 8
+    # the g = 2, d = 3 search visits 75 weighted edges
     monkeypatch.setattr(tropical, "NODE_LIMIT", 75)
+    assert len(enumerate_elliptic_covers(2, 3)) == 8
+    monkeypatch.setattr(tropical, "NODE_LIMIT", 74)
     with pytest.raises(ResourceLimitError):
         enumerate_elliptic_covers(2, 3)
 
@@ -176,9 +176,27 @@ def _grid_covers(g, d):
 
 @pytest.mark.parametrize("g,d", GRID, ids=[f"g{g}d{d}" for g, d in GRID])
 def test_elliptic_covers_match_the_unpruned_search(g, d):
-    # pruning drops only graphs with a vertex lacking an edge in or out,
-    # which carry no cover: the same covers in the same order
+    # the one search over weighted edges against every shape multiset with
+    # weights forced along a spanning tree: the same covers in the same order
     assert _grid_covers(g, d) == unpruned_elliptic_covers(g, d)
+
+
+# GRID and the MAX_DEGREE entries at genus 4 to 6
+FULL_ARCS = GRID + [(g, tropical.MAX_DEGREE[g]) for g in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("g,d", FULL_ARCS, ids=[f"g{g}d{d}" for g, d in FULL_ARCS])
+def test_every_arc_of_every_elliptic_cover_carries_d(g, d):
+    # the search stops where every arc is full; balancing, connectivity and
+    # the local invariants must hold on what it yields
+    for cover in _grid_covers(g, d):
+        n = len(cover.vertices)
+        loads = [0] * n
+        for (a, t, w, k, _) in cover.edges:
+            loads = [x + w * c for x, c in zip(loads, tropical._arc_crossings(a, t, k, n))]
+        assert loads == [d] * n, cover
+        assert all(gv >= 0 for gv, _ in cover.vertices), cover
+        _check_cover_invariants(cover, elliptic_genus=g)
 
 
 def test_vertex_multiplicity_matches_the_two_factor_reference():
@@ -237,8 +255,8 @@ def test_tropical_runs_at_each_max_degree(genus, degree, total, capsys):
     (2, 25), (3, 7), (4, 3), (5, 2), (6, 2), (7, 1), (10**9, 1),
 ], ids=["g2", "g3", "g4", "g5", "g6", "g7", "g-huge"])
 def test_tropical_refuses_one_degree_past_max_at_once(genus, degree, capsys):
-    # without the table, genus 6 at degree 2 runs out of nodes after 5 s of
-    # search, and the others but the huge genus finish in 0.5-3.2 s
+    # without the table, genus 6 at degree 2 finishes in 5.4 s of search,
+    # and the others but the huge genus in 0.2-1.3 s
     start = time.monotonic()
     assert _tropical_main(genus, degree) == 3
     assert time.monotonic() - start < 0.3
