@@ -266,11 +266,11 @@ def cmd_double(args):
 
 
 def cmd_tropical(args):
-    from .tropical import enumerate_elliptic_covers, tropical_elliptic_sum
+    from .tropical import enumerate_elliptic_covers
 
     covers = enumerate_elliptic_covers(args.genus, args.degree)
-    total = tropical_elliptic_sum(args.variant, args.genus, args.degree, covers)
-    doc = {"total": rat_str(total)}
+    mults = [c.multiplicity(args.variant) for c in covers]
+    doc = {"total": rat_str(sum(mults))}
     if args.list_covers:
         doc["covers"] = [
             {
@@ -279,9 +279,9 @@ def cmd_tropical(args):
                 "edges": [{"src": a, "tgt": b, "weight": w, "windings": k}
                           for (a, b, w, k, kind) in c.edges],
                 "aut": c.aut,
-                "multiplicity": rat_str(c.multiplicity(args.variant)),
+                "multiplicity": rat_str(mult),
             }
-            for c in covers
+            for c, mult in zip(covers, mults)
         ]
     emit(doc, args.format)
     return 0

@@ -36,22 +36,27 @@ def strict_sequence_count(d: int, b: int) -> int:
     return stirling("first_unsigned", d, d - b)
 
 
+def _sequence_count(variant: str, d: int, b: int) -> int:
+    """Z(d, b) without its factor (d!)^(2g-1); 0 off the grid."""
+    if d < 0 or b < 0:
+        return 0
+    if d == 0:
+        return int(b == 0)
+    count = monotone_sequence_count if variant == "monotone" else strict_sequence_count
+    return count(d, b)
+
+
 def partition_coefficient(variant: str, g: int, d: int, b: int) -> Fraction:
     """Z(d, b), the coefficient of x^d hbar^(b + d(2g-1)); 0 off the grid."""
     check_variant(variant)
     if g < 0:
         raise DomainError("need g >= 0")
-    if d < 0 or b < 0:
-        return Fraction(0)
-    if d == 0:
-        return Fraction(1 if b == 0 else 0)
-    count = monotone_sequence_count if variant == "monotone" else strict_sequence_count
-    return count(d, b) * Fraction(factorial(d)) ** (2 * g - 1)
+    count = _sequence_count(variant, d, b)
+    return count * Fraction(factorial(d)) ** (2 * g - 1) if count else Fraction(0)
 
 
-def word_coefficient(word: str, variant: str, g: int, d: int, b: int) -> Fraction:
-    """The cell (d, b) of word(Z); 'x' = multiply by x, 'y' = -hbar d/dx, and
-    a leading '-' negates the word.
+def _word_cell(word: str, g: int, d: int, b: int):
+    """(factor, d', b') with the cell (d, b) of word(Z) = factor * Z(d', b').
 
     The cell is walked left to right, from the output back to a cell of Z, on
     (d, e) with e = b + d(2g-1) the hbar power: x-hat reads (d-1, e) and is 0
@@ -71,7 +76,14 @@ def word_coefficient(word: str, variant: str, g: int, d: int, b: int) -> Fractio
             d -= 1
     # an x-hat at d = 0 leaves the walk at d < 0, where Z is 0; a y-hat can
     # bring it back only through d = -1, where its factor -(d+1) is 0
-    return factor * partition_coefficient(variant, g, d, e - d * skew)
+    return factor, d, e - d * skew
+
+
+def word_coefficient(word: str, variant: str, g: int, d: int, b: int) -> Fraction:
+    """The cell (d, b) of word(Z); 'x' = multiply by x, 'y' = -hbar d/dx, and
+    a leading '-' negates the word."""
+    factor, d, b = _word_cell(word, g, d, b)
+    return factor * partition_coefficient(variant, g, d, b)
 
 
 def annihilator_words(variant: str, g: int):
@@ -94,5 +106,23 @@ def residual_max_abs(variant: str, g: int, d_max: int, b_max: int) -> Fraction:
                                  f"quantum curve's limits: genus <= {GENUS_LIMIT}, "
                                  f"d and b <= {WINDOW_LIMIT}")
     words = annihilator_words(variant, g)
-    return max(abs(sum(word_coefficient(w, variant, g, d, b) for w in words))
-               for d in range(d_max + 1) for b in range(b_max + 1))
+    if g < 0:
+        raise DomainError("need g >= 0")
+    worst = 0
+    for d in range(d_max + 1):
+        for b in range(b_max + 1):
+            # the cell is sum factor * count * (d'!)^(2g-1) over the words: an
+            # integer at g >= 1, and one fraction over the largest d'! at g = 0
+            terms = []
+            for w in words:
+                factor, d1, b1 = _word_cell(w, g, d, b)
+                count = _sequence_count(variant, d1, b1)
+                if count:  # off the grid d1 may be negative
+                    terms.append((factor * count, d1))
+            if g:
+                cell = sum(n * factorial(d1) ** (2 * g - 1) for n, d1 in terms)
+            else:
+                top = factorial(max((d1 for _, d1 in terms), default=0))
+                cell = Fraction(sum(n * (top // factorial(d1)) for n, d1 in terms), top)
+            worst = max(worst, abs(cell))
+    return Fraction(worst)

@@ -15,12 +15,16 @@ of free, weakly monotone and strictly monotone transpositions, one right
 multiplication per step.  Orbits are label tuples (each point labelled by the
 least point of its orbit).  The walk runs on integer codes: each permutation
 and each label tuple is coded by the order it was first met (_Interned), so a
-step is two list lookups.  The slots of one triply_mixed_slots call share one
-walk and close each distinct leaf once; no walk or count is cached across
-calls.  Over a base of genus g >= 1 a leaf is closed by g commutators, counted
-by the commutators module from the leaf's cycles and orbits alone.  The
-fixed-target count of the cut-and-join side is the monotone double count at
-nu = 1^d.
+step is two list lookups.  The triply mixed walk starts from one permutation
+of the first profile's class, weighted by the class size: everything
+multiplied after it is central, so the count is the same for every
+permutation of the class (conjugation invariance, no characters).
+tests/references.py keeps the walk over the full class as the check.  The
+slots of one triply_mixed_slots call share one walk and close each distinct
+leaf once; no walk or count is cached across calls.  Over a base of genus
+g >= 1 a leaf is closed by g commutators, counted by the commutators module
+from the leaf's cycles and orbits alone.  The fixed-target count of the
+cut-and-join side is the monotone double count at nu = 1^d.
 """
 
 from fractions import Fraction
@@ -268,11 +272,26 @@ def _walk(d: int, states, blocks):
 
 
 def _profiled(d: int, profiles, orbits):
-    """Coded states of the products of the padded profiles, each running over
-    its full conjugacy class, walked from the identity and orbit labels."""
+    """Coded states of the products sigma_1 sigma_2 ... of the padded profiles
+    with the orbit labels joined in.
+
+    sigma_1 is canonical_of_type(profiles[0]) weighted by its class size, and
+    every later sigma runs over its full conjugacy class.  All that multiplies
+    sigma_1 afterwards is central: the class sums, the free block T^k, h_l and
+    e_m of the Jucys-Murphy elements, and the commutator sum.  So each
+    disconnected count is the same for every sigma_1 in its class.  A tuple
+    whose orbits are given blocks splits into one tuple per block, so the
+    connected counts, read off the disconnected ones by inclusion-exclusion
+    over the blocks, are too.  With no profile sigma_1 is the identity.
+    tests/references.full_class_profiled keeps the full-class walk as the
+    check."""
     perms, labels = _codes(d)
-    states = {(perms.code(identity(d)), 0, labels.code(orbits)): 1}
-    for prof in profiles:
+    first, *rest = profiles or [(1,) * d]
+    s1 = canonical_of_type(first, d)
+    states = {(perms.code(s1), 0,
+               _join(labels, labels.code(orbits), labels.code(_labels_of(s1)))):
+              class_size(first, d)}
+    for prof in rest:
         cls = [(s, labels.code(_labels_of(s))) for s in perms_of_type(d, prof)]
         states = _tally(
             ((perms.code(compose(perms.items[p], s)), 0, _join(labels, lab, cyc)), c)
@@ -328,9 +347,10 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
     and set-partition combinatorics: the permutations of each degree and of
     each cycle type, the codes of the permutations and label tuples met so far
     with their step rows, the cycles of a permutation as a label tuple, and
-    the commutator counts by cycle type and blocks.  The profiles run over
-    their full conjugacy classes, so this stays an independent check of the
-    specialized enumerators below.
+    the commutator counts by cycle type and blocks.  sigma_1 is one
+    permutation of its class, weighted by the class size, and every later
+    profile runs over its full class: _profiled says why the count does not
+    change, and tests/references.py keeps the full-class walk that checks it.
     """
     d = spec.degree
     check_oracle_size(d, oracle_limit, spec.base_genus, spec.k + spec.l + spec.m,

@@ -21,13 +21,13 @@ DEFAULT_ORACLE_LIMIT = 6  # largest degree a brute-force oracle attempts
 # largest.  60 is characters.SECTOR_LIMIT, so both routes take the same
 # sectors where the oracle can.  Timed as fresh connected launches on a
 # 2-vCPU host, the walk costing far more than the handles: degree 6 at genus
-# 8 with 20 profiles (5) and l = 60 takes 5 s, degree 7 at genus 1 with
-# profiles 6;6 and l = 60 9 s, and degree 8 with k = 20 32 s at genus 1 and
-# 34 s at genus 0.  The costliest admitted call, degree 8 at genus 1 with
-# profile (2) and k = 19, takes 36 s; the two profiles 8;8, refused at degree
-# 8, take 115 s.
+# 8 with 20 profiles (5) and l = 60 takes 3 s, degree 7 at genus 1 with
+# profiles 6;6 and l = 60 3 s, and degree 8 with k = 20 24 s at genus 0 and
+# 31 s at genus 1, the costliest admitted call.  At degree 8 with k = 20 the
+# two profiles 2;2 take 16-17 s and 8;8 6-7 s, since the walk starts from one
+# permutation of the first profile's class.
 ORACLE_SIZE_LIMIT = {**dict.fromkeys(range(6), (60, 60, 60)),
-                     6: (8, 60, 20), 7: (1, 60, 2), 8: (1, 20, 1)}
+                     6: (8, 60, 20), 7: (1, 60, 2), 8: (1, 20, 2)}
 
 
 def rat_str(x) -> str:

@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: small enumerations, sector
 subsectors and the exp at one sector, the transitive commutator counts and
 the commutator table by permutation built from them,
-the expansion of a quasimodular polynomial, the product form of the
+the full-class walk of the triply mixed oracle, the expansion of a
+quasimodular polynomial, the product form of the
 quantum-curve partition function, the sinh coefficients from the Bernoulli
 numbers, the completion coefficients from the sinh product, and the
 two-stage elliptic cover search (unpruned shapes, then spanning-tree
@@ -17,10 +18,13 @@ from operator import le
 from mixedhurwitz import tropical
 from mixedhurwitz.commutators import joined_count
 from mixedhurwitz.errors import DomainError
-from mixedhurwitz.partitions import compositions, enumerate_partitions
+from mixedhurwitz.partitions import compositions, enumerate_partitions, pad_to
 from mixedhurwitz.quasimodular import eisenstein
 from mixedhurwitz.series import QSeries, _euler_solve, _subkeys
-from mixedhurwitz.symgroup import _cycles, all_perms, transposition
+from mixedhurwitz.symgroup import (FREE, STRICT, WEAK, _codes, _cycles, _join,
+                                   _labels_of, _tally, _totals, _walk, all_perms,
+                                   compose, identity, orbit_labels, perms_of_type,
+                                   transposition)
 from mixedhurwitz.tropical import combinatorial_type, enumerate_elliptic_covers
 from mixedhurwitz.util import VARIANTS
 
@@ -109,6 +113,32 @@ def commutator_tuple_table(d: int, g: int):
         if row:
             table[kappa] = row
     return table
+
+
+def full_class_profiled(d: int, profiles, orbits):
+    """Coded states of the products of the padded profiles, each one, the
+    first included, running over its full conjugacy class, walked from the
+    identity and orbit labels: symgroup._profiled without the fixed sigma_1."""
+    perms, labels = _codes(d)
+    states = {(perms.code(identity(d)), 0, labels.code(orbits)): 1}
+    for prof in profiles:
+        cls = [(s, labels.code(_labels_of(s))) for s in perms_of_type(d, prof)]
+        states = _tally(
+            ((perms.code(compose(perms.items[p], s)), 0, _join(labels, lab, cyc)), c)
+            for (p, _, lab), c in states.items()
+            for s, cyc in cls
+        )
+    return states
+
+
+def full_class_counts(g: int, d: int, profiles, k: int, l: int, m: int):
+    """(disconnected, connected) unlabeled count_triply_mixed at base genus g,
+    degree d and these profiles with k free, l weakly and m strictly monotone
+    transpositions, with every profile over its full conjugacy class
+    (full_class_profiled), walked and closed by the oracle's engine."""
+    states = full_class_profiled(d, [pad_to(p, d) for p in profiles], orbit_labels(d))
+    states = _walk(d, states, ((k, FREE), (l, WEAK), (m, STRICT)))
+    return tuple(Fraction(t, factorial(d)) for t in _totals(d, g, states, {}))
 
 
 def expand_quasimodular(poly, order: int) -> QSeries:

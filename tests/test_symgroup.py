@@ -3,7 +3,7 @@ import hashlib
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -35,7 +35,7 @@ from mixedhurwitz.symgroup import (
     triply_mixed_slots,
 )
 from mixedhurwitz.util import ORACLE_SIZE_LIMIT
-from references import commutator_tuple_table, transitive_count
+from references import commutator_tuple_table, full_class_counts, transitive_count
 
 
 def test_spec_validation():
@@ -152,8 +152,9 @@ def test_specializations_match_dedicated_enumerators(d):
 
 
 def test_monotone_double_count_matches_triply_mixed():
-    # count_triply_mixed runs sigma_1 and sigma_2 over their full classes, so
-    # it checks the fixed sigma_1 and the sigma_2 read off each walk end
+    # the full-class reference runs sigma_1 and sigma_2 over their full
+    # classes, so it checks the fixed sigma_1 and the sigma_2 read off each
+    # walk end
     cases = 0
     for d in range(1, 6):
         parts = enumerate_partitions(d)
@@ -165,8 +166,8 @@ def test_monotone_double_count_matches_triply_mixed():
                 cases += 1
                 blocks = (0, 0, b) if strict else (0, b, 0)
                 spec = HurwitzSpec(0, gp, d, (mu, nu), *blocks, connected)
-                assert monotone_double_count(
-                    gp, mu, nu, strict, connected) == count_triply_mixed(spec), \
+                assert monotone_double_count(gp, mu, nu, strict, connected) == \
+                    full_class_counts(0, d, (mu, nu), *blocks)[connected], \
                     (mu, nu, gp, strict, connected)
     assert cases == 436
 
@@ -192,6 +193,34 @@ def test_slot_engine_matches_count_triply_mixed():
                                                connected))
                 for connected in (False, True)), (g, d, profiles, k, l, m)
     assert checked == 191  # the specs of verify's 382 cases at --dmax 5
+
+
+def test_fixed_sigma_1_matches_the_full_class_walk():
+    # count_triply_mixed and triply_mixed_slots fix sigma_1 to one permutation
+    # of its class; the reference runs every profile over its full class.  At
+    # g <= 2, d <= 5, no profile or one or two of (2), (3), (2, 2) in either
+    # order, every (k, l, m) with k + l + m <= 3 whose source genus exists,
+    # connected and labeled both ways
+    menu = [(2,), (3,), (2, 2)]
+    checked = 0
+    for g, d in product(range(3), range(1, 6)):
+        fit = [p for p in menu if sum(p) <= d]
+        for profiles in [(), *((p,) for p in fit), *product(fit, repeat=2)]:
+            slots = triply_mixed_slots(g, d, profiles, range(4))
+            for (k, l, m), values in slots.items():
+                try:
+                    gp = source_genus_for(g, d, profiles, k + l + m)
+                except DomainError:
+                    continue
+                want = full_class_counts(g, d, profiles, k, l, m)
+                assert values == want, (g, d, profiles, k, l, m)
+                for connected, labeled in product((False, True), repeat=2):
+                    checked += 1
+                    aut = prod(map(aut_count, profiles)) if labeled else 1
+                    assert count_triply_mixed(HurwitzSpec(
+                        g, gp, d, profiles, k, l, m, connected, labeled)) == \
+                        want[connected] * aut, (g, d, profiles, k, l, m, labeled)
+    assert checked == 3352
 
 
 def test_monotone_fixed_target_examples():
