@@ -6,8 +6,8 @@ g >= 1.  Take a 2g-tuple whose product is kappa: restricted to each orbit of
 there, so every orbit is a union of kappa-cycles and the tuples of each orbit
 are chosen independently.  A count therefore needs only the cycle lengths of
 kappa, grouped into blocks, and never a table of tuples.  symgroup loads this
-module only when a count needs handles, so the oracles that never do (the
-monotone counts, refined N counts) do not compile it.
+module only when a count needs handles, so the oracles at base genus 0 (the
+monotone counts and the refined N counts among them) do not compile it.
 """
 
 from functools import cache

@@ -18,13 +18,17 @@ and each label tuple is coded by the order it was first met (_Interned), so a
 step is two list lookups.  The triply mixed walk starts from one permutation
 of the first profile's class, weighted by the class size: everything
 multiplied after it is central, so the count is the same for every
-permutation of the class (conjugation invariance, no characters).
-tests/references.py keeps the walk over the full class as the check.  The
-slots of one triply_mixed_slots call share one walk and close each distinct
-leaf once; no walk or count is cached across calls.  Over a base of genus
-g >= 1 a leaf is closed by g commutators, counted by the commutators module
-from the leaf's cycles and orbits alone.  The fixed-target count of the
-cut-and-join side is the monotone double count at nu = 1^d.
+permutation of the class (conjugation invariance, no characters).  Over a
+base of genus 0 the last of two or more profiles is not walked but read off
+each leaf, whose permutation must have its cycle type (with fewer profiles a
+leaf must be the identity); over a base of genus g >= 1 a leaf is
+closed by g commutators, counted by the commutators module from the leaf's
+cycles and orbits alone.  tests/references.py keeps the walk of every profile
+over its full class, closed at the identity, as the check.  The slots of one
+triply_mixed_slots call share one walk and close each distinct leaf once; no
+walk or count is cached across calls.  The monotone double count and the
+fixed-target count of the cut-and-join side are count_triply_mixed calls at
+base genus 0; the refined N counts walk from their own start.
 """
 
 from fractions import Fraction
@@ -271,21 +275,30 @@ def _walk(d: int, states, blocks):
     return states
 
 
-def _profiled(d: int, profiles, orbits):
-    """Coded states of the products sigma_1 sigma_2 ... of the padded profiles
-    with the orbit labels joined in.
+def _profiled(d: int, g: int, profiles, orbits):
+    """(states, last): the coded states of the products sigma_1 sigma_2 ... of
+    the padded profiles with the orbit labels joined in, and at base genus 0
+    the last profile sigma_n, which the walk leaves out for _totals to read
+    off.
 
     sigma_1 is canonical_of_type(profiles[0]) weighted by its class size, and
-    every later sigma runs over its full conjugacy class.  All that multiplies
-    sigma_1 afterwards is central: the class sums, the free block T^k, h_l and
-    e_m of the Jucys-Murphy elements, and the commutator sum.  So each
-    disconnected count is the same for every sigma_1 in its class.  A tuple
-    whose orbits are given blocks splits into one tuple per block, so the
-    connected counts, read off the disconnected ones by inclusion-exclusion
-    over the blocks, are too.  With no profile sigma_1 is the identity.
-    tests/references.full_class_profiled keeps the full-class walk as the
-    check."""
+    every later walked sigma runs over its full class.  All that multiplies
+    sigma_1 afterwards is central: the class sums, the free block T^k, h_l
+    and e_m of the Jucys-Murphy elements, and the commutator sum.  So each
+    disconnected count is the same for every sigma_1 in its class, and so are
+    the connected ones, read off them by inclusion-exclusion over the orbit
+    blocks.  At g = 0, sigma_1 ... sigma_n tau_1 ... tau_b = id fixes
+    sigma_n = (T A)^-1 for A = sigma_1 ... sigma_{n-1}, T = tau_1 ... tau_b: it
+    has the cycle type of the walked A T, a conjugate of T A, and lies in the
+    group the others generate, so it joins no orbit.  With fewer than two
+    profiles it is 1^d (the identity), so a single profile is walked as
+    sigma_1, whose cycles coarsen the orbit labels from the start.
+    tests/references.py walks every profile over its full class and closes
+    at the identity."""
     perms, labels = _codes(d)
+    last = None
+    if not g:
+        *profiles, last = profiles if len(profiles) > 1 else [*profiles, (1,) * d]
     first, *rest = profiles or [(1,) * d]
     s1 = canonical_of_type(first, d)
     states = {(perms.code(s1), 0,
@@ -298,35 +311,31 @@ def _profiled(d: int, profiles, orbits):
             for (p, _, lab), c in states.items()
             for s, cyc in cls
         )
-    return states
+    return states, last
 
 
-def _tau_walk(d: int, b: int, strict: bool, orbits):
-    """Coded end states tau_1...tau_b of b weakly (or strictly) monotone steps."""
-    return _walk(d, _profiled(d, (), orbits), ((b, STRICT if strict else WEAK),))
-
-
-def _totals(d: int, g: int, states, closed):
+def _totals(d: int, g: int, last, states, closed):
     """(disconnected, connected) d!-scaled counts of end states closed by g
-    commutators (the identity at g = 0).
+    commutators, or at g = 0 by a last profile of padded type last.
 
-    A leaf (p, q) is closed by the 2g-tuples whose commutator product is p^-1:
-    all of them, and those whose orbits join q into one orbit.  q's orbits are
-    unions of p's cycles, so commutators.joined_count reads the cycle lengths
-    of p grouped by q.  closed maps each distinct leaf to its pair, computed
-    the first time the leaf is met; the caller holds it for one call.
+    At g = 0 a leaf (p, q) is closed when p has the type last, and is
+    connected when q is one orbit.  Above it, a leaf is closed by the
+    2g-tuples whose commutator product is p^-1: all of them, and those whose
+    orbits join q into one orbit.  q's orbits are unions of p's cycles, so
+    commutators.joined_count reads the cycle lengths of p grouped by q.
+    closed maps each distinct leaf to its pair, computed the first time the
+    leaf is met; the caller holds it for one call.
     """
     perms, labels = _codes(d)
     leaves = _tally(((p, q), c) for (p, _, q), c in states.items())
-    if not g:
-        e = perms.code(identity(d))
-        ends = [(q, c) for (p, q), c in leaves.items() if p == e]
-        return (sum(c for _, c in ends),
-                sum(c for q, c in ends if not any(labels.items[q])))
-    from .commutators import joined_count
+    if g:
+        from .commutators import joined_count
 
     def close(p, q):
         cycles, lab, blocks = _cycles(perms.items[p]), labels.items[q], {}
+        if not g:
+            hit = tuple(map(len, cycles)) == last
+            return hit, hit and not any(lab)
         for cyc in cycles:
             blocks.setdefault(lab[cyc[0]], []).append(len(cyc))
         return (joined_count(g, (tuple(map(len, cycles)),)),
@@ -347,18 +356,17 @@ def count_triply_mixed(spec: HurwitzSpec, oracle_limit: int = DEFAULT_ORACLE_LIM
     and set-partition combinatorics: the permutations of each degree and of
     each cycle type, the codes of the permutations and label tuples met so far
     with their step rows, the cycles of a permutation as a label tuple, and
-    the commutator counts by cycle type and blocks.  sigma_1 is one
-    permutation of its class, weighted by the class size, and every later
-    profile runs over its full class: _profiled says why the count does not
-    change, and tests/references.py keeps the full-class walk that checks it.
+    the commutator counts by cycle type and blocks.  _profiled says why
+    fixing sigma_1 and, at base genus 0, reading off the last profile leave
+    the count unchanged.
     """
     d = spec.degree
     check_oracle_size(d, oracle_limit, spec.base_genus, spec.k + spec.l + spec.m,
                       len(spec.profiles))
-    states = _profiled(d, spec.padded_profiles(),
-                       orbit_labels(d) if spec.connected else (0,) * d)
+    states, last = _profiled(d, spec.base_genus, spec.padded_profiles(),
+                             orbit_labels(d) if spec.connected else (0,) * d)
     states = _walk(d, states, ((spec.k, FREE), (spec.l, WEAK), (spec.m, STRICT)))
-    total = _totals(d, spec.base_genus, states, {})[spec.connected]
+    total = _totals(d, spec.base_genus, last, states, {})[spec.connected]
     for p in spec.profiles if spec.labeled else ():
         total *= aut_count(p)
     return Fraction(total, factorial(d))
@@ -371,52 +379,36 @@ def triply_mixed_slots(g, d, profiles, bs, oracle_limit=DEFAULT_ORACLE_LIMIT):
     weak walk and each weak layer into a strict one."""
     top, slots, closed = max(bs, default=-1), {}, {}
     check_oracle_size(d, oracle_limit, g, top, len(profiles))
-    start = _profiled(d, [pad_to(check_partition(p), d) for p in profiles],
-                      orbit_labels(d))
+    start, last = _profiled(d, g, [pad_to(check_partition(p), d)
+                                   for p in profiles], orbit_labels(d))
     for k, free in zip(range(top + 1), _steps(d, start, FREE)):
         for l, weak in zip(range(top + 1 - k), _steps(d, free, WEAK)):
             for m, end in zip(range(top + 1 - k - l), _steps(d, weak, STRICT)):
                 if k + l + m in bs:
                     slots[k, l, m] = tuple(Fraction(t, factorial(d))
-                                           for t in _totals(d, g, end, closed))
+                                           for t in _totals(d, g, last, end, closed))
     return slots
 
 
 # ---------------------------------------------------------------------------
-# specialized counts (cross-checks of count_triply_mixed and the other routes)
+# specialized counts (the double count, the fixed-target count of the
+# cut-and-join side)
 
 
 def monotone_double_count(source_genus, mu, nu, strict, connected=True,
                           limit=DEFAULT_ORACLE_LIMIT):
-    """(Strictly) monotone double Hurwitz number, enumerated directly.
-
-    Counts (1/d!) * tuples (sigma_1, sigma_2, tau_1..tau_b) with
-    sigma_1 sigma_2 tau_1...tau_b = id, class conditions up to 1-padding and
-    the (strictly) monotone condition on the tau block.  sigma_1 is fixed to
-    the canonical permutation of type mu and the count multiplied by |C_mu|:
-    the sums of (strictly) monotone products are the central h_b and e_b of
-    the Jucys-Murphy elements, so the count is the same for every sigma_1 in
-    the class (conjugation invariance, no characters).  The tau block is
-    walked once from the identity, and each end state p fixes
-    sigma_2 = sigma_1^-1 p^-1, which must have type nu.
-    """
+    """(Strictly) monotone double Hurwitz number: count_triply_mixed at base
+    genus 0 with the profiles (mu, nu) and b weakly (or strictly) monotone
+    transpositions.  A degree or b past the oracle's row is refused before a
+    negative b counts 0."""
     mu, nu, d = check_double(mu, nu)
     b = transposition_count(0, source_genus, d, (mu, nu))
     check_oracle_size(d, limit, b=b)
     if b < 0:
         return Fraction(0)
-    s1 = canonical_of_type(mu, d)
-    # sigma_2 lies in <sigma_1, tau>, so the joined orbits decide transitivity;
-    # sigma_2^-1 = p sigma_1 has the cycle type of sigma_2
-    perms, labels = _codes(d)
-    ends = _tau_walk(d, b, strict, orbit_labels(d, (s1,)) if connected else (0,) * d)
-    total = sum(c for (p, _, lab), c in ends.items() if not any(labels.items[lab])
-                and cycle_type(compose(perms.items[p], s1)) == nu)
-    return Fraction(total * class_size(mu, d), factorial(d))
-
-
-# ---------------------------------------------------------------------------
-# monotone factorizations of a fixed target (cut-and-join side)
+    blocks = (0, 0, b) if strict else (0, b, 0)
+    return count_triply_mixed(HurwitzSpec(0, source_genus, d, (mu, nu), *blocks,
+                                          connected), limit)
 
 
 def count_monotone_of_fixed_target(mu, b: int, strict: bool = False,
@@ -424,18 +416,18 @@ def count_monotone_of_fixed_target(mu, b: int, strict: bool = False,
     """Monotone (or strictly monotone) transposition sequences with product a
     fixed permutation of full cycle type mu, transitive together with it.
 
-    mu contains all its parts (1-parts included).  This is |Z(mu)| = d!/|C_mu|
-    times the double count at nu = 1^d: there sigma_2 = id and the tau block
-    multiplies to sigma_1^-1, which is conjugate to sigma_1, and both counts
-    are class functions (conjugation invariance, no characters).
+    mu contains all its parts (1-parts included).  This is the cut-and-join
+    side's count: |Z(mu)| = d!/|C_mu| times the one-profile count at base
+    genus 0, which sums it over the class of mu (conjugation invariance).
     """
     mu = check_partition(mu)
     d = sum(mu)
     if d < 1:
         raise DomainError("mu must be nonempty")
     g = source_genus_for(0, d, (mu,), b)
-    return int(z_weight(mu) * monotone_double_count(g, mu, (1,) * d, strict,
-                                                    limit=limit))
+    blocks = (0, 0, b) if strict else (0, b, 0)
+    return int(z_weight(mu) * count_triply_mixed(HurwitzSpec(0, g, d, (mu,), *blocks),
+                                                 limit))
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +456,17 @@ def oracle_N_slots(variant: str, g: int, mu, nu,
     if b >= 2:
         check_oracle_size(d, limit, b=b)
     sigma1 = canonical_of_type(nu, d)
-    s1_inv, offset = inverse(sigma1), sum(nu[:-1])  # first point of the last block
+    offset = sum(nu[:-1])  # the first point of the last block
     # tau_b...tau_1 sigma_1 = sigma_2 iff sigma_1^-1 tau_1...tau_b = sigma_2^-1,
-    # and sigma_2^-1 has the cycles of sigma_2
+    # and sigma_2^-1 has the cycles of sigma_2: the walk starts at sigma_1^-1
+    # with the orbits of sigma_1
     perms, labels = _codes(d)
-    slots = {}
-    for (p, last, lab), c in _tau_walk(d, b, variant == "strict",
-                                       orbit_labels(d, (sigma1,))).items():
+    start = {(perms.code(inverse(sigma1)), 0, labels.code(_labels_of(sigma1))): 1}
+    mode, slots = STRICT if variant == "strict" else WEAK, {}
+    for (p, last, lab), c in _walk(d, start, ((b, mode),)).items():
         if last < offset or any(labels.items[lab]):
             continue
-        q = compose(s1_inv, perms.items[p])
+        q = perms.items[p]
         if cycle_type(q) != mu:
             continue
         cyc = _labels_of(q)

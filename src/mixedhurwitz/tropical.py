@@ -124,19 +124,22 @@ def enumerate_line_covers(g: int, mu, nu):
     """All (possibly disconnected) covers of the line: left profile mu, right
     profile nu, b = 2g-2+l(mu)+l(nu) marked points, Sum lam_i = b.
 
-    b = 0 is the one composition of 0 into n = 0 parts: strands only.
+    b = 0 is the one composition of 0 into n = 0 parts: strands only.  A
+    sweep past NODE_LIMIT vertex choices is a ResourceLimitError.
     """
     mu, nu, d = check_double(mu, nu)
     b = transposition_count(0, g, d, (mu, nu))
+    budget = [NODE_LIMIT]
     return [cover for n in range(b + 1) for lam in compositions(b, n)
-            for cover in _line_covers_for(lam, mu, nu)]
+            for cover in _line_covers_for(lam, mu, nu, budget)]
 
 
-def _line_covers_for(lam, mu, nu):
+def _line_covers_for(lam, mu, nu, budget):
     """Sweep enumeration for a fixed lambda composition (one vertex per point).
 
     The open strands are counted by (weight, source), source -1 the left end.
-    Vertex i absorbs some of them and emits a partition of the absorbed weight.
+    Vertex i absorbs some of them and emits a partition of the absorbed weight;
+    each nonempty choice of what it absorbs spends one unit of budget.
     """
     n, d = len(lam), sum(mu)
     results = []
@@ -156,6 +159,7 @@ def _line_covers_for(lam, mu, nu):
                 # a vertex that absorbs nothing is an isolated component of
                 # degree 0
                 continue
+            _spend(budget)
             x_in = [(src, i, w, 0, "end" if src == -1 else "internal")
                     for ((w, src), _), t in zip(items, takes) for _ in range(t)]
             rest = {key: c - t for (key, c), t in zip(items, takes) if c > t}
@@ -182,17 +186,20 @@ def tropical_double_sum(variant: str, g: int, mu, nu) -> Fraction:
 # ---------------------------------------------------------------------------
 # elliptic covers
 
-# Search nodes (weighted edges) one enumeration may visit, and the largest
-# degree it takes at each genus; any other genus is refused.  At the entries,
-# (2, 24) takes 0.35 s, (3, 6) 0.35-0.37 s, (4, 2) 0.05 s, (5, 1) 0.03 s and
-# (6, 1) 0.19 s with the monotone total (2-vCPU host, Python 3.11).  One
+# Search nodes one enumeration may visit (weighted edges on the circle,
+# vertex choices on the line), and the largest elliptic degree it takes at
+# each genus; any other genus is refused.  At the entries, (2, 24) takes
+# 0.35 s, (3, 6) 0.35-0.37 s, (4, 2) 0.05 s, (5, 1) 0.03 s and (6, 1)
+# 0.19 s with the monotone total (2-vCPU host, Python 3.11).  One
 # degree past them, (2, 25) finishes in 0.24 s, (3, 7) in 0.73 s, (4, 3) in
 # 0.31 s, (5, 2) in 0.45 s, (7, 1) in 1.3 s and (6, 2) in 5.4 s with 485,304
 # nodes; genus 2 finishes up to degree 37 (1.0 s), and (3, 8) in 1.6 s.  The
 # table refuses all of them before any work: an entry is widened only with a
 # check against the character route.  Building the shapes of each vertex
 # count and walking the compositions of 2g - 2 cost time the node budget does
-# not count: genus 10^5 at degree 1 runs past 60 s.
+# not count: genus 10^5 at degree 1 runs past 60 s.  On the line, genus 4
+# with the profiles (5), (5) takes 319,467 vertex choices (3.7 s), and
+# (6), (6) would take 1,315,809 (10 s): it is refused after 5 s.
 NODE_LIMIT = 500_000
 MAX_DEGREE = {2: 24, 3: 6, 4: 2, 5: 1, 6: 1}
 

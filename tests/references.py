@@ -117,8 +117,9 @@ def commutator_tuple_table(d: int, g: int):
 
 def full_class_profiled(d: int, profiles, orbits):
     """Coded states of the products of the padded profiles, each one, the
-    first included, running over its full conjugacy class, walked from the
-    identity and orbit labels: symgroup._profiled without the fixed sigma_1."""
+    first and the last included, running over its full conjugacy class,
+    walked from the identity and orbit labels: symgroup._profiled without the
+    fixed sigma_1 or the last profile read off at base genus 0."""
     perms, labels = _codes(d)
     states = {(perms.code(identity(d)), 0, labels.code(orbits)): 1}
     for prof in profiles:
@@ -135,10 +136,12 @@ def full_class_counts(g: int, d: int, profiles, k: int, l: int, m: int):
     """(disconnected, connected) unlabeled count_triply_mixed at base genus g,
     degree d and these profiles with k free, l weakly and m strictly monotone
     transpositions, with every profile over its full conjugacy class
-    (full_class_profiled), walked and closed by the oracle's engine."""
+    (full_class_profiled), walked by the oracle's engine and closed at the
+    identity (the last profile 1^d) at g = 0 or by g commutators."""
     states = full_class_profiled(d, [pad_to(p, d) for p in profiles], orbit_labels(d))
     states = _walk(d, states, ((k, FREE), (l, WEAK), (m, STRICT)))
-    return tuple(Fraction(t, factorial(d)) for t in _totals(d, g, states, {}))
+    return tuple(Fraction(t, factorial(d))
+                 for t in _totals(d, g, (1,) * d, states, {}))
 
 
 def expand_quasimodular(poly, order: int) -> QSeries:

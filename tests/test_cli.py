@@ -598,6 +598,21 @@ def test_compute_by_characters_loads_no_oracle_code():
     assert not loaded & {"mixedhurwitz.symgroup", "dataclasses"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("toprec", "--g", "1", "--n", "2", "--mu", "2,3"),
+    ("verify", "--suite", "n-recursion", "--dmax", "2"),
+], ids=["toprec", "n-recursion"])
+def test_genus_0_oracle_loads_no_commutators(argv):
+    # these oracles run at base genus 0, where no handle is closed
+    loaded = loaded_modules(*argv)
+    assert "symgroup" in loaded
+    assert "commutators" not in loaded
+
+
+def test_base_genus_1_oracle_loads_commutators():
+    assert "commutators" in loaded_modules(*ORACLE_COMPUTE)
+
+
 def test_oracle_suite_loads_no_dataclasses():
     loaded = all_loaded_modules("verify", "--suite", "oracle-vs-characters",
                                 "--dmax", "2")

@@ -76,3 +76,20 @@ def test_every_imported_name_is_read():
                  for alias in node.names]
         unread += [f"{path.stem}: {name}" for name in bound if name not in read]
     assert unread == []
+
+
+def test_every_private_top_level_name_is_read():
+    # a module-level function or class whose name starts with one underscore
+    # is private to the package: one that nothing in src/ reads is left over
+    # from a rewrite
+    package = Path(__file__).resolve().parents[1] / "src" / "mixedhurwitz"
+    trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
+    private = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    assert len(private) >= 60
+    assert sorted(private - read) == []

@@ -197,15 +197,19 @@ def test_slot_engine_matches_count_triply_mixed():
 
 def test_fixed_sigma_1_matches_the_full_class_walk():
     # count_triply_mixed and triply_mixed_slots fix sigma_1 to one permutation
-    # of its class; the reference runs every profile over its full class.  At
-    # g <= 2, d <= 5, no profile or one or two of (2), (3), (2, 2) in either
-    # order, every (k, l, m) with k + l + m <= 3 whose source genus exists,
-    # connected and labeled both ways
+    # of its class and, at g = 0, read the last profile off each walk end; the
+    # reference runs every profile over its full class and closes at the
+    # identity.  At g <= 2, d <= 5, no profile or one or two of (2), (3),
+    # (2, 2) in any order, and three of them at g = 0 and at g = 1, d <= 4,
+    # where the middle profile is walked over its full class: every (k, l, m)
+    # with k + l + m <= 3 whose source genus exists, connected and labeled
+    # both ways
     menu = [(2,), (3,), (2, 2)]
     checked = 0
     for g, d in product(range(3), range(1, 6)):
         fit = [p for p in menu if sum(p) <= d]
-        for profiles in [(), *((p,) for p in fit), *product(fit, repeat=2)]:
+        three = product(fit, repeat=3) if (g, d) < (1, 5) else ()
+        for profiles in [(), *((p,) for p in fit), *product(fit, repeat=2), *three]:
             slots = triply_mixed_slots(g, d, profiles, range(4))
             for (k, l, m), values in slots.items():
                 try:
@@ -220,7 +224,7 @@ def test_fixed_sigma_1_matches_the_full_class_walk():
                     assert count_triply_mixed(HurwitzSpec(
                         g, gp, d, profiles, k, l, m, connected, labeled)) == \
                         want[connected] * aut, (g, d, profiles, k, l, m, labeled)
-    assert checked == 3352
+    assert checked == 6868
 
 
 def test_monotone_fixed_target_examples():

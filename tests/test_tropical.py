@@ -165,6 +165,15 @@ def test_elliptic_node_budget_at_limit_plus_one(monkeypatch):
         enumerate_elliptic_covers(2, 3)
 
 
+def test_line_cover_budget_at_limit_plus_one(monkeypatch):
+    # the genus-0 sweep from (2, 1) to (2, 1) makes 12 vertex choices
+    monkeypatch.setattr(tropical, "NODE_LIMIT", 12)
+    assert len(enumerate_line_covers(0, (2, 1), (2, 1))) == 6
+    monkeypatch.setattr(tropical, "NODE_LIMIT", 11)
+    with pytest.raises(ResourceLimitError):
+        enumerate_line_covers(0, (2, 1), (2, 1))
+
+
 # every (genus, degree) at genus <= 3 that MAX_DEGREE admits
 GRID = [(g, d) for g in (2, 3) for d in range(1, tropical.MAX_DEGREE[g] + 1)]
 
