@@ -15,7 +15,7 @@ from functools import cache
 from .errors import DomainError
 from .partitions import check_partition, class_size, pad_to, strip_ones, z_weight
 from .symgroup import all_perms, canonical_of_type, check_oracle_size
-from .util import DEFAULT_ORACLE_LIMIT
+from .util import DEFAULT_ORACLE_LIMIT, splits
 
 
 def _product_type(a, b):
@@ -73,7 +73,8 @@ def joined_count(g: int, blocks) -> int:
     tuple joins the blocks into parts, each part's tuple joining that part
     into one orbit, so N_g of all the cycles sums, over the part Y that holds
     the first block, joined_count(Y) times N_g of the other blocks; the term
-    of Y = all the blocks is the count sought.
+    of Y = all the blocks is the count sought.  Y runs over the sub-multisets
+    of the other blocks (util.splits), each as often as it has positions.
     """
     if g < 1:
         raise DomainError("g must be >= 1")
@@ -82,12 +83,11 @@ def joined_count(g: int, blocks) -> int:
         return tuple(sorted((x for b in bs for x in b), reverse=True))
 
     total = _all_tuples(g, merged(blocks))
-    first, rest = blocks[0], blocks[1:]
-    for mask in range((1 << len(rest)) - 1):  # every part Y but all the blocks
-        inside = [b for i, b in enumerate(rest) if mask >> i & 1]
-        outside = [b for i, b in enumerate(rest) if not mask >> i & 1]
-        total -= (joined_count(g, tuple(sorted([first, *inside])))
-                  * _all_tuples(g, merged(outside)))
+    first = blocks[0]
+    for inside, outside, w in splits(blocks[1:]):
+        if outside:  # every part Y but all the blocks
+            total -= (w * joined_count(g, tuple(sorted((first, *inside))))
+                      * _all_tuples(g, merged(outside)))
     return total
 
 

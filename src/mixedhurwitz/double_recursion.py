@@ -22,6 +22,7 @@ from .partitions import (
     check_partition,
     class_size,
     enumerate_partitions,
+    pad_to,
     strip_ones,
     transposition_count,
 )
@@ -81,31 +82,32 @@ def _N(variant, g, dist, rest, nu, l) -> int:
     # essential join: the factorization splits into two transitive pieces; the
     # second has no tail condition, so it enters by its full (l, i)-aggregate.
     # The split fixes alpha + sum(I1) = sum(nu_Jc), and then |mu| = |nu| gives
-    # beta + sum(I2) = sum(nu_J)
-    for I1, I2 in splits(rest):
-        for nu_J, nu_Jc in splits(nu[:-1]):
+    # beta + sum(I2) = sum(nu_J).  Each multiset split stands for w1 * w2
+    # splits of the positions of rest and of nu's other parts.
+    nu_splits = splits(nu[:-1])
+    for I1, I2, w1 in splits(rest):
+        for nu_J, nu_Jc, w2 in nu_splits:
             nu_Jc += nu[-1:]  # the last nu-block stays with tau_b
             alpha = sum(nu_Jc) - sum(I1)
             if not nu_J or not 0 < alpha < dist:
                 continue
             beta = dist - alpha
             parts = tuple(sorted(I2 + (beta,), reverse=True))
-            I1s = tuple(sorted(I1, reverse=True))
             for g1 in range(0, g + 1):
                 second = _aggregate(variant, g - g1, parts, nu_J)
                 if second == 0:
                     continue
                 first_sum = sum(
-                    _N(variant, g1, alpha, I1s, nu_Jc, p)
+                    _N(variant, g1, alpha, I1, nu_Jc, p)
                     for p in range(1, p_hi + 1)
                 )
                 # a transposition-free first piece imposes no monotonicity
                 # constraint against tau_b; its conventional slot sits at
                 # p = last part of nu_Jc, which the p-bound may miss
-                b1 = 2 * g1 - 2 + 1 + len(I1s) + len(nu_Jc)
+                b1 = 2 * g1 - 2 + 1 + len(I1) + len(nu_Jc)
                 if b1 == 0 and nu_Jc[-1] > p_hi:
-                    first_sum += _N(variant, g1, alpha, I1s, nu_Jc, nu_Jc[-1])
-                total += beta * first_sum * second
+                    first_sum += _N(variant, g1, alpha, I1, nu_Jc, nu_Jc[-1])
+                total += w1 * w2 * beta * first_sum * second
 
     _n_cache[key] = total
     return total
@@ -146,11 +148,11 @@ def _aggregate(variant, g, mu, nu) -> int:
 
 
 # double_hurwitz refuses b + |mu| above this, b = 2g-2+l(mu)+l(nu) being the
-# depth of the N-recursion.  Of the 1,516 shapes with l(mu) + l(nu) <= 4 timed
-# at 22, the costliest, monotone g = 3, mu = (11, 2, 1), nu = (14,), and
-# g = 4, mu = (12, 1), nu = (13,), take about 0.4 s as fresh launches on a
-# 2-vCPU host; each 2 more about double the cost.
-DOUBLE_LIMIT = 22
+# depth of the N-recursion.  Of the 1,964 shapes with l(mu) + l(nu) <= 4 timed
+# at 24, the costliest, monotone g = 3, mu = (13, 2, 1), nu = (16,), takes
+# 0.6-0.9 s as a fresh launch on a 2-vCPU host; in a seeded sample of 300
+# shapes with more parts the costliest took 0.5 s in process.
+DOUBLE_LIMIT = 24
 
 
 def double_hurwitz(variant: str, g: int, mu, nu) -> Fraction:
@@ -191,8 +193,7 @@ def _connected_sector(variant, pmu, pnu, b, d) -> Fraction:
     """Connected double number for 1-free profile parts on degree d >= 1."""
     if sum(pmu) > d or sum(pnu) > d:
         return Fraction(0)
-    mu_full = tuple(sorted(pmu, reverse=True)) + (1,) * (d - sum(pmu))
-    nu_full = tuple(sorted(pnu, reverse=True)) + (1,) * (d - sum(pnu))
+    mu_full, nu_full = pad_to(pmu, d), pad_to(pnu, d)
     two_g = b - transposition_count(0, 0, d, (mu_full, nu_full))
     if two_g < 0 or two_g % 2:
         return Fraction(0)
@@ -214,7 +215,7 @@ def base_g_assembly(variant: str, base_genus: int, source_genus: int, mu, d: int
     mu = check_partition(mu)
     if sum(mu) > d:
         raise DomainError("|mu| > d")
-    mu_full = mu + (1,) * (d - sum(mu))
+    mu_full = pad_to(mu, d)
     b = transposition_count(base_genus, source_genus, d, (mu_full,))
     if b < 0:
         raise DomainError("negative transposition count")

@@ -20,7 +20,7 @@ from math import comb, lcm
 from operator import add, mul
 
 from .errors import DomainError, WindowError
-from .util import inverse, rat_str, times
+from .util import inverse, rat_str, splits, times
 
 
 class QSeries:
@@ -140,21 +140,11 @@ def _over_common_denominator(values):
 
 
 @cache
-def _multiset_splits(parts):
-    """(sub, parts - sub) for every sub-multiset sub of the partition parts."""
-    out = [((), ())]
-    for v in sorted(set(parts), reverse=True):
-        c = parts.count(v)
-        out = [(a + (v,) * i, b + (v,) * (c - i)) for a, b in out for i in range(c + 1)]
-    return out
-
-
-@cache
 def _profile_splits(profiles):
     """(part, profiles - part) for every sub-profile part of profiles."""
     out = [((), ())]
     for p in profiles:
-        out = [(a + (s,), b + (r,)) for a, b in out for s, r in _multiset_splits(p)]
+        out = [(a + (s,), b + (r,)) for a, b in out for s, r, _ in splits(p)]
     return out
 
 

@@ -184,13 +184,13 @@ def _recursion(g, n) -> dict:
         c = 0
         for m in range(max(k1 - 2, 0), k1):
             p = sum(_at(handle, (a, m - a) + rest) for a in range(m + 1))
-            for I, J in splits(rest):
+            for I, J, w in splits(rest):
                 for h in range(g + 1):
                     left = halves.get((h, len(I) + 1))
                     right = halves.get((g - h, len(J) + 1))
                     if left and right:
-                        p += sum(_at(left, (a,) + I) * _at(right, (m - a,) + J)
-                                 for a in range(m + 1))
+                        p += w * sum(_at(left, (a,) + I) * _at(right, (m - a,) + J)
+                                     for a in range(m + 1))
             c += _pair_table(m)[k1] * p
         # omega_{g,n-1}(z or sigma z, S - j) times omega_{0,2}(sigma z or z, z_j)
         for j in range(1, n):
@@ -297,8 +297,9 @@ def _cut_and_join(g, mu):
         beta = mu1 - alpha
         for g1 in range(0, g + 1):
             g2 = g - g1
-            for I, J in splits(rest):
-                total += _cut_and_join(g1, (alpha,) + I) * _cut_and_join(g2, (beta,) + J)
+            for I, J, w in splits(rest):
+                total += (w * _cut_and_join(g1, (alpha,) + I)
+                          * _cut_and_join(g2, (beta,) + J))
     return -total
 
 

@@ -1,13 +1,13 @@
-"""Small shared helpers: exact rational -> string, subset splits, the
-monotone variants and their check, the settings the CLI resolves before it
-loads a route (the default oracle limit and the oracle size table), and the
-package's one truncated-series kernel: products, inverses and the products of
-S(z) = sinh(z/2)/(z/2) that the sinh coefficients and the vertex weights
-read."""
+"""Small shared helpers: exact rational -> string, the one split of a
+multiset into weighted sub-multisets, the monotone variants and their check,
+the settings the CLI resolves before it loads a route (the default oracle
+limit and the oracle size table), and the package's one truncated-series
+kernel: products, inverses and the products of S(z) = sinh(z/2)/(z/2) that
+the sinh coefficients and the vertex weights read."""
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 from .errors import DomainError
@@ -42,12 +42,16 @@ def rat_str(x) -> str:
 
 
 def splits(items):
-    """Every split (I, J) of items into a chosen subset of positions and its
-    complement, in bitmask order; both parts keep the order of items."""
-    items = tuple(items)
-    for mask in range(1 << len(items)):
-        yield (tuple(x for k, x in enumerate(items) if mask >> k & 1),
-               tuple(x for k, x in enumerate(items) if not mask >> k & 1))
+    """Every split of the multiset items into a sub-multiset I and its
+    complement J, as a list of (I, J, w): I and J weakly decreasing and
+    w = prod_v C(c_v, i_v), the number of position subsets of items that
+    give (I, J), for c_v copies of v in items and i_v of them in I."""
+    out = [((), (), 1)]
+    for v in sorted(set(items), reverse=True):
+        c = items.count(v)
+        out = [(a + (v,) * i, b + (v,) * (c - i), w * comb(c, i))
+               for a, b, w in out for i in range(c + 1)]
+    return out
 
 
 def check_variant(variant: str):

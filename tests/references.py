@@ -1,13 +1,13 @@
-"""Reference helpers that only the tests use: small enumerations, sector
-subsectors and the exp at one sector, the transitive commutator counts and
-the commutator table by permutation built from them,
-the full-class walk of the triply mixed oracle, the expansion of a
-quasimodular polynomial, the product form of the
-quantum-curve partition function, the sinh coefficients from the Bernoulli
-numbers, the completion coefficients from the sinh product, and the
-two-stage elliptic cover search (unpruned shapes, then spanning-tree
-weights) and two-factor vertex weight of the tropical route,
-kept out of the package so that no CLI launch compiles them."""
+"""Reference helpers that only the tests use: small enumerations, the
+positional subset splits, sector subsectors and the exp at one sector, the
+transitive commutator counts and the commutator table by permutation built
+from them, the full-class walk of the triply mixed oracle, the expansion of
+a quasimodular polynomial, the product form of the quantum-curve partition
+function, the sinh coefficients from the Bernoulli numbers, the completion
+coefficients from the sinh product, and the two-stage elliptic cover search
+(unpruned shapes, then spanning-tree weights) and two-factor vertex weight
+of the tropical route, kept out of the package so that no CLI launch
+compiles them."""
 
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +22,7 @@ from mixedhurwitz.partitions import compositions, enumerate_partitions, pad_to
 from mixedhurwitz.quasimodular import eisenstein
 from mixedhurwitz.series import QSeries, _euler_solve, _subkeys
 from mixedhurwitz.symgroup import (FREE, STRICT, WEAK, _codes, _cycles, _join,
-                                   _labels_of, _tally, _totals, _walk, all_perms,
+                                   _labels_of, _steps, _tally, _totals, all_perms,
                                    compose, identity, orbit_labels, perms_of_type,
                                    transposition)
 from mixedhurwitz.tropical import combinatorial_type, enumerate_elliptic_covers
@@ -43,6 +43,15 @@ def partitions_upto(d: int):
     for n in range(d + 1):
         out.extend(enumerate_partitions(n))
     return out
+
+
+def positional_splits(items):
+    """Every split (I, J) of items into a chosen subset of positions and its
+    complement, in bitmask order; both parts keep the order of items."""
+    items = tuple(items)
+    for mask in range(1 << len(items)):
+        yield (tuple(x for k, x in enumerate(items) if mask >> k & 1),
+               tuple(x for k, x in enumerate(items) if not mask >> k & 1))
 
 
 def falling_factorial(x, k: int):
@@ -132,16 +141,29 @@ def full_class_profiled(d: int, profiles, orbits):
     return states
 
 
-def full_class_counts(g: int, d: int, profiles, k: int, l: int, m: int):
-    """(disconnected, connected) unlabeled count_triply_mixed at base genus g,
-    degree d and these profiles with k free, l weakly and m strictly monotone
-    transpositions, with every profile over its full conjugacy class
-    (full_class_profiled), walked by the oracle's engine and closed at the
-    identity (the last profile 1^d) at g = 0 or by g commutators."""
+def full_class_slots(g: int, d: int, profiles, wanted):
+    """{(k, l, m): (disconnected, connected)} unlabeled count_triply_mixed at
+    base genus g, degree d and these profiles for each (k, l, m) in wanted,
+    with every profile over its full conjugacy class (full_class_profiled),
+    walked once by the oracle's engine, each free layer branching into a weak
+    walk and each weak layer into a strict one as in triply_mixed_slots, each
+    only as far as wanted needs, and closed at the identity (the last profile
+    1^d) at g = 0 or by g commutators."""
     states = full_class_profiled(d, [pad_to(p, d) for p in profiles], orbit_labels(d))
-    states = _walk(d, states, ((k, FREE), (l, WEAK), (m, STRICT)))
-    return tuple(Fraction(t, factorial(d))
-                 for t in _totals(d, g, (1,) * d, states, {}))
+    slots, closed = {}, {}
+
+    def steps(states, mode, *prefix):  # the layer after prefix, as far as needed
+        top = max((w[len(prefix)] for w in wanted if w[:len(prefix)] == prefix),
+                  default=-1)
+        return zip(range(top + 1), _steps(d, states, mode))
+
+    for k, free in steps(states, FREE):
+        for l, weak in steps(free, WEAK, k):
+            for m, end in steps(weak, STRICT, k, l):
+                if (k, l, m) in wanted:
+                    slots[k, l, m] = tuple(Fraction(t, factorial(d)) for t in
+                                           _totals(d, g, (1,) * d, end, closed))
+    return slots
 
 
 def expand_quasimodular(poly, order: int) -> QSeries:

@@ -12,8 +12,9 @@ from mixedhurwitz.double_recursion import (
     disconnected_double,
     double_hurwitz,
 )
-from mixedhurwitz.partitions import enumerate_partitions
+from mixedhurwitz.partitions import enumerate_partitions, z_weight
 from mixedhurwitz.quantum_curve import annihilator_words, partition_coefficient
+from mixedhurwitz.spectral import cut_and_join_C
 from mixedhurwitz.symgroup import monotone_double_count, oracle_N, oracle_N_slots
 from mixedhurwitz.tropical import (enumerate_elliptic_covers, enumerate_line_covers,
                                    tropical_double_sum, tropical_elliptic_sum,
@@ -77,6 +78,17 @@ def test_double_hurwitz_matches_characters():
                                 tuple(x for x in nu if x > 1))
                         want = sector_value(0, kl[0], kl[1], kl[2], prof, d)
                         assert got == want, (variant, g, mu, nu)
+
+
+def test_double_recursion_at_nu_one_matches_cut_and_join():
+    # the fixed-target identity C_{g,n}(mu) = (-1)^(n+d) z_mu h(g; mu, 1^d):
+    # a monotone factorization of a permutation of type mu is a monotone
+    # double cover with nu = 1^d.  Two independent routes, at g = 3 and 4, so
+    # that the N-recursion's redundant join runs at g > 2
+    for g, mu in [(3, (8,)), (4, (7,)), (3, (5, 3)), (3, (4, 2, 1)), (4, (4, 3))]:
+        d, n = sum(mu), len(mu)
+        h = double_hurwitz("monotone", g, mu, (1,) * d)
+        assert (-1) ** (n + d) * z_weight(mu) * h == cut_and_join_C(g, n, mu), (g, mu)
 
 
 def test_base_g_assembly_matches_characters():

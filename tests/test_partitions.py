@@ -1,5 +1,6 @@
 import os
 import pickle
+from collections import Counter
 from functools import cache
 from math import comb, factorial
 import subprocess
@@ -26,7 +27,8 @@ from mixedhurwitz.partitions import (
     transposition_count,
 )
 from mixedhurwitz.symgroup import all_perms, cycle_type
-from references import falling_factorial
+from mixedhurwitz.util import splits
+from references import falling_factorial, positional_splits
 
 
 def test_enumerate_partitions_order():
@@ -59,6 +61,23 @@ def test_partition_count_of_a_large_degree_on_a_cold_table():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "24061467864032622473692149727991"
+
+
+def test_splits_tally_the_positional_splits():
+    # the weighted sub-multisets of every partition of n <= 8, and of sorted
+    # tuples of blocks as joined_count passes, are the position subsets
+    # sorted and tallied, each split once
+    def down(x):
+        return tuple(sorted(x, reverse=True))
+
+    blocks = [((1,), (1,), (2,)), ((1,), (2,), (2,), (2, 1)),
+              ((2,), (2,), (2,), (2,)), ((1,), (1,), (2,), (2,), (3,), (3, 2))]
+    for items in [*(p for n in range(9) for p in enumerate_partitions(n)), *blocks]:
+        tally = Counter((down(I), down(J)) for I, J in positional_splits(items))
+        got = splits(items)
+        assert all(I == down(I) and J == down(J) for I, J, _ in got), items
+        assert {(I, J): w for I, J, w in got} == tally, items
+        assert len(got) == len(tally), items
 
 
 def test_hurwitz_spec_is_a_frozen_value():

@@ -12,7 +12,8 @@ import mixedhurwitz
 from mixedhurwitz.characters import connected_hurwitz_qseries, hurwitz_by_characters
 from mixedhurwitz.commutators import count_commutator_type
 from mixedhurwitz.errors import DomainError, ResourceLimitError
-from mixedhurwitz.partitions import aut_count, class_size, enumerate_partitions
+from mixedhurwitz.partitions import (aut_count, class_size, enumerate_partitions,
+                                     transposition_count)
 from mixedhurwitz.symgroup import (
     DEFAULT_ORACLE_LIMIT,
     HurwitzSpec,
@@ -35,7 +36,7 @@ from mixedhurwitz.symgroup import (
     triply_mixed_slots,
 )
 from mixedhurwitz.util import ORACLE_SIZE_LIMIT
-from references import commutator_tuple_table, full_class_counts, transitive_count
+from references import commutator_tuple_table, full_class_slots, transitive_count
 
 
 def test_spec_validation():
@@ -158,17 +159,18 @@ def test_monotone_double_count_matches_triply_mixed():
     cases = 0
     for d in range(1, 6):
         parts = enumerate_partitions(d)
-        for mu, nu, gp in product(parts, parts, range(3)):
-            b = 2 * gp - 2 + len(mu) + len(nu)
-            if not 0 <= b <= 4:
-                continue
-            for strict, connected in product((False, True), repeat=2):
-                cases += 1
-                blocks = (0, 0, b) if strict else (0, b, 0)
-                spec = HurwitzSpec(0, gp, d, (mu, nu), *blocks, connected)
-                assert monotone_double_count(gp, mu, nu, strict, connected) == \
-                    full_class_counts(0, d, (mu, nu), *blocks)[connected], \
-                    (mu, nu, gp, strict, connected)
+        for mu, nu in product(parts, parts):
+            # b -> source genus gp, for the b <= 4 some gp <= 2 reaches
+            bs = {b: gp for gp in range(3)
+                  if 0 <= (b := 2 * gp - 2 + len(mu) + len(nu)) <= 4}
+            want = full_class_slots(0, d, (mu, nu),
+                                    [w for b in bs for w in ((0, b, 0), (0, 0, b))])
+            for b, gp in bs.items():
+                for strict, connected in product((False, True), repeat=2):
+                    cases += 1
+                    blocks = (0, 0, b) if strict else (0, b, 0)
+                    assert monotone_double_count(gp, mu, nu, strict, connected) == \
+                        want[blocks][connected], (mu, nu, gp, strict, connected)
     assert cases == 436
 
 
@@ -210,13 +212,14 @@ def test_fixed_sigma_1_matches_the_full_class_walk():
         fit = [p for p in menu if sum(p) <= d]
         three = product(fit, repeat=3) if (g, d) < (1, 5) else ()
         for profiles in [(), *((p,) for p in fit), *product(fit, repeat=2), *three]:
-            slots = triply_mixed_slots(g, d, profiles, range(4))
+            # the b <= 3 whose source genus exists: b0 and up in steps of 2
+            b0 = transposition_count(g, 0, d, profiles)
+            bs = [b for b in range(b0 % 2, 4, 2) if b >= b0]
+            slots = triply_mixed_slots(g, d, profiles, bs)
+            wants = full_class_slots(g, d, profiles, slots)
             for (k, l, m), values in slots.items():
-                try:
-                    gp = source_genus_for(g, d, profiles, k + l + m)
-                except DomainError:
-                    continue
-                want = full_class_counts(g, d, profiles, k, l, m)
+                gp = source_genus_for(g, d, profiles, k + l + m)
+                want = wants[k, l, m]
                 assert values == want, (g, d, profiles, k, l, m)
                 for connected, labeled in product((False, True), repeat=2):
                     checked += 1
