@@ -2,11 +2,12 @@
 recursion, aggregation to double Hurwitz numbers, and assembly of
 arbitrary-base-genus numbers through commutator counts.
 
-N-values are keyed by content: (variant, g, distinguished part, remaining
-parts sorted, nu, counter l).  The recursion strictly decreases the
-transposition count b = 2g-2+l(mu)+l(nu); b in {0,1} is anchored on a
-closed form (genus 0, at most one transposition), the recursion runs for
-b >= 2.  double_hurwitz raises ResourceLimitError past a module bound.
+The recursion runs on prefix sums U(L) = sum_{p <= L} N(..., p) over the
+counter, cached by content: (variant, g, distinguished part, remaining parts
+sorted, nu, counter bound L).  It strictly decreases the transposition count
+b = 2g-2+l(mu)+l(nu); b in {0,1} is anchored on a closed form (genus 0, at
+most one transposition), the recursion runs for b >= 2.  double_hurwitz
+raises ResourceLimitError past a module bound.
 
 The character and exponential-formula code is imported inside the functions
 that use it, so a launch that only runs the recursion compiles neither.
@@ -40,44 +41,38 @@ def N_value(variant: str, g: int, dist: int, rest, nu, l: int) -> int:
         raise DomainError("distinguished part must be >= 1")
     if dist + sum(rest) != sum(nu):
         raise DomainError("|mu| must equal |nu|")
-    return _N(variant, g, dist, rest, nu, l)
+    return (_upto(variant, g, dist, rest, nu, l)
+            - _upto(variant, g, dist, rest, nu, l - 1))
 
 
-def _N(variant, g, dist, rest, nu, l) -> int:
-    if g < 0 or not nu:
+def _upto(variant, g, dist, rest, nu, L) -> int:
+    """U(L), the sum of N(dist | rest, nu) over the counters 1 <= p <= L; N
+    vanishes past the last part of nu, where t_b would leave the last block."""
+    L = min(L, nu[-1])
+    if g < 0 or L < 1:
         return 0
-    if l < 1 or l > nu[-1]:
-        return 0  # t_b = offset + l must stay inside the last block
-    if dist < 1 or dist + sum(rest) != sum(nu):
-        return 0
-    n_mu = 1 + len(rest)
-    b = 2 * g - 2 + n_mu + len(nu)
-    if b < 0:
-        return 0
+    b = 2 * g - 1 + len(rest) + len(nu)
     if b <= 1:
-        return _anchor(b, rest, nu, l)
-    key = (variant, g, dist, rest, nu, l)
+        return _anchor(b, rest, nu, L)
+    key = (variant, g, dist, rest, nu, L)
     hit = _n_cache.get(key)
     if hit is not None:
         return hit
 
-    strict = variant == "strict"
-    p_hi = l - 1 if strict else l
-    total = 0
+    # U(L - 1) plus N at counter L, each of whose terms sums p <= p_hi
+    p_hi = L - 1 if variant == "strict" else L
+    total = _upto(variant, g, dist, rest, nu, L - 1)
 
     # cut: the last transposition merged the distinguished cycle with another
-    if dist + l > nu[-1]:
-        for j, mj in enumerate(rest):
-            sub_rest = rest[:j] + rest[j + 1:]
-            for p in range(1, p_hi + 1):
-                total += _N(variant, g, dist + mj, sub_rest, nu, p)
+    if dist + L > nu[-1]:
+        for v, copies, sub_rest in _removals(rest):
+            total += copies * _upto(variant, g, dist + v, sub_rest, nu, p_hi)
 
     # redundant join: the last transposition cut the distinguished cycle
     for alpha in range(1, dist):
         beta = dist - alpha
         new_rest = tuple(sorted(rest + (beta,), reverse=True))
-        for p in range(1, p_hi + 1):
-            total += beta * _N(variant, g - 1, alpha, new_rest, nu, p)
+        total += beta * _upto(variant, g - 1, alpha, new_rest, nu, p_hi)
 
     # essential join: the factorization splits into two transitive pieces; the
     # second has no tail condition, so it enters by its full (l, i)-aggregate.
@@ -97,36 +92,36 @@ def _N(variant, g, dist, rest, nu, l) -> int:
                 second = _aggregate(variant, g - g1, parts, nu_J)
                 if second == 0:
                     continue
-                first_sum = sum(
-                    _N(variant, g1, alpha, I1, nu_Jc, p)
-                    for p in range(1, p_hi + 1)
-                )
-                # a transposition-free first piece imposes no monotonicity
-                # constraint against tau_b; its conventional slot sits at
-                # p = last part of nu_Jc, which the p-bound may miss
-                b1 = 2 * g1 - 2 + 1 + len(I1) + len(nu_Jc)
-                if b1 == 0 and nu_Jc[-1] > p_hi:
-                    first_sum += _N(variant, g1, alpha, I1, nu_Jc, nu_Jc[-1])
-                total += w1 * w2 * beta * first_sum * second
+                # a transposition-free first piece meets no monotonicity
+                # constraint against tau_b: it counts 1, at its one slot alpha
+                first = (1 if g1 == 0 and not I1 and len(nu_Jc) == 1
+                         else _upto(variant, g1, alpha, I1, nu_Jc, p_hi))
+                total += w1 * w2 * beta * first * second
 
     _n_cache[key] = total
     return total
 
 
-def _anchor(b, rest, nu, l) -> int:
-    """N at b <= 1, where g = 0 and both variants agree.
+def _anchor(b, rest, nu, L) -> int:
+    """U(L) at b <= 1, where g = 0 and both variants agree.
 
     b = 0: mu = nu = (d), one tuple at the slot l = d.  b = 1 with nu = (a, c)
     and mu = (d): the transposition (s, t_b) joins the two cycles for each of
-    the a points s of the first one.  b = 1 with nu = (d) and mu = (dist, r):
-    (s, t_b) cuts the d-cycle, leaving the cycle through t_b = l - 1 of
-    length dist for exactly one s < t_b, which exists iff r <= l - 1.
+    the a points s of the first one, at every l.  b = 1 with nu = (d) and mu =
+    (dist, r): (s, t_b) cuts the d-cycle, leaving the cycle through t_b = l - 1
+    of length dist for exactly one s < t_b, which exists iff r <= l - 1.
     """
     if b == 0:
-        return int(l == nu[0])
+        return int(L == nu[0])
     if len(nu) == 2:
-        return nu[0]
-    return int(rest[0] <= l - 1)
+        return L * nu[0]
+    return max(L - rest[0], 0)
+
+
+def _removals(parts):
+    """(v, copies of v, parts less one v) per distinct part v of sorted parts."""
+    return [(v, parts.count(v), parts[:i] + parts[i + 1:])
+            for i, v in enumerate(parts) if v not in parts[:i]]
 
 
 def N_aggregate(variant: str, g: int, mu, nu) -> int:
@@ -137,22 +132,17 @@ def N_aggregate(variant: str, g: int, mu, nu) -> int:
 
 
 def _aggregate(variant, g, mu, nu) -> int:
-    """Sum of _N over every labeling position i and every counter l up to
-    the last part of nu: the refined counts vanish beyond it."""
-    total = 0
-    for i in range(len(mu)):
-        rest = mu[:i] + mu[i + 1:]
-        for l in range(1, nu[-1] + 1):
-            total += _N(variant, g, mu[i], rest, nu, l)
-    return total
+    """Sum of N over every labeling position i and counter l: one prefix sum
+    per distinct part of mu, times its copies."""
+    return sum(copies * _upto(variant, g, v, rest, nu, nu[-1])
+               for v, copies, rest in _removals(mu))
 
 
 # double_hurwitz refuses b + |mu| above this, b = 2g-2+l(mu)+l(nu) being the
-# depth of the N-recursion.  Of the 1,964 shapes with l(mu) + l(nu) <= 4 timed
-# at 24, the costliest, monotone g = 3, mu = (13, 2, 1), nu = (16,), takes
-# 0.6-0.9 s as a fresh launch on a 2-vCPU host; in a seeded sample of 300
-# shapes with more parts the costliest took 0.5 s in process.
-DOUBLE_LIMIT = 24
+# depth of the N-recursion.  At 30 the costliest of the 3,820 shapes with
+# l(mu) + l(nu) <= 4, monotone g = 4, (10, 9, 1), (20,), takes 0.8-1.0 s as a
+# fresh launch on a 2-vCPU host, and of 150 sampled with more parts 1.3-1.4 s.
+DOUBLE_LIMIT = 30
 
 
 def double_hurwitz(variant: str, g: int, mu, nu) -> Fraction:
@@ -169,7 +159,7 @@ def double_hurwitz(variant: str, g: int, mu, nu) -> Fraction:
     if size > DOUBLE_LIMIT:
         raise ResourceLimitError(f"double: b + |mu| = {size} above the limit "
                                  f"{DOUBLE_LIMIT}")
-    agg = N_aggregate(variant, g, mu, nu)
+    agg = _aggregate(variant, g, mu, nu)
     return Fraction(class_size(nu, d) * agg, factorial(d) * aut_count(mu))
 
 

@@ -58,9 +58,9 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
                                     "characters": chars})
 
 
-def _suite_n_recursion(dmax, oracle_limit):
+def _suite_n_recursion(dmax, oracle_limit, deep):
     from .double_recursion import N_value, double_hurwitz
-    from .partitions import enumerate_partitions, transposition_count
+    from .partitions import enumerate_partitions, transposition_count, z_weight
     from .symgroup import monotone_double_count, oracle_N_slots
 
     for d in range(1, dmax + 1):
@@ -87,6 +87,23 @@ def _suite_n_recursion(dmax, oracle_limit):
                             limit=oracle_limit)
                         got = double_hurwitz(variant, g, mu, nu)
                         yield inputs, {"oracle": want, "recursion": got}
+    if not deep:
+        return
+    # C_{g,n}(mu) = (-1)^(n+d) z_mu h(g; mu, 1^d) against cut-and-join at
+    # g = 3, 4, where the redundant join runs past genus 2
+    from .spectral import cut_and_join_C
+
+    for g in (3, 4):
+        for d in range(1, 8):
+            for mu in enumerate_partitions(d):
+                n = len(mu)
+                b = 2 * g - 2 + n + d
+                if b <= 20 and b + d <= 24:
+                    h = double_hurwitz("monotone", g, mu, (1,) * d)
+                    yield ({"variant": "monotone", "g": g, "mu": list(mu),
+                            "nu": [1] * d},
+                           {"recursion": (-1) ** (n + d) * z_weight(mu) * h,
+                            "cut_and_join": cut_and_join_C(g, n, mu)})
 
 
 def _suite_quantum_curve(dmax=8, bmax=8):
@@ -160,7 +177,7 @@ SUITES = {
     "oracle-vs-characters": lambda dmax, deep, oracle_dmax:
         _suite_oracle_vs_characters(min(dmax, oracle_dmax), oracle_dmax),
     "n-recursion": lambda dmax, deep, oracle_dmax:
-        _suite_n_recursion(min(dmax + 1, oracle_dmax), oracle_dmax),
+        _suite_n_recursion(min(dmax + 1, oracle_dmax), oracle_dmax, deep),
     "quantum-curve": lambda dmax, deep, oracle_dmax: _suite_quantum_curve(),
     "toprec": lambda dmax, deep, oracle_dmax:
         _suite_toprec(min(4, oracle_dmax)),

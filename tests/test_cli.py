@@ -683,9 +683,9 @@ def test_toprec_finishes_at_its_budget(args, value, capsys):
 
 
 @pytest.mark.parametrize("args,code,out", [
-    (["--genus", "11", "--mu", "2", "--nu", "2"], 0, '{"value": "1/2"}'),
-    (["--genus", "5", "--mu", "13,1", "--nu", "14"], 3, ""),
-], ids=["b-mu-24", "b-mu-25"])
+    (["--genus", "14", "--mu", "2", "--nu", "2"], 0, '{"value": "1/2"}'),
+    (["--genus", "8", "--mu", "13,1", "--nu", "14"], 3, ""),
+], ids=["b-mu-30", "b-mu-31"])
 def test_double_runs_at_its_budget_and_refuses_past_it_at_once(args, code, out,
                                                               capsys):
     from mixedhurwitz import cli
@@ -696,7 +696,7 @@ def test_double_runs_at_its_budget_and_refuses_past_it_at_once(args, code, out,
     got = capsys.readouterr()
     assert got.out.strip() == out
     if code:
-        assert got.err.startswith("resource limit: double: b + |mu| = 25"), got.err
+        assert got.err.startswith("resource limit: double: b + |mu| = 31"), got.err
 
 
 def test_benchmark_invocations_print_their_expected_stdout(capsys):

@@ -37,6 +37,31 @@ def test_N_value_validation():
         N_value("nope", 0, 2, (), (2,), 1)
 
 
+def test_N_value_slots_sum_to_the_aggregate_on_repeated_parts():
+    # the counter clamp lives in the prefix sum, so N_value is 0 at l = 0 and
+    # one past the last part of nu; and the sum of N_value over every
+    # position and counter is N_aggregate, which reads one prefix sum per
+    # distinct part of mu times its copies
+    nonzero = 0
+    for mu, nus in [((2, 2, 1, 1), [(6,), (3, 3), (4, 2), (2, 2, 1, 1)]),
+                    ((3, 3), [(6,), (3, 3), (4, 1, 1), (2, 2, 2)]),
+                    ((2, 1, 1, 1, 1), [(6,), (3, 2, 1), (2, 2, 2)])]:
+        for nu in nus:
+            for g in range(3):
+                for variant in ("monotone", "strict"):
+                    total = 0
+                    for i in range(len(mu)):
+                        dist, rest = mu[i], mu[:i] + mu[i + 1:]
+                        for l in (0, nu[-1] + 1):
+                            assert N_value(variant, g, dist, rest, nu, l) == 0
+                        total += sum(N_value(variant, g, dist, rest, nu, l)
+                                     for l in range(1, nu[-1] + 1))
+                    assert total == N_aggregate(variant, g, mu, nu), \
+                        (variant, g, mu, nu)
+                    nonzero += total != 0
+    assert nonzero == 47  # of 66 (mu, nu, g, variant) cases
+
+
 def test_double_hurwitz_examples():
     assert double_hurwitz("monotone", 1, (2,), (2,)) == Fraction(1, 2)
     assert double_hurwitz("strict", 1, (2,), (2,)) == 0
