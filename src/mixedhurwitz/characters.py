@@ -1,13 +1,12 @@
 """Irreducible characters of symmetric groups and the central-character route
 to triply mixed Hurwitz numbers.  Connected numbers come from the disconnected
-ones by the potential log: one call of the exponential formula of series,
-exact sector columns in and exact connected columns out.
+ones by the potential log: one call of the exponential formula of series.
 
-All arithmetic is exact rational; no floating point anywhere.  A character
-is computed only when a sector reads it and memoised in process; nothing is
-read from disk.  The character memo and the per-degree lambda columns only
-receive idempotent inserts and the lambda-sums are plain reductions over
-independent terms, so concurrent use is safe.
+Every lambda column, exact and memoised in process on first read, comes from
+columns of smaller degrees: chi^.(nu) from that of nu less its largest part
+by rim hooks on bead words, f_(2) and the words from the tails' columns.  The
+memos only receive idempotent inserts and the lambda-sums are plain
+reductions over independent terms, so concurrent use is safe.
 """
 
 from fractions import Fraction
@@ -17,8 +16,8 @@ from operator import mul
 
 from .errors import DomainError, ResourceLimitError
 from .partitions import (
-    _block_start,
     aut_count,
+    block_start,
     check_partition,
     class_size,
     enumerate_partitions,
@@ -38,7 +37,9 @@ PARTITION_LIMIT = 100_000
 SECTOR_LIMIT = 60
 
 # ---------------------------------------------------------------------------
-# Murnaghan-Nakayama characters
+# Murnaghan-Nakayama characters: _char_cache[nu] is the column chi^lam(nu)
+# over the partitions lam of |nu|, for each class nu (parts largest first)
+# with a part above 1 that a sector has read
 
 _char_cache = {}
 
@@ -48,38 +49,38 @@ def character(lam, nu) -> int:
     lam, nu = check_partition(lam), check_partition(nu)
     if sum(lam) != sum(nu):
         raise DomainError(f"size mismatch: |{lam}| != |{nu}|")
-    return _mn(lam, tuple(sorted(nu, reverse=True)))
+    return _char_column(tuple(sorted(nu, reverse=True)))[
+        enumerate_partitions(sum(lam)).index(lam)]
 
 
-def _mn(lam, nu) -> int:
-    if not nu:
-        return 1
-    if nu[0] == 1:
-        # remaining class is the identity: character value is the dimension
-        return hook_dim(lam)
-    key = (lam, nu)
-    hit = _char_cache.get(key)
-    if hit is not None:
-        return hit
-    t = nu[0]
-    rest = nu[1:]
-    total = 0
-    # beta-set formulation: border strips of size t <-> b in B with b-t not in B
-    ell = len(lam)
-    beta = [lam[i] + ell - 1 - i for i in range(ell)]
-    bset = set(beta)
-    for idx, b in enumerate(beta):
-        nb = b - t
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((bset - {b}) | {nb}, reverse=True)
-        new_lam = tuple(x - (len(new_beta) - 1 - i) for i, x in enumerate(new_beta))
-        new_lam = tuple(x for x in new_lam if x > 0)
-        sign = -1 if height % 2 else 1
-        total += sign * _mn(new_lam, rest)
-    _char_cache[key] = total
-    return total
+def _char_column(nu):
+    """chi^lam(nu) for every partition lam of |nu|; nu's parts largest first."""
+    if not nu or nu[0] == 1:  # the identity class: the dimensions
+        return _lambda_column(len(nu), "dim")
+    if nu not in _char_cache:
+        rest = _char_column(nu[1:])
+        _char_cache[nu] = [sum(s * rest[j] for s, j in hooks)
+                           for hooks in _hook_table(sum(nu), nu[0])]
+    return _char_cache[nu]
+
+
+@cache
+def _hook_table(d, t):
+    """Per lam of d, (sign, index of lam - hook among the partitions of d - t)
+    for each t-rim hook: on the bead words a bead moves from b to an empty
+    b - t, with sign (-1)^(beads passed), and lam - hook's beads 0..t-1 are
+    full, so the word shifted right by t is its word of d - t beads."""
+    index = {w: i for i, w in enumerate(_lambda_column(d - t, "word"))}
+    table = []
+    for w in _lambda_column(d, "word"):
+        hooks, movable = [], (w & ~(w << t)) >> t << t  # b >= t with b - t empty
+        while movable:
+            b = movable.bit_length() - 1
+            movable ^= 1 << b
+            sign = -1 if (w >> b - t + 1 & (1 << t - 1) - 1).bit_count() % 2 else 1
+            hooks.append((sign, index[(w ^ 1 << b ^ 1 << b - t) >> t]))
+        table.append(hooks)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -104,30 +105,33 @@ def central_character_f(nu, lam) -> Fraction:
 # A column holds one value per partition of d, in enumerate_partitions order.
 # Each is built on first read and kept for the process; "dim" is built only
 # when a sector reads it (dim lam enters with power 2 - 2g - #profiles, so a
-# base genus 1 sector without profiles never does).  The chi^lam(nu) columns
-# and the weight and product columns of sector_family live only while their
-# degree runs.
+# base genus 1 sector without profiles never does).  The weight columns of
+# sector_family live only while their degree runs.
 
 _lambda_columns = {}
 
 
 def _lambda_column(d: int, key):
     """dim lam for key "dim", f_(2)(lam) = the sum of the contents of lam for
-    "f2", and sym_eval(kind, n, contents of lam) for key (kind, n)."""
+    "f2", the bead word sum_i 2^(lam_i + d - 1 - i) (i < d, lam padded with
+    0s) for "word", and sym_eval(kind, n, contents of lam) for key (kind, n)."""
     col = _lambda_columns.get((d, key))
     if col is None:
-        lams = enumerate_partitions(d)
         if key == "dim":
-            col = [hook_dim(lam) for lam in lams]
-        elif key == "f2":  # f2((first,) + tail) = C(first, 2) + f2(tail) - |tail|
+            col = [hook_dim(lam) for lam in enumerate_partitions(d)]
+        elif key in ("f2", "word"):  # from the columns of the tails, block by block
             col = [0] if d == 0 else []
             for first in range(d, 0, -1):
                 r = d - first
-                tails = _lambda_column(r, "f2")[_block_start[r][min(first, r)]:]
-                col.extend([f + first * (first - 1) // 2 - r for f in tails])
+                tails = _lambda_column(r, key)[block_start(r)[min(first, r)]:]
+                if key == "f2":  # f2((first,) + tail) = C(first, 2) + f2(tail) - |tail|
+                    col.extend([f + first * (first - 1) // 2 - r for f in tails])
+                else:  # the tail's beads move up by first - 1 over first - 1 new ones
+                    low = (1 << (first + d - 1)) + (1 << (first - 1)) - 1
+                    col.extend([w << (first - 1) | low for w in tails])
         else:  # every h_j and e_j, j <= n, from one walk over the contents
             n, rows = key[1], []
-            for lam in lams:
+            for lam in enumerate_partitions(d):
                 h, e = [1] + [0] * n, [1] + [0] * n
                 for i, r in enumerate(lam):
                     for v in range(-i, r - i):
@@ -189,10 +193,11 @@ def sector_family(g: int, keys, dmax: int, low: int = 0):
 
     term(lam) = (dim/d!)^(2-2g) prod_nu (|C_nu| chi^lam(nu) / dim) f2^k h_l e_m.
     Per degree: one integer weight column prod_nu chi^lam(nu) dim^(2-2g-#nu)
-    per profile tuple, whose character products share their prefixes; times
-    h_l e_m once per (l, m, profiles) and then f2 once per step of k.  The
-    class sizes and the powers of d! scale each sum once.  The d = 0
-    convention: 1 for the empty sector, 0 otherwise.
+    per profile tuple; times h_l e_m once per (l, m, profiles) and then f2
+    once per step of k (per distinct f2 if there are two or more k).  The
+    rows are counted off the f2 column.  The class sizes and the powers of d!
+    scale each sum once.  The d = 0 convention: 1 for the empty sector, 0
+    otherwise.
     """
     groups = {}  # (l, m, profiles) -> the k wanted with them
     for k, *rest in (_checked_key(g, key) for key in keys):
@@ -206,19 +211,13 @@ def sector_family(g: int, keys, dmax: int, low: int = 0):
                 if all(sum(p) <= d for p in rest[2])]
         if j := max((max(l, m) for (l, m, _), _ in live), default=0):
             _lambda_column(d, ("elementary", j))  # one walk: every h_i, e_i, i <= j
-        lams, fd, f2 = enumerate_partitions(d), factorial(d), _lambda_column(d, "f2")
-        chis, weights = {}, {}  # by class prefix; by profile tuple
+        fd, f2 = factorial(d), _lambda_column(d, "f2")
+        weights = {}  # by profile tuple
         for (l, m, profiles), ks in live:
-            if profiles not in weights:
-                xs, classes = [1] * len(lams), ()
-                # prod chi^lam(nu) over a prefix of the classes, largest first:
-                # a class after it is read only where the prefix is nonzero
-                for nu in sorted((pad_to(p, d) for p in profiles if p), reverse=True):
-                    classes += (nu,)
-                    if classes not in chis:
-                        chis[classes] = [x and x * _mn(lam, nu)
-                                         for x, lam in zip(xs, lams)]
-                    xs = chis[classes]
+            if profiles not in weights:  # prod chi^lam(nu), one column per class
+                classes = [pad_to(p, d) for p in profiles if p]
+                xs = ([prod(c) for c in zip(*map(_char_column, classes))] if classes
+                      else [1] * len(f2))
                 n = 2 - 2 * g - len(classes)  # the power of dim
                 if n:  # for n < 0, dim divides d!: x dim^n = x (d!/dim)^-n / d!^-n
                     xs = [x and x * (dim ** n if n > 0 else (fd // dim) ** -n)
@@ -230,14 +229,19 @@ def sector_family(g: int, keys, dmax: int, low: int = 0):
             for kind, j in (("complete_homogeneous", l), ("elementary", m)):
                 if j:
                     xs = list(map(mul, xs, _lambda_column(d, (kind, j))))
-            k0 = 0
+            fs, k0 = f2, 0
+            if len(ks) > 1:  # step k once per distinct f2, its weights summed
+                sums = dict.fromkeys(f2, 0)
+                for x, f in zip(xs, f2):
+                    sums[f] += x
+                fs, xs = list(sums), list(sums.values())
             for k in sorted(ks):
                 if k > k0:
-                    xs = (list(map(mul, xs, f2)) if k == k0 + 1
-                          else [x * f ** (k - k0) for x, f in zip(xs, f2)])
+                    xs = (list(map(mul, xs, fs)) if k == k0 + 1
+                          else [x * f ** (k - k0) for x, f in zip(xs, fs)])
                     k0 = k
                 out[k, l, m, profiles][d] = Fraction(sum(xs) * num, den)
-        chis = weights = xs = None  # no column outlives its degree
+        weights = xs = None  # no weight column outlives its degree
     return out
 
 
@@ -267,13 +271,10 @@ def potential_log(disconnected, targets):
     disconnected maps sector -> value for every subsector of every target
     (degree-0 sectors are implied); returns {target: connected value}.
     """
-    top = {}  # the subsectors of (key, d) include those of (key, d') for d' < d
-    for t in targets:
-        top[t[:4]] = max(t[4], top.get(t[:4], 0))
     tops = {}  # every subkey, with the highest degree a target needs of it
-    for key, d in top.items():
-        for sub in _subkeys(key):
-            tops[sub] = max(d, tops.get(sub, 0))
+    for t in targets:
+        for sub in _subkeys(t[:4]):
+            tops[sub] = max(t[4], tops.get(sub, 0))
     columns = {}
     for key, top in tops.items():
         col = columns[key] = [0]  # the constant term of 1+P is the 1

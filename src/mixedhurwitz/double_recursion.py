@@ -4,10 +4,11 @@ arbitrary-base-genus numbers through commutator counts.
 
 The recursion runs on prefix sums U(L) = sum_{p <= L} N(..., p) over the
 counter, cached by content: (variant, g, distinguished part, remaining parts
-sorted, nu, counter bound L).  It strictly decreases the transposition count
-b = 2g-2+l(mu)+l(nu); b in {0,1} is anchored on a closed form (genus 0, at
-most one transposition), the recursion runs for b >= 2.  double_hurwitz
-raises ResourceLimitError past a module bound.
+sorted, nu, counter bound L); the terms of a key that do not depend on L,
+second pieces included, are built once for all its L.  It strictly decreases
+the transposition count b = 2g-2+l(mu)+l(nu); b in {0,1} is anchored on a
+closed form (genus 0, at most one transposition), the recursion runs for
+b >= 2.  double_hurwitz raises ResourceLimitError past a module bound.
 
 The character and exponential-formula code is imported inside the functions
 that use it, so a launch that only runs the recursion compiles neither.
@@ -62,24 +63,42 @@ def _upto(variant, g, dist, rest, nu, L) -> int:
     # U(L - 1) plus N at counter L, each of whose terms sums p <= p_hi
     p_hi = L - 1 if variant == "strict" else L
     total = _upto(variant, g, dist, rest, nu, L - 1)
+    cuts, joins, fixed = _terms(variant, g, dist, rest, nu)
+    if dist + L > nu[-1]:
+        total += sum(c * _upto(variant, *args, p_hi) for c, args in cuts)
+    total += fixed + sum(c * _upto(variant, *args, p_hi) for c, args in joins)
+    _n_cache[key] = total
+    return total
+
+
+_term_cache = {}
+
+
+def _terms(variant, g, dist, rest, nu):
+    """The terms of N(dist | rest, nu) at any counter: (cuts, joins, fixed),
+    cuts and joins lists of (coefficient, (g', dist', rest', nu')) whose U
+    each term reads at the counter's p_hi, and fixed the joins that count
+    the same at every counter.  The cuts enter only when dist + L > nu[-1]."""
+    key = (variant, g, dist, rest, nu)
+    hit = _term_cache.get(key)
+    if hit is not None:
+        return hit
 
     # cut: the last transposition merged the distinguished cycle with another
-    if dist + L > nu[-1]:
-        for v, copies, sub_rest in _removals(rest):
-            total += copies * _upto(variant, g, dist + v, sub_rest, nu, p_hi)
+    cuts = [(copies, (g, dist + v, sub_rest, nu))
+            for v, copies, sub_rest in _removals(rest)]
 
     # redundant join: the last transposition cut the distinguished cycle
-    for alpha in range(1, dist):
-        beta = dist - alpha
-        new_rest = tuple(sorted(rest + (beta,), reverse=True))
-        total += beta * _upto(variant, g - 1, alpha, new_rest, nu, p_hi)
+    joins = [(dist - alpha, (g - 1, alpha, tuple(sorted(rest + (dist - alpha,),
+                                                        reverse=True)), nu))
+             for alpha in range(1, dist)]
 
     # essential join: the factorization splits into two transitive pieces; the
     # second has no tail condition, so it enters by its full (l, i)-aggregate.
     # The split fixes alpha + sum(I1) = sum(nu_Jc), and then |mu| = |nu| gives
     # beta + sum(I2) = sum(nu_J).  Each multiset split stands for w1 * w2
     # splits of the positions of rest and of nu's other parts.
-    nu_splits = splits(nu[:-1])
+    fixed, nu_splits = 0, splits(nu[:-1])
     for I1, I2, w1 in splits(rest):
         for nu_J, nu_Jc, w2 in nu_splits:
             nu_Jc += nu[-1:]  # the last nu-block stays with tau_b
@@ -89,17 +108,15 @@ def _upto(variant, g, dist, rest, nu, L) -> int:
             beta = dist - alpha
             parts = tuple(sorted(I2 + (beta,), reverse=True))
             for g1 in range(0, g + 1):
-                second = _aggregate(variant, g - g1, parts, nu_J)
-                if second == 0:
-                    continue
+                c = w1 * w2 * beta * _aggregate(variant, g - g1, parts, nu_J)
                 # a transposition-free first piece meets no monotonicity
                 # constraint against tau_b: it counts 1, at its one slot alpha
-                first = (1 if g1 == 0 and not I1 and len(nu_Jc) == 1
-                         else _upto(variant, g1, alpha, I1, nu_Jc, p_hi))
-                total += w1 * w2 * beta * first * second
-
-    _n_cache[key] = total
-    return total
+                if g1 == 0 and not I1 and len(nu_Jc) == 1:
+                    fixed += c
+                elif c:
+                    joins.append((c, (g1, alpha, I1, nu_Jc)))
+    hit = _term_cache[key] = cuts, joins, fixed
+    return hit
 
 
 def _anchor(b, rest, nu, L) -> int:

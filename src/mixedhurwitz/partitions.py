@@ -8,14 +8,13 @@ memo tables only ever receive idempotent inserts, so everything here is safe
 to call concurrently.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import DomainError
 
 Partition = tuple  # weakly decreasing tuple of positive ints
-Composition = tuple
 
 
 def check_partition(p) -> Partition:
@@ -37,12 +36,21 @@ def check_double(mu, nu):
     return mu, nu, sum(mu)
 
 
-# _partitions[n] is enumerate_partitions(n); _block_start[n][m] is the index
-# of its first partition with largest part <= m (1 <= m <= n).  In reverse-lex
-# order those partitions are a suffix, so each degree is built from the
-# smaller ones with one tuple concatenation per partition.
+# _partitions[n] is enumerate_partitions(n), built from the blocks of the
+# smaller degrees with one tuple concatenation per partition
 _partitions = {0: ((),)}
-_block_start = {0: (0,)}
+
+
+@cache
+def block_start(n: int):
+    """block_start(n)[m], 0 <= m <= n: where the partitions of n with largest
+    part <= m begin in enumerate_partitions(n), counted without building any:
+    the block of first part f holds those of n - f from block_start(n - f)[f]."""
+    starts = [0]
+    for first in range(n, 0, -1):
+        r = n - first
+        starts.append(starts[-1] + partition_count(r) - block_start(r)[min(first, r)])
+    return tuple(reversed(starts))
 
 
 def enumerate_partitions(d: int):
@@ -54,16 +62,11 @@ def enumerate_partitions(d: int):
     if d < 0:
         raise DomainError("d must be >= 0")
     for n in range(1, d + 1):
-        if n in _partitions:
-            continue
-        out, starts = [], [0] * (n + 1)
-        for first in range(n, 0, -1):
-            starts[first] = len(out)
-            r = n - first
-            tails = _partitions[r][_block_start[r][min(first, r)]:]
-            out.extend([(first,) + tail for tail in tails])
-        _block_start[n] = tuple(starts)
-        _partitions[n] = tuple(out)
+        if n not in _partitions:
+            _partitions[n] = tuple(
+                (first,) + tail for first in range(n, 0, -1)
+                for tail in _partitions[n - first][block_start(n - first)[
+                    min(first, n - first)]:])
     return _partitions[d]
 
 
@@ -94,24 +97,12 @@ def pad_to(p, d: int) -> Partition:
 
 def aut_count(mu) -> int:
     """|Aut mu| = product over part values of (multiplicity!)."""
-    mult = {}
-    for x in mu:
-        mult[x] = mult.get(x, 0) + 1
-    out = 1
-    for c in mult.values():
-        out *= factorial(c)
-    return out
+    return prod(map(factorial, Counter(mu).values()))
 
 
 def z_weight(p) -> int:
     """Order of the centralizer of a permutation of cycle type p: prod m^r_m r_m!."""
-    mult = {}
-    for x in p:
-        mult[x] = mult.get(x, 0) + 1
-    out = 1
-    for m, r in mult.items():
-        out *= m**r * factorial(r)
-    return out
+    return prod(m**r * factorial(r) for m, r in Counter(p).items())
 
 
 def class_size(nu, d: int) -> int:

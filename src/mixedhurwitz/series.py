@@ -168,9 +168,10 @@ def _binomial_row(n):
 
 def _euler_sum(terms, d, conn, disc):
     """Sum of C(k, k1) C(d-1, d1-1) conn[s1] disc[s2] over s1 + s2 = (key, d)
-    with 1 <= d1 < d, terms = _euler_terms(key).  conn and disc are pairs
-    (columns, lows): columns maps (k, l, m, profiles) to per-degree lists of
-    integers, and lows maps it to a degree >= 1 below which the column is 0.
+    with 1 <= d1 < d, terms the (C(k, k1), slot of key1, slot of key - key1)
+    of _euler_terms(key).  conn and disc are pairs (columns, lows) of lists
+    by slot: per-degree lists of integers, and a degree >= 1 below which the
+    column is 0.
 
     With D the degree operator, D log(1 + P) = DP / (1 + P) gives, sector by
     sector, d P_s = d L_s + sum C(k, k1) d1 L_s1 P_s2.  Scale each degree-d
@@ -182,11 +183,11 @@ def _euler_sum(terms, d, conn, disc):
     (a, a_low), (b, b_low) = conn, disc
     row = _binomial_row(d - 1)  # row[d1 - 1] = C(d - 1, d1 - 1)
     total = 0
-    for c, key1, key2 in terms:
-        lo, hi = a_low[key1], d - b_low[key2]  # the d1 where both can be nonzero
+    for c, s1, s2 in terms:
+        lo, hi = a_low[s1], d - b_low[s2]  # the d1 where both can be nonzero
         if lo <= hi:
-            total += c * sum(map(mul, map(mul, row[lo - 1:hi], a[key1][lo:hi + 1]),
-                                 b[key2][d - lo:d - hi - 1:-1]))
+            total += c * sum(map(mul, map(mul, row[lo - 1:hi], a[s1][lo:hi + 1]),
+                                 b[s2][d - lo:d - hi - 1:-1]))
     return total
 
 
@@ -198,36 +199,41 @@ def _euler_solve(columns, log):
     column.  Returns the solved columns, same keys and lengths, as Fractions
     with index 0 = 0.  Raises DomainError when a subkey of a key has no
     column or a shorter one.  The solve runs on integers: each degree-d
-    value scaled by w_d = d! c^d, c the lcm of all input denominators.
+    value scaled by w_d = d! c^d, c the lcm of all input denominators.  Keys
+    are numbered once, and every column and lowest degree is a list by slot.
     """
+    keys = list(columns)
+    slot = {key: i for i, key in enumerate(keys)}
     dmax = max(map(len, columns.values()), default=1) - 1
     c = lcm(*(v.denominator for col in columns.values() for v in col))
     w = [1]
     for d in range(1, dmax + 1):
         w.append(w[-1] * d * c)
-    given = {key: [v.numerator * (wd // v.denominator) for v, wd in zip(col, w)]
-             for key, col in columns.items()}
-    out = {key: [0] * len(col) for key, col in columns.items()}
+    given = [[v.numerator * (wd // v.denominator) for v, wd in zip(col, w)]
+             for col in columns.values()]
+    out = [[0] * len(col) for col in given]
     # the lowest nonzero degree of each column; dmax + 1 while it has none
-    given_low = {key: next((d for d in range(1, len(col)) if col[d]), dmax + 1)
-                 for key, col in given.items()}
-    out_low = dict.fromkeys(columns, dmax + 1)
+    given_low = [next((d for d in range(1, len(col)) if col[d]), dmax + 1)
+                 for col in given]
+    out_low = [dmax + 1] * len(keys)
     conn, disc = (out, out_low), (given, given_low)
     if not log:
         conn, disc = disc, conn
     sign = -1 if log else 1
     # a proper subkey has fewer transpositions or profile parts: solved first
     for key in sorted(columns, key=lambda key: sum(key[:3]) + sum(map(len, key[3]))):
-        terms, col = _euler_terms(key), out[key]
+        i, terms = slot[key], _euler_terms(key)
+        col = out[i]
         for _, key1, _ in terms:
             if len(columns.get(key1, ())) < len(col):
                 raise DomainError(f"subkey {key1} of {key} has no column "
                                   f"through degree {len(col) - 1}")
+        terms = [(c, slot[key1], slot[key2]) for c, key1, key2 in terms]
         for d in range(1, len(col)):
-            col[d] = given[key][d] + sign * _euler_sum(terms, d, conn, disc)
-            if col[d] and out_low[key] > d:
-                out_low[key] = d
-    return {key: list(map(Fraction, col, w)) for key, col in out.items()}
+            col[d] = given[i][d] + sign * _euler_sum(terms, d, conn, disc)
+            if col[d] and out_low[i] > d:
+                out_low[i] = d
+    return {key: list(map(Fraction, col, w)) for key, col in zip(keys, out)}
 
 
 _EMPTY = (0, 0, 0, ())  # a QSeries is this sector's family over the degree

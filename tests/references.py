@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: small enumerations, the
-positional subset splits, sector subsectors and the exp at one sector, the
-transitive commutator counts and the commutator table by permutation built
-from them, the full-class walk of the triply mixed oracle, the expansion of
+Murnaghan-Nakayama rule for one (lambda, nu) at a time, the positional
+subset splits, sector subsectors and the exp at one sector, the transitive
+commutator counts and the commutator table by permutation built from them,
+the full-class walk of the triply mixed oracle, the expansion of
 a quasimodular polynomial, the product form of the quantum-curve partition
 function, the sinh coefficients from the Bernoulli numbers, the completion
 coefficients from the sinh product, and the two-stage elliptic cover search
@@ -18,7 +19,7 @@ from operator import le
 from mixedhurwitz import tropical
 from mixedhurwitz.commutators import joined_count
 from mixedhurwitz.errors import DomainError
-from mixedhurwitz.partitions import compositions, enumerate_partitions, pad_to
+from mixedhurwitz.partitions import compositions, enumerate_partitions, hook_dim, pad_to
 from mixedhurwitz.quasimodular import eisenstein
 from mixedhurwitz.series import QSeries, _euler_solve, _subkeys
 from mixedhurwitz.symgroup import (FREE, STRICT, WEAK, _codes, _cycles, _join,
@@ -43,6 +44,36 @@ def partitions_upto(d: int):
     for n in range(d + 1):
         out.extend(enumerate_partitions(n))
     return out
+
+
+@cache
+def mn_character(lam, nu) -> int:
+    """chi^lam(nu) for one partition lam and one class nu of |lam| (parts
+    largest first) by the MN border-strip rule on lam's beta-set, recursing
+    on nu less its largest part."""
+    if not nu:
+        return 1
+    if nu[0] == 1:
+        # remaining class is the identity: character value is the dimension
+        return hook_dim(lam)
+    t = nu[0]
+    rest = nu[1:]
+    total = 0
+    # beta-set formulation: border strips of size t <-> b in B with b-t not in B
+    ell = len(lam)
+    beta = [lam[i] + ell - 1 - i for i in range(ell)]
+    bset = set(beta)
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        new_beta = sorted((bset - {b}) | {nb}, reverse=True)
+        new_lam = tuple(x - (len(new_beta) - 1 - i) for i, x in enumerate(new_beta))
+        new_lam = tuple(x for x in new_lam if x > 0)
+        sign = -1 if height % 2 else 1
+        total += sign * mn_character(new_lam, rest)
+    return total
 
 
 def positional_splits(items):

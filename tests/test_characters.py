@@ -4,11 +4,10 @@ from operator import mul
 
 import pytest
 
-from mixedhurwitz import characters
+from mixedhurwitz import characters, partitions
 from mixedhurwitz.errors import DomainError, ResourceLimitError
 from mixedhurwitz.characters import (
     _lambda_column,
-    _mn,
     central_character_f,
     character,
     commutator_count_by_characters,
@@ -30,6 +29,7 @@ from mixedhurwitz.partitions import (
 from mixedhurwitz.commutators import count_commutator_type
 from mixedhurwitz.series import QSeries
 from mixedhurwitz.symgroup import HurwitzSpec, cycle_type
+from references import mn_character
 
 
 def central_character_extended(nu, lam) -> Fraction:
@@ -59,7 +59,7 @@ def reference_sector_value(g, k, l, m, profiles, d) -> Fraction:
         xs = list(map(mul, xs, _lambda_column(d, ("elementary", m))))
     classes = [pad_to(p, d) for p in profiles if p]
     for nu in classes:
-        xs = [x * _mn(lam, nu) if x else 0 for x, lam in zip(xs, lams)]
+        xs = [x * mn_character(lam, nu) if x else 0 for x, lam in zip(xs, lams)]
     dim_power = 2 - 2 * g - len(classes)
     dims = [hook_dim(lam) for lam in lams]
     if dim_power >= 0:
@@ -78,6 +78,15 @@ def test_character_examples():
     assert character((2, 1), (3,)) == -1
     with pytest.raises(DomainError):
         character((2, 1), (2,))
+
+
+def test_character_columns_match_the_per_lambda_rule():
+    # every (lam, nu) with |lam| <= 10: the rim-hook transfer of whole columns
+    # against the MN recursion on one lam at a time
+    pairs = [(lam, nu) for d in range(11) for lam in enumerate_partitions(d)
+             for nu in enumerate_partitions(d)]
+    assert len(pairs) == 3583
+    assert all(character(lam, nu) == mn_character(lam, nu) for lam, nu in pairs)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -239,14 +248,37 @@ def test_genus_one_sector_without_profiles_builds_no_dim_column(monkeypatch):
     assert (9, "dim") in characters._lambda_columns
 
 
+def test_genus_one_sector_without_profiles_builds_no_partition_tuple(monkeypatch):
+    # f_(2) and the row count come from block offsets counted without tuples
+    monkeypatch.setattr(partitions, "_partitions", {0: ((),)})
+    monkeypatch.setattr(characters, "_lambda_columns", {})
+    assert sector_value(1, 3, 0, 0, (), 20) == 0  # f2(lam') = -f2(lam)
+    assert list(partitions._partitions) == [0]
+
+
+@pytest.mark.parametrize("g,l,m,profiles,dmax", [
+    (1, 0, 0, (), 12), (0, 1, 1, ((3,), (2, 2)), 10), (2, 0, 2, ((2,),), 9)])
+def test_a_family_of_every_k_matches_the_reference(g, l, m, profiles, dmax):
+    # k = 0..20 in one group steps k over the distinct f2 values
+    family = sector_family(g, [(k, l, m, profiles) for k in range(21)], dmax)
+    for k in range(21):
+        assert family[k, l, m, profiles] == [
+            reference_sector_value(g, k, l, m, profiles, d)
+            for d in range(dmax + 1)], k
+
+
 def test_lambda_columns_match_their_definitions(monkeypatch):
-    # f2 comes from the smaller degrees' columns, h_j and e_j from one walk
-    # for every j <= n; requests alternate kinds and raise or lower j
+    # f2 and the bead words come from the smaller degrees' columns, h_j and
+    # e_j from one walk for every j <= n; requests alternate kinds and raise
+    # or lower j
     monkeypatch.setattr(characters, "_lambda_columns", {})
     kinds = ("complete_homogeneous", "elementary")
     for d in range(21):
         conts = [contents(lam) for lam in enumerate_partitions(d)]
         assert characters._lambda_column(d, "f2") == [sum(c) for c in conts]
+        assert characters._lambda_column(d, "word") == [  # d beads, lam padded with 0s
+            sum(1 << (p + d - 1 - i) for i, p in enumerate(lam + (0,) * (d - len(lam))))
+            for lam in enumerate_partitions(d)]
         for j in (1, 3, 2, 4):
             for kind in kinds[j % 2:] + kinds[:j % 2]:
                 assert characters._lambda_column(d, (kind, j)) == [

@@ -15,6 +15,7 @@ from mixedhurwitz.errors import DomainError
 from mixedhurwitz.partitions import (
     HurwitzSpec,
     aut_count,
+    block_start,
     check_partition,
     class_size,
     contents,
@@ -48,6 +49,15 @@ def test_enumerate_partitions_through_degree_30():
         assert len(set(parts)) == len(parts) == partition_count(d)
         assert all(check_partition(p) == p and sum(p) == d for p in parts)
         assert parts[0] == ((d,) if d else ()) and parts[-1] == (1,) * d
+
+
+def test_block_start_counts_the_offsets_of_the_enumeration():
+    # block_start(n)[m] is where the partitions with largest part <= m begin
+    for n in range(31):
+        parts = enumerate_partitions(n)
+        assert block_start(n) == tuple(
+            next((i for i, p in enumerate(parts) if not p or p[0] <= m), len(parts))
+            for m in range(n + 1))
 
 
 def test_partition_count_of_a_large_degree_on_a_cold_table():
