@@ -3,15 +3,15 @@ to triply mixed Hurwitz numbers.  Connected numbers come from the disconnected
 ones by the potential log: one call of the exponential formula of series.
 
 Every lambda column, exact and memoised in process on first read, comes from
-columns of smaller degrees: chi^.(nu) from that of nu less its largest part
-by rim hooks on bead words, f_(2) and the words from the tails' columns.  The
-memos only receive idempotent inserts and the lambda-sums are plain
-reductions over independent terms, so concurrent use is safe.
+columns of smaller degrees: chi^.(nu) from that of nu less its largest part by
+rim hooks on bead words, the words and the content power sums from the tails'
+columns, h and e from the power sums.  The memos only receive idempotent
+inserts and the lambda-sums are plain reductions, so concurrent use is safe.
 """
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import mul
 
 from .errors import DomainError, ResourceLimitError
@@ -66,10 +66,9 @@ def _char_column(nu):
 
 @cache
 def _hook_table(d, t):
-    """Per lam of d, (sign, index of lam - hook among the partitions of d - t)
-    for each t-rim hook: on the bead words a bead moves from b to an empty
-    b - t, with sign (-1)^(beads passed), and lam - hook's beads 0..t-1 are
-    full, so the word shifted right by t is its word of d - t beads."""
+    """Per lam of d, (sign, index of lam - hook in the partitions of d - t) for
+    each t-rim hook: a bead moves from b to an empty b - t with sign (-1)^(beads
+    passed); lam - hook fills beads 0..t-1, and word >> t is its d - t bead word."""
     index = {w: i for i, w in enumerate(_lambda_column(d - t, "word"))}
     table = []
     for w in _lambda_column(d, "word"):
@@ -102,49 +101,57 @@ def central_character_f(nu, lam) -> Fraction:
 # ---------------------------------------------------------------------------
 # per-degree lambda data
 #
-# A column holds one value per partition of d, in enumerate_partitions order.
-# Each is built on first read and kept for the process; "dim" is built only
-# when a sector reads it (dim lam enters with power 2 - 2g - #profiles, so a
-# base genus 1 sector without profiles never does).  The weight columns of
+# A column holds one value per partition of d, in enumerate_partitions order,
+# built on first read and kept for the process; "dim" only when a sector reads
+# it (dim lam enters with power 2 - 2g - #profiles).  The weight columns of
 # sector_family live only while their degree runs.
 
 _lambda_columns = {}
 
 
 def _lambda_column(d: int, key):
-    """dim lam for key "dim", f_(2)(lam) = the sum of the contents of lam for
-    "f2", the bead word sum_i 2^(lam_i + d - 1 - i) (i < d, lam padded with
-    0s) for "word", and sym_eval(kind, n, contents of lam) for key (kind, n)."""
+    """dim lam for "dim"; the bead word sum_i 2^(lam_i + d - 1 - i), i < d, for
+    "word"; the power sum p_n of the contents of lam for ("power", n) (f_(2) =
+    p_1 for "f2"); sym_eval(kind, n, contents of lam) for key (kind, n)."""
+    key = ("power", 1) if key == "f2" else key
     col = _lambda_columns.get((d, key))
     if col is None:
         if key == "dim":
             col = [hook_dim(lam) for lam in enumerate_partitions(d)]
-        elif key in ("f2", "word"):  # from the columns of the tails, block by block
-            col = [0] if d == 0 else []
+        elif key == "word":  # from the tails': their beads move up by first - 1
+            col = [0] if d == 0 else []  # over first - 1 new ones, under the top one
             for first in range(d, 0, -1):
-                r = d - first
+                r, low = d - first, (1 << (first + d - 1)) + (1 << (first - 1)) - 1
                 tails = _lambda_column(r, key)[block_start(r)[min(first, r)]:]
-                if key == "f2":  # f2((first,) + tail) = C(first, 2) + f2(tail) - |tail|
-                    col.extend([f + first * (first - 1) // 2 - r for f in tails])
-                else:  # the tail's beads move up by first - 1 over first - 1 new ones
-                    low = (1 << (first + d - 1)) + (1 << (first - 1)) - 1
-                    col.extend([w << (first - 1) | low for w in tails])
-        else:  # every h_j and e_j, j <= n, from one walk over the contents
-            n, rows = key[1], []
-            for lam in enumerate_partitions(d):
-                h, e = [1] + [0] * n, [1] + [0] * n
-                for i, r in enumerate(lam):
-                    for v in range(-i, r - i):
-                        if v:
-                            for j in range(n, 0, -1):
-                                e[j] += v * e[j - 1]
-                            for j in range(1, n + 1):
-                                h[j] += v * h[j - 1]
-                rows.append(h[1:] + e[1:])
-            for j, col in enumerate(zip(*rows)):
-                kind = "elementary" if j >= n else "complete_homogeneous"
-                _lambda_columns[(d, (kind, j % n + 1))] = list(col)
-            return _lambda_columns[(d, key)]
+                col.extend([w << (first - 1) | low for w in tails])
+        elif key[0] == "power":  # every p_j, j <= n, from the tails' p_i, i <= j:
+            n, cols = key[1], [[0] if d == 0 else [] for _ in range(key[1])]
+            for first in range(d, 0, -1):  # rows 0..first-1 over the tail's less 1
+                r = d - first
+                _lambda_column(r, key)
+                start = block_start(r)[min(first, r)]
+                tails = [_lambda_columns[r, ("power", i)][start:]
+                         for i in range(1, n + 1)]
+                for j in range(1, n + 1):  # sum_(i <= j) C(j, i) (-1)^(j-i) p_i(tail)
+                    s = sum(v ** j for v in range(first)) + (-1) ** j * r
+                    new = [s + p for p in tails[j - 1]]
+                    for i in range(1, j):
+                        c = comb(j, i) * (-1) ** (j - i)
+                        new = [x + c * p for x, p in zip(new, tails[i - 1])]
+                    cols[j - 1].extend(new)
+            for j, col in enumerate(cols, 1):
+                _lambda_columns[(d, ("power", j))] = col
+        else:  # every h_j or e_j, j <= n, from the p_j by Newton's identities
+            kind, n = key
+            _lambda_column(d, ("power", n))
+            ps = [_lambda_columns[d, ("power", j)] for j in range(1, n + 1)]
+            sign, cols = -1 if kind == "elementary" else 1, [[1] * len(ps[0])]
+            for k in range(1, n + 1):  # k x_k = sum_(i <= k) sign^(i-1) x_(k-i) p_i
+                cs = [sign ** i for i in range(k)]
+                cols.append([sum(map(mul, cs, map(mul, x, p))) // k
+                             for x, p in zip(zip(*cols[::-1]), zip(*ps[:k]))])
+            for j, col in enumerate(cols[1:], 1):
+                _lambda_columns[(d, (kind, j))] = col
         _lambda_columns[(d, key)] = col
     return col
 
@@ -162,8 +169,7 @@ def hurwitz_by_characters(spec) -> Fraction:
     value = sector_value(spec.base_genus, spec.k, spec.l, spec.m,
                          tuple(strip_ones(p) for p in spec.profiles), spec.degree)
     if spec.labeled:
-        for p in spec.profiles:
-            value *= aut_count(p)
+        value *= prod(map(aut_count, spec.profiles))
     return value
 
 
@@ -194,23 +200,25 @@ def sector_family(g: int, keys, dmax: int, low: int = 0):
     term(lam) = (dim/d!)^(2-2g) prod_nu (|C_nu| chi^lam(nu) / dim) f2^k h_l e_m.
     Per degree: one integer weight column prod_nu chi^lam(nu) dim^(2-2g-#nu)
     per profile tuple; times h_l e_m once per (l, m, profiles) and then f2
-    once per step of k (per distinct f2 if there are two or more k).  The
-    rows are counted off the f2 column.  The class sizes and the powers of d!
-    scale each sum once.  The d = 0 convention: 1 for the empty sector, 0
-    otherwise.
+    once per step of k (per distinct f2 if there are two or more k), rows
+    counted off f2; a sector odd under conjugating lam is 0 and not summed.
+    The class sizes and the powers of d! scale each sum once.  The d = 0
+    convention: 1 for the empty sector, 0 otherwise.
     """
-    groups = {}  # (l, m, profiles) -> the k wanted with them
-    for k, *rest in (_checked_key(g, key) for key in keys):
-        groups.setdefault(tuple(rest), set()).add(k)
+    groups, keys = {}, [_checked_key(g, key) for key in keys]
+    for k, l, m, profiles in keys:  # groups: (l, m, profiles) -> the k wanted
+        # conjugating lam negates its contents and multiplies chi^lam(nu) by the
+        # sign of nu: the sum is 0 where these signs multiply to -1
+        if (k + l + m + sum(sum(p) - len(p) for p in profiles)) % 2 == 0:
+            groups.setdefault((l, m, profiles), set()).add(k)
     check_partition_budget(dmax)
-    out = {(k, *rest): [Fraction(0)] * (dmax + 1) for rest, ks in groups.items()
-           for k in ks}
+    out = {key: [Fraction(0)] * (dmax + 1) for key in keys}
     for d in range(low, dmax + 1):
         # the binomial prefactor vanishes when |nu| > d
         live = [(rest, ks) for rest, ks in groups.items()
                 if all(sum(p) <= d for p in rest[2])]
         if j := max((max(l, m) for (l, m, _), _ in live), default=0):
-            _lambda_column(d, ("elementary", j))  # one walk: every h_i, e_i, i <= j
+            _lambda_column(d, ("power", j))  # every power sum p_i, i <= j, at once
         fd, f2 = factorial(d), _lambda_column(d, "f2")
         weights = {}  # by profile tuple
         for (l, m, profiles), ks in live:

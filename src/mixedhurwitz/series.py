@@ -228,7 +228,10 @@ def _euler_solve(columns, log):
             if len(columns.get(key1, ())) < len(col):
                 raise DomainError(f"subkey {key1} of {key} has no column "
                                   f"through degree {len(col) - 1}")
-        terms = [(c, slot[key1], slot[key2]) for c, key1, key2 in terms]
+        # a term whose other column is 0 through this key's degrees never adds
+        terms = [(c, s1, s2) for c, s1, s2 in ((c, slot[key1], slot[key2])
+                                               for c, key1, key2 in terms)
+                 if i in (s1, s2) or conn[1][s1] + disc[1][s2] < len(col)]
         for d in range(1, len(col)):
             col[d] = given[i][d] + sign * _euler_sum(terms, d, conn, disc)
             if col[d] and out_low[i] > d:

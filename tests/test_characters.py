@@ -253,7 +253,9 @@ def test_genus_one_sector_without_profiles_builds_no_partition_tuple(monkeypatch
     monkeypatch.setattr(partitions, "_partitions", {0: ((),)})
     monkeypatch.setattr(characters, "_lambda_columns", {})
     assert sector_value(1, 3, 0, 0, (), 20) == 0  # f2(lam') = -f2(lam)
+    value = sector_value(1, 4, 0, 0, (), 20)
     assert list(partitions._partitions) == [0]
+    assert value == sum(sum(contents(lam)) ** 4 for lam in enumerate_partitions(20))
 
 
 @pytest.mark.parametrize("g,l,m,profiles,dmax", [
@@ -268,14 +270,16 @@ def test_a_family_of_every_k_matches_the_reference(g, l, m, profiles, dmax):
 
 
 def test_lambda_columns_match_their_definitions(monkeypatch):
-    # f2 and the bead words come from the smaller degrees' columns, h_j and
-    # e_j from one walk for every j <= n; requests alternate kinds and raise
-    # or lower j
+    # f2, the power sums and the bead words come from the smaller degrees'
+    # columns, h_j and e_j for every j <= n from the power sums; requests
+    # alternate kinds and raise or lower j
     monkeypatch.setattr(characters, "_lambda_columns", {})
     kinds = ("complete_homogeneous", "elementary")
     for d in range(21):
         conts = [contents(lam) for lam in enumerate_partitions(d)]
         assert characters._lambda_column(d, "f2") == [sum(c) for c in conts]
+        assert characters._lambda_column(d, ("power", 3)) == [
+            sum(v ** 3 for v in c) for c in conts]
         assert characters._lambda_column(d, "word") == [  # d beads, lam padded with 0s
             sum(1 << (p + d - 1 - i) for i, p in enumerate(lam + (0,) * (d - len(lam))))
             for lam in enumerate_partitions(d)]
