@@ -1,19 +1,22 @@
 """Command-line front end.
 
+One table, COMMANDS, names each subcommand's handler and flags; parse_args
+reads argv against it, and the usage and help texts are written from it.
 Each subcommand imports only the modules of the route it runs, so a launch
 compiles only the code its subcommand can reach: the verify suites live in
 suites.  No subcommand reads or writes files: --cache-dir is accepted only
 empty, as perfbench/workloads.py passes it, and sets nothing.
 
-Exit codes: 0 success, 1 verification failure (with a machine-readable first
-counterexample), 2 domain errors, 3 resource-limit errors.  Identical
-invocations produce byte-identical documents: keys are emitted in fixed
-order and rationals as canonical "num/den" strings.
+Exit codes: 0 success and --help, 1 verification failure (with a
+machine-readable first counterexample), 2 usage errors (a malformed argv,
+reported after a usage line) and domain errors, 3 resource-limit errors.
+Identical invocations produce byte-identical documents: keys are emitted in
+fixed order and rationals as canonical "num/den" strings.
 """
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .errors import DomainError, ResourceLimitError
 from .util import DEFAULT_ORACLE_LIMIT, ORACLE_SIZE_LIMIT, VARIANTS, rat_str
@@ -71,108 +74,13 @@ def emit(doc, fmt: str, csv_rows=None):
             sys.stdout.write(f"{k}: {_text(v)}\n")
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "plain"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--cache-dir", default=argparse.SUPPRESS,
-                        help="accepted empty only: the disk cache was removed")
-    common.add_argument("--oracle-dmax", type=int, default=argparse.SUPPRESS,
-                        help="largest degree the brute-force oracle may attempt")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="accepted if >= 1; verify runs its suites serially")
-    p = argparse.ArgumentParser(
-        prog="mixedhurwitz",
-        description="Exact triply mixed Hurwitz numbers: character sums, "
-        "brute-force oracles, quantum curves, topological recursion and "
-        "tropical covers.",
-        parents=[common],
-    )
-    # global flags keep SUPPRESS defaults (never set_defaults here: that
-    # would mutate the shared parent actions and let the subparser clobber
-    # values parsed before the subcommand); resolve_global_flags() fills in
-    # the ones left out of argv
-    sub = p.add_subparsers(dest="command", required=True, parser_class=(
-        lambda **kw: argparse.ArgumentParser(parents=[common], **kw)))
-
-    c = sub.add_parser("compute", help="one triply mixed Hurwitz number")
-    c.add_argument("--base-genus", type=int, required=True)
-    c.add_argument("--source-genus", type=int, required=True)
-    c.add_argument("--degree", type=int, required=True)
-    c.add_argument("--profiles", default="", help="e.g. '3;2,2' (semicolon-separated)")
-    c.add_argument("--k", type=int, default=0)
-    c.add_argument("--l", type=int, default=0)
-    c.add_argument("--m", type=int, default=0)
-    c.add_argument("--connected", action="store_true")
-    c.add_argument("--labeled", action="store_true")
-    c.add_argument("--method", choices=("characters", "oracle"), default="characters")
-
-    q = sub.add_parser("qseries", help="generating series over the degree")
-    q.add_argument("--base-genus", type=int, required=True)
-    q.add_argument("--source-genus", type=int, required=True, help="checked "
-                   "at base genus 1; elsewhere it varies with d and is not read")
-    q.add_argument("--profiles", default="")
-    q.add_argument("--k", type=int, default=0)
-    q.add_argument("--l", type=int, default=0)
-    q.add_argument("--m", type=int, default=0)
-    q.add_argument("--qmax", type=int, required=True)
-    q.add_argument("--disconnected", action="store_true")
-    q.add_argument("--bracket", action="store_true",
-                   help="emit the q-bracket (disconnected / partition gf) "
-                   "instead of the connected series")
-
-    f = sub.add_parser("fit", help="fit a q-series into Q[P,Q,R]")
-    f.add_argument("--base-genus", type=int, default=1)
-    f.add_argument("--source-genus", type=int, required=True, help="checked "
-                   "at base genus 1; elsewhere it varies with d and is not read")
-    f.add_argument("--profiles", default="")
-    f.add_argument("--k", type=int, default=0)
-    f.add_argument("--l", type=int, default=0)
-    f.add_argument("--m", type=int, default=0)
-    f.add_argument("--qmax", type=int, required=True)
-    f.add_argument("--weight", type=int, required=True)
-    f.add_argument("--bracket", action="store_true")
-
-    t = sub.add_parser("toprec", help="topological-recursion correlator")
-    t.add_argument("--g", type=int, required=True)
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--mu", required=True, help="comma-separated parts")
-    t.add_argument("--skip-oracle", action="store_true")
-
-    d = sub.add_parser("double", help="monotone/strict double Hurwitz number")
-    d.add_argument("--variant", choices=VARIANTS, required=True)
-    d.add_argument("--mu", required=True)
-    d.add_argument("--nu", required=True)
-    d.add_argument("--genus", type=int, required=True, help="source genus")
-
-    tr = sub.add_parser("tropical", help="elliptic tropical cover sums")
-    tr.add_argument("--genus", type=int, required=True)
-    tr.add_argument("--degree", type=int, required=True)
-    tr.add_argument("--variant", choices=VARIANTS, required=True)
-    tr.add_argument("--list", action="store_true", dest="list_covers")
-
-    qc = sub.add_parser("qc", help="quantum-curve operations")
-    qcsub = qc.add_subparsers(dest="qc_command", required=True)
-    qv = qcsub.add_parser("verify", help="apply the annihilating operator")
-    qv.add_argument("--variant", choices=VARIANTS, required=True)
-    qv.add_argument("--genus", type=int, required=True)
-    qv.add_argument("--dmax", type=int, default=8)
-    qv.add_argument("--bmax", type=int, default=8)
-
-    v = sub.add_parser("verify", help="cross-validation suites")
-    v.add_argument("--suite", required=True, choices=(*SUITE_NAMES, "all"))
-    v.add_argument("--dmax", type=int, default=4)
-    v.add_argument("--deep", action="store_true",
-                   help="extend the suite ranges beyond the desk-scale defaults")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # command implementations: each imports its route, emits its document and
 # returns the exit code
 
 
 def cmd_compute(args):
+    """One triply mixed Hurwitz number.  --profiles reads as '3;2,2'."""
     from .partitions import HurwitzSpec
 
     spec = HurwitzSpec(args.base_genus, args.source_genus, args.degree,
@@ -223,6 +131,8 @@ def _qseries_for(args):
 
 
 def cmd_qseries(args):
+    """The generating series over the degree.  --source-genus is read at base
+    genus 1 only; --bracket emits the q-bracket, not the connected series."""
     series = _qseries_for(args)
     coeffs = [rat_str(series.coefficient(d)) for d in range(args.qmax + 1)]
     doc = {"var": "q", "coefficients": coeffs}
@@ -232,6 +142,7 @@ def cmd_qseries(args):
 
 
 def cmd_fit(args):
+    """Fit a q-series into Q[P,Q,R]; its flags read as in qseries."""
     from .quasimodular import fit_quasimodular
 
     # a FitFailure and a QuasimodularPoly both print their own document
@@ -240,6 +151,7 @@ def cmd_fit(args):
 
 
 def cmd_toprec(args):
+    """A topological-recursion correlator with its cross-checks."""
     from .spectral import ceo_omega, cut_and_join_C, extract_C, oracle_C
 
     mu = parse_composition(args.mu)
@@ -257,6 +169,7 @@ def cmd_toprec(args):
 
 
 def cmd_double(args):
+    """A monotone or strict double Hurwitz number of source genus --genus."""
     from .double_recursion import double_hurwitz
 
     mu, nu = parse_partition(args.mu), parse_partition(args.nu)
@@ -266,6 +179,7 @@ def cmd_double(args):
 
 
 def cmd_tropical(args):
+    """Elliptic tropical cover sums.  --list lists the covers too."""
     from .tropical import enumerate_elliptic_covers
 
     covers = enumerate_elliptic_covers(args.genus, args.degree)
@@ -288,6 +202,7 @@ def cmd_tropical(args):
 
 
 def cmd_qc(args):
+    """The quantum curve's residual, its largest |coefficient|: 0 passes."""
     from .quantum_curve import residual_max_abs
 
     worst = residual_max_abs(args.variant, args.genus, args.dmax, args.bmax)
@@ -296,21 +211,140 @@ def cmd_qc(args):
 
 
 def cmd_verify(args):
+    """Cross-validation suites; --deep widens their ranges."""
     from .suites import verify
 
     return verify(args.suite, args.dmax, args.deep, args.oracle_dmax)
 
 
+# ---------------------------------------------------------------------------
+# the flag table and its parser
+
+# flag -> (kind, default): kind is int, str, a tuple of choices or bool, a
+# switch.  A global flag may stand anywhere in argv and has no default here:
+# resolve_global_flags fills in the ones left out
+REQUIRED = object()
+SWITCH = (bool, False)
+GLOBAL = {"--format": (("json", "csv", "plain"), None), "--cache-dir": (str, None),
+          "--oracle-dmax": (int, None), "--jobs": (int, None)}
+SECTOR = {"--profiles": (str, ""), "--k": (int, 0), "--l": (int, 0), "--m": (int, 0)}
+
+# command key -> (handler, flags); "qc verify" is one key
 COMMANDS = {
-    "compute": cmd_compute,
-    "qseries": cmd_qseries,
-    "fit": cmd_fit,
-    "toprec": cmd_toprec,
-    "double": cmd_double,
-    "tropical": cmd_tropical,
-    "qc": cmd_qc,
-    "verify": cmd_verify,
+    "compute": (cmd_compute, {
+        "--base-genus": (int, REQUIRED), "--source-genus": (int, REQUIRED),
+        "--degree": (int, REQUIRED), **SECTOR, "--connected": SWITCH,
+        "--labeled": SWITCH, "--method": (("characters", "oracle"), "characters")}),
+    "qseries": (cmd_qseries, {
+        "--base-genus": (int, REQUIRED), "--source-genus": (int, REQUIRED),
+        **SECTOR, "--qmax": (int, REQUIRED), "--disconnected": SWITCH,
+        "--bracket": SWITCH}),
+    "fit": (cmd_fit, {
+        "--base-genus": (int, 1), "--source-genus": (int, REQUIRED), **SECTOR,
+        "--qmax": (int, REQUIRED), "--weight": (int, REQUIRED), "--bracket": SWITCH}),
+    "toprec": (cmd_toprec, {"--g": (int, REQUIRED), "--n": (int, REQUIRED),
+                            "--mu": (str, REQUIRED), "--skip-oracle": SWITCH}),
+    "double": (cmd_double, {"--variant": (VARIANTS, REQUIRED), "--mu": (str, REQUIRED),
+                            "--nu": (str, REQUIRED), "--genus": (int, REQUIRED)}),
+    "tropical": (cmd_tropical, {"--genus": (int, REQUIRED), "--degree": (int, REQUIRED),
+                                "--variant": (VARIANTS, REQUIRED), "--list": SWITCH}),
+    "qc verify": (cmd_qc, {"--variant": (VARIANTS, REQUIRED),
+                           "--genus": (int, REQUIRED), "--dmax": (int, 8),
+                           "--bmax": (int, 8)}),
+    "verify": (cmd_verify, {"--suite": ((*SUITE_NAMES, "all"), REQUIRED),
+                            "--dmax": (int, 4), "--deep": SWITCH}),
 }
+
+
+class UsageError(Exception):
+    """A malformed argv; args: the key of the command to show, the reason."""
+
+
+def _spelling(flag, kind, default):
+    """One flag as a usage line writes it."""
+    if isinstance(kind, tuple):
+        flag += " {" + ",".join(kind) + "}"
+    elif kind is not bool:
+        flag += " " + kind.__name__.upper()
+    return flag if default is REQUIRED else f"[{flag}]"
+
+
+def _usage(key):
+    """The usage line of a command, or of every command whose key begins
+    with key ("" begins them all)."""
+    flags = {**COMMANDS[key][1], **GLOBAL} if key in COMMANDS else GLOBAL
+    if key not in COMMANDS:
+        key = "{" + ",".join(k for k in COMMANDS if k.startswith(key)) + "} ..."
+    return f"usage: mixedhurwitz {key} " + " ".join(
+        _spelling(flag, *spec) for flag, spec in flags.items())
+
+
+def _help(key):
+    """The help text: a command's usage and docstring, or the usage and the
+    summaries of every command whose key begins with key."""
+    docs = {k: " ".join(cmd.__doc__.split()) for k, (cmd, _) in COMMANDS.items()}
+    if key in COMMANDS:
+        return f"{_usage(key)}\n\n{docs[key]}\n"
+    return "\n".join([
+        _usage(key), "", "Exact triply mixed Hurwitz numbers:", *(
+            f"  {k:10} {doc.partition('.')[0]}" for k, doc in docs.items()
+            if k.startswith(key)), "",
+        "Flags are spelled in full, as --flag value or --flag=value; global "
+        "flags may go anywhere.  COMMAND --help lists a command's flags.", ""])
+
+
+def parse_args(argv):
+    """The namespace of argv: the command key, every flag of the command,
+    given or defaulted, and the global flags given.  Writes the help and
+    returns None when argv asks for it; raises UsageError on a malformed
+    argv."""
+    key, flags, given = "", GLOBAL, {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(key))
+            return None
+        if not token.startswith("--"):
+            word = f"{key} {token}".lstrip()
+            if key in COMMANDS:
+                raise UsageError(key, f"unrecognized argument {token!r}")
+            if not any(k == word or k.startswith(word + " ") for k in COMMANDS):
+                raise UsageError(key, f"unknown command {word!r}")
+            key = word
+            flags = {**GLOBAL, **COMMANDS[key][1]} if key in COMMANDS else GLOBAL
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise UsageError(key, f"unrecognized argument {flag!r}")
+        kind = flags[flag][0]
+        if kind is bool:
+            if eq:
+                raise UsageError(key, f"{flag} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(key, f"{flag} expects a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(key, f"{flag} expects an integer, got "
+                                 f"{value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(key, f"{flag} expects one of {', '.join(kind)}, "
+                             f"got {value!r}")
+        given[flag] = value
+    if key not in COMMANDS:
+        raise UsageError(key, "expected a command")
+    missing = [f for f, (_, default) in flags.items()
+               if default is REQUIRED and f not in given]
+    if missing:
+        raise UsageError(key, "missing " + ", ".join(missing))
+    return SimpleNamespace(command=key, **{
+        "list_covers" if flag == "--list" else flag[2:].replace("-", "_"):
+        given.get(flag, default) for flag, (_, default) in flags.items()
+        if flag in given or default is not None})
 
 
 def resolve_global_flags(args):
@@ -337,10 +371,16 @@ def resolve_global_flags(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:  # the help was asked for
+            return 0
         resolve_global_flags(args)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
+    except UsageError as e:
+        key, reason = e.args
+        sys.stderr.write(f"{_usage(key)}\nmixedhurwitz: error: {reason}\n")
+        return 2
     except DomainError as e:
         sys.stderr.write(f"domain error: {e}\n")
         return 2

@@ -369,13 +369,16 @@ TOPREC = ["toprec", "--g", "1", "--n", "1", "--mu", "2"]
     ["cache", "info"],
     ["--cache-dir", "tables", *TOPREC],
     [*TOPREC, "--cache-dir", "tables"],
-], ids=["cache-subcommand", "dir-before", "dir-after"])
+    [*TOPREC, "--cache-dir=tables"],
+], ids=["cache-subcommand", "dir-before", "dir-after", "dir-equals"])
 def test_the_disk_cache_is_gone(argv):
     p = run(*argv, check=False)
     assert p.returncode == 2, p.stderr
     assert "Traceback" not in p.stderr and p.stdout == ""
     if argv[0] != "cache":
         assert p.stderr.startswith("domain error:") and "removed" in p.stderr
+    else:
+        assert p.stderr.startswith("usage: mixedhurwitz")
 
 
 def test_empty_cache_dir_still_runs():
@@ -460,11 +463,92 @@ def test_csv_and_plain_write_nested_values_as_json(argv):
      "--dmax must be >= 0, got -1"),
     (["verify", "--suite", "golden-series", "--dmax", "-5"],
      "--dmax must be >= 0, got -5"),
+    (["qseries", "--base-genus", "1", "--source-genus", "2", "--k", "2",
+      "--qmax=-1"], "--qmax"),
+    (["--oracle-dmax=-1", *ORACLE_COMPUTE], "must be >= 0, got -1"),
+    (["qc", "verify", "--variant", "monotone", "--genus", "1", "--jobs", "0"],
+     "--jobs must be >= 1, got 0"),
 ])
 def test_malformed_input_is_a_domain_error(args, reason):
     p = run(*args, check=False)
     assert p.returncode == 2, p.stderr
     assert p.stderr.startswith("domain error:") and reason in p.stderr, p.stderr
+
+
+@pytest.mark.parametrize("argv,reason", [
+    ([], "expected a command"),
+    (["qc"], "expected a command"),
+    (["count", "--degree", "3"], "unknown command 'count'"),
+    ([*TOPREC, "--genus", "1"], "unrecognized argument '--genus'"),
+    (["--g", "1", *TOPREC], "unrecognized argument '--g'"),
+    ([*TOPREC, "2"], "unrecognized argument '2'"),
+    (["toprec", "--g", "1", "--n", "1"], "missing --mu"),
+    (["toprec", "--g", "1", "--n", "1", "--mu"], "--mu expects a value"),
+    (["toprec", "--g", "--n", "1", "--mu", "2"], "--g expects a value"),
+    (["toprec", "--g", "x", "--n", "1", "--mu", "2"], "--g expects an integer"),
+    (["--format", "xml", *TOPREC], "--format expects one of json, csv, plain"),
+    (["double", "--variant", "weak", "--mu", "2", "--nu", "2", "--genus", "0"],
+     "--variant expects one of monotone, strict"),
+    (["verify", "--suite", "nope"], "--suite expects one of"),
+    (["compute", "--base-genus", "1", "--source-genus", "2", "--degree", "2",
+      "--k", "2", "--connected=1"], "--connected takes no value"),
+    (["toprec", "--g", "9" * 5000, "--n", "1", "--mu", "2"],
+     "--g expects an integer"),
+    (["toprec", "--g", "0", "--n", "3", "--m", "1,1,2", "--skip"],
+     "unrecognized argument '--m'"),
+], ids=["empty", "qc-alone", "unknown-command", "unknown-flag",
+        "flag-before-its-command", "stray-word", "missing-required",
+        "no-value-at-end", "flag-as-value", "int-x", "format-xml",
+        "variant-weak", "suite-nope", "switch-with-value", "5000-digits",
+        "abbreviation"])
+def test_malformed_argv_is_a_usage_error(argv, reason):
+    p = run(*argv, check=False)
+    assert p.returncode == 2, p.stderr
+    assert "Traceback" not in p.stderr and p.stdout == ""
+    usage, error = p.stderr.splitlines()
+    assert usage.startswith("usage: mixedhurwitz")
+    assert error.startswith(f"mixedhurwitz: error: {reason}"), error
+
+
+TOPREC_DOC = {"C": "-1", "checks": {"cut_and_join": "-1", "oracle": "-1"}}
+
+
+@pytest.mark.parametrize("argv,out", [
+    ([*TOPREC, "--oracle-dmax=0"],
+     json.dumps({**TOPREC_DOC, "checks": {"cut_and_join": "-1", "oracle": None}})),
+    (["toprec", "--g=5", "--n", "1", "--g", "1", "--mu=2"], json.dumps(TOPREC_DOC)),
+    (["--format", "plain", *TOPREC, "--format", "json"], json.dumps(TOPREC_DOC)),
+    (["qc", "verify", "--variant", "monotone", "--genus", "1", "--format",
+      "plain"], "0"),
+], ids=["equals-form", "last-wins", "global-last-wins", "global-after-qc-verify"])
+def test_accepted_flag_forms(argv, out, capsys):
+    from mixedhurwitz import cli
+
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"],
+                                  ["qc", "verify", "-h"]],
+                         ids=["top", "compute", "qc-verify"])
+def test_help_names_every_flag_of_its_command(argv):
+    from mixedhurwitz import cli
+
+    p = run(*argv)
+    assert p.stdout.startswith("usage: mixedhurwitz") and p.stderr == ""
+    key = " ".join(argv[:-1])
+    names = [*cli.COMMANDS[key][1], *cli.GLOBAL] if key else [*cli.COMMANDS, *cli.GLOBAL]
+    assert [name for name in names if name not in p.stdout] == []
+
+
+def test_no_module_imports_argparse():
+    for path in (ROOT / "src" / "mixedhurwitz").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert "argparse" not in imported, path.name
 
 
 def all_loaded_modules(*argv):
@@ -509,7 +593,8 @@ def test_qc_verify_loads_no_series():
 
 
 def test_only_verify_loads_suites():
-    # every subcommand in one process: suites stays unloaded until verify
+    # every subcommand in one process: suites stays unloaded until verify,
+    # and no launch loads argparse or the modules its help and errors use
     argvs = [
         ["compute", "--base-genus", "1", "--source-genus", "2", "--degree", "2",
          "--k", "2", "--connected"],
@@ -530,11 +615,13 @@ def test_only_verify_loads_suites():
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert cli.main(argv) == 0, argv\n"
             "    print('suites' if 'mixedhurwitz.suites' in sys.modules else '-',"
-            " file=sys.stderr)")
+            " file=sys.stderr)\n"
+            "print(*sorted({'argparse', 'gettext', 'locale', 'textwrap'}"
+            " & set(sys.modules)), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split() == ["-"] * (len(argvs) - 1) + ["suites"]
+    assert proc.stderr.splitlines() == ["-"] * (len(argvs) - 1) + ["suites", ""]
 
 
 def test_verify_choices_are_the_suites_in_order():

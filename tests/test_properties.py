@@ -278,11 +278,9 @@ def _main(argv, seconds=2):
     previous = signal.signal(signal.SIGALRM, stop)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
+        # a malformed flag is a usage error: main returns 2, raising nothing
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as e:  # argparse refuses a malformed flag
-                code = e.code
+            code = cli.main(argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
