@@ -272,8 +272,10 @@ def _spelling(flag, kind, default):
 def _usage(key):
     """The usage line of a command, or of every command whose key begins
     with key ("" begins them all)."""
-    flags = {**COMMANDS[key][1], **GLOBAL} if key in COMMANDS else GLOBAL
-    if key not in COMMANDS:
+    if key in COMMANDS:
+        flags = {**COMMANDS[key][1], **GLOBAL}
+    else:
+        flags = GLOBAL
         key = "{" + ",".join(k for k in COMMANDS if k.startswith(key)) + "} ..."
     return f"usage: mixedhurwitz {key} " + " ".join(
         _spelling(flag, *spec) for flag, spec in flags.items())
@@ -305,7 +307,7 @@ def parse_args(argv):
             sys.stdout.write(_help(key))
             return None
         if not token.startswith("--"):
-            word = f"{key} {token}".lstrip()
+            word = f"{key} {token}" if key else token
             if key in COMMANDS:
                 raise UsageError(key, f"unrecognized argument {token!r}")
             if not any(k == word or k.startswith(word + " ") for k in COMMANDS):

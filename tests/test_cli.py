@@ -537,7 +537,7 @@ def test_help_names_every_flag_of_its_command(argv):
     p = run(*argv)
     assert p.stdout.startswith("usage: mixedhurwitz") and p.stderr == ""
     key = " ".join(argv[:-1])
-    names = [*cli.COMMANDS[key][1], *cli.GLOBAL] if key else [*cli.COMMANDS, *cli.GLOBAL]
+    names = [*(cli.COMMANDS[key][1] if key else cli.COMMANDS), *cli.GLOBAL]
     assert [name for name in names if name not in p.stdout] == []
 
 
