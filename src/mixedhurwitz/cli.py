@@ -310,7 +310,8 @@ def parse_args(argv):
             word = f"{key} {token}" if key else token
             if key in COMMANDS:
                 raise UsageError(key, f"unrecognized argument {token!r}")
-            if not any(k == word or k.startswith(word + " ") for k in COMMANDS):
+            if " " in token or not any(k == word or k.startswith(word + " ")
+                                       for k in COMMANDS):
                 raise UsageError(key, f"unknown command {word!r}")
             key = word
             flags = {**GLOBAL, **COMMANDS[key][1]} if key in COMMANDS else GLOBAL

@@ -479,6 +479,8 @@ def test_malformed_input_is_a_domain_error(args, reason):
     ([], "expected a command"),
     (["qc"], "expected a command"),
     (["count", "--degree", "3"], "unknown command 'count'"),
+    (["qc verify", "--variant", "monotone", "--genus", "1"],
+     "unknown command 'qc verify'"),
     ([*TOPREC, "--genus", "1"], "unrecognized argument '--genus'"),
     (["--g", "1", *TOPREC], "unrecognized argument '--g'"),
     ([*TOPREC, "2"], "unrecognized argument '2'"),
@@ -496,7 +498,7 @@ def test_malformed_input_is_a_domain_error(args, reason):
      "--g expects an integer"),
     (["toprec", "--g", "0", "--n", "3", "--m", "1,1,2", "--skip"],
      "unrecognized argument '--m'"),
-], ids=["empty", "qc-alone", "unknown-command", "unknown-flag",
+], ids=["empty", "qc-alone", "unknown-command", "one-word-qc-verify", "unknown-flag",
         "flag-before-its-command", "stray-word", "missing-required",
         "no-value-at-end", "flag-as-value", "int-x", "format-xml",
         "variant-weak", "suite-nope", "switch-with-value", "5000-digits",
