@@ -199,12 +199,14 @@ def sector_family(g: int, keys, dmax: int, low: int = 0):
 
     term(lam) = (dim/d!)^(2-2g) prod_nu (|C_nu| chi^lam(nu) / dim) f2^k h_l e_m.
     Per degree: one integer weight column prod_nu chi^lam(nu) dim^(2-2g-#nu)
-    per profile tuple; times h_l e_m once per (l, m, profiles) and then f2
-    once per step of k (per distinct f2 if there are two or more k), rows
-    counted off f2; a sector odd under conjugating lam is 0 and not summed.
-    The class sizes and the powers of d! scale each sum once.  The d = 0
-    convention: 1 for the empty sector, 0 otherwise.
+    per profile tuple; times h_l e_m once per (l, m, profiles), summed per
+    distinct f2, and then f2 to the step once per step of k; a sector odd
+    under conjugating lam is 0 and not summed.  The class sizes and the
+    powers of d! scale each sum once.  The d = 0 convention: 1 for the empty
+    sector, 0 otherwise.
     """
+    if low < 0:
+        raise DomainError(f"degree {low} must be >= 0")
     groups, keys = {}, [_checked_key(g, key) for key in keys]
     for k, l, m, profiles in keys:  # groups: (l, m, profiles) -> the k wanted
         # conjugating lam negates its contents and multiplies chi^lam(nu) by the
@@ -237,17 +239,12 @@ def sector_family(g: int, keys, dmax: int, low: int = 0):
             for kind, j in (("complete_homogeneous", l), ("elementary", m)):
                 if j:
                     xs = list(map(mul, xs, _lambda_column(d, (kind, j))))
-            fs, k0 = f2, 0
-            if len(ks) > 1:  # step k once per distinct f2, its weights summed
-                sums = dict.fromkeys(f2, 0)
-                for x, f in zip(xs, f2):
-                    sums[f] += x
-                fs, xs = list(sums), list(sums.values())
+            sums = dict.fromkeys(f2, 0)  # step k once per distinct f2
+            for x, f in zip(xs, f2):
+                sums[f] += x
+            fs, xs, k0 = list(sums), list(sums.values()), 0
             for k in sorted(ks):
-                if k > k0:
-                    xs = (list(map(mul, xs, fs)) if k == k0 + 1
-                          else [x * f ** (k - k0) for x, f in zip(xs, fs)])
-                    k0 = k
+                xs, k0 = [x * f ** (k - k0) for x, f in zip(xs, fs)], k
                 out[k, l, m, profiles][d] = Fraction(sum(xs) * num, den)
         weights = xs = None  # no weight column outlives its degree
     return out

@@ -42,15 +42,10 @@ def parse_composition(text: str):
 
 
 def parse_partition(text: str):
-    from .partitions import check_partition
-
-    return check_partition(sorted(parse_composition(text), reverse=True))
+    return tuple(sorted(parse_composition(text), reverse=True))
 
 
 def parse_profiles(text: str):
-    text = text.strip()
-    if not text:
-        return ()
     return tuple(parse_partition(p) for p in text.split(";") if p.strip())
 
 
@@ -185,7 +180,7 @@ def cmd_tropical(args):
     covers = enumerate_elliptic_covers(args.genus, args.degree)
     mults = [c.multiplicity(args.variant) for c in covers]
     doc = {"total": rat_str(sum(mults))}
-    if args.list_covers:
+    if args.list:
         doc["covers"] = [
             {
                 "vertices": [{"genus": gv, "local_invariant": lam}
@@ -221,12 +216,11 @@ def cmd_verify(args):
 # the flag table and its parser
 
 # flag -> (kind, default): kind is int, str, a tuple of choices or bool, a
-# switch.  A global flag may stand anywhere in argv and has no default here:
-# resolve_global_flags fills in the ones left out
+# switch.  A global flag may stand anywhere in argv
 REQUIRED = object()
 SWITCH = (bool, False)
-GLOBAL = {"--format": (("json", "csv", "plain"), None), "--cache-dir": (str, None),
-          "--oracle-dmax": (int, None), "--jobs": (int, None)}
+GLOBAL = {"--format": (("json", "csv", "plain"), "json"), "--cache-dir": (str, ""),
+          "--oracle-dmax": (int, DEFAULT_ORACLE_LIMIT), "--jobs": (int, 1)}
 SECTOR = {"--profiles": (str, ""), "--k": (int, 0), "--l": (int, 0), "--m": (int, 0)}
 
 # command key -> (handler, flags); "qc verify" is one key
@@ -296,10 +290,10 @@ def _help(key):
 
 
 def parse_args(argv):
-    """The namespace of argv: the command key, every flag of the command,
-    given or defaulted, and the global flags given.  Writes the help and
-    returns None when argv asks for it; raises UsageError on a malformed
-    argv."""
+    """The namespace of argv: the command key and every flag of the command,
+    global flags included, given or defaulted, each named as its flag less
+    the dashes, with "_" for "-".  Writes the help and returns None when argv
+    asks for it; raises UsageError on a malformed argv."""
     key, flags, given = "", GLOBAL, {}
     tokens = iter(argv)
     for token in tokens:
@@ -345,25 +339,18 @@ def parse_args(argv):
     if missing:
         raise UsageError(key, "missing " + ", ".join(missing))
     return SimpleNamespace(command=key, **{
-        "list_covers" if flag == "--list" else flag[2:].replace("-", "_"):
-        given.get(flag, default) for flag, (_, default) in flags.items()
-        if flag in given or default is not None})
+        flag[2:].replace("-", "_"): given.get(flag, default)
+        for flag, (_, default) in flags.items()})
 
 
-def resolve_global_flags(args):
-    """Set each global flag left out of argv to its default, and check them.
+def check_global_flags(args):
+    """Refuse a global flag's value out of range.
 
     ``--cache-dir`` takes only the empty value and sets nothing.
     """
-    if getattr(args, "cache_dir", ""):
+    if args.cache_dir:
         raise DomainError(f"--cache-dir {args.cache_dir!r}: the character-table "
                           "disk cache was removed; only --cache-dir= is accepted")
-    if not hasattr(args, "format"):
-        args.format = "json"
-    if not hasattr(args, "oracle_dmax"):
-        args.oracle_dmax = DEFAULT_ORACLE_LIMIT
-    if not hasattr(args, "jobs"):
-        args.jobs = 1
     if args.oracle_dmax < 0:
         raise DomainError(f"--oracle-dmax must be >= 0, got {args.oracle_dmax}")
     if args.oracle_dmax > max(ORACLE_SIZE_LIMIT):
@@ -378,7 +365,7 @@ def main(argv=None):
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:  # the help was asked for
             return 0
-        resolve_global_flags(args)
+        check_global_flags(args)
         return COMMANDS[args.command][0](args)
     except UsageError as e:
         key, reason = e.args

@@ -15,6 +15,7 @@ that use it, so a launch that only runs the recursion compiles neither.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .errors import DomainError, ResourceLimitError
@@ -71,19 +72,12 @@ def _upto(variant, g, dist, rest, nu, L) -> int:
     return total
 
 
-_term_cache = {}
-
-
+@cache
 def _terms(variant, g, dist, rest, nu):
     """The terms of N(dist | rest, nu) at any counter: (cuts, joins, fixed),
     cuts and joins lists of (coefficient, (g', dist', rest', nu')) whose U
     each term reads at the counter's p_hi, and fixed the joins that count
     the same at every counter.  The cuts enter only when dist + L > nu[-1]."""
-    key = (variant, g, dist, rest, nu)
-    hit = _term_cache.get(key)
-    if hit is not None:
-        return hit
-
     # cut: the last transposition merged the distinguished cycle with another
     cuts = [(copies, (g, dist + v, sub_rest, nu))
             for v, copies, sub_rest in _removals(rest)]
@@ -115,8 +109,7 @@ def _terms(variant, g, dist, rest, nu):
                     fixed += c
                 elif c:
                     joins.append((c, (g1, alpha, I1, nu_Jc)))
-    hit = _term_cache[key] = cuts, joins, fixed
-    return hit
+    return cuts, joins, fixed
 
 
 def _anchor(b, rest, nu, L) -> int:
@@ -186,6 +179,8 @@ def disconnected_double(variant: str, mu, nu, b: int) -> Fraction:
     from .series import _euler_solve, _subkeys
 
     check_variant(variant)
+    if b < 0:
+        raise DomainError(f"transposition count {b} must be >= 0")
     mu, nu, d = check_double(mu, nu)
     klm = (0, b, 0) if variant == "monotone" else (0, 0, b)
     target = (*klm, (strip_ones(mu), strip_ones(nu)))

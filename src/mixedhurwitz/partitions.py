@@ -180,12 +180,12 @@ def stirling(kind: str, n: int, k: int) -> int:
     boundary: [0,0]={0,0}=1 and [n,0]=[0,n]=0 for n>0.
     Row n is stepped up from the highest memoised row below it.
     """
+    if kind not in _stirling_rows:
+        raise DomainError(f"unknown Stirling kind: {kind}")
     if n < 0 or k < 0:
         raise DomainError("Stirling indices must be >= 0")
     if n == 0 or k == 0 or k > n:
         return int(n == k)
-    if kind not in _stirling_rows:
-        raise DomainError(f"unknown Stirling kind: {kind}")
     rows = _stirling_rows[kind]
     if n not in rows:
         m = max(r for r in rows if r < n)

@@ -332,7 +332,7 @@ def oracle_C(g: int, n: int, mu, limit=DEFAULT_ORACLE_LIMIT) -> Fraction:
     from .partitions import check_partition, transposition_count
     from .symgroup import count_monotone_of_fixed_target
 
-    mu = check_partition(sorted(mu, reverse=True))
+    mu = check_partition(sorted(check_mu(n, mu), reverse=True))
     b = transposition_count(0, g, sum(mu), (mu,))
     m = count_monotone_of_fixed_target(mu, b, strict=False, limit=limit)
     return Fraction((-1) ** (n + sum(mu)) * m)

@@ -3,7 +3,9 @@ module.
 
 Each suite yields one (inputs, values) pair per case, where values maps each
 route's name to its result in the order a counterexample prints them.  A case
-fails when its values differ, or when its one value is not 0.
+fails when its values differ, or when its one value is not 0.  Every suite
+takes verify's (dmax, deep, oracle_dmax), dmax already widened by --deep, and
+works out its own window from them.
 """
 
 import json
@@ -18,12 +20,13 @@ def _splits(b):
     return [(k, l, b - k - l) for k in range(b + 1) for l in range(b - k + 1)]
 
 
-def _suite_oracle_vs_characters(dmax, oracle_limit):
+def _suite_oracle_vs_characters(dmax, deep, oracle_dmax):
     from .characters import check_partition_budget, sector_family
     from .partitions import source_genus_for
     from .series import _euler_solve, _subkeys
     from .symgroup import triply_mixed_slots
 
+    dmax = min(dmax, oracle_dmax)
     check_partition_budget(dmax)
     for g in (0, 1):
         for profiles in [(), ((2,),), ((3,),), ((2,), (2,))]:
@@ -45,7 +48,7 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
             family = sector_family(g, keys, dmax)
             conn = _euler_solve(family, log=True)
             for d, bs in cases.items():
-                slots = triply_mixed_slots(g, d, profiles, bs, oracle_limit)
+                slots = triply_mixed_slots(g, d, profiles, bs, oracle_dmax)
                 for b, gp in bs.items():
                     for k, l, m in _splits(b):
                         key = k, l, m, profiles
@@ -58,12 +61,12 @@ def _suite_oracle_vs_characters(dmax, oracle_limit):
                                     "characters": chars})
 
 
-def _suite_n_recursion(dmax, oracle_limit, deep):
+def _suite_n_recursion(dmax, deep, oracle_dmax):
     from .double_recursion import N_value, double_hurwitz
     from .partitions import enumerate_partitions, transposition_count, z_weight
     from .symgroup import monotone_double_count, oracle_N_slots
 
-    for d in range(1, dmax + 1):
+    for d in range(1, min(dmax + 1, oracle_dmax) + 1):
         parts = enumerate_partitions(d)
         for mu in parts:
             for nu in parts:
@@ -74,7 +77,7 @@ def _suite_n_recursion(dmax, oracle_limit, deep):
                     for variant in VARIANTS:
                         inputs = {"variant": variant, "g": g,
                                   "mu": list(mu), "nu": list(nu)}
-                        slots = oracle_N_slots(variant, g, mu, nu, oracle_limit)
+                        slots = oracle_N_slots(variant, g, mu, nu, oracle_dmax)
                         for i in range(1, len(mu) + 1):
                             for l in range(1, nu[-1] + 1):
                                 got = N_value(variant, g, mu[i - 1],
@@ -84,7 +87,7 @@ def _suite_n_recursion(dmax, oracle_limit, deep):
                                         "recursion": got})
                         want = monotone_double_count(
                             g, mu, nu, strict=(variant == "strict"),
-                            limit=oracle_limit)
+                            limit=oracle_dmax)
                         got = double_hurwitz(variant, g, mu, nu)
                         yield inputs, {"oracle": want, "recursion": got}
     if not deep:
@@ -106,16 +109,16 @@ def _suite_n_recursion(dmax, oracle_limit, deep):
                             "cut_and_join": cut_and_join_C(g, n, mu)})
 
 
-def _suite_quantum_curve(dmax=8, bmax=8):
+def _suite_quantum_curve(dmax, deep, oracle_dmax):
     from .quantum_curve import residual_max_abs
 
     for variant in VARIANTS:
         for g in (0, 1, 2):
             yield ({"variant": variant, "g": g},
-                   {"max_abs_residual": residual_max_abs(variant, g, dmax, bmax)})
+                   {"max_abs_residual": residual_max_abs(variant, g, 8, 8)})
 
 
-def _suite_toprec(mu_max):
+def _suite_toprec(dmax, deep, oracle_dmax):
     from .partitions import compositions
     from .spectral import ceo_omega, cut_and_join_C, extract_C, oracle_C
 
@@ -123,7 +126,7 @@ def _suite_toprec(mu_max):
                if 0 < 2 * g - 2 + n <= 4]
     for (g, n) in targets:
         om = ceo_omega(g, n)
-        for tot in range(n, mu_max + 1):
+        for tot in range(n, min(4, oracle_dmax) + 1):
             for mu in compositions(tot, n):
                 yield ({"g": g, "n": n, "mu": list(mu)},
                        {"extract": extract_C(om, mu),
@@ -131,25 +134,26 @@ def _suite_toprec(mu_max):
                         "oracle": oracle_C(g, n, mu)})
 
 
-def _suite_tropical(windows):
+def _suite_tropical(dmax, deep, oracle_dmax):
     """The genus-g elliptic sums against the character series with 2g - 2
-    completed cycles, d = 1..dmax for each (g, dmax) window; both variants
-    sum one cover list per (g, d)."""
+    completed cycles, d = 1..top for each (g, top) window; both variants
+    sum one cover list per (g, d).  --deep adds genus 3, where a vertex's
+    local invariant reaches 4."""
     from .characters import connected_hurwitz_qseries
     from .tropical import enumerate_elliptic_covers, tropical_elliptic_sum
 
-    for g, dmax in windows:
-        covers = {d: enumerate_elliptic_covers(g, d) for d in range(1, dmax + 1)}
+    for g, top in ((2, 7), (3, 3)) if deep else ((2, 5),):
+        covers = {d: enumerate_elliptic_covers(g, d) for d in range(1, top + 1)}
         for variant in VARIANTS:
             kl = (0, 2 * g - 2, 0) if variant == "monotone" else (0, 0, 2 * g - 2)
-            series = connected_hurwitz_qseries(1, kl[0], kl[1], kl[2], (), dmax)
-            for d in range(1, dmax + 1):
+            series = connected_hurwitz_qseries(1, kl[0], kl[1], kl[2], (), top)
+            for d in range(1, top + 1):
                 yield ({"variant": variant, "g": g, "d": d},
                        {"tropical": tropical_elliptic_sum(variant, g, d, covers[d]),
                         "characters": series.coefficient(d)})
 
 
-def _suite_golden_series():
+def _suite_golden_series(dmax, deep, oracle_dmax):
     from .characters import connected_hurwitz_qseries, sector_family
     from .partitions import partition_count
     from .series import QSeries
@@ -171,21 +175,11 @@ def _suite_golden_series():
            {"got": got, "expected": [36, 540, 3606, 15726]})
 
 
-# name -> suite, called with verify's --dmax (widened by --deep), --deep and
-# --oracle-dmax; keyed in the order of cli.SUITE_NAMES, the --suite choices
-SUITES = {
-    "oracle-vs-characters": lambda dmax, deep, oracle_dmax:
-        _suite_oracle_vs_characters(min(dmax, oracle_dmax), oracle_dmax),
-    "n-recursion": lambda dmax, deep, oracle_dmax:
-        _suite_n_recursion(min(dmax + 1, oracle_dmax), oracle_dmax, deep),
-    "quantum-curve": lambda dmax, deep, oracle_dmax: _suite_quantum_curve(),
-    "toprec": lambda dmax, deep, oracle_dmax:
-        _suite_toprec(min(4, oracle_dmax)),
-    # --deep adds genus 3, where a vertex's local invariant reaches 4
-    "tropical": lambda dmax, deep, oracle_dmax:
-        _suite_tropical(((2, 7), (3, 3)) if deep else ((2, 5),)),
-    "golden-series": lambda dmax, deep, oracle_dmax: _suite_golden_series(),
-}
+# name -> suite, keyed in the order of cli.SUITE_NAMES, the --suite choices
+SUITES = {"oracle-vs-characters": _suite_oracle_vs_characters,
+          "n-recursion": _suite_n_recursion, "quantum-curve": _suite_quantum_curve,
+          "toprec": _suite_toprec, "tropical": _suite_tropical,
+          "golden-series": _suite_golden_series}
 
 
 def _json_value(v):

@@ -51,6 +51,8 @@ def gw_vertex_multiplicity(x_plus, x_minus, vertex_genus: int, lam_i: int) -> Fr
     sorted edge weights.
     """
     xs = tuple(x_plus) + tuple(x_minus)
+    if vertex_genus < 0:
+        raise DomainError(f"vertex genus {vertex_genus} must be >= 0")
     if lam_i != 2 * vertex_genus - 2 + len(xs):
         raise DomainError("lam_i inconsistent with valence and genus")
     if lam_i < 1:

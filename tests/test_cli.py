@@ -530,6 +530,34 @@ def test_accepted_flag_forms(argv, out, capsys):
     assert capsys.readouterr().out == out + "\n"
 
 
+@pytest.mark.parametrize("key", ["compute", "qseries", "fit", "toprec", "double",
+                                 "tropical", "qc verify", "verify"],
+                         ids=lambda key: key.replace(" ", "-"))
+def test_parse_args_fills_every_flag_from_the_table(key):
+    # the command's required flags, each given its kind's first value, and
+    # no global flag: every other flag reads its default, the globals too
+    from mixedhurwitz import cli
+    from mixedhurwitz.util import DEFAULT_ORACLE_LIMIT
+
+    flags = cli.COMMANDS[key][1]
+    given = {flag: kind[0] if isinstance(kind, tuple) else kind(1)
+             for flag, (kind, default) in flags.items() if default is cli.REQUIRED}
+    argv = [*key.split(), *(t for flag, v in given.items() for t in (flag, str(v)))]
+    assert vars(cli.parse_args(argv)) == {
+        "command": key, "format": "json", "cache_dir": "",
+        "oracle_dmax": DEFAULT_ORACLE_LIMIT, "jobs": 1,
+        **{flag[2:].replace("-", "_"): given.get(flag, default)
+           for flag, (_, default) in flags.items()}}
+
+
+def test_tropical_list_sets_args_list():
+    from mixedhurwitz import cli
+
+    argv = ["tropical", "--genus", "2", "--degree", "3", "--variant", "monotone"]
+    assert cli.parse_args(argv).list is False
+    assert cli.parse_args([*argv, "--list"]).list is True
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"],
                                   ["qc", "verify", "-h"]],
                          ids=["top", "compute", "qc-verify"])

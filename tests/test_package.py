@@ -1,6 +1,7 @@
 """The lazy package namespace and the module list README documents."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -93,3 +94,20 @@ def test_every_private_top_level_name_is_read():
             and isinstance(node.ctx, ast.Load)}
     assert len(private) >= 60
     assert sorted(private - read) == []
+
+
+@pytest.mark.parametrize("module,name,args,message", [
+    ("spectral", "oracle_C", (0, 2, (3,)), "omega has 2 slots, mu has 1"),
+    ("tropical", "gw_vertex_multiplicity", ((1, 1, 1), (1, 1), -1, 1),
+     "vertex genus -1 must be >= 0"),
+    ("characters", "sector_value", (1, 0, 0, 0, (), -1), "degree -1 must be >= 0"),
+    ("double_recursion", "disconnected_double", ("monotone", (2,), (2,), -1),
+     "transposition count -1 must be >= 0"),
+    ("partitions", "stirling", ("bogus", 0, 0), "unknown Stirling kind: bogus"),
+], ids=["oracle_C-n", "vertex-genus", "sector-degree", "double-b", "stirling-kind"])
+def test_entry_points_refuse_outside_input(module, name, args, message):
+    from mixedhurwitz.errors import DomainError
+
+    func = getattr(importlib.import_module(f"mixedhurwitz.{module}"), name)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        func(*args)

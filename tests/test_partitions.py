@@ -210,7 +210,9 @@ def test_stirling_examples():
 @cache
 def _recursive_stirling(kind, n, k):
     """The memoised recursion stirling ran on before its rows were built
-    iteratively."""
+    iteratively, refusing an unknown kind at every (n, k)."""
+    if kind not in ("first_unsigned", "second"):
+        raise DomainError(f"unknown Stirling kind: {kind}")
     if n < 0 or k < 0:
         raise DomainError("Stirling indices must be >= 0")
     if n == 0 and k == 0:
@@ -225,7 +227,6 @@ def _recursive_stirling(kind, n, k):
     if kind == "second":
         return k * _recursive_stirling(kind, n - 1, k) \
             + _recursive_stirling(kind, n - 1, k - 1)
-    raise DomainError(f"unknown Stirling kind: {kind}")
 
 
 def test_stirling_matches_the_recursion_on_a_small_grid():
